@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the overload-resilience layer: server-side admission
-// control (ShedPolicy), client-side retry budgets, and the SLO controller
-// (windowed quantiles, reserve activation, brownout). All of it is opt-in:
-// with the knobs at their zero values Run's event stream is byte-identical
-// to builds without this file.
+// control (ShedPolicy), client-side retry budgets, and the SLO controller's
+// configuration and accounting (the controller itself is runState.tick).
+// All of it is opt-in: at the zero knobs no shed check, budget or
+// controller tick runs, so nothing is scheduled or drawn on their behalf.
 
 // ShedMode selects the admission-control policy a web server applies
 // before committing a worker thread to a request.
@@ -79,21 +79,16 @@ func (p ShedPolicy) withDefaults(costs hw.WebCosts) ShedPolicy {
 
 // Validate rejects policies whose values would fail silently.
 func (p ShedPolicy) Validate() error {
-	switch p.Mode {
-	case ShedOff, ShedDropTail, ShedDeadline, ShedPriority:
-	default:
+	switch {
+	case p.Mode != ShedOff && p.Mode != ShedDropTail && p.Mode != ShedDeadline && p.Mode != ShedPriority:
 		return fmt.Errorf("web: unknown shed mode %q (want %q, %q or %q)", p.Mode, ShedDropTail, ShedDeadline, ShedPriority)
-	}
-	if p.Queue < 0 {
+	case p.Queue < 0:
 		return fmt.Errorf("web: shed queue %d must be non-negative", p.Queue)
-	}
-	if badDur(p.Deadline) {
+	case badDur(p.Deadline):
 		return fmt.Errorf("web: shed deadline %g must be finite and non-negative", p.Deadline)
-	}
-	if math.IsNaN(p.LowFrac) || p.LowFrac < 0 || p.LowFrac > 1 {
+	case math.IsNaN(p.LowFrac) || p.LowFrac < 0 || p.LowFrac > 1:
 		return fmt.Errorf("web: shed low-priority fraction %g must be in [0,1]", p.LowFrac)
-	}
-	if math.IsNaN(p.FastFailFrac) || p.FastFailFrac < 0 || p.FastFailFrac > 1 {
+	case math.IsNaN(p.FastFailFrac) || p.FastFailFrac < 0 || p.FastFailFrac > 1:
 		return fmt.Errorf("web: fast-fail fraction %g must be in [0,1]", p.FastFailFrac)
 	}
 	return nil
@@ -107,7 +102,7 @@ func (p ShedPolicy) Validate() error {
 // metastable collapse this layer exists to prevent). Down nodes are left
 // to the normal drop/timeout path so crash accounting is unchanged.
 func (w *WebServer) refuseConn() bool {
-	p := &w.dep.shed
+	p := &w.dep.run.shed
 	if p.Mode == ShedOff {
 		return false
 	}
@@ -141,7 +136,7 @@ func (w *WebServer) shouldShed() bool {
 	if !w.Node.Up() {
 		return false
 	}
-	p := &w.dep.shed
+	p := &w.dep.run.shed
 	switch p.Mode {
 	case ShedDropTail:
 		return w.inflight >= p.Queue
@@ -215,22 +210,18 @@ func (s SLO) withDefaults() SLO {
 // Validate rejects SLOs whose values would fail silently. A nil SLO is
 // valid (no controller).
 func (s *SLO) Validate() error {
-	if s == nil {
+	switch {
+	case s == nil:
 		return nil
-	}
-	if math.IsNaN(s.Latency) || math.IsInf(s.Latency, 0) || s.Latency <= 0 {
+	case math.IsNaN(s.Latency) || math.IsInf(s.Latency, 0) || s.Latency <= 0:
 		return fmt.Errorf("web: SLO latency target %g must be positive and finite", s.Latency)
-	}
-	if math.IsNaN(s.Percentile) || s.Percentile < 0 || s.Percentile >= 1 {
+	case math.IsNaN(s.Percentile) || s.Percentile < 0 || s.Percentile >= 1:
 		return fmt.Errorf("web: SLO percentile %g must be in [0,1)", s.Percentile)
-	}
-	if math.IsNaN(s.Availability) || s.Availability < 0 || s.Availability > 1 {
+	case math.IsNaN(s.Availability) || s.Availability < 0 || s.Availability > 1:
 		return fmt.Errorf("web: SLO availability floor %g must be in [0,1]", s.Availability)
-	}
-	if math.IsNaN(s.Window) || math.IsInf(s.Window, 0) || s.Window < 0 {
+	case math.IsNaN(s.Window) || math.IsInf(s.Window, 0) || s.Window < 0:
 		return fmt.Errorf("web: SLO window %g must be finite and non-negative", s.Window)
-	}
-	if s.Reserve < 0 {
+	case s.Reserve < 0:
 		return fmt.Errorf("web: SLO reserve %d must be non-negative", s.Reserve)
 	}
 	return nil
@@ -265,11 +256,9 @@ func (b *retryBudget) spend() bool {
 	return true
 }
 
-// overloadCounters is the Deployment's per-run overload accounting:
-// window-gated run totals for Result, and the SLO controller's
-// per-evaluation-window counters (reset every tick).
+// overloadCounters are the SLO controller's per-evaluation-window
+// counters, reset every tick.
 type overloadCounters struct {
-	shed, degraded             int64
 	winServed, winOps, winShed int64
 	// winArr counts connection arrivals per controller window; only
 	// maintained when autoscale is armed (the predictive policies read an
@@ -280,16 +269,16 @@ type overloadCounters struct {
 // noteShed records one rejected request (run total gated to the
 // measurement window; controller window always).
 func (d *Deployment) noteShed() {
-	d.ovl.winShed++
-	if now := d.Eng.Now(); now >= d.winStart && now <= d.winEnd {
-		d.ovl.shed++
+	d.run.ovl.winShed++
+	if d.run.inWindow() {
+		d.run.res.Shed++
 	}
 }
 
 // noteDegraded records one brownout cache-only answer.
 func (d *Deployment) noteDegraded() {
-	if now := d.Eng.Now(); now >= d.winStart && now <= d.winEnd {
-		d.ovl.degraded++
+	if d.run.inWindow() {
+		d.run.res.Degraded++
 	}
 }
 
@@ -297,11 +286,11 @@ func (d *Deployment) noteDegraded() {
 // operation counts toward availability, successful ones contribute their
 // latency to the window digest.
 func (d *Deployment) noteSettled(ok bool, delay float64) {
-	d.ovl.winOps++
+	d.run.ovl.winOps++
 	if ok {
-		d.ovl.winServed++
-		if d.sloDig != nil {
-			d.sloDig.Add(delay)
+		d.run.ovl.winServed++
+		if d.run.sloDig != nil {
+			d.run.sloDig.Add(delay)
 		}
 	}
 }

@@ -310,17 +310,17 @@ func TestShedSteadyStateNoAlloc(t *testing.T) {
 	d.Warm(1.0)
 	// Queue 0 with drop-tail sheds every request (the config layer would
 	// default Queue; setting the resolved policy directly pins the path).
-	d.shed = ShedPolicy{Mode: ShedDropTail, Queue: 0, FastFailFrac: 0.1}
-	d.fastFailCPU = 0.1 * (d.Plat.Web.BaseCPU + d.Plat.Web.ReplyCPU)
+	d.run.shed = ShedPolicy{Mode: ShedDropTail, Queue: 0, FastFailFrac: 0.1}
+	d.run.fastFailCPU = 0.1 * (d.Plat.Web.BaseCPU + d.Plat.Web.ReplyCPU)
 	eng := d.Eng
 	cfg := RunConfig{Concurrency: 1}.withDefaults()
-	done := func(bool) {}
+	done := func(uint64, bool) {}
 	for i := 0; i < 100; i++ {
-		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg, done)
+		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		d.request(d.Clients[0], d.Web[1], cfg, done)
+		d.request(d.Clients[0], d.Web[1], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	})
 	if avg != 0 {

@@ -2,7 +2,6 @@ package web
 
 import (
 	"edisim/internal/sim"
-	"edisim/internal/stats"
 	"edisim/internal/units"
 )
 
@@ -12,15 +11,12 @@ import (
 //	                 (on miss: web --q--> DB [CPU+disk] --row--> web)
 //	web [CPU: assemble] --reply--> client
 //
-// Instead of allocating a fresh chain of closures per request, each record
-// carries its cursor state (key, sizes, interval anchors) and a set of
-// continuations pre-bound once when the record is created — the same
-// pattern as netsim's pooled message and Flow records — so the steady-state
-// request path is 0 allocs/op (CI-pinned). Records come from a Deployment
-// freelist grown in chunks and are recycled when the reply (or the 500)
-// fully arrives. A request stranded by a crash or cut link mid-chain never
-// reaches a recycling continuation; its record is simply lost to the pool,
-// like the request itself.
+// Each record carries its cursor state (key, sizes, interval anchors) and
+// one continuation per edge of the diagram, pre-bound once per record (the
+// pattern of netsim's pooled message and Flow records), so the
+// steady-state request path is 0 allocs/op (CI-pinned). A record recycles
+// when its reply (or 500) arrives; one stranded by a crash or cut link
+// mid-chain is lost to the pool, like the request itself.
 type webReq struct {
 	d         *Deployment
 	w         *WebServer
@@ -28,7 +24,8 @@ type webReq struct {
 	db        *DBServer
 	client    string
 	imageFrac float64
-	done      func(bool)
+	stamp     uint64
+	done      func(stamp uint64, ok bool)
 
 	k          rowKey
 	rowSize    units.Bytes // row size on the chosen table (miss reply size)
@@ -37,68 +34,31 @@ type webReq struct {
 	cacheStart sim.Time
 	dbStart    sim.Time
 
-	// Pre-bound continuations, created once per record (amortized to zero
-	// by the pool), one per edge of the diagram above.
 	arrivedFn, startFn, prologueFn, atCacheFn, cacheGetFn func()
 	hitReturnFn, hitDoneFn                                func()
 	missReturnFn, atDBFn, dbCPUFn, dbReadFn, dbReturnFn   func()
 	dbDoneFn, assembledFn, okFn, errFn, shedFn            func()
 }
 
-// reqChunk is how many request records the freelist grows by at once.
-const reqChunk = 64
-
-// allocReq takes a request record from the freelist, growing it when empty.
-func (d *Deployment) allocReq() *webReq {
-	if len(d.freeReqs) == 0 {
-		chunk := make([]webReq, reqChunk)
-		for i := range chunk {
-			r := &chunk[i]
-			r.d = d
-			r.arrivedFn = r.arrivedAtWeb
-			r.startFn = r.start
-			r.prologueFn = r.prologueDone
-			r.atCacheFn = r.arrivedAtCache
-			r.cacheGetFn = r.cacheLooked
-			r.hitReturnFn = r.hitReturned
-			r.hitDoneFn = r.hitUnmarshaled
-			r.missReturnFn = r.missReturned
-			r.atDBFn = r.arrivedAtDB
-			r.dbCPUFn = r.dbComputed
-			r.dbReadFn = r.dbRead
-			r.dbReturnFn = r.dbReturned
-			r.dbDoneFn = r.dbUnmarshaled
-			r.assembledFn = r.assembled
-			r.okFn = r.deliverOK
-			r.errFn = r.deliverErr
-			r.shedFn = r.shedComputed
-			d.freeReqs = append(d.freeReqs, r)
-		}
-	}
-	r := d.freeReqs[len(d.freeReqs)-1]
-	d.freeReqs = d.freeReqs[:len(d.freeReqs)-1]
-	return r
-}
-
-// recycleReq returns the record to the pool, releasing callback and server
-// references for GC.
-func (d *Deployment) recycleReq(r *webReq) {
-	r.done = nil
-	r.w = nil
-	r.cache = nil
-	r.db = nil
-	d.freeReqs = append(d.freeReqs, r)
+func bindReq(r *webReq) {
+	r.arrivedFn, r.startFn, r.prologueFn, r.atCacheFn, r.cacheGetFn = r.arrivedAtWeb, r.start, r.prologueDone, r.arrivedAtCache, r.cacheLooked
+	r.hitReturnFn, r.hitDoneFn = r.hitReturned, r.hitUnmarshaled
+	r.missReturnFn, r.atDBFn, r.dbCPUFn, r.dbReadFn, r.dbReturnFn = r.missReturned, r.arrivedAtDB, r.dbComputed, r.dbRead, r.dbReturned
+	r.dbDoneFn, r.assembledFn, r.okFn, r.errFn, r.shedFn = r.dbUnmarshaled, r.assembled, r.deliverOK, r.deliverErr, r.shedComputed
 }
 
 // request drives one HTTP request through the stack on a pooled record.
-// done(ok) runs at the client when the reply (or the 500) fully arrives.
-// The web-server-side interval and the cache/DB sub-intervals feed the
-// Table 7 decomposition.
-func (d *Deployment) request(client string, w *WebServer, cfg RunConfig, done func(bool)) {
-	r := d.allocReq()
+// done(stamp, ok) runs at the client when the reply (or the 500) fully
+// arrives; the stamp is handed back unchanged so the caller can recognise a
+// reply to an attempt it has since abandoned. The web-server-side interval
+// and the cache/DB sub-intervals feed the Table 7 decomposition.
+func (d *Deployment) request(client string, w *WebServer, imageFrac float64, stamp uint64, done func(uint64, bool)) {
+	r := d.reqs.get(bindReq)
+	r.d = d
 	r.w = w
 	r.client = client
-	r.imageFrac = cfg.ImageFrac
+	r.imageFrac = imageFrac
+	r.stamp = stamp
 	r.done = done
 	d.Fab.Send(client, w.Node.ID, requestBytes, r.arrivedFn)
 }
@@ -108,10 +68,9 @@ func (d *Deployment) request(client string, w *WebServer, cfg RunConfig, done fu
 // admission, or a short 500 error page (still delivered) when overloaded.
 func (r *webReq) arrivedAtWeb() {
 	r.arrived = r.d.Eng.Now()
-	if r.d.shed.Enabled() && r.w.shouldShed() {
+	if r.d.run.shed.Enabled() && r.w.shouldShed() {
 		r.d.noteShed()
-		r.w.refused++
-		r.w.Node.ComputeSeconds(r.d.fastFailCPU, r.shedFn)
+		r.w.Node.ComputeSeconds(r.d.run.fastFailCPU, r.shedFn)
 		return
 	}
 	if !r.w.admitRequest(r.startFn) {
@@ -177,7 +136,7 @@ func (r *webReq) hitReturned() {
 }
 
 func (r *webReq) hitUnmarshaled() {
-	r.d.recordCacheDelay(float64(r.d.Eng.Now() - r.cacheStart))
+	r.d.run.res.CacheDelay.Add(float64(r.d.Eng.Now() - r.cacheStart))
 	r.finish(r.replySize)
 }
 
@@ -191,8 +150,8 @@ const degradedReplyBytes = 512
 // page and skips the DB trip entirely.
 func (r *webReq) missReturned() {
 	d := r.d
-	d.recordCacheDelay(float64(d.Eng.Now() - r.cacheStart))
-	if d.brownout {
+	d.run.res.CacheDelay.Add(float64(d.Eng.Now() - r.cacheStart))
+	if d.run.brownout {
 		d.noteDegraded()
 		r.finish(degradedReplyBytes)
 		return
@@ -203,9 +162,8 @@ func (r *webReq) missReturned() {
 }
 
 // arrivedAtDB..dbRead execute one MySQL lookup on the record: query CPU,
-// then a buffered read of the row (the DBServer keeps the counter).
+// then a buffered read of the row.
 func (r *webReq) arrivedAtDB() {
-	r.db.queries++
 	r.db.Node.ComputeSeconds(r.db.queryCPU, r.dbCPUFn)
 }
 
@@ -222,7 +180,7 @@ func (r *webReq) dbReturned() {
 }
 
 func (r *webReq) dbUnmarshaled() {
-	r.d.recordDBDelay(float64(r.d.Eng.Now() - r.dbStart))
+	r.d.run.res.DBDelay.Add(float64(r.d.Eng.Now() - r.dbStart))
 	r.finish(r.rowSize)
 }
 
@@ -237,32 +195,19 @@ func (r *webReq) finish(size units.Bytes) {
 
 func (r *webReq) assembled() {
 	d := r.d
-	d.recordWebTotal(float64(d.Eng.Now() - r.arrived))
-	r.w.finishRequest(true)
+	d.run.res.WebTotal.Add(float64(d.Eng.Now() - r.arrived))
+	r.w.finishRequest()
 	d.Fab.Send(r.w.Node.ID, r.client, r.replySize+256, r.okFn)
 }
 
 // deliverOK/deliverErr run at the client on full arrival of the reply/500:
 // recycle first so the callback can immediately reuse the record.
-func (r *webReq) deliverOK() {
-	done := r.done
-	r.d.recycleReq(r)
-	done(true)
-}
+func (r *webReq) deliverOK()  { r.deliver(true) }
+func (r *webReq) deliverErr() { r.deliver(false) }
 
-func (r *webReq) deliverErr() {
-	done := r.done
-	r.d.recycleReq(r)
-	done(false)
-}
-
-// Table 7 decomposition accumulators. They live on the Deployment and are
-// harvested/reset by Run.
-func (d *Deployment) recordDBDelay(v float64)    { d.dbDelay.Add(v) }
-func (d *Deployment) recordCacheDelay(v float64) { d.cacheDelay.Add(v) }
-func (d *Deployment) recordWebTotal(v float64)   { d.webTotal.Add(v) }
-
-// decomposition state (reset per run).
-type decomposition struct {
-	dbDelay, cacheDelay, webTotal stats.Summary
+func (r *webReq) deliver(ok bool) {
+	done, stamp := r.done, r.stamp
+	r.done, r.w, r.cache, r.db = nil, nil, nil, nil
+	r.d.reqs.put(r)
+	done(stamp, ok)
 }

@@ -3,6 +3,7 @@ package web
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edisim/internal/autoscale"
 	"edisim/internal/cluster"
@@ -44,7 +45,8 @@ type Deployment struct {
 	DBs     []*DBServer
 	Clients []string
 
-	meter *power.Meter
+	webNodes, cacheNodes []*hw.Node
+	meter                *power.Meter
 
 	rnd struct {
 		arrival, table, row, db, class *rng.Source
@@ -54,32 +56,22 @@ type Deployment struct {
 	// the current run (threads and ports are held for transfer durations).
 	loadFactor float64
 
-	// freeReqs is the pooled webReq freelist (see request.go).
-	freeReqs []*webReq
+	// Pooled request, connection and SYN records (see request.go and
+	// conn.go).
+	reqs  pool[webReq]
+	conns pool[webConn]
+	tries pool[synTry]
 
-	// Overload-resilience state, reset by Run and inert at its zero values
-	// (see overload.go): the resolved shedding policy and the CPU cost of
-	// one fast-fail rejection, the active routing-rotation prefix of Web,
-	// the brownout flag, the client retry budget, the SLO controller's
-	// window digest, the measurement window bounds for gating, and the
-	// overload counters.
-	shed             ShedPolicy
-	fastFailCPU      float64
-	active           int
-	brownout         bool
-	budget           retryBudget
-	sloDig           *stats.Digest
-	winStart, winEnd sim.Time
-	ovl              overloadCounters
+	// run is the current (or last) Run's state. Servers and requests read
+	// its overload knobs and book into its Result.
+	run *runState
 
 	// Elasticity state (see autoscale.go), nil/empty unless
 	// RunConfig.Autoscale arms the lifecycle manager: the manager itself
-	// and the explicit routing rotation that replaces the d.active prefix
-	// while it runs.
+	// and the explicit routing rotation that replaces the run's active
+	// prefix of Web while it runs.
 	scaler   *autoscale.Manager
 	rotation []*WebServer
-
-	decomposition
 }
 
 // NewDeployment builds a middle tier of nWeb web servers and nCache cache
@@ -115,7 +107,9 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 	if len(tb.DB) == 0 || len(tb.Clients) == 0 {
 		panic("web: testbed needs DB servers and clients")
 	}
-	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients, loadFactor: 1}
+	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients,
+		webNodes: webNodes, cacheNodes: cacheNodes, loadFactor: 1}
+	d.run = &runState{d: d}
 	for _, n := range webNodes {
 		d.Web = append(d.Web, newWebServer(d, n))
 	}
@@ -191,36 +185,32 @@ type RunConfig struct {
 	Duration   float64 // generation time in simulated seconds
 	WarmupFrac float64 // fraction of Duration excluded from measurement
 
-	// Failure recovery (all zero = off, the paper's healthy-run behavior,
-	// with an event stream byte-identical to builds without these knobs).
-	//
-	// RequestTimeout > 0 arms a client-side timer per request: a reply that
-	// does not arrive in time abandons the attempt and retries — against
-	// the next live web server when the current one is down — with capped
-	// exponential backoff, up to MaxRetries times; exhaustion counts the
-	// operation as errored. Connection setup gains the matching protection:
-	// a SYN (or SYN-ACK) lost to a cut link times out on the kernel retry
-	// schedule instead of hanging, and new connections steer around dead
-	// servers to the next live one in ring order.
+	// Failure recovery; all zero is the paper's healthy client. A positive
+	// RequestTimeout arms the recovery stage of the connection state
+	// machine: a timer per request attempt whose expiry abandons it and,
+	// after capped exponential backoff, retries it against the next live
+	// server when the current one is down; an operation that runs out of
+	// retries errors. SYNs gain the kernel retransmit timer (one lost to a
+	// cut link times out instead of hanging), and new connections steer
+	// around dead servers in ring order. The retry limit counts an
+	// abandoned attempt twice, so MaxRetries n allows ⌈n/2⌉ retries.
 	RequestTimeout float64 // seconds; 0 disables all recovery machinery
-	MaxRetries     int     // retries after the first attempt; 0 means 3 when enabled
+	MaxRetries     int     // retry limit; 0 means 3 when enabled
 	RetryBase      float64 // first backoff in seconds; 0 means 0.05 when enabled
 
-	// Overload resilience (all zero = off, with an event stream
-	// byte-identical to builds without these knobs).
-	//
-	// Profile switches the generator open-loop: connection arrivals follow
-	// the profiled rate instead of the closed-loop Concurrency ladder, and
-	// keep coming whether or not the servers keep up. Mutually exclusive
-	// with Concurrency. Per-request Sample retention is replaced by the
-	// bounded Latency digest so million-request runs stay flat in memory.
+	// Overload resilience; all zero is off. Profile switches the generator
+	// open-loop: connection arrivals follow the profiled rate instead of
+	// the closed-loop Concurrency ladder, and keep coming whether or not
+	// the servers keep up. Mutually exclusive with Concurrency. Per-request
+	// Sample retention is replaced by the bounded Latency digest so
+	// million-request runs stay flat in memory.
 	Profile load.Profile
 	// Shed configures server-side admission control (see ShedPolicy).
 	Shed ShedPolicy
 	// RetryBudget bounds client retries as a fraction of first attempts
 	// (token bucket: each first attempt deposits RetryBudget tokens, each
-	// retry spends one, burst-capped). 0 leaves PR 6's unbudgeted retries;
-	// it only matters when RequestTimeout arms the retry machinery.
+	// retry spends one, burst-capped). 0 leaves retries unbudgeted; it only
+	// matters when RequestTimeout arms the retry machinery.
 	RetryBudget float64
 	// SLO attaches the reactive controller (windowed quantile +
 	// availability checks, reserve activation, brownout). Nil = off.
@@ -282,31 +272,24 @@ func (c RunConfig) Validate() error {
 	} else if math.IsNaN(c.Concurrency) || math.IsInf(c.Concurrency, 0) || c.Concurrency <= 0 {
 		return fmt.Errorf("web: concurrency %g must be positive and finite", c.Concurrency)
 	}
-	if c.CallsPerConn < 0 {
+	switch {
+	case c.CallsPerConn < 0:
 		return fmt.Errorf("web: calls per connection %d must be non-negative", c.CallsPerConn)
-	}
-	if math.IsNaN(c.ImageFrac) || c.ImageFrac < 0 || c.ImageFrac > 1 {
+	case math.IsNaN(c.ImageFrac) || c.ImageFrac < 0 || c.ImageFrac > 1:
 		return fmt.Errorf("web: image fraction %g must be in [0,1]", c.ImageFrac)
-	}
-	if math.IsNaN(c.CacheHit) || math.IsInf(c.CacheHit, 0) || c.CacheHit > 1 {
+	case math.IsNaN(c.CacheHit) || math.IsInf(c.CacheHit, 0) || c.CacheHit > 1:
 		return fmt.Errorf("web: cache hit ratio %g must be finite and at most 1", c.CacheHit)
-	}
-	if badDur(c.Duration) {
+	case badDur(c.Duration):
 		return fmt.Errorf("web: duration %g must be finite and non-negative", c.Duration)
-	}
-	if math.IsNaN(c.WarmupFrac) || c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
+	case math.IsNaN(c.WarmupFrac) || c.WarmupFrac < 0 || c.WarmupFrac >= 1:
 		return fmt.Errorf("web: warmup fraction %g must be in [0,1)", c.WarmupFrac)
-	}
-	if badDur(c.RequestTimeout) {
+	case badDur(c.RequestTimeout):
 		return fmt.Errorf("web: request timeout %g must be finite and non-negative", c.RequestTimeout)
-	}
-	if c.MaxRetries < 0 {
+	case c.MaxRetries < 0:
 		return fmt.Errorf("web: max retries %d must be non-negative", c.MaxRetries)
-	}
-	if badDur(c.RetryBase) {
+	case badDur(c.RetryBase):
 		return fmt.Errorf("web: retry base %g must be finite and non-negative", c.RetryBase)
-	}
-	if math.IsNaN(c.RetryBudget) || c.RetryBudget < 0 || c.RetryBudget > 1 {
+	case math.IsNaN(c.RetryBudget) || c.RetryBudget < 0 || c.RetryBudget > 1:
 		return fmt.Errorf("web: retry budget %g must be in [0,1]", c.RetryBudget)
 	}
 	if err := c.Shed.Validate(); err != nil {
@@ -315,18 +298,16 @@ func (c RunConfig) Validate() error {
 	if err := c.SLO.Validate(); err != nil {
 		return err
 	}
-	if c.Autoscale != nil {
-		if c.SLO == nil {
-			return fmt.Errorf("web: Autoscale needs an SLO controller (policies observe its windows)")
-		}
-		if c.SLO.Reserve > 0 {
-			return fmt.Errorf("web: Autoscale and SLO.Reserve both edit the routing rotation; use one")
-		}
-		if err := c.Autoscale.Validate(); err != nil {
-			return err
-		}
+	if c.Autoscale == nil {
+		return nil
 	}
-	return nil
+	switch {
+	case c.SLO == nil:
+		return fmt.Errorf("web: Autoscale needs an SLO controller (policies observe its windows)")
+	case c.SLO.Reserve > 0:
+		return fmt.Errorf("web: Autoscale and SLO.Reserve both edit the routing rotation; use one")
+	}
+	return c.Autoscale.Validate()
 }
 
 // Result is the outcome of one run.
@@ -380,517 +361,309 @@ type Result struct {
 	MeanActive   float64      // time-weighted mean serving servers over the window
 }
 
+// runState is one Run's state: the resolved config, the measurement
+// window, the Result being filled, and the overload and SLO controller
+// state that the connections, servers and requests of the run read and
+// write. Every connection points at the run that launched it, so a
+// straggler from an earlier run on the same deployment still books its
+// own operations into that run's Result.
+type runState struct {
+	d   *Deployment
+	cfg RunConfig
+	res Result
+
+	winStart, winEnd sim.Time
+	// recover arms the recovery stage of the connection state machine
+	// (RequestTimeout > 0); budgeted adds the retry budget to it.
+	recover, budgeted bool
+	// exact keeps per-request Samples beside the digest. Open-loop runs
+	// drop them so million-request runs stay flat in memory.
+	exact           bool
+	served, errored int64
+
+	// Connection generator: the round-robin cursor and the open-loop
+	// arrival process anchored at origin.
+	next            int
+	origin          sim.Time
+	arr             *load.Arrivals
+	genFn, arriveFn func()
+
+	// Overload resilience (see overload.go): the resolved shedding policy
+	// and the CPU cost of one fast-fail rejection, the client retry
+	// budget, the routing-rotation prefix of Web, the brownout flag, and
+	// the SLO controller's window digest and counters.
+	shed        ShedPolicy
+	fastFailCPU float64
+	budget      retryBudget
+	active      int
+	brownout    bool
+	sloDig      *stats.Digest
+	ovl         overloadCounters
+
+	// SLO controller (see tick).
+	slo                  SLO
+	baseActive, healthy  int
+	runStart, brownoutAt sim.Time
+	tickFn               func()
+
+	// Elasticity, nil unless cfg.Autoscale is set.
+	asPool                         *fleetPool
+	asIntegWinStart, asIntegWinEnd float64
+}
+
+// inWindow reports whether now falls inside the measurement window.
+func (rs *runState) inWindow() bool {
+	now := rs.d.Eng.Now()
+	return now >= rs.winStart && now <= rs.winEnd
+}
+
+// begin starts a run of cfg (already validated and defaulted) on the
+// deployment. The overload state is inert at the zero knobs: no extra
+// events, no extra RNG draws, identical routing.
+func (d *Deployment) begin(cfg RunConfig) *runState {
+	now := d.Eng.Now()
+	d.loadFactor = 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024
+	rs := &runState{
+		d:        d,
+		cfg:      cfg,
+		res:      Result{Config: cfg, Delays: &stats.Sample{}, ConnDelays: &stats.Sample{}, Latency: stats.NewDigest()},
+		winStart: now + sim.Time(cfg.Duration*cfg.WarmupFrac),
+		winEnd:   now + sim.Time(cfg.Duration),
+		recover:  cfg.RequestTimeout > 0,
+		budgeted: cfg.RequestTimeout > 0 && cfg.RetryBudget > 0,
+		exact:    cfg.Profile == nil,
+		budget:   retryBudget{rate: cfg.RetryBudget, tokens: retryBurst},
+		active:   len(d.Web),
+	}
+	rs.genFn, rs.arriveFn, rs.tickFn = rs.gen, rs.arrive, rs.tick
+	if cfg.Shed.Enabled() {
+		rs.shed = cfg.Shed.withDefaults(d.Plat.Web)
+		rs.fastFailCPU = rs.shed.FastFailFrac * (d.Plat.Web.BaseCPU + d.Plat.Web.ReplyCPU)
+	}
+	d.run = rs
+	return rs
+}
+
 // Run executes one measurement on a fresh traffic epoch. The deployment's
 // caches must already be warmed.
 func (d *Deployment) Run(cfg RunConfig) Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg = cfg.withDefaults()
-	// ft gates every piece of recovery machinery: with it false the run's
-	// event stream is byte-identical to the pre-fault-injection code.
-	ft := cfg.RequestTimeout > 0
-	// openLoop switches the generator to profiled arrivals; exact per-request
-	// Sample retention is then dropped in favor of the bounded digest so
-	// million-request runs stay flat in memory.
-	openLoop := cfg.Profile != nil
-	exact := !openLoop
+	rs := d.begin(cfg.withDefaults())
+	cfg = rs.cfg
 	eng := d.Eng
-	d.loadFactor = 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024
-
-	res := Result{Config: cfg, Delays: &stats.Sample{}, ConnDelays: &stats.Sample{}, Latency: stats.NewDigest()}
-	winStart := eng.Now() + sim.Time(cfg.Duration*cfg.WarmupFrac)
-	winEnd := eng.Now() + sim.Time(cfg.Duration)
-	inWindow := func() bool { return eng.Now() >= winStart && eng.Now() <= winEnd }
-
-	// Overload-resilience state (inert at the zero knobs: no extra events,
-	// no extra RNG draws, identical routing).
-	d.winStart, d.winEnd = winStart, winEnd
-	d.shed, d.fastFailCPU = ShedPolicy{}, 0
-	if cfg.Shed.Enabled() {
-		d.shed = cfg.Shed.withDefaults(d.Plat.Web)
-		d.fastFailCPU = d.shed.FastFailFrac * (d.Plat.Web.BaseCPU + d.Plat.Web.ReplyCPU)
-	}
-	budgeted := ft && cfg.RetryBudget > 0
-	d.budget = retryBudget{rate: cfg.RetryBudget, tokens: retryBurst}
-	d.active = len(d.Web)
-	d.brownout = false
-	d.sloDig = nil
-	d.ovl = overloadCounters{}
 
 	// Elasticity: the lifecycle manager takes over routing through
-	// d.rotation (the SLO tick feeds it windowed signals below), parked
-	// nodes power off and booting nodes burn busy draw — all inside the
-	// same meter, so MeanPower/Energy price provisioning overhead too.
-	var asMgr *autoscale.Manager
-	var asPool *fleetPool
-	var asUtil *tickUtil
-	var asIntegWinStart, asIntegWinEnd float64
+	// d.rotation (the SLO tick feeds it windowed signals), parked nodes
+	// power off and booting nodes burn busy draw — all inside the same
+	// meter, so MeanPower/Energy price provisioning overhead too.
 	if cfg.Autoscale != nil {
-		asMgr, asPool, asUtil = d.armAutoscale(cfg)
-		eng.At(winStart, func() { asIntegWinStart = asMgr.ServingIntegral(winStart) })
-		eng.At(winEnd, func() { asIntegWinEnd = asMgr.ServingIntegral(winEnd) })
+		rs.asPool = d.armAutoscale(cfg)
+		eng.At(rs.winStart, func() { rs.asIntegWinStart = d.scaler.ServingIntegral(rs.winStart) })
+		eng.At(rs.winEnd, func() { rs.asIntegWinEnd = d.scaler.ServingIntegral(rs.winEnd) })
 	}
-
-	var served, errored, attempts int64
 
 	// Window power accounting.
 	var winEnergy float64
-	eng.At(winStart, func() { d.meter.Reset() })
-	eng.At(winEnd, func() {
-		winEnergy = float64(d.meter.Energy())
-	})
+	eng.At(rs.winStart, func() { d.meter.Reset() })
+	eng.At(rs.winEnd, func() { winEnergy = float64(d.meter.Energy()) })
 	// Integrate tier utilizations over the window for the §5.1.2 CPU
 	// numbers. Tracking is change-driven (hw.Node.SubscribeUtil), so heavy
 	// runs do not pay for a polling timer and the means are exact.
-	webUtil := trackMeanUtil(eng, d.webNodes(), winStart, winEnd)
-	cacheUtil := trackMeanUtil(eng, d.cacheNodes(), winStart, winEnd)
+	webUtil := trackMeanUtil(eng, d.webNodes, rs.winStart, rs.winEnd)
+	cacheUtil := trackMeanUtil(eng, d.cacheNodes, rs.winStart, rs.winEnd)
 	defer webUtil.detach()
 	defer cacheUtil.detach()
 
-	// SLO controller: every Window seconds, judge the window's quantile and
-	// availability, react (activate a reserve server, engage brownout), and
-	// wind back after two consecutive healthy windows.
-	sloOn := cfg.SLO != nil
-	if sloOn {
-		slo := cfg.SLO.withDefaults()
-		baseActive := len(d.Web)
-		if slo.Reserve > 0 {
-			baseActive -= slo.Reserve
-			if baseActive < 1 {
-				baseActive = 1
-			}
-			d.active = baseActive
-		}
-		d.sloDig = stats.NewDigest()
-		res.ActivePeak = d.active
-		if asMgr != nil {
-			res.ActivePeak = len(d.rotation)
-		}
-		runStart := eng.Now()
-		healthy := 0
-		var brownoutAt sim.Time
-		var tick func()
-		tick = func() {
-			now := eng.Now()
-			q := d.sloDig.Quantile(slo.Percentile)
-			avail := 1.0
-			if d.ovl.winOps > 0 {
-				avail = float64(d.ovl.winServed) / float64(d.ovl.winOps)
-			}
-			burning := (d.sloDig.N() > 0 && q > slo.Latency) ||
-				(d.ovl.winOps > 0 && slo.Availability > 0 && avail < slo.Availability)
-			if burning {
-				healthy = 0
-				if inWindow() {
-					res.SLOBreaches++
-				}
-				if asMgr == nil && d.active < len(d.Web) {
-					d.active++
-				}
-				if slo.Brownout && !d.brownout {
-					d.brownout = true
-					brownoutAt = now
-				}
-			} else {
-				healthy++
-				if healthy >= 2 {
-					if d.brownout {
-						d.brownout = false
-						res.BrownoutSecs += float64(now - brownoutAt)
-					}
-					if asMgr == nil && d.active > baseActive {
-						d.active--
-					}
-				}
-			}
-			activeNow := d.active
-			if asMgr != nil {
-				// Autoscale replaces the reserve reaction above: the policy
-				// sees this window's signals and the manager moves servers
-				// through boot/drain/park around them.
-				util, queue := asUtil.window(d, asPool, now, slo.Window)
-				asMgr.Observe(autoscale.Signals{
-					T:            float64(now - runStart),
-					Util:         util,
-					Queue:        queue,
-					ShedRate:     float64(d.ovl.winShed) / slo.Window,
-					ArrivalRate:  float64(d.ovl.winArr) / slo.Window,
-					Quantile:     q,
-					Availability: avail,
-					Burning:      burning,
-				})
-				activeNow = len(d.rotation)
-			}
-			if activeNow > res.ActivePeak {
-				res.ActivePeak = activeNow
-			}
-			if slo.Observer != nil {
-				slo.Observer(SLOWindow{
-					T:            float64(now - runStart),
-					Served:       d.ovl.winServed,
-					Ops:          d.ovl.winOps,
-					Shed:         d.ovl.winShed,
-					Quantile:     q,
-					Availability: avail,
-					Burning:      burning,
-					Brownout:     d.brownout,
-					Active:       activeNow,
-				})
-			}
-			d.sloDig.Reset()
-			d.ovl.winServed, d.ovl.winOps, d.ovl.winShed, d.ovl.winArr = 0, 0, 0, 0
-			if now < winEnd {
-				eng.After(slo.Window, tick)
-			} else if d.brownout {
-				// Close the books on a brownout still engaged at run end.
-				d.brownout = false
-				res.BrownoutSecs += float64(now - brownoutAt)
-			}
-		}
-		eng.After(slo.Window, tick)
+	if cfg.SLO != nil {
+		rs.armSLO()
 	}
 
-	// Connection generator: Poisson arrivals at Concurrency conn/s spread
-	// over the client machines, each conn routed round-robin by HAProxy.
-	// With recovery on, the balancer health-checks: a conn aimed at a dead
-	// server is steered to the next live one in ring order (identical
-	// routing while everything is up).
-	next := 0
-	var gen func()
-	stopGen := eng.Now() + sim.Time(cfg.Duration)
-	var launch func(client string, w *WebServer)
-	// fire starts one connection from the next client at the next web server
-	// in the routing rotation: the explicit d.rotation slice when autoscale
-	// is armed, else the d.Web prefix (only the SLO controller ever shrinks
-	// that prefix below the full tier).
-	fire := func() {
-		client := d.Clients[next%len(d.Clients)]
-		var w *WebServer
-		if d.scaler != nil {
-			d.ovl.winArr++
-			w = d.rotation[next%len(d.rotation)]
-		} else {
-			w = d.Web[next%d.active]
-		}
-		next++
-		if ft && !w.Node.Up() {
-			if nl := d.nextLive(w); nl != nil {
-				w = nl
-			}
-		}
-		launch(client, w)
-	}
-	gen = func() {
-		if eng.Now() >= stopGen {
-			return
-		}
-		fire()
-		eng.After(d.rnd.arrival.Exp(1/cfg.Concurrency), gen)
-	}
-
-	// launch drives one connection: SYN (with kernel retries), then
-	// CallsPerConn sequential requests.
-	launch = func(client string, w *WebServer) {
-		connStart := eng.Now()
-		attempt := 0
-		var try func()
-		established := func(conn *WebServer) {
-			// Run the request loop; record the conn setup + first reply
-			// delay in ConnDelays (the python-logger view of Figs 10–11).
-			call := 0
-			var doCall func()
-			if !ft {
-				doCall = func() {
-					if call >= cfg.CallsPerConn {
-						conn.closeConn()
-						return
-					}
-					call++
-					first := call == 1
-					reqStart := eng.Now()
-					attempts++
-					d.request(client, conn, cfg, func(ok bool) {
-						delay := float64(eng.Now() - reqStart)
-						d.noteSettled(ok, delay)
-						if inWindow() {
-							if ok {
-								served++
-								res.Latency.Add(delay)
-								if exact {
-									res.Delays.Add(delay)
-									if first {
-										res.ConnDelays.Add(float64(eng.Now() - connStart))
-									}
-								}
-							} else {
-								errored++
-							}
-						}
-						doCall()
-					})
-				}
-			} else {
-				// Recovery request loop: each call is a chain of attempts,
-				// each guarded by the client timeout; a timed-out attempt is
-				// abandoned (a late reply is ignored) and retried against a
-				// live server after capped exponential backoff.
-				doCall = func() {
-					if call >= cfg.CallsPerConn {
-						conn.closeConn()
-						return
-					}
-					call++
-					first := call == 1
-					reqStart := eng.Now()
-					settled := false
-					tryNo := 0
-					settle := func(ok bool) {
-						settled = true
-						delay := float64(eng.Now() - reqStart)
-						d.noteSettled(ok, delay)
-						if inWindow() {
-							if ok {
-								served++
-								res.Latency.Add(delay)
-								if exact {
-									res.Delays.Add(delay)
-									if first {
-										res.ConnDelays.Add(float64(eng.Now() - connStart))
-									}
-								}
-							} else {
-								errored++
-							}
-						}
-						doCall()
-					}
-					var tryReq func(srv *WebServer)
-					tryReq = func(srv *WebServer) {
-						tryNo++
-						id := tryNo
-						attempts++
-						res.Attempts++
-						if budgeted && id == 1 {
-							d.budget.deposit()
-						}
-						timer := eng.After(cfg.RequestTimeout, func() {
-							if settled || id != tryNo {
-								return
-							}
-							tryNo++ // abandon: the straggling reply is ignored
-							if inWindow() {
-								res.Timeouts++
-							}
-							if id > cfg.MaxRetries {
-								settle(false)
-								return
-							}
-							// The retry budget keeps a crash under peak from
-							// amplifying into a storm: no token, no retry —
-							// the operation fails fast instead.
-							if budgeted && !d.budget.spend() {
-								if inWindow() {
-									res.RetryDenied++
-								}
-								settle(false)
-								return
-							}
-							if inWindow() {
-								res.Retries++
-							}
-							backoff := cfg.RetryBase * float64(uint(1)<<uint(min(id-1, 3)))
-							eng.After(backoff, func() {
-								if settled {
-									return
-								}
-								nxt := srv
-								if !nxt.Node.Up() {
-									if nl := d.nextLive(nxt); nl != nil {
-										nxt = nl
-									}
-								}
-								tryReq(nxt)
-							})
-						})
-						d.request(client, srv, cfg, func(ok bool) {
-							if settled || id != tryNo {
-								return
-							}
-							timer.Cancel()
-							settle(ok)
-						})
-					}
-					start := conn
-					if !start.Node.Up() {
-						if nl := d.nextLive(start); nl != nil {
-							start = nl
-						}
-					}
-					tryReq(start)
-				}
-			}
-			doCall()
-		}
-		// refused delivers a shed SYN's RST: the client gives up immediately
-		// (no kernel retries), keeping the backlog below the thrash region.
-		refused := func(srv *WebServer) {
-			d.noteShed()
-			d.Fab.Send(srv.Node.ID, client, rpcHeaderBytes, func() {
-				d.ovl.winOps++
-				if inWindow() {
-					res.ConnFailures++
-					if exact {
-						res.ConnDelays.Add(float64(eng.Now() - connStart))
-					}
-				}
-			})
-		}
-		if !ft {
-			try = func() {
-				// SYN travels to the server; ~60 bytes.
-				d.Fab.Send(client, w.Node.ID, rpcHeaderBytes, func() {
-					if w.refuseConn() {
-						refused(w)
-						return
-					}
-					if w.admitConn(func() {
-						// SYN-ACK back, then the conn is usable.
-						d.Fab.Send(w.Node.ID, client, rpcHeaderBytes, func() { established(w) })
-					}) {
-						return
-					}
-					// Dropped: kernel retry schedule, then give up.
-					if attempt < len(d.Params.RetryBackoff) {
-						backoff := d.Params.RetryBackoff[attempt]
-						attempt++
-						eng.After(backoff, try)
-						return
-					}
-					d.ovl.winOps++
-					if inWindow() {
-						res.ConnFailures++
-						if exact {
-							res.ConnDelays.Add(float64(eng.Now() - connStart))
-						}
-					}
-				})
-			}
-		} else {
-			// Recovery handshake: a SYN or SYN-ACK lost to a cut link gets
-			// no feedback, so each attempt also arms the kernel retransmit
-			// timer; whichever fires first (explicit drop or timeout) drives
-			// the shared retry schedule, steering to a live server.
-			srv := w
-			synNo := 0
-			var est bool
-			giveUp := func() {
-				d.ovl.winOps++
-				if inWindow() {
-					res.ConnFailures++
-					if exact {
-						res.ConnDelays.Add(float64(eng.Now() - connStart))
-					}
-				}
-			}
-			dropped := func() {
-				synNo++ // invalidate the attempt's other outcome path
-				if attempt < len(d.Params.RetryBackoff) {
-					backoff := d.Params.RetryBackoff[attempt]
-					attempt++
-					eng.After(backoff, try)
-					return
-				}
-				giveUp()
-			}
-			try = func() {
-				if est {
-					return
-				}
-				if !srv.Node.Up() {
-					nl := d.nextLive(srv)
-					if nl == nil {
-						giveUp()
-						return
-					}
-					srv = nl
-				}
-				synNo++
-				id := synNo
-				target := srv
-				d.Fab.Send(client, target.Node.ID, rpcHeaderBytes, func() {
-					if est || id != synNo {
-						return
-					}
-					if target.refuseConn() {
-						synNo++ // RST settles the attempt; the retransmit timer is stale
-						refused(target)
-						return
-					}
-					if !target.admitConn(func() {
-						d.Fab.Send(target.Node.ID, client, rpcHeaderBytes, func() {
-							if est || id != synNo {
-								return
-							}
-							est = true
-							established(target)
-						})
-					}) {
-						dropped()
-					}
-				})
-				// Kernel retransmit timeout: reuse the backoff schedule's
-				// current step as the wait for the (possibly lost) SYN-ACK.
-				wait := d.Params.RetryBackoff[min(attempt, len(d.Params.RetryBackoff)-1)]
-				eng.After(wait, func() {
-					if est || id != synNo {
-						return
-					}
-					dropped()
-				})
-			}
-		}
-		try()
-	}
-	if openLoop {
-		// Open-loop pump: the profiled arrival process fires connections at
-		// absolute instants regardless of how the fleet is doing — the
-		// client population does not wait for responses.
-		arr := load.NewArrivals(cfg.Profile, d.rnd.arrival, cfg.Duration)
-		origin := eng.Now()
-		var pump func()
-		pump = func() {
-			at, ok := arr.Next()
-			if !ok {
-				return
-			}
-			eng.At(origin+sim.Time(at), func() {
-				if inWindow() {
-					res.Offered++
-				}
-				fire()
-				pump()
-			})
-		}
-		pump()
+	// Connection generator: Poisson arrivals at Concurrency conn/s (closed
+	// loop), or the profiled arrival process (open loop), spread over the
+	// client machines.
+	if cfg.Profile != nil {
+		rs.arr = load.NewArrivals(cfg.Profile, d.rnd.arrival, cfg.Duration)
+		rs.origin = eng.Now()
+		rs.pump()
 	} else {
-		eng.After(d.rnd.arrival.Exp(1/cfg.Concurrency), gen)
+		eng.After(d.rnd.arrival.Exp(1/cfg.Concurrency), rs.genFn)
 	}
 
 	// Run to completion: generation stops at Duration, stragglers drain.
-	eng.RunUntil(winEnd + sim.Time(20))
+	eng.RunUntil(rs.winEnd + sim.Time(20))
+	return rs.finish(winEnergy, webUtil, cacheUtil)
+}
 
-	window := float64(winEnd - winStart)
-	res.Throughput = float64(served) / window
-	if exact {
+// gen is the closed-loop generator: one connection now, the next after an
+// exponential gap, until the window (and generation) ends at Duration.
+func (rs *runState) gen() {
+	eng := rs.d.Eng
+	if eng.Now() >= rs.winEnd {
+		return
+	}
+	rs.fire()
+	eng.After(rs.d.rnd.arrival.Exp(1/rs.cfg.Concurrency), rs.genFn)
+}
+
+// pump schedules the next open-loop arrival. The profiled process fires
+// connections at absolute instants regardless of how the fleet is doing —
+// the client population does not wait for responses.
+func (rs *runState) pump() {
+	at, ok := rs.arr.Next()
+	if !ok {
+		return
+	}
+	rs.d.Eng.At(rs.origin+sim.Time(at), rs.arriveFn)
+}
+
+func (rs *runState) arrive() {
+	if rs.inWindow() {
+		rs.res.Offered++
+	}
+	rs.fire()
+	rs.pump()
+}
+
+// fire starts one connection from the next client at the next web server
+// in the routing rotation, round-robin as HAProxy does: the explicit
+// d.rotation slice when autoscale is armed, else the d.Web prefix (only the
+// SLO controller ever shrinks that prefix below the full tier). Under
+// recovery the balancer health-checks: a connection aimed at a dead server
+// is steered to the next live one in ring order.
+func (rs *runState) fire() {
+	d := rs.d
+	client := d.Clients[rs.next%len(d.Clients)]
+	var w *WebServer
+	if d.scaler != nil {
+		rs.ovl.winArr++
+		w = d.rotation[rs.next%len(d.rotation)]
+	} else {
+		w = d.Web[rs.next%rs.active]
+	}
+	rs.next++
+	if rs.recover {
+		w = d.steer(w)
+	}
+	rs.launch(client, w)
+}
+
+// armSLO starts the SLO controller: a tick every Window seconds.
+func (rs *runState) armSLO() {
+	d := rs.d
+	rs.slo = rs.cfg.SLO.withDefaults()
+	rs.baseActive = len(d.Web)
+	if rs.slo.Reserve > 0 {
+		rs.baseActive = max(1, rs.baseActive-rs.slo.Reserve)
+		rs.active = rs.baseActive
+	}
+	rs.sloDig = stats.NewDigest()
+	rs.res.ActivePeak = rs.active
+	if d.scaler != nil {
+		rs.res.ActivePeak = len(d.rotation)
+	}
+	rs.runStart = d.Eng.Now()
+	d.Eng.After(rs.slo.Window, rs.tickFn)
+}
+
+// tick judges the controller window's quantile and availability, reacts
+// while the SLO burns (activate a reserve server, engage brownout, or hand
+// the signals to the autoscale policy), and winds back after two
+// consecutive healthy windows.
+func (rs *runState) tick() {
+	d, slo, res := rs.d, &rs.slo, &rs.res
+	now := d.Eng.Now()
+	q := rs.sloDig.Quantile(slo.Percentile)
+	avail := 1.0
+	if rs.ovl.winOps > 0 {
+		avail = float64(rs.ovl.winServed) / float64(rs.ovl.winOps)
+	}
+	burning := (rs.sloDig.N() > 0 && q > slo.Latency) ||
+		(rs.ovl.winOps > 0 && slo.Availability > 0 && avail < slo.Availability)
+	if burning {
+		rs.healthy = 0
+		if rs.inWindow() {
+			res.SLOBreaches++
+		}
+		if d.scaler == nil && rs.active < len(d.Web) {
+			rs.active++
+		}
+		if slo.Brownout && !rs.brownout {
+			rs.brownout = true
+			rs.brownoutAt = now
+		}
+	} else {
+		rs.healthy++
+		if rs.healthy >= 2 {
+			if rs.brownout {
+				rs.brownout = false
+				res.BrownoutSecs += float64(now - rs.brownoutAt)
+			}
+			if d.scaler == nil && rs.active > rs.baseActive {
+				rs.active--
+			}
+		}
+	}
+	activeNow := rs.active
+	if d.scaler != nil {
+		// Autoscale replaces the reserve reaction above: the policy sees
+		// this window's signals and the manager moves servers through
+		// boot/drain/park around them.
+		util, queue := rs.asPool.window(now, slo.Window)
+		d.scaler.Observe(autoscale.Signals{
+			T:            float64(now - rs.runStart),
+			Util:         util,
+			Queue:        queue,
+			ShedRate:     float64(rs.ovl.winShed) / slo.Window,
+			ArrivalRate:  float64(rs.ovl.winArr) / slo.Window,
+			Quantile:     q,
+			Availability: avail,
+			Burning:      burning,
+		})
+		activeNow = len(d.rotation)
+	}
+	if activeNow > res.ActivePeak {
+		res.ActivePeak = activeNow
+	}
+	if slo.Observer != nil {
+		slo.Observer(SLOWindow{
+			T:            float64(now - rs.runStart),
+			Served:       rs.ovl.winServed,
+			Ops:          rs.ovl.winOps,
+			Shed:         rs.ovl.winShed,
+			Quantile:     q,
+			Availability: avail,
+			Burning:      burning,
+			Brownout:     rs.brownout,
+			Active:       activeNow,
+		})
+	}
+	rs.sloDig.Reset()
+	rs.ovl.winServed, rs.ovl.winOps, rs.ovl.winShed, rs.ovl.winArr = 0, 0, 0, 0
+	if now < rs.winEnd {
+		d.Eng.After(slo.Window, rs.tickFn)
+	} else if rs.brownout {
+		// Close the books on a brownout still engaged at run end.
+		rs.brownout = false
+		res.BrownoutSecs += float64(now - rs.brownoutAt)
+	}
+}
+
+// finish derives the Result's window figures once the run has drained and
+// resets the deployment's per-run state.
+func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) Result {
+	d, res := rs.d, &rs.res
+	window := float64(rs.winEnd - rs.winStart)
+	res.Throughput = float64(rs.served) / window
+	if rs.exact {
 		res.MeanDelay = res.Delays.Mean()
 	} else {
 		res.MeanDelay = res.Latency.Mean()
 	}
-	res.Errors500 = errored
-	total := served + errored + res.ConnFailures
-	if total > 0 {
-		res.ErrorRate = float64(errored+res.ConnFailures) / float64(total)
+	res.Errors500 = rs.errored
+	if total := rs.served + rs.errored + res.ConnFailures; total > 0 {
+		res.ErrorRate = float64(rs.errored+res.ConnFailures) / float64(total)
 	}
 	res.MeanPower = units.Watts(winEnergy / window)
 	res.Energy = units.Joules(winEnergy)
@@ -904,14 +677,8 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 	if gets > 0 {
 		res.HitRatio = float64(hits) / float64(gets)
 	}
-	res.DBDelay = d.dbDelay
-	res.CacheDelay = d.cacheDelay
-	res.WebTotal = d.webTotal
-	d.dbDelay, d.cacheDelay, d.webTotal = stats.Summary{}, stats.Summary{}, stats.Summary{}
-	res.Shed = d.ovl.shed
-	res.Degraded = d.ovl.degraded
-	if asMgr != nil {
-		st := asMgr.Stats()
+	if d.scaler != nil {
+		st := d.scaler.Stats()
 		res.ScaleUps = st.ScaleUps
 		res.ScaleDowns = st.ScaleDowns
 		res.Boots = st.Boots
@@ -923,13 +690,10 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 			busy = d.Web[0].Node.PowerModel().BusyDraw()
 		}
 		res.BootEnergy = units.Joules(st.BootSecs * float64(busy))
-		res.MeanActive = (asIntegWinEnd - asIntegWinStart) / window
-		d.teardownAutoscale(asMgr, asPool, asUtil)
+		res.MeanActive = (rs.asIntegWinEnd - rs.asIntegWinStart) / window
+		d.teardownAutoscale(rs.asPool)
 	}
-	d.ovl = overloadCounters{}
-	d.sloDig = nil
-	d.brownout = false
-	return res
+	return *res
 }
 
 // nextLive returns the first web server after w in ring order whose node is
@@ -941,17 +705,8 @@ func (d *Deployment) nextLive(w *WebServer) *WebServer {
 	ring := d.Web
 	if d.scaler != nil {
 		ring = d.rotation
-		if len(ring) == 0 {
-			return nil
-		}
 	}
-	start := 0
-	for i, s := range ring {
-		if s == w {
-			start = i
-			break
-		}
-	}
+	start := max(0, slices.Index(ring, w))
 	for k := 1; k <= len(ring); k++ {
 		if s := ring[(start+k)%len(ring)]; s.Node.Up() {
 			return s
@@ -960,28 +715,22 @@ func (d *Deployment) nextLive(w *WebServer) *WebServer {
 	return nil
 }
 
-func (d *Deployment) webNodes() []*hw.Node {
-	out := make([]*hw.Node, len(d.Web))
-	for i, w := range d.Web {
-		out[i] = w.Node
+// steer returns w, or the next live server when w is down (w itself when
+// the whole tier is).
+func (d *Deployment) steer(w *WebServer) *WebServer {
+	if !w.Node.Up() {
+		if nl := d.nextLive(w); nl != nil {
+			return nl
+		}
 	}
-	return out
+	return w
 }
 
-func (d *Deployment) cacheNodes() []*hw.Node {
-	out := make([]*hw.Node, len(d.Cache))
-	for i, c := range d.Cache {
-		out[i] = c.Node
-	}
-	return out
-}
-
-// utilTracker integrates the mean CPU utilization of a node set over a
-// measurement window. It subscribes to per-node utilization changes instead
-// of sampling on a timer: the integral is exact and no events are added to
+// utilTracker integrates the CPU utilization of each node of a set over
+// a window. It subscribes to per-node utilization changes instead of
+// sampling on a timer: the integral is exact and no events are added to
 // the engine beyond the single window-start anchor.
 type utilTracker struct {
-	nodes            []*hw.Node
 	integs           []*stats.Integrator // one per node: exact and O(1) per change
 	cancels          []func()
 	winStart, winEnd float64
@@ -990,17 +739,9 @@ type utilTracker struct {
 // trackMeanUtil attaches a tracker to the nodes for the window
 // [winStart, winEnd]. Call detach after the run to unhook the callbacks.
 func trackMeanUtil(eng *sim.Engine, nodes []*hw.Node, winStart, winEnd sim.Time) *utilTracker {
-	tr := &utilTracker{
-		nodes:    nodes,
-		integs:   make([]*stats.Integrator, len(nodes)),
-		winStart: float64(winStart),
-		winEnd:   float64(winEnd),
-	}
-	for i := range nodes {
-		tr.integs[i] = stats.NewIntegrator(tr.winStart, 0)
-	}
+	tr := &utilTracker{integs: make([]*stats.Integrator, len(nodes)), winStart: float64(winStart), winEnd: float64(winEnd)}
 	for i, n := range nodes {
-		i := i
+		tr.integs[i] = stats.NewIntegrator(tr.winStart, 0)
 		tr.cancels = append(tr.cancels, n.SubscribeUtil(func(u float64) {
 			tr.set(i, u, float64(eng.Now()))
 		}))
@@ -1028,14 +769,14 @@ func (tr *utilTracker) set(i int, u, now float64) {
 // the window: Σ per-node integrals / (nodes × window).
 func (tr *utilTracker) mean() float64 {
 	window := tr.winEnd - tr.winStart
-	if window <= 0 || len(tr.nodes) == 0 {
+	if window <= 0 || len(tr.integs) == 0 {
 		return 0
 	}
 	var total float64
 	for _, in := range tr.integs {
 		total += in.Total(tr.winEnd)
 	}
-	return total / (float64(len(tr.nodes)) * window)
+	return total / (float64(len(tr.integs)) * window)
 }
 
 // detach unhooks the tracker's own subscriptions (other observers on the

@@ -21,9 +21,8 @@ type WebServer struct {
 	lastReq  sim.Time
 	inflight int
 
-	// Counters.
-	accepted, synDropped, refused int64
-	served, errored               int64
+	// errored counts requests answered with a 500.
+	errored int64
 
 	// inc is the node incarnation the admission state belongs to; a crash
 	// bumps the node's counter and the first admission after the reboot
@@ -65,17 +64,13 @@ func (w *WebServer) syncIncarnation() {
 }
 
 // admitConn processes an arriving SYN. It returns false when the SYN is
-// dropped (backlog full, or the host is down); otherwise accept() will run
-// once the server gets to it.
-func (w *WebServer) admitConn(accept func()) bool {
+// dropped (backlog full, or the host is down); otherwise it queues the SYN
+// and reports when the server gets to it. The caller schedules the accept
+// for that instant, and the accept begins with acceptConn.
+func (w *WebServer) admitConn() (sim.Time, bool) {
 	w.syncIncarnation()
-	if !w.Node.Up() {
-		w.synDropped++
-		return false
-	}
-	if w.pendingSyn >= w.dep.Params.SynBacklog {
-		w.synDropped++
-		return false
+	if !w.Node.Up() || w.pendingSyn >= w.dep.Params.SynBacklog {
+		return 0, false
 	}
 	eng := w.dep.Eng
 	at := eng.Now() + sim.Time(w.connInterval())
@@ -84,13 +79,13 @@ func (w *WebServer) admitConn(accept func()) bool {
 	}
 	w.lastAccept = at
 	w.pendingSyn++
-	eng.At(at, func() {
-		w.pendingSyn--
-		w.activeConns++
-		w.accepted++
-		accept()
-	})
-	return true
+	return at, true
+}
+
+// acceptConn moves a queued SYN into an open connection.
+func (w *WebServer) acceptConn() {
+	w.pendingSyn--
+	w.activeConns++
 }
 
 func (w *WebServer) closeConn() { w.activeConns-- }
@@ -125,12 +120,7 @@ func (w *WebServer) admitRequest(start func()) bool {
 	return true
 }
 
-func (w *WebServer) finishRequest(ok bool) {
-	w.inflight--
-	if ok {
-		w.served++
-	}
-}
+func (w *WebServer) finishRequest() { w.inflight-- }
 
 // CacheServer is one memcached node holding a real key→size store.
 type CacheServer struct {
@@ -182,7 +172,6 @@ type DBServer struct {
 
 	dep      *Deployment
 	queryCPU float64 // per-query single-core seconds on this platform
-	queries  int64
 }
 
 func newDBServer(dep *Deployment, node *hw.Node, queryCPU float64) *DBServer {

@@ -210,14 +210,14 @@ func TestWebRequestSteadyStateNoAlloc(t *testing.T) {
 	d.Warm(1.0)
 	eng := d.Eng
 	cfg := RunConfig{Concurrency: 1}.withDefaults()
-	done := func(bool) {}
+	done := func(uint64, bool) {}
 	// Warm every pool and the route cache.
 	for i := 0; i < 100; i++ {
-		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg, done)
+		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		d.request(d.Clients[0], d.Web[1], cfg, done)
+		d.request(d.Clients[0], d.Web[1], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	})
 	if avg != 0 {
