@@ -124,7 +124,7 @@ func runFaultTolerance(cfg Config) *Outcome {
 			continue
 		}
 		avail := 100 * (1 - r.faulty.ErrorRate)
-		amp := safeDiv(float64(r.faulty.Attempts), float64(r.faulty.Attempts-r.faulty.Retries), 1)
+		amp := safeDiv(float64(r.faulty.Attempts), float64(r.faulty.Latency.N()+r.faulty.Errors500), 1)
 		p99 := r.faulty.Delays.Quantile(0.99)
 		webTab.AddRow(p.Label, p.Fleet.Web,
 			report.Num(r.healthy.Throughput, "req/s"),

@@ -260,7 +260,7 @@ func runOverload(cfg Config) *Outcome {
 		d := drill[pi]
 		r := d.res
 		window := dur * 0.9
-		amp := safeDiv(float64(r.Attempts), float64(r.Attempts-r.Retries), 1)
+		amp := safeDiv(float64(r.Attempts), float64(r.Latency.N()+r.Errors500), 1)
 		// "Never collapses": both the incident and the recovered phases hold
 		// at least 80% of the pre-spike goodput.
 		verdict := "degrades+recovers"

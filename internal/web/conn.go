@@ -26,14 +26,11 @@ type webConn struct {
 	target *WebServer // server the current request attempt went to
 
 	connStart, reqStart sim.Time
-	synAttempt          int // kernel retransmits used (index into Params.RetryBackoff)
-	call                int // requests issued so far
-	// tryNo counts the current call's sends and abandons alike, so
-	// successive attempts are 1, 3, 5, …; MaxRetries and the backoff
-	// exponent apply to that number.
-	tryNo int
-	gen   uint64
-	timer sim.EventRef // the live SYN-retransmit or request timer
+	synAttempt          int          // kernel retransmits used (index into Params.RetryBackoff)
+	call                int          // requests issued so far
+	sends               int          // transmissions of the current call
+	gen                 uint64       // stamp of the current step (see above)
+	timer               sim.EventRef // the live SYN-retransmit or request timer
 
 	sendSynFn, droppedFn, failFn, timedOutFn, retryFn func()
 	replyFn                                           func(uint64, bool)
@@ -202,7 +199,7 @@ func (c *webConn) nextCall() {
 	}
 	c.call++
 	c.reqStart = rs.d.Eng.Now()
-	c.tryNo = 0
+	c.sends = 0
 	if rs.recover {
 		c.send(rs.d.steer(c.srv))
 	} else {
@@ -215,12 +212,11 @@ func (c *webConn) nextCall() {
 func (c *webConn) send(srv *WebServer) {
 	rs := c.rs
 	d := rs.d
-	c.tryNo++
+	c.sends++
 	c.gen++
 	c.target = srv
 	if rs.recover {
-		rs.res.Attempts++
-		if rs.budgeted && c.tryNo == 1 {
+		if rs.budgeted && c.sends == 1 {
 			d.run.budget.deposit()
 		}
 		c.timer = d.Eng.After(rs.cfg.RequestTimeout, c.timedOutFn)
@@ -242,8 +238,9 @@ func (c *webConn) replied(stamp uint64, ok bool) {
 // keeps a crash under peak from amplifying into a storm — fails the call.
 func (c *webConn) timedOut() {
 	rs := c.rs
-	id := c.tryNo
-	c.tryNo++
+	// The retry limit and the backoff exponent count an abandoned attempt
+	// twice, numbering successive attempts 1, 3, 5, …
+	id := 2*c.sends - 1
 	c.gen++
 	if rs.inWindow() {
 		rs.res.Timeouts++
@@ -268,8 +265,9 @@ func (c *webConn) timedOut() {
 // retry resends the abandoned attempt, steered to a live server.
 func (c *webConn) retry() { c.send(c.rs.d.steer(c.target)) }
 
-// settle books the call's outcome — its response time and, for the first
-// call, the setup-plus-first-reply delay of Figs 10–11 — and moves on.
+// settle books the call's outcome — its response time, for the first call
+// the setup-plus-first-reply delay of Figs 10–11, and under recovery its
+// transmissions — and moves on.
 func (c *webConn) settle(ok bool) {
 	rs := c.rs
 	now := rs.d.Eng.Now()
@@ -287,6 +285,9 @@ func (c *webConn) settle(ok bool) {
 			}
 		} else {
 			rs.errored++
+		}
+		if rs.recover {
+			rs.res.Attempts += int64(c.sends)
 		}
 	}
 	c.nextCall()

@@ -136,3 +136,36 @@ func TestFaultFreeRecoveryRunMatchesBaseline(t *testing.T) {
 		t.Fatalf("healthy run with recovery on errored: %.3f", r.ErrorRate)
 	}
 }
+
+// TestAttemptsMatchSettledOperations pins the retry-amplification
+// denominator: Attempts counts the transmissions of exactly the operations
+// that settled inside the measurement window. On a recovery-armed,
+// fault-free run where nothing times out, every settled operation took one
+// transmission, so Attempts equals successes plus failures — transmissions
+// of warm-up and drain operations do not leak in. Under a crash wave the
+// retried operations make it strictly larger.
+func TestAttemptsMatchSettledOperations(t *testing.T) {
+	d := smallDeployment(t, microP(), 6, 3)
+	r := d.Run(RunConfig{Concurrency: 32, Duration: 5, RequestTimeout: 2})
+	ops := r.Latency.N() + r.Errors500
+	if r.Timeouts != 0 || ops == 0 {
+		t.Fatalf("healthy run: timeouts=%d settled=%d, want 0 and >0", r.Timeouts, ops)
+	}
+	if r.Attempts != ops {
+		t.Fatalf("Attempts=%d, want the %d operations settled in the window", r.Attempts, ops)
+	}
+
+	tb := smallTestbed(microP(), 9, 2, 8)
+	d = NewDeployment(tb, microP(), 6, 3, 1)
+	rc := RunConfig{Concurrency: 256, Duration: 10, RequestTimeout: 0.25}
+	d.WarmFor(rc)
+	targets := make([]faults.Target, len(d.Web))
+	for i, w := range d.Web {
+		targets[i] = faults.Target{Node: w.Node, Fab: d.Fab}
+	}
+	faults.Schedule(d.Eng, faults.RollingCrashes("web", 3, 4, 1.5, 2), 1, map[string][]faults.Target{"web": targets})
+	r = d.Run(rc)
+	if ops := r.Latency.N() + r.Errors500; r.Retries == 0 || r.Attempts <= ops {
+		t.Fatalf("crash run: Attempts=%d for %d settled operations and %d retries, want more attempts than operations", r.Attempts, ops, r.Retries)
+	}
+}

@@ -324,8 +324,10 @@ type Result struct {
 	ErrorRate    float64 // errored operations / attempted operations
 
 	// Recovery accounting (all zero when RequestTimeout is off). Attempts
-	// counts request transmissions inside the window including retries, so
-	// Attempts / (successes + failures) is the retry amplification factor.
+	// counts the request transmissions, first attempts plus retries, of the
+	// operations that settled inside the window — the same operations as
+	// the served and errored counts — so Attempts / (Latency.N() +
+	// Errors500) is exactly the retry amplification factor.
 	Timeouts int64
 	Retries  int64
 	Attempts int64
