@@ -347,7 +347,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	hResults := RunSweep(cfg, name+"/hadoop", len(hCells),
 		func(i int, seed int64) *mapred.JobResult {
 			sz := sizings[hCells[i].sizing]
-			r, err := jobs.RunEnergy(job, sz.p, sz.slaves, seed, cfg.Energy)
+			r, err := jobs.Run(job, sz.p, sz.slaves, seed, cfg.Energy)
 			if err != nil {
 				panic(fmt.Sprintf("core: %s: %s on %s: %v", name, job, sz.p.Label, err))
 			}

@@ -144,7 +144,7 @@ func runFaultTolerance(cfg Config) *Outcome {
 		func(i int, seed int64) teraPair {
 			p := plats[i]
 			groups := []jobs.SlaveGroup{{Platform: p, Nodes: p.Fleet.Slaves}}
-			healthy, err := jobs.RunGroups("terasort", groups, seed)
+			healthy, err := jobs.RunGroups("terasort", groups, seed, cfg.Energy)
 			if err != nil {
 				panic(fmt.Sprintf("core: terasort on %s: %v", p.Label, err))
 			}
@@ -153,7 +153,7 @@ func runFaultTolerance(cfg Config) *Outcome {
 				plan = cfg.Faults.Filter("slave", "master")
 			}
 			ft := &mapred.FaultTolerance{TaskTimeout: healthy.Duration}
-			faulty, err := jobs.RunGroupsFaulty("terasort", groups, seed, plan, ft,
+			faulty, err := jobs.RunGroupsFaulty("terasort", groups, seed, cfg.Energy, plan, ft,
 				20*healthy.Duration, cfg.Interrupt)
 			if err != nil {
 				panic(fmt.Sprintf("core: faulty terasort on %s: %v", p.Label, err))

@@ -68,7 +68,7 @@ func runPairJobs(cfg Config, jobNames []string) []*mapred.JobResult {
 	}
 	return runner.Map(cfg.Workers, len(cells), func(i int) *mapred.JobResult {
 		c := cells[i]
-		r, err := jobs.Run(c.job, c.p, c.slaves, cfg.Seed)
+		r, err := jobs.Run(c.job, c.p, c.slaves, cfg.Seed, cfg.Energy)
 		if err != nil {
 			panic(fmt.Sprintf("core: %s on %s: %v", c.job, c.p.Label, err))
 		}
@@ -193,7 +193,7 @@ func runScalability(cfg Config) *Outcome {
 	results := RunSweep(cfg, "fig18_fig19_table8", len(names)*len(labels),
 		func(i int, seed int64) *mapred.JobResult {
 			job, l := names[i/len(labels)], labels[i%len(labels)]
-			r, err := jobs.Run(job, l.Platform, l.Slaves, seed)
+			r, err := jobs.Run(job, l.Platform, l.Slaves, seed, cfg.Energy)
 			if err != nil {
 				panic(err)
 			}

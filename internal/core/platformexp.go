@@ -110,7 +110,7 @@ func runPlatformMatrix(cfg Config) *Outcome {
 	teraResults := RunSweep(cfg, "platform_matrix/terasort", len(plats),
 		func(i int, seed int64) *mapred.JobResult {
 			p := plats[i]
-			r, err := jobs.RunEnergy("terasort", p, p.Fleet.Slaves, seed, cfg.Energy)
+			r, err := jobs.Run("terasort", p, p.Fleet.Slaves, seed, cfg.Energy)
 			if err != nil {
 				panic(fmt.Sprintf("core: terasort on %s: %v", p.Label, err))
 			}

@@ -16,7 +16,7 @@ func TestTerasortSurvivesMidJobCrash(t *testing.T) {
 	micro, _ := hw.BaselinePair()
 	groups := []SlaveGroup{{Platform: micro, Nodes: 8}}
 
-	base, err := RunGroups("terasort", groups, 11)
+	base, err := RunGroups("terasort", groups, 11, hw.PowerLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestTerasortSurvivesMidJobCrash(t *testing.T) {
 	}}
 	ft := &mapred.FaultTolerance{TaskTimeout: base.Duration}
 	run := func() *mapred.JobResult {
-		r, err := RunGroupsFaulty("terasort", groups, 11, plan, ft, 20*base.Duration, nil)
+		r, err := RunGroupsFaulty("terasort", groups, 11, hw.PowerLinear, plan, ft, 20*base.Duration, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +63,11 @@ func TestTerasortSurvivesMidJobCrash(t *testing.T) {
 func TestFaultToleranceNilIsIdentical(t *testing.T) {
 	micro, _ := hw.BaselinePair()
 	groups := []SlaveGroup{{Platform: micro, Nodes: 6}}
-	a, err := RunGroups("wordcount2", groups, 7)
+	a, err := RunGroups("wordcount2", groups, 7, hw.PowerLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGroupsFaulty("wordcount2", groups, 7, nil, nil, 1e9, nil)
+	b, err := RunGroupsFaulty("wordcount2", groups, 7, hw.PowerLinear, nil, nil, 1e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,10 @@ type Hadoop struct {
 }
 
 // NewHadoop builds a homogeneous Hadoop deployment of n slaves on platform
-// p — one-group shorthand for NewHadoopGroups.
+// p with the paper's linear power model — one-group shorthand for
+// NewHadoopGroups.
 func NewHadoop(p *hw.Platform, n int, blockSize units.Bytes, seed int64) (*Hadoop, error) {
-	return NewHadoopGroups([]SlaveGroup{{Platform: p, Nodes: n}}, blockSize, seed)
+	return NewHadoopGroups([]SlaveGroup{{Platform: p, Nodes: n}}, blockSize, seed, hw.PowerLinear)
 }
 
 // MasterGroupIndex reports which slave group's platform hosts the
@@ -70,16 +71,9 @@ func MasterGroupIndex(groups []SlaveGroup) int {
 // MasterPlatform hosts it — the paper's hybrid configuration. HDFS
 // placement, YARN capacities and container startup times all resolve per
 // node, so a hybrid Edison+Dell slave set schedules exactly like the real
-// thing would.
-func NewHadoopGroups(groups []SlaveGroup, blockSize units.Bytes, seed int64) (*Hadoop, error) {
-	return NewHadoopGroupsEnergy(groups, blockSize, seed, hw.PowerLinear)
-}
-
-// NewHadoopGroupsEnergy is NewHadoopGroups with a node power model armed on
-// every node of the deployment (slaves and master alike) — how the energy
-// layer reaches Hadoop testbeds.
-func NewHadoopGroupsEnergy(groups []SlaveGroup, blockSize units.Bytes, seed int64,
-	energy hw.PowerModelKind) (*Hadoop, error) {
+// thing would. energy selects the power model armed on every node, slaves
+// and master alike (the zero value is the paper's linear model).
+func NewHadoopGroups(groups []SlaveGroup, blockSize units.Bytes, seed int64, energy hw.PowerModelKind) (*Hadoop, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("jobs: deployment needs at least one slave group")
 	}
@@ -232,37 +226,25 @@ func Names() []string {
 	return []string{"wordcount", "wordcount2", "logcount", "logcount2", "pi", "terasort"}
 }
 
-// Run stages and executes one named job on a fresh homogeneous deployment,
-// returning the result. This is the one-call path used by experiments and
-// benches.
-func Run(job string, p *hw.Platform, slaves int, seed int64) (*mapred.JobResult, error) {
-	return RunGroups(job, []SlaveGroup{{Platform: p, Nodes: slaves}}, seed)
-}
-
-// RunEnergy is Run with a node power model armed on the deployment.
-func RunEnergy(job string, p *hw.Platform, slaves int, seed int64,
-	energy hw.PowerModelKind) (*mapred.JobResult, error) {
-	return RunGroupsEnergy(job, []SlaveGroup{{Platform: p, Nodes: slaves}}, seed, energy)
+// Run stages and executes one named job on a fresh homogeneous deployment
+// under the given node power model, returning the result. This is the
+// one-call path used by experiments and benches.
+func Run(job string, p *hw.Platform, slaves int, seed int64, energy hw.PowerModelKind) (*mapred.JobResult, error) {
+	return RunGroups(job, []SlaveGroup{{Platform: p, Nodes: slaves}}, seed, energy)
 }
 
 // RunGroups stages and executes one named job on a fresh deployment over a
 // (possibly mixed-platform) slave set — the heterogeneous-cluster
-// counterpart of Run. Job tuning follows the first group's platform.
-func RunGroups(job string, groups []SlaveGroup, seed int64) (*mapred.JobResult, error) {
-	return RunGroupsEnergy(job, groups, seed, hw.PowerLinear)
-}
-
-// RunGroupsEnergy is RunGroups with a node power model armed on the
-// deployment's testbed (experiments thread core Config.Energy here).
-func RunGroupsEnergy(job string, groups []SlaveGroup, seed int64,
-	energy hw.PowerModelKind) (*mapred.JobResult, error) {
+// counterpart of Run. Job tuning follows the first group's platform;
+// experiments thread core Config.Energy through energy.
+func RunGroups(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind) (*mapred.JobResult, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("jobs: %s needs at least one slave group", job)
 	}
 	if groups[0].Platform == nil {
 		return nil, fmt.Errorf("jobs: slave group without a platform")
 	}
-	h, err := NewHadoopGroupsEnergy(groups, BlockSizeFor(job, groups[0].Platform), seed, energy)
+	h, err := NewHadoopGroups(groups, BlockSizeFor(job, groups[0].Platform), seed, energy)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +273,7 @@ func (h *Hadoop) FaultRoster() map[string][]faults.Target {
 // bounded rather than drained). interrupt (optional) is polled by the engine
 // for cooperative cancellation. The result always reports completion state:
 // Failed with FailReason "deadline exceeded" when the deadline fired first.
-func RunGroupsFaulty(job string, groups []SlaveGroup, seed int64, plan *faults.Plan,
+func RunGroupsFaulty(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind, plan *faults.Plan,
 	ft *mapred.FaultTolerance, deadline float64, interrupt func() bool) (*mapred.JobResult, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("jobs: %s needs at least one slave group", job)
@@ -299,7 +281,7 @@ func RunGroupsFaulty(job string, groups []SlaveGroup, seed int64, plan *faults.P
 	if groups[0].Platform == nil {
 		return nil, fmt.Errorf("jobs: slave group without a platform")
 	}
-	h, err := NewHadoopGroups(groups, BlockSizeFor(job, groups[0].Platform), seed)
+	h, err := NewHadoopGroups(groups, BlockSizeFor(job, groups[0].Platform), seed, energy)
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ type JobResult = mapred.JobResult
 // `slaves` workers of platform p, staging input and running YARN, HDFS and
 // the shuffle in full.
 func RunJob(job string, p *Platform, slaves int, seed int64) (*JobResult, error) {
-	return jobs.Run(job, p, slaves, seed)
+	return jobs.Run(job, p, slaves, seed, hw.PowerLinear)
 }
 
 // TraceFigure converts a JobResult's sampled series (CPU/memory/progress/

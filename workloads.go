@@ -593,7 +593,7 @@ func (mj *MapReduceJob) expand(core.Config) ([]unit, error) {
 	}
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		r, err := jobs.RunGroupsEnergy(job, groups, cfg.Seed, cfg.Energy)
+		r, err := jobs.RunGroups(job, groups, cfg.Seed, cfg.Energy)
 		if err != nil {
 			return nil, err
 		}
