@@ -149,7 +149,7 @@ func (w *WebServer) shouldShed() bool {
 	case ShedDeadline:
 		eng := w.dep.Eng
 		at := eng.Now()
-		if prev := w.lastReq + sim.Time(w.dep.loadFactor/w.costs().ReqRate); prev > at {
+		if prev := w.lastReq + sim.Time(w.dep.run.loadFactor/w.costs().ReqRate); prev > at {
 			at = prev
 		}
 		return float64(at-eng.Now()) > p.Deadline

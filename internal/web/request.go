@@ -35,16 +35,16 @@ type webReq struct {
 	dbStart    sim.Time
 
 	arrivedFn, startFn, prologueFn, atCacheFn, cacheGetFn func()
-	hitReturnFn, hitDoneFn                                func()
-	missReturnFn, atDBFn, dbCPUFn, dbReadFn, dbReturnFn   func()
-	dbDoneFn, assembledFn, okFn, errFn, shedFn            func()
+	valueReturnFn, unmarshaledFn                          func()
+	missReturnFn, atDBFn, dbCPUFn, dbReadFn               func()
+	assembledFn, okFn, errFn, shedFn                      func()
 }
 
 func bindReq(r *webReq) {
 	r.arrivedFn, r.startFn, r.prologueFn, r.atCacheFn, r.cacheGetFn = r.arrivedAtWeb, r.start, r.prologueDone, r.arrivedAtCache, r.cacheLooked
-	r.hitReturnFn, r.hitDoneFn = r.hitReturned, r.hitUnmarshaled
-	r.missReturnFn, r.atDBFn, r.dbCPUFn, r.dbReadFn, r.dbReturnFn = r.missReturned, r.arrivedAtDB, r.dbComputed, r.dbRead, r.dbReturned
-	r.dbDoneFn, r.assembledFn, r.okFn, r.errFn, r.shedFn = r.dbUnmarshaled, r.assembled, r.deliverOK, r.deliverErr, r.shedComputed
+	r.valueReturnFn, r.unmarshaledFn = r.valueReturned, r.unmarshaled
+	r.missReturnFn, r.atDBFn, r.dbCPUFn, r.dbReadFn = r.missReturned, r.arrivedAtDB, r.dbComputed, r.dbRead
+	r.assembledFn, r.okFn, r.errFn, r.shedFn = r.assembled, r.deliverOK, r.deliverErr, r.shedComputed
 }
 
 // request drives one HTTP request through the stack on a pooled record.
@@ -121,23 +121,31 @@ func (r *webReq) cacheLooked() {
 	size, hit := r.cache.lookup(r.k)
 	if hit {
 		r.replySize = size
-		r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, size, r.hitReturnFn)
+		r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, size, r.valueReturnFn)
 		return
 	}
 	r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, rpcHeaderBytes, r.missReturnFn)
 }
 
-// hitReturned runs when the cached value reaches the web server. The
-// client-side unmarshal is inside the timed $memcache->get() interval; at
-// high web CPU it queues and the measured cache delay balloons (Table 7's
-// right column).
-func (r *webReq) hitReturned() {
-	r.w.Node.ComputeSeconds(r.d.Plat.Web.CacheClientCPU, r.hitDoneFn)
+// valueReturned runs when the cached value, or on a miss the DB row,
+// reaches the web server. The client-side unmarshal is inside the timed
+// $memcache->get() (or query) interval; at high web CPU it queues and the
+// measured delay balloons (Table 7's right column).
+func (r *webReq) valueReturned() {
+	r.w.Node.ComputeSeconds(r.d.Plat.Web.CacheClientCPU, r.unmarshaledFn)
 }
 
-func (r *webReq) hitUnmarshaled() {
-	r.d.run.res.CacheDelay.Add(float64(r.d.Eng.Now() - r.cacheStart))
-	r.finish(r.replySize)
+// unmarshaled closes the cache (hit) or DB (miss) interval and assembles
+// the page from the value.
+func (r *webReq) unmarshaled() {
+	res := &r.d.run.res
+	if r.db == nil {
+		res.CacheDelay.Add(float64(r.d.Eng.Now() - r.cacheStart))
+		r.finish(r.replySize)
+		return
+	}
+	res.DBDelay.Add(float64(r.d.Eng.Now() - r.dbStart))
+	r.finish(r.rowSize)
 }
 
 // degradedReplyBytes is the size of a brownout answer: a stale or partial
@@ -172,16 +180,7 @@ func (r *webReq) dbComputed() {
 }
 
 func (r *webReq) dbRead() {
-	r.d.Fab.Send(r.db.Node.ID, r.w.Node.ID, r.rowSize, r.dbReturnFn)
-}
-
-func (r *webReq) dbReturned() {
-	r.w.Node.ComputeSeconds(r.d.Plat.Web.CacheClientCPU, r.dbDoneFn)
-}
-
-func (r *webReq) dbUnmarshaled() {
-	r.d.run.res.DBDelay.Add(float64(r.d.Eng.Now() - r.dbStart))
-	r.finish(r.rowSize)
+	r.d.Fab.Send(r.db.Node.ID, r.w.Node.ID, r.rowSize, r.valueReturnFn)
 }
 
 // finish assembles the page (reply CPU scales with size) and pushes the

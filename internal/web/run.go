@@ -52,10 +52,6 @@ type Deployment struct {
 		arrival, table, row, db, class *rng.Source
 	}
 
-	// loadFactor scales admission intervals with the mean reply size of
-	// the current run (threads and ports are held for transfer durations).
-	loadFactor float64
-
 	// Pooled request, connection and SYN records (see request.go and
 	// conn.go).
 	reqs  pool[webReq]
@@ -108,8 +104,8 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 		panic("web: testbed needs DB servers and clients")
 	}
 	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients,
-		webNodes: webNodes, cacheNodes: cacheNodes, loadFactor: 1}
-	d.run = &runState{d: d}
+		webNodes: webNodes, cacheNodes: cacheNodes}
+	d.run = &runState{d: d, loadFactor: 1}
 	for _, n := range webNodes {
 		d.Web = append(d.Web, newWebServer(d, n))
 	}
@@ -382,6 +378,7 @@ type runState struct {
 	// drop them so million-request runs stay flat in memory.
 	exact           bool
 	served, errored int64
+	loadFactor      float64 // scales the servers' admission intervals
 
 	// Connection generator: the round-robin cursor and the open-loop
 	// arrival process anchored at origin.
@@ -424,7 +421,6 @@ func (rs *runState) inWindow() bool {
 // events, no extra RNG draws, identical routing.
 func (d *Deployment) begin(cfg RunConfig) *runState {
 	now := d.Eng.Now()
-	d.loadFactor = 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024
 	rs := &runState{
 		d:        d,
 		cfg:      cfg,
@@ -436,6 +432,9 @@ func (d *Deployment) begin(cfg RunConfig) *runState {
 		exact:    cfg.Profile == nil,
 		budget:   retryBudget{rate: cfg.RetryBudget, tokens: retryBurst},
 		active:   len(d.Web),
+		// Threads and ports are held for transfer durations, so admission
+		// intervals scale with the run's mean reply size.
+		loadFactor: 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024,
 	}
 	rs.genFn, rs.arriveFn, rs.tickFn = rs.gen, rs.arrive, rs.tick
 	if cfg.Shed.Enabled() {
@@ -681,10 +680,7 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 	}
 	if d.scaler != nil {
 		st := d.scaler.Stats()
-		res.ScaleUps = st.ScaleUps
-		res.ScaleDowns = st.ScaleDowns
-		res.Boots = st.Boots
-		res.DrainCancels = st.DrainCancels
+		res.ScaleUps, res.ScaleDowns, res.Boots, res.DrainCancels = st.ScaleUps, st.ScaleDowns, st.Boots, st.DrainCancels
 		// Boot burn at the busy draw of whatever power model the web nodes
 		// actually run (the cluster builder may have armed a non-default one).
 		busy := d.Plat.Spec.Power.BusyDraw()

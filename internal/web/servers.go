@@ -42,7 +42,7 @@ func (w *WebServer) costs() hw.WebCosts { return w.dep.Plat.Web }
 // bigger transfers) and when the SYN backlog is under pressure (port churn
 // thrash).
 func (w *WebServer) connInterval() float64 {
-	base := w.dep.loadFactor / w.costs().ConnRate
+	base := w.dep.run.loadFactor / w.costs().ConnRate
 	if w.pendingSyn > w.dep.Params.SynBacklog/2 {
 		frac := float64(w.pendingSyn) / float64(w.dep.Params.SynBacklog)
 		base /= 1 - w.dep.Params.ThrashFactor*frac
@@ -103,7 +103,7 @@ func (w *WebServer) admitRequest(start func()) bool {
 		return false
 	}
 	eng := w.dep.Eng
-	interval := w.dep.loadFactor / w.costs().ReqRate
+	interval := w.dep.run.loadFactor / w.costs().ReqRate
 	at := eng.Now()
 	if prev := w.lastReq + sim.Time(interval); prev > at {
 		at = prev
