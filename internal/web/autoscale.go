@@ -3,7 +3,6 @@ package web
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"edisim/internal/autoscale"
 	"edisim/internal/sim"
@@ -64,8 +63,13 @@ func (p *fleetPool) Leave(i int) {
 	if !p.inRot[i] {
 		return
 	}
-	if j := slices.Index(p.d.rotation, p.d.Web[i]); j >= 0 {
-		p.d.rotation = slices.Delete(p.d.rotation, j, j+1)
+	w := p.d.Web[i]
+	rot := p.d.rotation
+	for j, s := range rot {
+		if s == w {
+			p.d.rotation = append(rot[:j], rot[j+1:]...)
+			break
+		}
 	}
 	p.inRot[i] = false
 }

@@ -79,16 +79,21 @@ func (p ShedPolicy) withDefaults(costs hw.WebCosts) ShedPolicy {
 
 // Validate rejects policies whose values would fail silently.
 func (p ShedPolicy) Validate() error {
-	switch {
-	case p.Mode != ShedOff && p.Mode != ShedDropTail && p.Mode != ShedDeadline && p.Mode != ShedPriority:
+	switch p.Mode {
+	case ShedOff, ShedDropTail, ShedDeadline, ShedPriority:
+	default:
 		return fmt.Errorf("web: unknown shed mode %q (want %q, %q or %q)", p.Mode, ShedDropTail, ShedDeadline, ShedPriority)
-	case p.Queue < 0:
+	}
+	if p.Queue < 0 {
 		return fmt.Errorf("web: shed queue %d must be non-negative", p.Queue)
-	case badDur(p.Deadline):
+	}
+	if badDur(p.Deadline) {
 		return fmt.Errorf("web: shed deadline %g must be finite and non-negative", p.Deadline)
-	case math.IsNaN(p.LowFrac) || p.LowFrac < 0 || p.LowFrac > 1:
+	}
+	if math.IsNaN(p.LowFrac) || p.LowFrac < 0 || p.LowFrac > 1 {
 		return fmt.Errorf("web: shed low-priority fraction %g must be in [0,1]", p.LowFrac)
-	case math.IsNaN(p.FastFailFrac) || p.FastFailFrac < 0 || p.FastFailFrac > 1:
+	}
+	if math.IsNaN(p.FastFailFrac) || p.FastFailFrac < 0 || p.FastFailFrac > 1 {
 		return fmt.Errorf("web: fast-fail fraction %g must be in [0,1]", p.FastFailFrac)
 	}
 	return nil
@@ -210,18 +215,22 @@ func (s SLO) withDefaults() SLO {
 // Validate rejects SLOs whose values would fail silently. A nil SLO is
 // valid (no controller).
 func (s *SLO) Validate() error {
-	switch {
-	case s == nil:
+	if s == nil {
 		return nil
-	case math.IsNaN(s.Latency) || math.IsInf(s.Latency, 0) || s.Latency <= 0:
+	}
+	if math.IsNaN(s.Latency) || math.IsInf(s.Latency, 0) || s.Latency <= 0 {
 		return fmt.Errorf("web: SLO latency target %g must be positive and finite", s.Latency)
-	case math.IsNaN(s.Percentile) || s.Percentile < 0 || s.Percentile >= 1:
+	}
+	if math.IsNaN(s.Percentile) || s.Percentile < 0 || s.Percentile >= 1 {
 		return fmt.Errorf("web: SLO percentile %g must be in [0,1)", s.Percentile)
-	case math.IsNaN(s.Availability) || s.Availability < 0 || s.Availability > 1:
+	}
+	if math.IsNaN(s.Availability) || s.Availability < 0 || s.Availability > 1 {
 		return fmt.Errorf("web: SLO availability floor %g must be in [0,1]", s.Availability)
-	case math.IsNaN(s.Window) || math.IsInf(s.Window, 0) || s.Window < 0:
+	}
+	if math.IsNaN(s.Window) || math.IsInf(s.Window, 0) || s.Window < 0 {
 		return fmt.Errorf("web: SLO window %g must be finite and non-negative", s.Window)
-	case s.Reserve < 0:
+	}
+	if s.Reserve < 0 {
 		return fmt.Errorf("web: SLO reserve %d must be non-negative", s.Reserve)
 	}
 	return nil

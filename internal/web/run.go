@@ -3,7 +3,6 @@ package web
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"edisim/internal/autoscale"
 	"edisim/internal/cluster"
@@ -268,24 +267,31 @@ func (c RunConfig) Validate() error {
 	} else if math.IsNaN(c.Concurrency) || math.IsInf(c.Concurrency, 0) || c.Concurrency <= 0 {
 		return fmt.Errorf("web: concurrency %g must be positive and finite", c.Concurrency)
 	}
-	switch {
-	case c.CallsPerConn < 0:
+	if c.CallsPerConn < 0 {
 		return fmt.Errorf("web: calls per connection %d must be non-negative", c.CallsPerConn)
-	case math.IsNaN(c.ImageFrac) || c.ImageFrac < 0 || c.ImageFrac > 1:
+	}
+	if math.IsNaN(c.ImageFrac) || c.ImageFrac < 0 || c.ImageFrac > 1 {
 		return fmt.Errorf("web: image fraction %g must be in [0,1]", c.ImageFrac)
-	case math.IsNaN(c.CacheHit) || math.IsInf(c.CacheHit, 0) || c.CacheHit > 1:
+	}
+	if math.IsNaN(c.CacheHit) || math.IsInf(c.CacheHit, 0) || c.CacheHit > 1 {
 		return fmt.Errorf("web: cache hit ratio %g must be finite and at most 1", c.CacheHit)
-	case badDur(c.Duration):
+	}
+	if badDur(c.Duration) {
 		return fmt.Errorf("web: duration %g must be finite and non-negative", c.Duration)
-	case math.IsNaN(c.WarmupFrac) || c.WarmupFrac < 0 || c.WarmupFrac >= 1:
+	}
+	if math.IsNaN(c.WarmupFrac) || c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
 		return fmt.Errorf("web: warmup fraction %g must be in [0,1)", c.WarmupFrac)
-	case badDur(c.RequestTimeout):
+	}
+	if badDur(c.RequestTimeout) {
 		return fmt.Errorf("web: request timeout %g must be finite and non-negative", c.RequestTimeout)
-	case c.MaxRetries < 0:
+	}
+	if c.MaxRetries < 0 {
 		return fmt.Errorf("web: max retries %d must be non-negative", c.MaxRetries)
-	case badDur(c.RetryBase):
+	}
+	if badDur(c.RetryBase) {
 		return fmt.Errorf("web: retry base %g must be finite and non-negative", c.RetryBase)
-	case math.IsNaN(c.RetryBudget) || c.RetryBudget < 0 || c.RetryBudget > 1:
+	}
+	if math.IsNaN(c.RetryBudget) || c.RetryBudget < 0 || c.RetryBudget > 1 {
 		return fmt.Errorf("web: retry budget %g must be in [0,1]", c.RetryBudget)
 	}
 	if err := c.Shed.Validate(); err != nil {
@@ -294,16 +300,18 @@ func (c RunConfig) Validate() error {
 	if err := c.SLO.Validate(); err != nil {
 		return err
 	}
-	if c.Autoscale == nil {
-		return nil
+	if c.Autoscale != nil {
+		if c.SLO == nil {
+			return fmt.Errorf("web: Autoscale needs an SLO controller (policies observe its windows)")
+		}
+		if c.SLO.Reserve > 0 {
+			return fmt.Errorf("web: Autoscale and SLO.Reserve both edit the routing rotation; use one")
+		}
+		if err := c.Autoscale.Validate(); err != nil {
+			return err
+		}
 	}
-	switch {
-	case c.SLO == nil:
-		return fmt.Errorf("web: Autoscale needs an SLO controller (policies observe its windows)")
-	case c.SLO.Reserve > 0:
-		return fmt.Errorf("web: Autoscale and SLO.Reserve both edit the routing rotation; use one")
-	}
-	return c.Autoscale.Validate()
+	return nil
 }
 
 // Result is the outcome of one run.
@@ -680,7 +688,10 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 	}
 	if d.scaler != nil {
 		st := d.scaler.Stats()
-		res.ScaleUps, res.ScaleDowns, res.Boots, res.DrainCancels = st.ScaleUps, st.ScaleDowns, st.Boots, st.DrainCancels
+		res.ScaleUps = st.ScaleUps
+		res.ScaleDowns = st.ScaleDowns
+		res.Boots = st.Boots
+		res.DrainCancels = st.DrainCancels
 		// Boot burn at the busy draw of whatever power model the web nodes
 		// actually run (the cluster builder may have armed a non-default one).
 		busy := d.Plat.Spec.Power.BusyDraw()
@@ -703,8 +714,17 @@ func (d *Deployment) nextLive(w *WebServer) *WebServer {
 	ring := d.Web
 	if d.scaler != nil {
 		ring = d.rotation
+		if len(ring) == 0 {
+			return nil
+		}
 	}
-	start := max(0, slices.Index(ring, w))
+	start := 0
+	for i, s := range ring {
+		if s == w {
+			start = i
+			break
+		}
+	}
 	for k := 1; k <= len(ring); k++ {
 		if s := ring[(start+k)%len(ring)]; s.Node.Up() {
 			return s
