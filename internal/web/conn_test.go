@@ -1,6 +1,7 @@
 package web
 
 import (
+	"math"
 	"testing"
 
 	"edisim/internal/sim"
@@ -49,14 +50,20 @@ func TestWebConnSteadyStateNoAlloc(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				launch(i)
 			}
-			// One measured run of 200 connections: AllocsPerRun divides
-			// by the run count, so this reports the exact total.
+			// Each measurement is one run of 200 connections, so
+			// AllocsPerRun, which divides by the run count, reports the
+			// exact total. The minimum over three batches discounts a stray
+			// allocation by another goroutine (the test runner finishing the
+			// previous test); one on the connection path shows in every batch.
 			const conns = 200
-			allocs := testing.AllocsPerRun(1, func() {
-				for i := 0; i < conns; i++ {
-					launch(1)
-				}
-			})
+			allocs := math.Inf(1)
+			for range 3 {
+				allocs = min(allocs, testing.AllocsPerRun(1, func() {
+					for i := 0; i < conns; i++ {
+						launch(1)
+					}
+				}))
+			}
 			if allocs != 0 {
 				t.Fatalf("%d steady-state connections allocated %v times, want 0", conns, allocs)
 			}
