@@ -150,7 +150,7 @@ func (p *fleetPool) window(now sim.Time, window float64) (util, queue float64) {
 
 // armAutoscale resolves platform defaults into cfg.Autoscale, binds the
 // policy's capacity thresholds and starts the lifecycle manager over the
-// web tier. Returned pieces are owned by Run, which must call
+// web tier. The returned pool is owned by Run, which must call
 // teardownAutoscale when the run ends.
 func (d *Deployment) armAutoscale(cfg RunConfig) *fleetPool {
 	ac := *cfg.Autoscale

@@ -369,10 +369,10 @@ type Result struct {
 
 // runState is one Run's state: the resolved config, the measurement
 // window, the Result being filled, and the overload and SLO controller
-// state that the connections, servers and requests of the run read and
-// write. Every connection points at the run that launched it, so a
-// straggler from an earlier run on the same deployment still books its
-// own operations into that run's Result.
+// state that connections, servers and requests read and write. Servers and
+// requests use the deployment's current run (Deployment.run). A connection
+// keeps the run that launched it, so a straggler from an earlier run on
+// the same deployment books its operations into that run's Result.
 type runState struct {
 	d   *Deployment
 	cfg RunConfig
