@@ -9,13 +9,25 @@
 // ever be driven from one goroutine, but any number of engines can run
 // concurrently (see internal/runner), so the kernel keeps no global state.
 //
-// The event queue is a concrete 4-ary min-heap over pooled Event records:
-// scheduling does not allocate in steady state (events are recycled through
-// a per-engine freelist, grown in chunks), and the heap needs no interface
-// boxing or indirect calls. Handles returned by At/After are small EventRef
-// values stamped with the event's sequence number, so a stale handle —
-// kept after its event fired or was cancelled — is detected and ignored
-// rather than corrupting a recycled event.
+// The event queue is a concrete 4-ary min-heap over pooled Event records,
+// with each event's (time, seq) key kept inline in the heap slice so that
+// ordering never dereferences a record. Scheduling does not allocate in
+// steady state (events are recycled through a per-engine freelist, grown in
+// chunks), and the heap needs no interface boxing or indirect calls.
+// Handles returned by At/After are small EventRef values stamped with the
+// event's sequence number, so a stale handle — kept after its event fired
+// or was cancelled — is detected and ignored rather than corrupting a
+// recycled event.
+//
+// A Lane keeps a FIFO stream out of the heap. Its events must be scheduled
+// in non-decreasing time (a constant-delay timer, or a server queue whose
+// next slot is never earlier than its last); scheduling one backwards
+// panics. Only the earliest live event of each lane sits in the heap; the
+// rest wait in the lane's ring and are promoted one at a time as the head
+// fires or is cancelled. Every lane event keeps the (time, seq) it was
+// given when scheduled, so the firing order is exactly the order Engine.At
+// would give. Cancelling a waiting lane event leaves a tombstone in the
+// ring, skipped at promotion.
 package sim
 
 import (
@@ -29,11 +41,12 @@ type Time float64
 // Event is a pooled event record. User code never holds *Event directly;
 // it holds EventRef handles, which stay safe across recycling.
 type Event struct {
-	at  Time
-	seq uint64 // unique per scheduling; 0 while on the freelist
-	fn  func()
-	pos int // heap position
-	eng *Engine
+	at   Time
+	seq  uint64 // unique per scheduling; 0 while on the freelist
+	fn   func()
+	pos  int   // heap position; -1 while waiting in a lane's ring
+	lane *Lane // the lane the event was scheduled on, or nil
+	eng  *Engine
 }
 
 // EventRef is a cheap, copyable handle to a scheduled event. The zero value
@@ -51,7 +64,7 @@ func (r EventRef) live() bool { return r.ev != nil && r.ev.seq == r.seq }
 // already-cancelled or zero ref is a no-op.
 func (r EventRef) Cancel() {
 	if r.live() {
-		r.ev.eng.remove(r.ev)
+		r.ev.eng.cancel(r.ev)
 	}
 }
 
@@ -70,11 +83,19 @@ func (r EventRef) Time() Time {
 // eventChunk is how many Event records the freelist grows by at once.
 const eventChunk = 256
 
+// slot is one heap entry: the event's ordering key, inline, and its record.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
 // Engine drives a simulation: it owns the clock and the pending event set.
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*Event // 4-ary min-heap on (at, seq)
+	heap    []slot   // 4-ary min-heap on (at, seq)
+	waiting int      // live lane events behind their lane's head
 	free    []*Event // recycled event records
 	stopped bool
 	fired   uint64
@@ -113,8 +134,8 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have executed, a cheap progress/cost metric.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending reports the number of scheduled events, lane events included.
+func (e *Engine) Pending() int { return len(e.heap) + e.waiting }
 
 // alloc takes an event record from the freelist, growing it when empty.
 func (e *Engine) alloc() *Event {
@@ -134,86 +155,113 @@ func (e *Engine) alloc() *Event {
 func (e *Engine) recycle(ev *Event) {
 	ev.seq = 0
 	ev.fn = nil // release the closure for GC
+	ev.lane = nil
 	e.free = append(e.free, ev)
 }
 
-// less orders events by (time, sequence): FIFO within a time tie.
-func less(a, b *Event) bool {
+// less orders heap slots by (time, sequence): FIFO within a time tie.
+func less(a, b *slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// siftUp restores heap order moving the event at position i toward the root.
-func (e *Engine) siftUp(i int) {
+// siftUp places x in the hole at position i, moving the hole toward the
+// root past every parent that x precedes.
+func (e *Engine) siftUp(i int, x slot) {
 	h := e.heap
-	ev := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !less(ev, h[p]) {
+		if !less(&x, &h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].pos = i
+		h[i].ev.pos = i
 		i = p
 	}
-	h[i] = ev
-	ev.pos = i
+	h[i] = x
+	x.ev.pos = i
 }
 
-// siftDown restores heap order moving the event at position i toward the
-// leaves.
-func (e *Engine) siftDown(i int) {
+// siftDown places x in the hole at position i, moving the hole toward the
+// leaves past every smallest child that precedes x.
+func (e *Engine) siftDown(i int, x slot) {
 	h := e.heap
 	n := len(h)
-	ev := h[i]
 	for {
 		first := i*4 + 1
 		if first >= n {
 			break
 		}
 		m := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
+		last := min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if less(h[c], h[m]) {
+			if less(&h[c], &h[m]) {
 				m = c
 			}
 		}
-		if !less(h[m], ev) {
+		if !less(&h[m], &x) {
 			break
 		}
 		h[i] = h[m]
-		h[i].pos = i
+		h[i].ev.pos = i
 		i = m
 	}
-	h[i] = ev
-	ev.pos = i
+	h[i] = x
+	x.ev.pos = i
 }
 
-// remove deletes a scheduled event from the heap and recycles it.
-func (e *Engine) remove(ev *Event) {
-	i := ev.pos
-	n := len(e.heap) - 1
-	if i != n {
-		e.heap[i] = e.heap[n]
-		e.heap[i].pos = i
+// push adds a scheduled event to the heap.
+func (e *Engine) push(ev *Event) {
+	e.heap = append(e.heap, slot{})
+	e.siftUp(len(e.heap)-1, slot{at: ev.at, seq: ev.seq, ev: ev})
+}
+
+// fill refills the hole at position i with x.
+func (e *Engine) fill(i int, x slot) {
+	if i > 0 && less(&x, &e.heap[(i-1)/4]) {
+		e.siftUp(i, x)
+	} else {
+		e.siftDown(i, x)
 	}
-	e.heap[n] = nil
+}
+
+// unlink takes the event at heap position i out of the heap. A lane head's
+// place goes to the lane's next live event; any other hole is filled from
+// the last slot.
+func (e *Engine) unlink(i int, ev *Event) {
+	if l := ev.lane; l != nil {
+		l.live--
+		if nx := l.next(); nx != nil {
+			e.fill(i, slot{at: nx.at, seq: nx.seq, ev: nx})
+			return
+		}
+	}
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = slot{}
 	e.heap = e.heap[:n]
 	if i < n {
-		e.siftDown(i)
-		e.siftUp(i)
+		e.fill(i, last)
+	}
+}
+
+// cancel unschedules a live event and recycles it. A lane event waiting
+// behind its head is left in the ring as a tombstone: its record is
+// recycled, so the seq stamp the ring kept no longer matches.
+func (e *Engine) cancel(ev *Event) {
+	if ev.pos < 0 {
+		ev.lane.live--
+		e.waiting--
+	} else {
+		e.unlink(ev.pos, ev)
 	}
 	e.recycle(ev)
 }
 
-// At schedules fn to run at absolute time t (>= Now) and returns a handle
-// that can cancel it. Scheduling in the past panics: it is always a bug.
-func (e *Engine) At(t Time, fn func()) EventRef {
+// schedule checks t and stamps a fresh record with it and fn.
+func (e *Engine) schedule(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %g < %g", t, e.now))
 	}
@@ -225,9 +273,14 @@ func (e *Engine) At(t Time, fn func()) EventRef {
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.pos = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.siftUp(ev.pos)
+	return ev
+}
+
+// At schedules fn to run at absolute time t (>= Now) and returns a handle
+// that can cancel it. Scheduling in the past panics: it is always a bug.
+func (e *Engine) At(t Time, fn func()) EventRef {
+	ev := e.schedule(t, fn)
+	e.push(ev)
 	return EventRef{ev: ev, seq: ev.seq}
 }
 
@@ -237,6 +290,97 @@ func (e *Engine) After(d float64, fn func()) EventRef {
 		panic(fmt.Sprintf("sim: negative delay %g", d))
 	}
 	return e.At(e.now+Time(d), fn)
+}
+
+// Lane is a FIFO stream of events on one engine whose times never
+// decrease: a constant-delay timer, or a queue served in arrival order.
+// Only the lane's earliest live event sits in the engine heap; the rest
+// wait in a ring in scheduling order. Lane events fire in exactly the
+// order Engine.At would give them, and their EventRefs behave the same.
+type Lane struct {
+	eng  *Engine
+	ring []laneSlot // power-of-two ring of events behind the head
+	head int        // ring index of the oldest waiting entry
+	n    int        // waiting entries, tombstones included
+	live int        // scheduled events, head included
+	last Time       // time of the latest scheduled event
+}
+
+// laneSlot is a waiting lane event. The entry is a tombstone once the
+// record's seq no longer matches: it was cancelled, and perhaps recycled.
+type laneSlot struct {
+	ev  *Event
+	seq uint64
+}
+
+// NewLane returns an empty lane on e.
+func (e *Engine) NewLane() *Lane { return &Lane{eng: e} }
+
+// At schedules fn to run at absolute time t on the lane. t must be no
+// earlier than Now and than the lane's latest scheduled time; scheduling
+// backwards panics.
+func (l *Lane) At(t Time, fn func()) EventRef {
+	if t < l.last {
+		panic(fmt.Sprintf("sim: lane scheduled backwards: %g < %g", t, l.last))
+	}
+	e := l.eng
+	ev := e.schedule(t, fn)
+	ev.lane = l
+	l.last = t
+	l.live++
+	if l.live == 1 {
+		e.push(ev)
+	} else {
+		ev.pos = -1
+		l.enqueue(ev)
+		e.waiting++
+	}
+	return EventRef{ev: ev, seq: ev.seq}
+}
+
+// After schedules fn to run d seconds from now on the lane. Negative
+// delays panic.
+func (l *Lane) After(d float64, fn func()) EventRef {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %g", d))
+	}
+	return l.At(l.eng.now+Time(d), fn)
+}
+
+// Len reports the lane's scheduled events, the head included.
+func (l *Lane) Len() int { return l.live }
+
+// enqueue appends a waiting event to the ring, doubling it when full.
+func (l *Lane) enqueue(ev *Event) {
+	if l.n == len(l.ring) {
+		grown := make([]laneSlot, max(16, 2*len(l.ring)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = grown, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneSlot{ev: ev, seq: ev.seq}
+	l.n++
+}
+
+// next dequeues the earliest live waiting event, dropping tombstones, once
+// the head has left the heap; nil when the lane is empty.
+func (l *Lane) next() *Event {
+	if l.live == 0 {
+		clear(l.ring)
+		l.head, l.n = 0, 0
+		return nil
+	}
+	for {
+		s := l.ring[l.head]
+		l.ring[l.head] = laneSlot{}
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		if s.ev.seq == s.seq {
+			l.eng.waiting--
+			return s.ev
+		}
+	}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -251,10 +395,11 @@ func (e *Engine) Run() {
 // its callback. The record is recycled before the callback runs, so the
 // callback is free to schedule (and reuse) events.
 func (e *Engine) popHead() func() {
-	ev := e.heap[0]
+	ev := e.heap[0].ev
 	e.now = ev.at
 	fn := ev.fn
-	e.remove(ev)
+	e.unlink(0, ev)
+	e.recycle(ev)
 	e.fired++
 	return fn
 }

@@ -108,8 +108,8 @@ func (c *webConn) sendSyn() {
 	t.c, t.target, t.client, t.stamp = c, c.srv, c.client, c.gen
 	d.Fab.Send(c.client, c.srv.Node.ID, rpcHeaderBytes, t.arrivedFn)
 	if rs.recover {
-		rb := d.Params.RetryBackoff
-		c.timer = d.Eng.After(rb[min(c.synAttempt, len(rb)-1)], c.droppedFn)
+		step := min(c.synAttempt, len(rs.synTimers)-1)
+		c.timer = rs.synTimers[step].After(d.Params.RetryBackoff[step], c.droppedFn)
 	}
 }
 
@@ -123,7 +123,7 @@ func (t *synTry) arrived() {
 		c.refused(w)
 	default:
 		if at, ok := w.admitConn(); ok {
-			d.Eng.At(at, t.acceptFn)
+			w.acceptQ.At(at, t.acceptFn)
 			return
 		}
 		c.dropped()
@@ -219,7 +219,7 @@ func (c *webConn) send(srv *WebServer) {
 		if rs.budgeted && c.sends == 1 {
 			d.run.budget.deposit()
 		}
-		c.timer = d.Eng.After(rs.cfg.RequestTimeout, c.timedOutFn)
+		c.timer = rs.timeouts.After(rs.cfg.RequestTimeout, c.timedOutFn)
 	}
 	d.request(c.client, srv, rs.cfg.ImageFrac, c.gen, c.replyFn)
 }

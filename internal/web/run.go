@@ -382,6 +382,11 @@ type runState struct {
 	// recover arms the recovery stage of the connection state machine
 	// (RequestTimeout > 0); budgeted adds the retry budget to it.
 	recover, budgeted bool
+	// Under recovery, the request timeouts and the SYN retransmit timers
+	// of each RetryBackoff step. Each has a constant delay, so each is a
+	// FIFO lane.
+	timeouts  *sim.Lane
+	synTimers []*sim.Lane
 	// exact keeps per-request Samples beside the digest. Open-loop runs
 	// drop them so million-request runs stay flat in memory.
 	exact           bool
@@ -445,6 +450,12 @@ func (d *Deployment) begin(cfg RunConfig) *runState {
 		loadFactor: 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024,
 	}
 	rs.genFn, rs.arriveFn, rs.tickFn = rs.gen, rs.arrive, rs.tick
+	if rs.recover {
+		rs.timeouts = d.Eng.NewLane()
+		for range d.Params.RetryBackoff {
+			rs.synTimers = append(rs.synTimers, d.Eng.NewLane())
+		}
+	}
 	if cfg.Shed.Enabled() {
 		rs.shed = cfg.Shed.withDefaults(d.Plat.Web)
 		rs.fastFailCPU = rs.shed.FastFailFrac * (d.Plat.Web.BaseCPU + d.Plat.Web.ReplyCPU)

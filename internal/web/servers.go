@@ -21,6 +21,10 @@ type WebServer struct {
 	lastReq  sim.Time
 	inflight int
 
+	// acceptQ and startQ hold the queued accepts and worker starts. Each
+	// admission is no earlier than the last, so both are FIFO lanes.
+	acceptQ, startQ *sim.Lane
+
 	// errored counts requests answered with a 500.
 	errored int64
 
@@ -31,7 +35,7 @@ type WebServer struct {
 }
 
 func newWebServer(dep *Deployment, node *hw.Node) *WebServer {
-	return &WebServer{Node: node, dep: dep}
+	return &WebServer{Node: node, dep: dep, acceptQ: dep.Eng.NewLane(), startQ: dep.Eng.NewLane()}
 }
 
 // costs resolves the middle-tier platform's web calibration.
@@ -116,7 +120,7 @@ func (w *WebServer) admitRequest(start func()) bool {
 	}
 	w.lastReq = at
 	w.inflight++
-	eng.At(at, start)
+	w.startQ.At(at, start)
 	return true
 }
 
