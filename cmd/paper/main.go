@@ -40,6 +40,9 @@
 // experiments (fault_tolerance) with the API.md schedule grammar; the
 // default paper reproduction never injects faults, so the flag changes
 // nothing unless such an experiment is selected.
+//
+// -cpuprofile and -memprofile write pprof CPU and heap profiles of the
+// run, for `go tool pprof`; stdout is unchanged. Both are off by default.
 package main
 
 import (
@@ -47,6 +50,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"edisim"
@@ -66,6 +71,8 @@ func main() {
 		jitter    = flag.Float64("fault-jitter", 0, "uniform seed-derived jitter bound in seconds added to every fault time")
 		energy    = flag.String("energy", "", "node power model: linear (default, paper-calibrated) or tdp-curve (component model; see API.md)")
 		region    = flag.String("region", "", "grid region for carbon/price accounting (see API.md; arms the matrix experiments' gCO2e columns)")
+		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file after the run")
 	)
 	flag.Parse()
 
@@ -118,13 +125,29 @@ func main() {
 	}
 	scn.Workloads = []edisim.Workload{exps}
 
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		os.Exit(2)
+	}
+	code := report(scn, *markdown, *format)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
+}
+
+// report runs the scenario, streaming its artifacts to stdout, and returns
+// the exit code.
+func report(scn edisim.Scenario, markdown bool, format string) int {
 	// Stream as artifacts complete (text blocks, or markdown ledger rows
 	// with -experiments); collect everything for the final ledger and the
 	// document formats.
 	var col edisim.Collector
 	sink := edisim.Sink(&col)
 	switch {
-	case *markdown:
+	case markdown:
 		fmt.Println("| artifact | metric | paper | simulated | ratio |")
 		fmt.Println("|---|---|---:|---:|---:|")
 		sink = edisim.SinkFunc(func(a *edisim.Artifact) error {
@@ -134,26 +157,68 @@ func main() {
 			}
 			return nil
 		})
-	case *format == "text":
+	case format == "text":
 		sink = edisim.MultiSink(edisim.NewTextSink(os.Stdout), &col)
 	}
 
 	if err := edisim.Run(context.Background(), scn, sink); err != nil {
 		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	if *markdown {
-		return
+	if markdown {
+		return 0
 	}
 
 	var err error
-	if *format == "text" {
+	if format == "text" {
 		err = edisim.WriteLedger(os.Stdout, col.Artifacts)
 	} else {
-		err = edisim.WriteDocument(*format, os.Stdout, col.Artifacts)
+		err = edisim.WriteDocument(format, os.Stdout, col.Artifacts)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// startProfiles starts a CPU profile to cpuFile and returns the func that
+// stops it and writes a heap profile to memFile. An empty name turns that
+// profile off. Both files are created up front, so a bad path fails before
+// the run rather than after it.
+func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if memFile != "" {
+		if mem, err = os.Create(memFile); err != nil {
+			return nil, err
+		}
+	}
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
+		if err != nil {
+			if mem != nil {
+				mem.Close()
+			}
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == nil {
+			return nil
+		}
+		runtime.GC() // bring the heap statistics up to date
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return err
+		}
+		return mem.Close()
+	}, nil
 }

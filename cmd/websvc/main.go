@@ -168,8 +168,10 @@ func parseProfileArg(spec string) (edisim.LoadProfile, error) {
 }
 
 // parseShed parses the -shed grammar: MODE[:PARAM], where drop takes a
-// queue bound, deadline takes seconds and priority takes the low-priority
-// fraction; the parameter is optional (policy defaults apply).
+// queue bound (an integer >= 1), deadline takes seconds and priority takes
+// the low-priority fraction. The parameter is optional: left out, the
+// policy default applies. Given, it must be a positive value the policy
+// keeps as written, and the policy must pass Validate.
 func parseShed(spec string) (edisim.ShedPolicy, error) {
 	var p edisim.ShedPolicy
 	spec = strings.TrimSpace(spec)
@@ -177,25 +179,39 @@ func parseShed(spec string) (edisim.ShedPolicy, error) {
 		return p, nil
 	}
 	mode, param, hasParam := strings.Cut(spec, ":")
-	var v float64
-	if hasParam {
-		var err error
-		if v, err = strconv.ParseFloat(strings.TrimSpace(param), 64); err != nil {
-			return p, fmt.Errorf("shed %q: bad parameter %q", spec, param)
-		}
-	}
 	switch strings.TrimSpace(mode) {
 	case "drop":
 		p.Mode = edisim.ShedDropTail
-		p.Queue = int(v)
 	case "deadline":
 		p.Mode = edisim.ShedDeadline
-		p.Deadline = v
 	case "priority":
 		p.Mode = edisim.ShedPriority
-		p.LowFrac = v
 	default:
 		return p, fmt.Errorf("shed %q: unknown mode (want drop, deadline or priority)", spec)
+	}
+	param = strings.TrimSpace(param)
+	switch {
+	case !hasParam:
+	case p.Mode == edisim.ShedDropTail:
+		q, err := strconv.Atoi(param)
+		if err != nil || q < 1 {
+			return p, fmt.Errorf("shed %q: queue bound %q must be an integer >= 1", spec, param)
+		}
+		p.Queue = q
+	default:
+		// A zero would read as unset and become the policy default.
+		v, err := strconv.ParseFloat(param, 64)
+		if err != nil || !(v > 0) {
+			return p, fmt.Errorf("shed %q: parameter %q must be a positive number", spec, param)
+		}
+		if p.Mode == edisim.ShedDeadline {
+			p.Deadline = v
+		} else {
+			p.LowFrac = v
+		}
+	}
+	if err := p.Validate(); err != nil {
+		return p, fmt.Errorf("shed %q: %w", spec, err)
 	}
 	return p, nil
 }

@@ -78,3 +78,93 @@ func TestParseProfileArgValid(t *testing.T) {
 		}
 	}
 }
+
+// TestParseShed: a given parameter is kept as written or rejected, never
+// truncated, overflowed or turned into the policy default, and a spec that
+// parses passes ShedPolicy.Validate.
+func TestParseShed(t *testing.T) {
+	cases := []struct {
+		spec    string
+		want    edisim.ShedPolicy
+		wantErr string // empty when the spec must parse
+	}{
+		{"", edisim.ShedPolicy{}, ""},
+		{"drop", edisim.ShedPolicy{Mode: edisim.ShedDropTail}, ""},
+		{" drop : 64 ", edisim.ShedPolicy{Mode: edisim.ShedDropTail, Queue: 64}, ""},
+		{"drop:1", edisim.ShedPolicy{Mode: edisim.ShedDropTail, Queue: 1}, ""},
+		{"deadline", edisim.ShedPolicy{Mode: edisim.ShedDeadline}, ""},
+		{"deadline:0.5", edisim.ShedPolicy{Mode: edisim.ShedDeadline, Deadline: 0.5}, ""},
+		{"priority:0.3", edisim.ShedPolicy{Mode: edisim.ShedPriority, LowFrac: 0.3}, ""},
+		{"priority:1", edisim.ShedPolicy{Mode: edisim.ShedPriority, LowFrac: 1}, ""},
+		{"drop:0.4", edisim.ShedPolicy{}, "integer >= 1"},
+		{"drop:2.5", edisim.ShedPolicy{}, "integer >= 1"},
+		{"drop:1e300", edisim.ShedPolicy{}, "integer >= 1"},
+		{"drop:99999999999999999999", edisim.ShedPolicy{}, "integer >= 1"},
+		{"drop:0", edisim.ShedPolicy{}, "integer >= 1"},
+		{"drop:-3", edisim.ShedPolicy{}, "integer >= 1"},
+		{"drop:", edisim.ShedPolicy{}, "integer >= 1"},
+		{"deadline:-1", edisim.ShedPolicy{}, "positive number"},
+		{"deadline:0", edisim.ShedPolicy{}, "positive number"},
+		{"deadline:NaN", edisim.ShedPolicy{}, "positive number"},
+		{"deadline:Inf", edisim.ShedPolicy{}, "deadline"},
+		{"deadline:soon", edisim.ShedPolicy{}, "positive number"},
+		{"priority:1.5", edisim.ShedPolicy{}, "fraction"},
+		{"priority:0", edisim.ShedPolicy{}, "positive number"},
+		{"lifo:3", edisim.ShedPolicy{}, "unknown mode"},
+	}
+	for _, tc := range cases {
+		p, err := parseShed(tc.spec)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("parseShed(%q): %v", tc.spec, err)
+		case tc.wantErr == "" && p != tc.want:
+			t.Errorf("parseShed(%q) = %#v, want %#v", tc.spec, p, tc.want)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("parseShed(%q) accepted a bad spec: %#v", tc.spec, p)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("parseShed(%q) error %q does not mention %q", tc.spec, err, tc.wantErr)
+		}
+	}
+}
+
+// FuzzParseShed guards the -shed grammar: any spec parseShed accepts
+// yields a policy that passes Validate, and a parameter it accepts is kept
+// as written rather than left at zero for the policy default to replace.
+// Plain `go test` runs the seed corpus; `go test -fuzz FuzzParseShed`
+// explores further.
+func FuzzParseShed(f *testing.F) {
+	for _, spec := range []string{
+		"", "drop", "drop:64", " drop : 8 ", "drop:0.4", "drop:2.5", "drop:1e300", "drop:-1",
+		"deadline", "deadline:0.5", "deadline:-1", "deadline:NaN", "deadline:Inf", "deadline:0x1p-2",
+		"priority", "priority:0.2", "priority:1.5", "priority:1", "bogus:1", "drop:+7", ":", "drop::1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := parseShed(spec)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%q parsed to %#v, which fails Validate: %v", spec, p, err)
+		}
+		if _, param, ok := strings.Cut(spec, ":"); ok {
+			switch p.Mode {
+			case edisim.ShedDropTail:
+				if p.Queue < 1 {
+					t.Fatalf("%q parsed to queue bound %d", spec, p.Queue)
+				}
+			case edisim.ShedDeadline:
+				if !(p.Deadline > 0) {
+					t.Fatalf("%q (parameter %q) parsed to deadline %g", spec, param, p.Deadline)
+				}
+			case edisim.ShedPriority:
+				if !(p.LowFrac > 0) {
+					t.Fatalf("%q (parameter %q) parsed to low-priority fraction %g", spec, param, p.LowFrac)
+				}
+			default:
+				t.Fatalf("%q with a parameter parsed to mode %q", spec, p.Mode)
+			}
+		}
+	})
+}

@@ -79,3 +79,48 @@ func BenchmarkProcShareCancel(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkScheduleTimers models the pending set of an open-loop web run:
+// about 1000 constant-delay timers, nine in ten cancelled before they fire
+// (a request timeout whose reply arrived), beside 80 other events that
+// keep rescheduling themselves. Each iteration arms a timer, cancels the
+// one armed 1024 iterations earlier unless it is every tenth, and fires
+// the next event. plain arms the timers with Engine.After, lane on one
+// Lane, which keeps all but the earliest out of the heap.
+func BenchmarkScheduleTimers(b *testing.B) {
+	for _, mode := range []string{"plain", "lane"} {
+		b.Run(mode, func(b *testing.B) {
+			e := NewEngine()
+			arm := e.After
+			if mode == "lane" {
+				arm = e.NewLane().After
+			}
+			const others, timeout, lag = 80, 20.0, 1024
+			step := 0
+			var other func()
+			other = func() {
+				step++
+				e.After(0.5+float64(step*37%64)/64, other)
+			}
+			for i := 0; i < others; i++ {
+				e.After(float64(i)/others, other)
+			}
+			var timers [lag]EventRef
+			fire := func() {}
+			run := func(n int) {
+				for i := 0; i < n; i++ {
+					k := i % lag
+					if i%10 != 0 {
+						timers[k].Cancel()
+					}
+					timers[k] = arm(timeout, fire)
+					e.Step()
+				}
+			}
+			run(20 * lag) // reach the steady pending set
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
+	}
+}

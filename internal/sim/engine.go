@@ -26,8 +26,8 @@
 // rest wait in the lane's ring and are promoted one at a time as the head
 // fires or is cancelled. Every lane event keeps the (time, seq) it was
 // given when scheduled, so the firing order is exactly the order Engine.At
-// would give. Cancelling a waiting lane event leaves a tombstone in the
-// ring, skipped at promotion.
+// would give, and Pending counts lane events too. Cancelling a waiting lane
+// event leaves a tombstone in the ring, skipped at promotion.
 package sim
 
 import (
@@ -231,12 +231,9 @@ func (e *Engine) fill(i int, x slot) {
 // place goes to the lane's next live event; any other hole is filled from
 // the last slot.
 func (e *Engine) unlink(i int, ev *Event) {
-	if l := ev.lane; l != nil {
-		l.live--
-		if nx := l.next(); nx != nil {
-			e.fill(i, slot{at: nx.at, seq: nx.seq, ev: nx})
-			return
-		}
+	if nx := ev.lane.promote(); nx != nil {
+		e.fill(i, slot{at: nx.at, seq: nx.seq, ev: nx})
+		return
 	}
 	n := len(e.heap) - 1
 	last := e.heap[n]
@@ -363,9 +360,14 @@ func (l *Lane) enqueue(ev *Event) {
 	l.n++
 }
 
-// next dequeues the earliest live waiting event, dropping tombstones, once
-// the head has left the heap; nil when the lane is empty.
-func (l *Lane) next() *Event {
+// promote is called when the lane's head leaves the heap. It dequeues the
+// earliest live waiting event, dropping tombstones, to take the head's
+// place; nil when the lane is empty, or for an event on no lane.
+func (l *Lane) promote() *Event {
+	if l == nil {
+		return nil
+	}
+	l.live--
 	if l.live == 0 {
 		clear(l.ring)
 		l.head, l.n = 0, 0
