@@ -195,7 +195,9 @@ func startProfiles(cpuFile, memFile string) (stop func() error, err error) {
 	}
 	if cpuFile != "" {
 		if cpu, err = os.Create(cpuFile); err == nil {
-			err = pprof.StartCPUProfile(cpu)
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+			}
 		}
 		if err != nil {
 			if mem != nil {

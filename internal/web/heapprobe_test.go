@@ -21,12 +21,7 @@ type heapShape struct {
 }
 
 // waiting is how many of a lane's events wait behind its head.
-func waiting(l *sim.Lane) int {
-	if l == nil {
-		return 0
-	}
-	return max(l.Len()-1, 0)
-}
+func waiting(l *sim.Lane) int { return max(l.Len()-1, 0) }
 
 // probeHeap runs cfg on d and samples the engine's pending set. The heap
 // length is Pending less the events waiting in the run's lanes.
