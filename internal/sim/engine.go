@@ -10,8 +10,9 @@
 // concurrently (see internal/runner), so the kernel keeps no global state.
 //
 // The event queue is a concrete 4-ary min-heap over pooled Event records,
-// with each event's (time, seq) key kept inline in the heap slice so that
-// ordering never dereferences a record. Scheduling does not allocate in
+// with each event's (time, seq) key kept inline in the heap slice as two
+// integers, so that ordering never dereferences a record and the smallest
+// child is picked without a branch. Scheduling does not allocate in
 // steady state (events are recycled through a per-engine freelist, grown in
 // chunks), and the heap needs no interface boxing or indirect calls.
 // Handles returned by At/After are small EventRef values stamped with the
@@ -33,6 +34,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is simulation time in seconds since the start of the run.
@@ -85,9 +87,24 @@ const eventChunk = 256
 
 // slot is one heap entry: the event's ordering key, inline, and its record.
 type slot struct {
-	at  Time
+	key uint64 // keyOf(at)
 	seq uint64
 	ev  *Event
+}
+
+// keyOf maps a time to an integer key in the same order: the bits of a
+// non-negative float64 order like its value. Adding zero turns -0 into +0.
+func keyOf(t Time) uint64 { return math.Float64bits(float64(t) + 0) }
+
+// before is 1 when a precedes b in (time, seq) order, FIFO within a time
+// tie, and 0 otherwise. It is the borrow out of the 128-bit difference
+// (key, seq) a - b, so picking the smallest of a node's children costs no
+// branch: the branch a comparison takes there is taken at random, and its
+// mispredictions were most of the heap's cost.
+func before(a, b *slot) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.key, b.key, borrow)
+	return borrow
 }
 
 // Engine drives a simulation: it owns the clock and the pending event set.
@@ -159,21 +176,13 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// less orders heap slots by (time, sequence): FIFO within a time tie.
-func less(a, b *slot) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // siftUp places x in the hole at position i, moving the hole toward the
 // root past every parent that x precedes.
 func (e *Engine) siftUp(i int, x slot) {
 	h := e.heap
 	for i > 0 {
 		p := (i - 1) / 4
-		if !less(&x, &h[p]) {
+		if before(&x, &h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
@@ -197,11 +206,9 @@ func (e *Engine) siftDown(i int, x slot) {
 		m := first
 		last := min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if less(&h[c], &h[m]) {
-				m = c
-			}
+			m += (c - m) & -int(before(&h[c], &h[m]))
 		}
-		if !less(&h[m], &x) {
+		if before(&h[m], &x) == 0 {
 			break
 		}
 		h[i] = h[m]
@@ -215,12 +222,12 @@ func (e *Engine) siftDown(i int, x slot) {
 // push adds a scheduled event to the heap.
 func (e *Engine) push(ev *Event) {
 	e.heap = append(e.heap, slot{})
-	e.siftUp(len(e.heap)-1, slot{at: ev.at, seq: ev.seq, ev: ev})
+	e.siftUp(len(e.heap)-1, slot{key: keyOf(ev.at), seq: ev.seq, ev: ev})
 }
 
 // fill refills the hole at position i with x.
 func (e *Engine) fill(i int, x slot) {
-	if i > 0 && less(&x, &e.heap[(i-1)/4]) {
+	if i > 0 && before(&x, &e.heap[(i-1)/4]) == 1 {
 		e.siftUp(i, x)
 	} else {
 		e.siftDown(i, x)
@@ -232,7 +239,7 @@ func (e *Engine) fill(i int, x slot) {
 // the last slot.
 func (e *Engine) unlink(i int, ev *Event) {
 	if nx := ev.lane.promote(); nx != nil {
-		e.fill(i, slot{at: nx.at, seq: nx.seq, ev: nx})
+		e.fill(i, slot{key: keyOf(nx.at), seq: nx.seq, ev: nx})
 		return
 	}
 	n := len(e.heap) - 1
@@ -414,7 +421,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	e.interrupted = false
 	for len(e.heap) > 0 && !e.stopped {
-		if e.heap[0].at > deadline {
+		if e.heap[0].ev.at > deadline {
 			break
 		}
 		if e.interrupt != nil && e.fired%interruptStride == 0 && e.interrupt() {

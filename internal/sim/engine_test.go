@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -220,5 +221,19 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineNegativeZeroTime: -0 is a valid time at the start of a run and
+// ties with 0, so the three events fire in scheduling order.
+func TestEngineNegativeZeroTime(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	for i, at := range []Time{0, Time(math.Copysign(0, -1)), 0} {
+		e.At(at, func() { order = append(order, i) })
+	}
+	e.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("fired %v, want [0 1 2]", order)
 	}
 }
