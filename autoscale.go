@@ -175,22 +175,10 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 			ac := *as.Autoscale
 			rc.Autoscale = &ac
 		}
-		s := autoscaleStudySLO()
-		if as.SLO != nil {
-			c := *as.SLO
-			s = &c
+		rc.SLO = as.SLO
+		if rc.SLO == nil {
+			rc.SLO = autoscaleStudySLO()
 		}
-		// The controller time series backs the figure and the SLO-met
-		// fraction; a caller-provided Observer still sees every window.
-		var wins []SLOWindow
-		chain := s.Observer
-		s.Observer = func(w SLOWindow) {
-			wins = append(wins, w)
-			if chain != nil {
-				chain(w)
-			}
-		}
-		rc.SLO = s
 
 		seed := cfg.PointSeed(id, 0)
 		cc := ts.clusterConfig()
@@ -199,16 +187,8 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 		dep := web.NewTieredDeployment(tb, ts.webPlat, ts.nWeb, ts.cachePlat, ts.nCache, seed)
 		dep.WarmFor(rc)
 		if cfg.Faults != nil {
-			roster := map[string][]faults.Target{}
-			for _, w := range dep.Web {
-				roster["web"] = append(roster["web"], faults.Target{Node: w.Node, Fab: dep.Fab})
-			}
-			for _, c := range dep.Cache {
-				roster["cache"] = append(roster["cache"], faults.Target{Node: c.Node, Fab: dep.Fab})
-			}
-			plan := cfg.Faults.Filter("web", "cache")
-			if !plan.Empty() {
-				faults.Schedule(dep.Eng, plan, seed, roster)
+			if plan := cfg.Faults.Filter("web", "cache"); !plan.Empty() {
+				faults.Schedule(dep.Eng, plan, seed, webRoster(dep))
 			}
 		}
 		res := dep.Run(rc)
@@ -216,6 +196,7 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 		// SLO-met fraction over the measurement window's controller
 		// evaluations (window ends after warm-up, T is relative to run
 		// start).
+		wins := res.Windows
 		wInWin, burned := 0, 0
 		for _, w := range wins {
 			if w.T > 0.1*duration && w.T <= duration {
@@ -263,7 +244,7 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 			active := make([]float64, len(wins))
 			for i, w := range wins {
 				x[i] = w.T
-				served[i] = float64(w.Served) / s.Window
+				served[i] = float64(w.Served) / rc.SLO.Window
 				active[i] = float64(w.Active)
 			}
 			f := report.NewFigure(title+" — fleet vs load", "t (s)", "per second / servers", x)

@@ -105,8 +105,12 @@ func TestCancellationAbortsFaultHeavyRun(t *testing.T) {
 		t.Skip("simulates part of a fault-heavy run")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	// Full fidelity: the quick run can finish inside the 100 ms before the
+	// cancel, and then the test would prove nothing.
+	sc := faultyScenario(2)
+	sc.Quick = false
 	done := make(chan error, 1)
-	go func() { done <- Run(ctx, faultyScenario(2), NewTextSink(&bytes.Buffer{})) }()
+	go func() { done <- Run(ctx, sc, NewTextSink(&bytes.Buffer{})) }()
 	time.Sleep(100 * time.Millisecond)
 	cancel()
 	select {

@@ -107,17 +107,6 @@ func runAutoscale(cfg Config) *Outcome {
 			rc := overloadRunConfig(dur)
 			rc.Profile = prof
 			s := slo
-			wins, burned := 0, 0
-			var actives []float64
-			s.Observer = func(w web.SLOWindow) {
-				actives = append(actives, float64(w.Active))
-				if w.T > 0.1*dur && w.T <= dur {
-					wins++
-					if w.Burning {
-						burned++
-					}
-				}
-			}
 			rc.SLO = &s
 			rc.Autoscale = ac
 			dep.WarmFor(rc)
@@ -137,6 +126,17 @@ func runAutoscale(cfg Config) *Outcome {
 			dep.Eng.At(origin+sim.Time(dur), func() { webEnergy = float64(meter.Energy()) })
 
 			res := dep.Run(rc)
+			wins, burned := 0, 0
+			actives := make([]float64, len(res.Windows))
+			for wi, w := range res.Windows {
+				actives[wi] = float64(w.Active)
+				if w.T > 0.1*dur && w.T <= dur {
+					wins++
+					if w.Burning {
+						burned++
+					}
+				}
+			}
 
 			// Ideal joules price offered work at the armed model's busy draw,
 			// so the EP score stays consistent with what the nodes meter.

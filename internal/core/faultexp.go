@@ -125,7 +125,7 @@ func runFaultTolerance(cfg Config) *Outcome {
 		}
 		avail := 100 * (1 - r.faulty.ErrorRate)
 		amp := safeDiv(float64(r.faulty.Attempts), float64(r.faulty.Latency.N()+r.faulty.Errors500), 1)
-		p99 := r.faulty.Delays.Quantile(0.99)
+		p99 := r.faulty.Latency.Quantile(0.99)
 		webTab.AddRow(p.Label, p.Fleet.Web,
 			report.Num(r.healthy.Throughput, "req/s"),
 			report.Num(r.faulty.Throughput, "req/s"),

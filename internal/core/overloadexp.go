@@ -208,10 +208,8 @@ func runOverload(cfg Config) *Outcome {
 			rc := overloadRunConfig(dur)
 			cap := connCapacity(p)
 			rc.Profile = load.Spike{Base: 0.5 * cap, Peak: 2.2 * cap, Start: spikeStart, Duration: spikeDur}
-			var wins []web.SLOWindow
 			s := slo
 			s.Brownout = true
-			s.Observer = func(w web.SLOWindow) { wins = append(wins, w) }
 			rc.SLO = &s
 			dep.WarmFor(rc)
 
@@ -235,7 +233,7 @@ func runOverload(cfg Config) *Outcome {
 			phase := func(from, to float64) float64 {
 				var served int64
 				n := 0
-				for _, w := range wins {
+				for _, w := range res.Windows {
 					if w.T > from && w.T <= to {
 						served += w.Served
 						n++

@@ -10,9 +10,9 @@ import (
 
 // figureOnly lists experiments that render figures the paper publishes
 // without headline numbers to compare against (Figures 5/8 show mix
-// sweeps; every other artifact carries at least one paper-vs-measured
-// comparison).
-var figureOnly = map[string]bool{"fig5_fig8": true}
+// sweeps, Figures 10/11 delay histograms; every other artifact carries at
+// least one paper-vs-measured comparison).
+var figureOnly = map[string]bool{"fig5_fig8": true, "fig10_fig11": true}
 
 // TestEveryExperimentQuickSmoke runs EVERY registered experiment —
 // including opt-in ones — under Quick fidelity and asserts it produces a

@@ -1,13 +1,16 @@
 package stats
 
-import "math"
+import (
+	"iter"
+	"math"
+)
 
 // Digest is a bounded-memory streaming quantile estimator for latency-like
 // positive values: observations land in logarithmically spaced buckets of
 // ~4% relative width, so p50/p99/p999 queries carry at most ~2% relative
 // error while the whole structure stays a fixed ~5 KB regardless of how
-// many observations it absorbs. Open-loop runs that settle millions of
-// requests use it in place of Sample (which retains every observation).
+// many observations it absorbs, so a run that settles millions of requests
+// costs the same memory as one that settles a handful.
 //
 // The bucket geometry is fixed (digestMin × digestGamma^i, covering about
 // 1 µs to 10⁴ s), so any two Digests merge bucket-for-bucket. Count, sum,
@@ -126,17 +129,29 @@ func (d *Digest) Quantile(q float64) float64 {
 	for i := range d.buckets {
 		cum += d.buckets[i]
 		if cum >= rank {
-			v := bucketMid(i)
-			if v < d.min {
-				v = d.min
-			}
-			if v > d.max {
-				v = d.max
-			}
-			return v
+			return d.rep(i)
 		}
 	}
 	return d.max
+}
+
+// Buckets yields each non-empty bucket in ascending order as its
+// representative value and its count; the counts sum to N. This is the
+// digest read as a distribution, e.g. to fill a Histogram.
+func (d *Digest) Buckets() iter.Seq2[float64, int64] {
+	return func(yield func(float64, int64) bool) {
+		for i, n := range d.buckets {
+			if n > 0 && !yield(d.rep(i), n) {
+				return
+			}
+		}
+	}
+}
+
+// rep is bucket i's representative value: its geometric midpoint clamped
+// to the exact observed [Min, Max].
+func (d *Digest) rep(i int) float64 {
+	return min(max(bucketMid(i), d.min), d.max)
 }
 
 // Merge folds other into d, as if all of other's observations had been

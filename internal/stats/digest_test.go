@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"edisim/internal/rng"
@@ -36,21 +37,47 @@ func TestDigestExactMoments(t *testing.T) {
 	}
 }
 
-// Quantiles must track a Sample (which keeps everything) to within the
-// bucket resolution on a realistic latency-shaped distribution.
+// exactQuantile is the reference the digest is judged against: the
+// q-quantile of xs by linear interpolation between order statistics.
+func exactQuantile(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+func TestExactQuantileOracle(t *testing.T) {
+	xs := make([]float64, 100)
+	for i := range xs {
+		xs[len(xs)-1-i] = float64(i + 1)
+	}
+	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.5, 50.5}, {1, 100}} {
+		if got := exactQuantile(xs, c.q); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("q=%v: %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
+// Quantiles must track the exact order statistics to within the bucket
+// resolution on a realistic latency-shaped distribution.
 func TestDigestQuantileAccuracy(t *testing.T) {
 	src := rng.New(42).Derive("digest")
 	d := NewDigest()
-	s := &Sample{}
+	var xs []float64
 	for i := 0; i < 200000; i++ {
 		// Lognormal-ish latency: 5ms base with heavy multiplicative noise.
 		v := 0.005 * math.Exp(src.Normal(0, 1))
 		d.Add(v)
-		s.Add(v)
+		xs = append(xs, v)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		got := d.Quantile(q)
-		want := s.Quantile(q)
+		want := exactQuantile(xs, q)
 		rel := math.Abs(got-want) / want
 		if rel > 0.05 {
 			t.Errorf("q=%v: digest %v vs exact %v (rel err %.3f > 0.05)", q, got, want, rel)
@@ -133,6 +160,41 @@ func TestDigestBucketEdgeClamp(t *testing.T) {
 	}
 	if d.Quantile(0) != 1e-8 || d.Quantile(1) != 1e7 {
 		t.Errorf("tail quantiles %v/%v, want the exact Min/Max 1e-8/1e7", d.Quantile(0), d.Quantile(1))
+	}
+}
+
+// Buckets reads the digest as a distribution: every observation is counted
+// once, in ascending order, at a value inside the exact observed range —
+// also for the clamped tails and a bucket straddling Min or Max.
+func TestDigestBuckets(t *testing.T) {
+	src := rng.New(3).Derive("buckets")
+	d := NewDigest()
+	for _, v := range []float64{0, 1e-8, 0.0101, 1e7} {
+		d.Add(v)
+	}
+	for i := 0; i < 5000; i++ {
+		d.Add(0.01 + src.Exp(0.05))
+	}
+	var total int64
+	prev := math.Inf(-1)
+	for v, n := range d.Buckets() {
+		if n <= 0 {
+			t.Fatalf("bucket at %v yielded count %d", v, n)
+		}
+		if v < d.Min() || v > d.Max() {
+			t.Fatalf("bucket value %v outside [%v, %v]", v, d.Min(), d.Max())
+		}
+		if v <= prev {
+			t.Fatalf("bucket values not ascending: %v after %v", v, prev)
+		}
+		prev = v
+		total += n
+	}
+	if total != d.N() {
+		t.Fatalf("bucket counts sum to %d, want N = %d", total, d.N())
+	}
+	for range d.Buckets() {
+		break // an early stop must not panic
 	}
 }
 

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary accumulates count/mean/variance/min/max using Welford's algorithm.
@@ -85,68 +84,6 @@ func (s *Summary) Max() float64 { return s.max }
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
 		s.n, s.Mean(), s.Std(), s.min, s.max)
-}
-
-// Sample keeps every observation for exact percentiles. Use for delay
-// distributions where the paper reports full histograms (Figs 10–11).
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add records one observation.
-func (p *Sample) Add(x float64) {
-	p.xs = append(p.xs, x)
-	p.sorted = false
-}
-
-// N reports the number of observations.
-func (p *Sample) N() int { return len(p.xs) }
-
-// Mean reports the arithmetic mean (0 when empty).
-func (p *Sample) Mean() float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range p.xs {
-		sum += x
-	}
-	return sum / float64(len(p.xs))
-}
-
-// Quantile reports the q-quantile (q in [0,1]) by linear interpolation.
-// It returns 0 when empty.
-func (p *Sample) Quantile(q float64) float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
-	if q <= 0 {
-		return p.xs[0]
-	}
-	if q >= 1 {
-		return p.xs[len(p.xs)-1]
-	}
-	pos := q * float64(len(p.xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(p.xs) {
-		return p.xs[len(p.xs)-1]
-	}
-	return p.xs[lo]*(1-frac) + p.xs[lo+1]*frac
-}
-
-// Values returns the (sorted) observations. The caller must not mutate them.
-func (p *Sample) Values() []float64 {
-	if !p.sorted {
-		sort.Float64s(p.xs)
-		p.sorted = true
-	}
-	return p.xs
 }
 
 // Histogram counts observations into fixed-width bins over [lo,hi); values

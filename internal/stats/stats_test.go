@@ -59,44 +59,6 @@ func TestSummaryMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSampleQuantiles(t *testing.T) {
-	var p Sample
-	for i := 1; i <= 100; i++ {
-		p.Add(float64(i))
-	}
-	if !almost(p.Quantile(0), 1, 0) || !almost(p.Quantile(1), 100, 0) {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if q := p.Quantile(0.5); !almost(q, 50.5, 1e-9) {
-		t.Fatalf("median %g, want 50.5", q)
-	}
-	if !almost(p.Mean(), 50.5, 1e-9) {
-		t.Fatalf("mean %g, want 50.5", p.Mean())
-	}
-}
-
-func TestSampleQuantileMonotonic(t *testing.T) {
-	f := func(xs []float64, qa, qb float64) bool {
-		var p Sample
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			p.Add(x)
-		}
-		qa = math.Abs(math.Mod(qa, 1))
-		qb = math.Abs(math.Mod(qb, 1))
-		if math.IsNaN(qa) || math.IsNaN(qb) {
-			return true
-		}
-		lo, hi := math.Min(qa, qb), math.Max(qa, qb)
-		return p.Quantile(lo) <= p.Quantile(hi)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	h.Add(-1)  // underflow

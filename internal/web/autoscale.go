@@ -22,7 +22,7 @@ import (
 // boot-burn and warm-up overrides can be unwound, both per transition and
 // at run teardown (deployments are reusable).
 type fleetPool struct {
-	d          *Deployment
+	rs         *runState // the run whose rotation the pool edits
 	inRot      []bool
 	savedFloor []float64
 	savedSlow  []float64
@@ -32,9 +32,10 @@ type fleetPool struct {
 	prevUtil []float64
 }
 
-func newFleetPool(d *Deployment) *fleetPool {
+func newFleetPool(rs *runState) *fleetPool {
+	d := rs.d
 	p := &fleetPool{
-		d:          d,
+		rs:         rs,
 		inRot:      make([]bool, len(d.Web)),
 		savedFloor: make([]float64, len(d.Web)),
 		savedSlow:  make([]float64, len(d.Web)),
@@ -47,15 +48,15 @@ func newFleetPool(d *Deployment) *fleetPool {
 	return p
 }
 
-func (p *fleetPool) Len() int { return len(p.d.Web) }
+func (p *fleetPool) Len() int { return len(p.rs.d.Web) }
 
 func (p *fleetPool) Join(i int) {
 	if p.inRot[i] {
 		return
 	}
-	w := p.d.Web[i]
+	w := p.rs.d.Web[i]
 	w.Node.SetBusyFloor(p.savedFloor[i]) // boot burn off
-	p.d.rotation = append(p.d.rotation, w)
+	p.rs.rotation = append(p.rs.rotation, w)
 	p.inRot[i] = true
 }
 
@@ -63,11 +64,11 @@ func (p *fleetPool) Leave(i int) {
 	if !p.inRot[i] {
 		return
 	}
-	w := p.d.Web[i]
-	rot := p.d.rotation
+	w := p.rs.d.Web[i]
+	rot := p.rs.rotation
 	for j, s := range rot {
 		if s == w {
-			p.d.rotation = append(rot[:j], rot[j+1:]...)
+			p.rs.rotation = append(rot[:j], rot[j+1:]...)
 			break
 		}
 	}
@@ -75,7 +76,7 @@ func (p *fleetPool) Leave(i int) {
 }
 
 func (p *fleetPool) Busy(i int) bool {
-	w := p.d.Web[i]
+	w := p.rs.d.Web[i]
 	w.syncIncarnation()
 	return w.pendingSyn > 0 || w.activeConns > 0 || w.inflight > 0
 }
@@ -84,7 +85,7 @@ func (p *fleetPool) Busy(i int) bool {
 // drawing full busy power for the boot's duration — firmware, kernel and
 // service start-up peg the package — but not serving yet.
 func (p *fleetPool) PowerOn(i int) {
-	n := p.d.Web[i].Node
+	n := p.rs.d.Web[i].Node
 	n.PowerUp()
 	n.SetBusyFloor(1)
 }
@@ -94,9 +95,9 @@ func (p *fleetPool) PowerOn(i int) {
 // requests, so it fails loudly instead.
 func (p *fleetPool) PowerOff(i int) {
 	if p.Busy(i) {
-		panic(fmt.Sprintf("web: autoscale parked busy server %s", p.d.Web[i].Node.ID))
+		panic(fmt.Sprintf("web: autoscale parked busy server %s", p.rs.d.Web[i].Node.ID))
 	}
-	n := p.d.Web[i].Node
+	n := p.rs.d.Web[i].Node
 	n.SetBusyFloor(p.savedFloor[i])
 	n.PowerDown()
 }
@@ -104,14 +105,14 @@ func (p *fleetPool) PowerOff(i int) {
 // SetSpeed applies the warm-up penalty on top of whatever straggler factor
 // the node carried at run start; factor 1 restores that baseline.
 func (p *fleetPool) SetSpeed(i int, factor float64) {
-	p.d.Web[i].Node.SetSlowFactor(p.savedSlow[i] * factor)
+	p.rs.d.Web[i].Node.SetSlowFactor(p.savedSlow[i] * factor)
 }
 
 // restore unwinds every autoscale override so the deployment is reusable:
 // parked nodes are re-powered, busy floors and straggler factors return to
 // their run-start values, and the rotation is dropped.
 func (p *fleetPool) restore() {
-	for i, w := range p.d.Web {
+	for i, w := range p.rs.d.Web {
 		n := w.Node
 		if n.Parked() {
 			n.PowerUp()
@@ -119,7 +120,7 @@ func (p *fleetPool) restore() {
 		n.SetBusyFloor(p.savedFloor[i])
 		n.SetSlowFactor(p.savedSlow[i])
 	}
-	p.d.rotation = nil
+	p.rs.rotation = nil
 	for i := range p.inRot {
 		p.inRot[i] = false
 	}
@@ -132,7 +133,7 @@ func (p *fleetPool) restore() {
 // noisy to size a fleet on.
 func (p *fleetPool) window(now sim.Time, window float64) (util, queue float64) {
 	n := 0
-	for i, w := range p.d.Web {
+	for i, w := range p.rs.d.Web {
 		tot := p.util.integs[i].Total(float64(now))
 		if p.inRot[i] {
 			util += (tot - p.prevUtil[i]) / window
@@ -148,12 +149,12 @@ func (p *fleetPool) window(now sim.Time, window float64) (util, queue float64) {
 	return util, queue
 }
 
-// armAutoscale resolves platform defaults into cfg.Autoscale, binds the
-// policy's capacity thresholds and starts the lifecycle manager over the
-// web tier. The returned pool is owned by Run, which must call
-// teardownAutoscale when the run ends.
-func (d *Deployment) armAutoscale(cfg RunConfig) *fleetPool {
-	ac := *cfg.Autoscale
+// armAutoscale resolves platform defaults into the run's Autoscale config,
+// binds the policy's capacity thresholds and starts the lifecycle manager
+// over the web tier. Run must call teardownAutoscale when the run ends.
+func (rs *runState) armAutoscale() {
+	d := rs.d
+	ac := *rs.cfg.Autoscale
 	if ac.BootDelay == 0 {
 		ac.BootDelay = d.Plat.Boot.Delay
 	}
@@ -167,8 +168,8 @@ func (d *Deployment) armAutoscale(cfg RunConfig) *fleetPool {
 		ConnRate:    d.Plat.Web.ConnRate,
 		MaxInflight: d.Plat.Web.MaxInflight,
 	})
-	pool := newFleetPool(d)
-	d.rotation = nil
+	pool := newFleetPool(rs)
+	rs.rotation = nil
 	mgr, err := autoscale.NewManager(d.Eng, pool, ac)
 	if err != nil {
 		// Config.Validate ran in RunConfig.Validate; what reaches here is a
@@ -176,16 +177,15 @@ func (d *Deployment) armAutoscale(cfg RunConfig) *fleetPool {
 		// is a caller bug exactly like an invalid RunConfig.
 		panic(err)
 	}
-	d.scaler = mgr
+	rs.scaler, rs.asPool = mgr, pool
 	pool.util = trackMeanUtil(d.Eng, d.webNodes, d.Eng.Now(), sim.Time(math.Inf(1)))
-	return pool
 }
 
 // teardownAutoscale stops the manager (pending timers become no-ops) and
 // restores every node override so the deployment can run again.
-func (d *Deployment) teardownAutoscale(pool *fleetPool) {
-	d.scaler.Halt()
-	pool.util.detach()
-	pool.restore()
-	d.scaler = nil
+func (rs *runState) teardownAutoscale() {
+	rs.scaler.Halt()
+	rs.asPool.util.detach()
+	rs.asPool.restore()
+	rs.scaler = nil
 }

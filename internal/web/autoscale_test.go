@@ -143,7 +143,7 @@ func TestAutoscaleDeploymentReusable(t *testing.T) {
 			t.Fatalf("teardown left %s at speed %g", w.Node.ID, w.Node.SlowFactor())
 		}
 	}
-	if d.rotation != nil || d.scaler != nil {
+	if d.run.rotation != nil || d.run.scaler != nil {
 		t.Fatal("teardown left the routing rotation armed")
 	}
 	r := d.Run(RunConfig{Concurrency: 64, Duration: 5})

@@ -181,9 +181,7 @@ func (c *webConn) fail() {
 	rs.d.noteSettled(false, 0)
 	if rs.inWindow() {
 		rs.res.ConnFailures++
-		if rs.exact {
-			rs.res.ConnDelays.Add(float64(rs.d.Eng.Now() - c.connStart))
-		}
+		rs.res.ConnDelays.Add(float64(rs.d.Eng.Now() - c.connStart))
 	}
 	c.recycle()
 }
@@ -277,11 +275,8 @@ func (c *webConn) settle(ok bool) {
 		if ok {
 			rs.served++
 			rs.res.Latency.Add(delay)
-			if rs.exact {
-				rs.res.Delays.Add(delay)
-				if c.call == 1 {
-					rs.res.ConnDelays.Add(float64(now - c.connStart))
-				}
+			if c.call == 1 {
+				rs.res.ConnDelays.Add(float64(now - c.connStart))
 			}
 		} else {
 			rs.errored++

@@ -183,12 +183,10 @@ type SLO struct {
 	// Reserve holds back this many web servers from the routing rotation
 	// at run start; the controller activates them while burning.
 	Reserve int
-	// Observer, when non-nil, receives every controller window verdict —
-	// the run's time series for plots and phase-by-phase assertions.
-	Observer func(SLOWindow)
 }
 
-// SLOWindow is one controller evaluation, T seconds after run start.
+// SLOWindow is one controller evaluation, T seconds after run start; a
+// run's verdicts are its Result.Windows.
 type SLOWindow struct {
 	T            float64
 	Served       int64 // operations completed OK in this window

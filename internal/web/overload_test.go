@@ -35,10 +35,6 @@ func TestOpenLoopSteadyMatchesOffered(t *testing.T) {
 	if r.Throughput < 0.9*wantTp || r.Throughput > 1.1*wantTp {
 		t.Fatalf("throughput %.0f, want ≈%v", r.Throughput, wantTp)
 	}
-	// Open-loop runs keep no per-request Sample, only the bounded digest.
-	if r.Delays.N() != 0 {
-		t.Fatalf("open-loop run retained %d exact samples, want 0", r.Delays.N())
-	}
 	if r.Latency.N() == 0 {
 		t.Fatal("latency digest empty on an open-loop run")
 	}
@@ -119,7 +115,6 @@ func TestShedPriorityKeepsInteractive(t *testing.T) {
 func TestOverloadCrashDrill(t *testing.T) {
 	d := smallDeployment(t, microP(), 6, 3)
 	faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 7, 0.5, 2), 1, drillTargets(d))
-	var wins []SLOWindow
 	r := d.Run(RunConfig{
 		// Base at ~0.44× capacity, spike to ~2.2× during [6s, 12s); two of
 		// six servers crash at 7s/7.5s and reboot ~2s later — failure at
@@ -128,8 +123,9 @@ func TestOverloadCrashDrill(t *testing.T) {
 		Duration: 20, WarmupFrac: 0.1,
 		RequestTimeout: 0.25, RetryBudget: 0.1,
 		Shed: ShedPolicy{Mode: ShedDeadline, Deadline: 0.5},
-		SLO:  &SLO{Latency: 0.5, Window: 1, Observer: func(w SLOWindow) { wins = append(wins, w) }},
+		SLO:  &SLO{Latency: 0.5, Window: 1},
 	})
+	wins := r.Windows
 
 	// Phase goodput from the controller windows (T is the window end).
 	phase := func(from, to float64) float64 {
@@ -181,6 +177,51 @@ func TestOverloadCrashDrill(t *testing.T) {
 	}
 	if r.Timeouts == 0 {
 		t.Fatal("a mid-spike crash produced no timeouts — drill did not bite")
+	}
+}
+
+// TestSLOWindowsPerTick: Result.Windows is the controller's time series —
+// one verdict per tick, every Window seconds from run start through the end
+// of generation — and its in-window burning verdicts are exactly the
+// SLOBreaches count. A run without an SLO has no windows.
+func TestSLOWindowsPerTick(t *testing.T) {
+	const window, duration, warmup = 0.5, 20.0, 0.1
+	d := smallDeployment(t, microP(), 6, 3)
+	// The crash drill's spike and rolling crashes burn the SLO mid-run.
+	faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 7, 0.5, 2), 1, drillTargets(d))
+	r := d.Run(RunConfig{
+		Profile:  load.Spike{Base: 120, Peak: 600, Start: 6, Duration: 6},
+		Duration: duration, WarmupFrac: warmup,
+		RequestTimeout: 0.25, RetryBudget: 0.1,
+		Shed: ShedPolicy{Mode: ShedDeadline, Deadline: 0.5},
+		SLO:  &SLO{Latency: 0.5, Availability: 0.99, Window: window},
+	})
+	if want := int(duration / window); len(r.Windows) != want {
+		t.Fatalf("%d windows, want one per %gs tick over %gs = %d", len(r.Windows), window, duration, want)
+	}
+	var burned, healthy int64
+	for i, w := range r.Windows {
+		if want := float64(i+1) * window; math.Abs(w.T-want) > 1e-9 {
+			t.Fatalf("window %d at T=%v, want %v", i, w.T, want)
+		}
+		if w.T < warmup*duration || w.T > duration {
+			continue
+		}
+		if w.Burning {
+			burned++
+		} else {
+			healthy++
+		}
+	}
+	if burned == 0 || healthy == 0 {
+		t.Fatalf("in-window verdicts: %d burning, %d healthy; the spike should produce both", burned, healthy)
+	}
+	if burned != r.SLOBreaches {
+		t.Fatalf("%d in-window burning windows, SLOBreaches = %d", burned, r.SLOBreaches)
+	}
+
+	if plain := smallDeployment(t, microP(), 6, 3).Run(RunConfig{Profile: load.Steady{Rate: 120}, Duration: 2}); plain.Windows != nil {
+		t.Fatalf("run without an SLO recorded %d windows", len(plain.Windows))
 	}
 }
 

@@ -60,13 +60,6 @@ type Deployment struct {
 	// run is the current (or last) Run's state. Servers and requests read
 	// its overload knobs and book into its Result.
 	run *runState
-
-	// Elasticity state (see autoscale.go), nil/empty unless
-	// RunConfig.Autoscale arms the lifecycle manager: the manager itself
-	// and the explicit routing rotation that replaces the run's active
-	// prefix of Web while it runs.
-	scaler   *autoscale.Manager
-	rotation []*WebServer
 }
 
 // NewDeployment builds a middle tier of nWeb web servers and nCache cache
@@ -196,9 +189,7 @@ type RunConfig struct {
 	// Overload resilience; all zero is off. Profile switches the generator
 	// open-loop: connection arrivals follow the profiled rate instead of
 	// the closed-loop Concurrency ladder, and keep coming whether or not
-	// the servers keep up. Mutually exclusive with Concurrency. Per-request
-	// Sample retention is replaced by the bounded Latency digest so
-	// million-request runs stay flat in memory.
+	// the servers keep up. Mutually exclusive with Concurrency.
 	Profile load.Profile
 	// Shed configures server-side admission control (see ShedPolicy).
 	Shed ShedPolicy
@@ -319,9 +310,10 @@ type Result struct {
 	Config RunConfig
 
 	Throughput float64 // successful replies per second in the window
-	MeanDelay  float64 // mean per-request response time (httperf view)
-	Delays     *stats.Sample
-	ConnDelays *stats.Sample // per-connection first-byte delays incl. SYN retries
+	MeanDelay  float64 // mean per-request response time (httperf view): Latency.Mean()
+	// ConnDelays digests the per-connection delays of Figs 10–11: SYN
+	// retries included, to the first reply or to giving up.
+	ConnDelays *stats.Digest
 
 	Errors500    int64
 	ConnFailures int64
@@ -345,11 +337,11 @@ type Result struct {
 	WebCPU, CacheCPU float64 // mean utilization over the window
 	HitRatio         float64
 
+	// Latency digests the in-window response times of served requests:
+	// the source of MeanDelay and of every latency quantile.
+	Latency *stats.Digest
+
 	// Overload accounting (all zero when the overload knobs are off).
-	// Latency is always populated: the bounded-memory digest of in-window
-	// response times that replaces Delays as the quantile source on
-	// open-loop runs (where per-request Sample retention is skipped).
-	Latency      *stats.Digest
 	Offered      int64   // open-loop connection arrivals in the window
 	Shed         int64   // operations rejected early by admission control (SYN refusals + request rejections) in the window
 	Degraded     int64   // brownout cache-only answers in the window
@@ -357,6 +349,10 @@ type Result struct {
 	SLOBreaches  int64   // in-window controller evaluations that burned the SLO
 	BrownoutSecs float64 // total time brownout was engaged
 	ActivePeak   int     // high-water routing-rotation size (0 unless SLO set)
+	// Windows is the SLO controller's time series: one verdict per
+	// evaluation, every SLO.Window seconds from run start (nil unless SLO
+	// set).
+	Windows []SLOWindow
 
 	// Elasticity accounting (all zero unless Autoscale is armed).
 	ScaleUps     int64        // servers that joined the rotation by policy decision
@@ -387,9 +383,7 @@ type runState struct {
 	// FIFO lane.
 	timeouts  *sim.Lane
 	synTimers []*sim.Lane
-	// exact keeps per-request Samples beside the digest. Open-loop runs
-	// drop them so million-request runs stay flat in memory.
-	exact           bool
+
 	served, errored int64
 	loadFactor      float64 // scales the servers' admission intervals
 
@@ -418,7 +412,11 @@ type runState struct {
 	runStart, brownoutAt sim.Time
 	tickFn               func()
 
-	// Elasticity, nil unless cfg.Autoscale is set.
+	// Elasticity (see autoscale.go), nil unless cfg.Autoscale is set: the
+	// lifecycle manager, the explicit routing rotation that replaces the
+	// active prefix of Web while it runs, and the fleet it edits.
+	scaler                         *autoscale.Manager
+	rotation                       []*WebServer
 	asPool                         *fleetPool
 	asIntegWinStart, asIntegWinEnd float64
 }
@@ -437,12 +435,11 @@ func (d *Deployment) begin(cfg RunConfig) *runState {
 	rs := &runState{
 		d:        d,
 		cfg:      cfg,
-		res:      Result{Config: cfg, Delays: &stats.Sample{}, ConnDelays: &stats.Sample{}, Latency: stats.NewDigest()},
+		res:      Result{Config: cfg, ConnDelays: stats.NewDigest(), Latency: stats.NewDigest()},
 		winStart: now + sim.Time(cfg.Duration*cfg.WarmupFrac),
 		winEnd:   now + sim.Time(cfg.Duration),
 		recover:  cfg.RequestTimeout > 0,
 		budgeted: cfg.RequestTimeout > 0 && cfg.RetryBudget > 0,
-		exact:    cfg.Profile == nil,
 		budget:   retryBudget{rate: cfg.RetryBudget, tokens: retryBurst},
 		active:   len(d.Web),
 		// Threads and ports are held for transfer durations, so admission
@@ -475,13 +472,13 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 	eng := d.Eng
 
 	// Elasticity: the lifecycle manager takes over routing through
-	// d.rotation (the SLO tick feeds it windowed signals), parked nodes
+	// rs.rotation (the SLO tick feeds it windowed signals), parked nodes
 	// power off and booting nodes burn busy draw — all inside the same
 	// meter, so MeanPower/Energy price provisioning overhead too.
 	if cfg.Autoscale != nil {
-		rs.asPool = d.armAutoscale(cfg)
-		eng.At(rs.winStart, func() { rs.asIntegWinStart = d.scaler.ServingIntegral(rs.winStart) })
-		eng.At(rs.winEnd, func() { rs.asIntegWinEnd = d.scaler.ServingIntegral(rs.winEnd) })
+		rs.armAutoscale()
+		eng.At(rs.winStart, func() { rs.asIntegWinStart = rs.scaler.ServingIntegral(rs.winStart) })
+		eng.At(rs.winEnd, func() { rs.asIntegWinEnd = rs.scaler.ServingIntegral(rs.winEnd) })
 	}
 
 	// Window power accounting.
@@ -548,7 +545,7 @@ func (rs *runState) arrive() {
 
 // fire starts one connection from the next client at the next web server
 // in the routing rotation, round-robin as HAProxy does: the explicit
-// d.rotation slice when autoscale is armed, else the d.Web prefix (only the
+// rs.rotation slice when autoscale is armed, else the d.Web prefix (only the
 // SLO controller ever shrinks that prefix below the full tier). Under
 // recovery the balancer health-checks: a connection aimed at a dead server
 // is steered to the next live one in ring order.
@@ -556,9 +553,9 @@ func (rs *runState) fire() {
 	d := rs.d
 	client := d.Clients[rs.next%len(d.Clients)]
 	var w *WebServer
-	if d.scaler != nil {
+	if rs.scaler != nil {
 		rs.ovl.winArr++
-		w = d.rotation[rs.next%len(d.rotation)]
+		w = rs.rotation[rs.next%len(rs.rotation)]
 	} else {
 		w = d.Web[rs.next%rs.active]
 	}
@@ -580,8 +577,8 @@ func (rs *runState) armSLO() {
 	}
 	rs.sloDig = stats.NewDigest()
 	rs.res.ActivePeak = rs.active
-	if d.scaler != nil {
-		rs.res.ActivePeak = len(d.rotation)
+	if rs.scaler != nil {
+		rs.res.ActivePeak = len(rs.rotation)
 	}
 	rs.runStart = d.Eng.Now()
 	d.Eng.After(rs.slo.Window, rs.tickFn)
@@ -606,7 +603,7 @@ func (rs *runState) tick() {
 		if rs.inWindow() {
 			res.SLOBreaches++
 		}
-		if d.scaler == nil && rs.active < len(d.Web) {
+		if rs.scaler == nil && rs.active < len(d.Web) {
 			rs.active++
 		}
 		if slo.Brownout && !rs.brownout {
@@ -620,18 +617,18 @@ func (rs *runState) tick() {
 				rs.brownout = false
 				res.BrownoutSecs += float64(now - rs.brownoutAt)
 			}
-			if d.scaler == nil && rs.active > rs.baseActive {
+			if rs.scaler == nil && rs.active > rs.baseActive {
 				rs.active--
 			}
 		}
 	}
 	activeNow := rs.active
-	if d.scaler != nil {
+	if rs.scaler != nil {
 		// Autoscale replaces the reserve reaction above: the policy sees
 		// this window's signals and the manager moves servers through
 		// boot/drain/park around them.
 		util, queue := rs.asPool.window(now, slo.Window)
-		d.scaler.Observe(autoscale.Signals{
+		rs.scaler.Observe(autoscale.Signals{
 			T:            float64(now - rs.runStart),
 			Util:         util,
 			Queue:        queue,
@@ -641,24 +638,22 @@ func (rs *runState) tick() {
 			Availability: avail,
 			Burning:      burning,
 		})
-		activeNow = len(d.rotation)
+		activeNow = len(rs.rotation)
 	}
 	if activeNow > res.ActivePeak {
 		res.ActivePeak = activeNow
 	}
-	if slo.Observer != nil {
-		slo.Observer(SLOWindow{
-			T:            float64(now - rs.runStart),
-			Served:       rs.ovl.winServed,
-			Ops:          rs.ovl.winOps,
-			Shed:         rs.ovl.winShed,
-			Quantile:     q,
-			Availability: avail,
-			Burning:      burning,
-			Brownout:     rs.brownout,
-			Active:       activeNow,
-		})
-	}
+	res.Windows = append(res.Windows, SLOWindow{
+		T:            float64(now - rs.runStart),
+		Served:       rs.ovl.winServed,
+		Ops:          rs.ovl.winOps,
+		Shed:         rs.ovl.winShed,
+		Quantile:     q,
+		Availability: avail,
+		Burning:      burning,
+		Brownout:     rs.brownout,
+		Active:       activeNow,
+	})
 	rs.sloDig.Reset()
 	rs.ovl.winServed, rs.ovl.winOps, rs.ovl.winShed, rs.ovl.winArr = 0, 0, 0, 0
 	if now < rs.winEnd {
@@ -676,11 +671,7 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 	d, res := rs.d, &rs.res
 	window := float64(rs.winEnd - rs.winStart)
 	res.Throughput = float64(rs.served) / window
-	if rs.exact {
-		res.MeanDelay = res.Delays.Mean()
-	} else {
-		res.MeanDelay = res.Latency.Mean()
-	}
+	res.MeanDelay = res.Latency.Mean()
 	res.Errors500 = rs.errored
 	if total := rs.served + rs.errored + res.ConnFailures; total > 0 {
 		res.ErrorRate = float64(rs.errored+res.ConnFailures) / float64(total)
@@ -697,8 +688,8 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 	if gets > 0 {
 		res.HitRatio = float64(hits) / float64(gets)
 	}
-	if d.scaler != nil {
-		st := d.scaler.Stats()
+	if rs.scaler != nil {
+		st := rs.scaler.Stats()
 		res.ScaleUps = st.ScaleUps
 		res.ScaleDowns = st.ScaleDowns
 		res.Boots = st.Boots
@@ -711,7 +702,7 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 		}
 		res.BootEnergy = units.Joules(st.BootSecs * float64(busy))
 		res.MeanActive = (rs.asIntegWinEnd - rs.asIntegWinStart) / window
-		d.teardownAutoscale(rs.asPool)
+		rs.teardownAutoscale()
 	}
 	return *res
 }
@@ -723,8 +714,8 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 // a booting or parked server (Up, but not serving).
 func (d *Deployment) nextLive(w *WebServer) *WebServer {
 	ring := d.Web
-	if d.scaler != nil {
-		ring = d.rotation
+	if rs := d.run; rs.scaler != nil {
+		ring = rs.rotation
 		if len(ring) == 0 {
 			return nil
 		}

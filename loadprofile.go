@@ -49,7 +49,7 @@ const (
 
 // SLO is a service-level objective plus the reactive controller defending
 // it (reserve activation, brownout); SLOWindow is one controller
-// evaluation, delivered to SLO.Observer.
+// evaluation, recorded in WebResult.Windows.
 type (
 	SLO       = web.SLO
 	SLOWindow = web.SLOWindow

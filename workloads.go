@@ -306,8 +306,8 @@ type OverloadStudy struct {
 	// accepts everything (the paper's behavior).
 	Shed ShedPolicy
 	// SLO, when non-nil, arms the reactive controller (reserve activation,
-	// brownout) and adds the window-by-window time-series figure. The
-	// study chains its own Observer in front of any caller-provided one.
+	// brownout) and adds the window-by-window time-series figure, drawn
+	// from the run's WebResult.Windows.
 	SLO *SLO
 }
 
@@ -356,20 +356,7 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 			RequestTimeout: timeout,
 			RetryBudget:    ov.RetryBudget,
 			Shed:           ov.Shed,
-		}
-		// The controller time series backs the figure; a caller-provided
-		// Observer still sees every window.
-		var wins []SLOWindow
-		if ov.SLO != nil {
-			s := *ov.SLO
-			chain := s.Observer
-			s.Observer = func(w SLOWindow) {
-				wins = append(wins, w)
-				if chain != nil {
-					chain(w)
-				}
-			}
-			rc.SLO = &s
+			SLO:            ov.SLO,
 		}
 
 		seed := cfg.PointSeed(id, 0)
@@ -379,16 +366,8 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 		dep := web.NewTieredDeployment(tb, ts.webPlat, ts.nWeb, ts.cachePlat, ts.nCache, seed)
 		dep.WarmFor(rc)
 		if cfg.Faults != nil {
-			roster := map[string][]faults.Target{}
-			for _, w := range dep.Web {
-				roster["web"] = append(roster["web"], faults.Target{Node: w.Node, Fab: dep.Fab})
-			}
-			for _, c := range dep.Cache {
-				roster["cache"] = append(roster["cache"], faults.Target{Node: c.Node, Fab: dep.Fab})
-			}
-			plan := cfg.Faults.Filter("web", "cache")
-			if !plan.Empty() {
-				faults.Schedule(dep.Eng, plan, seed, roster)
+			if plan := cfg.Faults.Filter("web", "cache"); !plan.Empty() {
+				faults.Schedule(dep.Eng, plan, seed, webRoster(dep))
 			}
 		}
 		res := dep.Run(rc)
@@ -413,7 +392,8 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 			report.Num(float64(res.MeanPower), "W"),
 		)
 		o.Tables = append(o.Tables, t)
-		if len(wins) > 0 {
+		// The controller time series backs the figure.
+		if wins := res.Windows; len(wins) > 0 {
 			x := make([]float64, len(wins))
 			served := make([]float64, len(wins))
 			shed := make([]float64, len(wins))
