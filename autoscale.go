@@ -242,9 +242,10 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 			x := make([]float64, len(wins))
 			served := make([]float64, len(wins))
 			active := make([]float64, len(wins))
+			window := effWindow(rc.SLO.Window)
 			for i, w := range wins {
 				x[i] = w.T
-				served[i] = float64(w.Served) / rc.SLO.Window
+				served[i] = float64(w.Served) / window
 				active[i] = float64(w.Active)
 			}
 			f := report.NewFigure(title+" — fleet vs load", "t (s)", "per second / servers", x)

@@ -107,6 +107,19 @@ func TestAutoscaleStudyWorkerIndependence(t *testing.T) {
 	}
 }
 
+// TestAutoscaleStudyDefaultWindow: an SLO that leaves Window at 0 runs
+// 1 s windows, and the fleet-vs-load figure plots finite served ops/s.
+func TestAutoscaleStudyDefaultWindow(t *testing.T) {
+	scn := autoscaleScenario(1)
+	scn.Workloads = scn.Workloads[1:]
+	scn.Workloads[0].(*AutoscaleStudy).SLO = &SLO{Latency: 0.5, Availability: 0.99}
+	var col Collector
+	if err := Run(context.Background(), scn, &col); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	assertFiniteFigures(t, col.Artifacts)
+}
+
 // TestAutoscaleStudyValidation: config mistakes surface as errors from Run,
 // not as panics inside the engine.
 func TestAutoscaleStudyValidation(t *testing.T) {

@@ -4,7 +4,10 @@
 //
 //   - Send: store-and-forward FIFO per link, for small RPC-style messages
 //     (HTTP requests, memcached gets, heartbeats). Queueing delay emerges
-//     naturally as links saturate.
+//     naturally as links saturate. A link is a capacity-1 FIFO with a
+//     constant delay, so each hop is planned in closed form when the
+//     message enters the link and costs one engine event, its arrival,
+//     on the link's arrival lane (see message).
 //   - StartFlow: max-min fair bandwidth sharing with progressive filling,
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
 //
@@ -28,9 +31,20 @@ type Link struct {
 	Capacity units.BytesPerSec
 	Delay    float64 // one-way propagation delay in seconds
 
-	q     *sim.Resource // transmission FIFO for Send messages
-	bytes units.Bytes   // cumulative bytes carried (messages + flows); may
-	// lag behind live flow progress until Fabric.FlushProgress credits it
+	// Send messages: the FIFO ring of messages planned on the link, oldest
+	// first (messages held on a cut link at the tail), when the
+	// transmitter finishes the last of them, their arrival events, and
+	// the event that drops held messages if the cut lasts.
+	ring     []*message
+	head, n  int
+	credited int // planned messages already counted in bytes
+	free     sim.Time
+	arrivals *sim.Lane
+	holdEv   sim.EventRef
+
+	bytes units.Bytes // cumulative bytes carried (messages + flows); may
+	// lag behind live flow progress and sent messages until
+	// Fabric.FlushProgress credits them
 	flows []linkSlot // active max-min flows crossing this link
 	dirty bool       // on the fabric's dirty list for the next reallocate
 	mark  uint64     // epoch stamp for the dirty-component sweep
@@ -66,6 +80,15 @@ func (l *Link) Down() bool { return l.scale == 0 }
 
 // effCap is the scaled capacity in bytes/sec used by both transfer models.
 func (l *Link) effCap() float64 { return float64(l.Capacity) * l.scale }
+
+// newLink adds one direction of a cable to the fabric.
+func (f *Fabric) newLink(src, dst string, capacity units.BytesPerSec, delay float64) *Link {
+	l := &Link{Src: src, Dst: dst, Capacity: capacity, Delay: delay,
+		arrivals: f.eng.NewLane(), scale: 1}
+	f.adj[src] = append(f.adj[src], l)
+	f.links = append(f.links, l)
+	return l
+}
 
 // Fabric is the network graph plus the active flow set.
 type Fabric struct {
@@ -159,12 +182,8 @@ func (f *Fabric) Connect(a, b string, capacity units.BytesPerSec, delay float64)
 	if capacity <= 0 {
 		panic("netsim: non-positive link capacity")
 	}
-	for _, pair := range [][2]string{{a, b}, {b, a}} {
-		l := &Link{Src: pair[0], Dst: pair[1], Capacity: capacity, Delay: delay,
-			q: sim.NewResource(f.eng, 1), scale: 1}
-		f.adj[pair[0]] = append(f.adj[pair[0]], l)
-		f.links = append(f.links, l)
-	}
+	f.newLink(a, b, capacity, delay)
+	f.newLink(b, a, capacity, delay)
 	f.routes = make(map[[2]string][]*Link)
 }
 
@@ -173,9 +192,7 @@ func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay floa
 	if !f.vertices[a] || !f.vertices[b] {
 		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
 	}
-	l := &Link{Src: a, Dst: b, Capacity: capacity, Delay: delay, q: sim.NewResource(f.eng, 1), scale: 1}
-	f.adj[a] = append(f.adj[a], l)
-	f.links = append(f.links, l)
+	f.newLink(a, b, capacity, delay)
 	f.routes = make(map[[2]string][]*Link)
 }
 
@@ -244,8 +261,11 @@ func (f *Fabric) RTT(a, b string) float64 {
 // aborted without its done callback (the sender's timeout machinery owns
 // recovery), handled by the same incremental dirty-component sweep as normal
 // departures. Flows started while a link on their path is down are admitted
-// at rate 0 and resume when the link is restored. In-flight Send messages
-// reaching a cut link are dropped (see message.acquired).
+// at rate 0 and resume when the link is restored. A Send message is
+// dropped if and only if its link is down at the instant it would start
+// transmitting, so every message on a changed link that has not started
+// yet is re-planned at the new capacity, or held to that instant while
+// the link is cut (see Link.plan); one already transmitting finishes.
 func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !(scale >= 0) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("netsim: link scale %g must be finite and non-negative", scale))
@@ -260,6 +280,7 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	for _, l := range f.links {
 		if (l.Src == v || l.Dst == v) && l.scale != scale {
 			l.scale = scale
+			l.replan(f.eng)
 			f.markDirty(l)
 			changed = true
 		}
@@ -334,8 +355,18 @@ func (f *Fabric) abortCrossing() {
 	f.abortFlows = victims[:0]
 }
 
+// ArrivalsWaiting reports how many message hop arrivals wait in the links'
+// arrival lanes behind each lane's head, outside the engine heap.
+func (f *Fabric) ArrivalsWaiting() int {
+	n := 0
+	for _, l := range f.links {
+		n += max(l.arrivals.Len()-1, 0)
+	}
+	return n
+}
+
 // TotalBytes reports bytes carried across all links (each hop counted),
-// crediting any lazily deferred flow progress first.
+// crediting any lazily deferred flow progress and sent messages first.
 func (f *Fabric) TotalBytes() units.Bytes {
 	f.FlushProgress()
 	var total units.Bytes

@@ -104,6 +104,75 @@ func TestMessageDroppedAtDownLink(t *testing.T) {
 	}
 }
 
+// queuedPair sends two 1 MB messages a -> sw at t=0 over a 10 MB/s link
+// with 1 ms of delay: the first transmits over [0, sentA], the second
+// waits for it. faults runs once both are planned; it returns when each
+// was delivered (-1 if dropped) and the first one's transmission end.
+func queuedPair(faults func(eng *sim.Engine, f *Fabric)) (a, b, sentA sim.Time, f *Fabric) {
+	eng := sim.NewEngine()
+	f = lineFabric(eng, 10*units.MBps, 1e-3)
+	a, b = -1, -1
+	f.Send("a", "sw", units.MB, func() { a = eng.Now() })
+	f.Send("a", "sw", units.MB, func() { b = eng.Now() })
+	faults(eng, f)
+	eng.Run()
+	return a, b, sim.Time(float64(units.MB) / float64(10*units.MBps)), f
+}
+
+// TestQueuedMessageDroppedOnLastingCut: the cut comes while the first
+// message transmits and lasts past the second one's start, so the second
+// is dropped and its bytes never counted.
+func TestQueuedMessageDroppedOnLastingCut(t *testing.T) {
+	_, b, _, f := queuedPair(func(eng *sim.Engine, f *Fabric) {
+		eng.At(0.05, func() { f.SetVertexLinks("a", 0) })
+	})
+	if b != -1 {
+		t.Fatalf("message queued behind a cut link delivered at %v", b)
+	}
+	if got := f.TotalBytes(); got != units.MB {
+		t.Fatalf("TotalBytes %v, want one message's %v", got, units.MB)
+	}
+}
+
+// TestCutHealedBeforeStartDelivers: a cut that heals before the queued
+// message's start leaves its timeline as if there had been no cut.
+func TestCutHealedBeforeStartDelivers(t *testing.T) {
+	_, b, sentA, _ := queuedPair(func(eng *sim.Engine, f *Fabric) {
+		eng.At(0.05, func() { f.SetVertexLinks("a", 0) })
+		eng.At(0.08, func() { f.SetVertexLinks("a", 1) })
+	})
+	want := sentA + sim.Time(float64(units.MB)/float64(10*units.MBps)) + 1e-3
+	if b != want {
+		t.Fatalf("queued message delivered at %v, want %v", b, want)
+	}
+}
+
+// TestDegradeStretchesQueuedMessage: a degrade while a message is queued
+// stretches its transmission; the one already transmitting keeps its time.
+func TestDegradeStretchesQueuedMessage(t *testing.T) {
+	a, b, sentA, _ := queuedPair(func(eng *sim.Engine, f *Fabric) {
+		eng.At(0.05, func() { f.SetVertexLinks("a", 0.5) })
+	})
+	if want := sentA + 1e-3; a != want {
+		t.Fatalf("transmitting message delivered at %v, want %v", a, want)
+	}
+	want := sentA + sim.Time(float64(units.MB)/(float64(10*units.MBps)*0.5)) + 1e-3
+	if b != want {
+		t.Fatalf("queued message delivered at %v, want %v at half capacity", b, want)
+	}
+}
+
+// TestTransmittingMessageSurvivesCut: a message already transmitting when
+// its link is cut finishes and is delivered on time.
+func TestTransmittingMessageSurvivesCut(t *testing.T) {
+	a, _, sentA, _ := queuedPair(func(eng *sim.Engine, f *Fabric) {
+		eng.At(0.05, func() { f.SetVertexLinks("a", 0) })
+	})
+	if want := sentA + 1e-3; a != want {
+		t.Fatalf("message transmitting at the cut delivered at %v, want %v", a, want)
+	}
+}
+
 func TestSetVertexLinksRejectsBadScale(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)

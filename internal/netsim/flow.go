@@ -196,10 +196,17 @@ func (f *Fabric) advanceFlows() {
 	}
 }
 
-// FlushProgress brings every live flow's lazy byte accounting up to now, so
-// Link.Bytes and TotalBytes reflect all progress. Reports and assertions
-// should call it (TotalBytes does so itself); the hot path never needs it.
-func (f *Fabric) FlushProgress() { f.advanceFlows() }
+// FlushProgress brings every live flow's lazy byte accounting up to now and
+// credits every message whose last byte has left its link, so Link.Bytes
+// and TotalBytes reflect all progress. Reports and assertions should call
+// it (TotalBytes does so itself); the hot path never needs it.
+func (f *Fabric) FlushProgress() {
+	f.advanceFlows()
+	now := f.eng.Now()
+	for _, l := range f.links {
+		l.creditSent(now)
+	}
+}
 
 // unlink removes the flow from its path links' flow lists (swap-remove via
 // the linkPos back-pointers, O(path)) and marks the links dirty for the next

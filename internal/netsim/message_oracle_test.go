@@ -1,0 +1,223 @@
+package netsim_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"edisim/internal/cluster"
+	"edisim/internal/netsim"
+	"edisim/internal/sim"
+	"edisim/internal/units"
+)
+
+// oracle is the store-and-forward model that closed-form hops replace.
+// Each link is a capacity-1 sim.Resource and every hop costs two engine
+// events: transmitted, when the last byte leaves the link, and propagated,
+// when it reaches the far end. A message is dropped when its link is down
+// at the moment it acquires it; its transmission time uses the capacity
+// of that moment. The oracle reads topology, capacity and scale from its
+// own fabric, which carries no messages.
+type oracle struct {
+	eng   *sim.Engine
+	fab   *netsim.Fabric
+	links map[*netsim.Link]*oracleLink
+}
+
+type oracleLink struct {
+	q     *sim.Resource
+	bytes units.Bytes
+}
+
+func (o *oracle) link(l *netsim.Link) *oracleLink {
+	ol := o.links[l]
+	if ol == nil {
+		ol = &oracleLink{q: sim.NewResource(o.eng, 1)}
+		o.links[l] = ol
+	}
+	return ol
+}
+
+func (o *oracle) send(src, dst string, size units.Bytes, done func()) {
+	if src == dst {
+		o.eng.After(0, done)
+		return
+	}
+	path := o.fab.Route(src, dst)
+	var hop func(i int)
+	hop = func(i int) {
+		if i == len(path) {
+			done()
+			return
+		}
+		l := path[i]
+		ol := o.link(l)
+		ol.q.Acquire(func() {
+			if l.Down() {
+				ol.q.Release()
+				return
+			}
+			o.eng.After(float64(size)/(float64(l.Capacity)*l.Scale()), func() {
+				ol.q.Release()
+				ol.bytes += size
+				o.eng.After(l.Delay, func() { hop(i + 1) })
+			})
+		})
+	}
+	hop(0)
+}
+
+func (o *oracle) roundTrip(src, dst string, req, resp units.Bytes, done func()) {
+	o.send(src, dst, req, func() { o.send(dst, src, resp, done) })
+}
+
+func (o *oracle) totalBytes() units.Bytes {
+	var total units.Bytes
+	for _, ol := range o.links {
+		total += ol.bytes
+	}
+	return total
+}
+
+// oracleNet builds a network on eng and returns it with the hosts that
+// send; each test builds it twice, for the fabric under test and for the
+// oracle.
+type oracleNet func(eng *sim.Engine) (f *netsim.Fabric, hosts []string)
+
+func table6Net(eng *sim.Engine) (*netsim.Fabric, []string) {
+	tb := cluster.NewOn(eng, cluster.DefaultConfig())
+	var hosts []string
+	for _, g := range tb.Groups {
+		for _, n := range g.Nodes {
+			hosts = append(hosts, n.ID)
+		}
+	}
+	for _, n := range tb.DB {
+		hosts = append(hosts, n.ID)
+	}
+	return tb.Fab, append(hosts, tb.Clients...)
+}
+
+func leafSpineNet(eng *sim.Engine) (*netsim.Fabric, []string) {
+	return cluster.LeafSpine(eng, cluster.LeafSpineConfig{Spines: 2, Leaves: 4, HostsPerLeaf: 6,
+		HostLink: units.Mbps(100), Uplink: units.Gbps(1)})
+}
+
+// TestClosedFormHopsMatchOracle drives the fabric and the two-event oracle
+// with the same random traffic: Sends and RoundTrips of random sizes at
+// random times, a few hot destinations so that links queue, and random
+// cuts, heals and degrades of hosts and switches. Random times make exact
+// ties vanishingly unlikely, so every message must be delivered at exactly
+// the same time in both, the same messages must be dropped, and TotalBytes
+// must agree at random instants.
+func TestClosedFormHopsMatchOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  oracleNet
+	}{
+		{"table6", table6Net},
+		{"leafspine", leafSpineNet},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			checkAgainstOracle(t, tc.name, tc.net, seed)
+		}
+	}
+}
+
+func checkAgainstOracle(t *testing.T, name string, build oracleNet, seed int64) {
+	t.Helper()
+	eng, oeng := sim.NewEngine(), sim.NewEngine()
+	f, hosts := build(eng)
+	of, _ := build(oeng)
+	o := &oracle{eng: oeng, fab: of, links: map[*netsim.Link]*oracleLink{}}
+
+	// Fault targets: every vertex on a route between hosts, switches too.
+	seen := map[string]bool{}
+	var vertices []string
+	for _, h := range hosts {
+		for _, l := range f.Route(hosts[0], h) {
+			for _, v := range []string{l.Src, l.Dst} {
+				if !seen[v] {
+					seen[v] = true
+					vertices = append(vertices, v)
+				}
+			}
+		}
+	}
+
+	rnd := rand.New(rand.NewSource(seed))
+	const horizon = 1.0
+	const msgs = 3000
+	got := make([]float64, msgs)
+	want := make([]float64, msgs)
+	for i := range got {
+		got[i], want[i] = -1, -1
+	}
+	hot := []string{hosts[rnd.Intn(len(hosts))], hosts[rnd.Intn(len(hosts))]}
+	for i := 0; i < msgs; i++ {
+		at := sim.Time(rnd.Float64() * horizon)
+		src := hosts[rnd.Intn(len(hosts))]
+		dst := hosts[rnd.Intn(len(hosts))]
+		if rnd.Intn(2) == 0 {
+			dst = hot[rnd.Intn(len(hot))]
+		}
+		size := units.Bytes(math.Exp(rnd.Float64() * math.Log(128e3)))
+		i := i
+		gotFn := func() { got[i] = float64(eng.Now()) }
+		wantFn := func() { want[i] = float64(oeng.Now()) }
+		if rnd.Intn(4) == 0 {
+			resp := units.Bytes(rnd.Intn(4000))
+			eng.At(at, func() { f.RoundTrip(src, dst, size, resp, gotFn) })
+			oeng.At(at, func() { o.roundTrip(src, dst, size, resp, wantFn) })
+		} else {
+			eng.At(at, func() { f.Send(src, dst, size, gotFn) })
+			oeng.At(at, func() { o.send(src, dst, size, wantFn) })
+		}
+	}
+	// Fault episodes: a cut or degrade, restored a few milliseconds later;
+	// episodes on one vertex may overlap.
+	fault := func(at sim.Time, v string, scale float64) {
+		eng.At(at, func() { f.SetVertexLinks(v, scale) })
+		oeng.At(at, func() { of.SetVertexLinks(v, scale) })
+	}
+	scales := []float64{0, 0, 0.3, 0.7}
+	for i := 0; i < 60; i++ {
+		at := sim.Time(rnd.Float64() * horizon)
+		v := vertices[rnd.Intn(len(vertices))]
+		fault(at, v, scales[rnd.Intn(len(scales))])
+		fault(at+sim.Time(rnd.ExpFloat64()*0.01), v, 1)
+	}
+	const samples = 200
+	var gotBytes, wantBytes [samples]units.Bytes
+	for i := 0; i < samples; i++ {
+		at := sim.Time(rnd.Float64() * 1.2 * horizon)
+		eng.At(at, func() { gotBytes[i] = f.TotalBytes() })
+		oeng.At(at, func() { wantBytes[i] = o.totalBytes() })
+	}
+	eng.Run()
+	oeng.Run()
+
+	delivered, dropped := 0, 0
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s seed %d: message %d delivered at %v, oracle %v", name, seed, i, got[i], want[i])
+		}
+		if got[i] < 0 {
+			dropped++
+		} else {
+			delivered++
+		}
+	}
+	for i := range gotBytes {
+		if gotBytes[i] != wantBytes[i] {
+			t.Fatalf("%s seed %d: sample %d TotalBytes %v, oracle %v", name, seed, i, gotBytes[i], wantBytes[i])
+		}
+	}
+	if f.TotalBytes() != o.totalBytes() {
+		t.Fatalf("%s seed %d: final TotalBytes %v, oracle %v", name, seed, f.TotalBytes(), o.totalBytes())
+	}
+	if dropped == 0 || delivered < msgs/2 {
+		t.Fatalf("%s seed %d: %d delivered, %d dropped; the traffic does not exercise faults", name, seed, delivered, dropped)
+	}
+	t.Logf("%s seed %d: %d delivered, %d dropped, %d events (oracle %d)", name, seed, delivered, dropped, eng.Fired(), oeng.Fired())
+}

@@ -28,7 +28,9 @@
 // fires or is cancelled. Every lane event keeps the (time, seq) it was
 // given when scheduled, so the firing order is exactly the order Engine.At
 // would give, and Pending counts lane events too. Cancelling a waiting lane
-// event leaves a tombstone in the ring, skipped at promotion.
+// event leaves a tombstone in the ring, skipped at promotion. A lane whose
+// newest events were cancelled can Withdraw them, rolling its latest time
+// back to its newest live event so that earlier times are accepted again.
 package sim
 
 import (
@@ -302,12 +304,13 @@ func (e *Engine) After(d float64, fn func()) EventRef {
 // wait in a ring in scheduling order. Lane events fire in exactly the
 // order Engine.At would give them, and their EventRefs behave the same.
 type Lane struct {
-	eng  *Engine
-	ring []laneSlot // power-of-two ring of events behind the head
-	head int        // ring index of the oldest waiting entry
-	n    int        // waiting entries, tombstones included
-	live int        // scheduled events, head included
-	last Time       // time of the latest scheduled event
+	eng   *Engine
+	front *Event     // the lane's event in the engine heap, or nil
+	ring  []laneSlot // power-of-two ring of events behind the head
+	head  int        // ring index of the oldest waiting entry
+	n     int        // waiting entries, tombstones included
+	live  int        // scheduled events, head included
+	last  Time       // time of the latest scheduled event
 }
 
 // laneSlot is a waiting lane event. The entry is a tombstone once the
@@ -333,6 +336,7 @@ func (l *Lane) At(t Time, fn func()) EventRef {
 	l.last = t
 	l.live++
 	if l.live == 1 {
+		l.front = ev
 		e.push(ev)
 	} else {
 		ev.pos = -1
@@ -353,6 +357,26 @@ func (l *Lane) After(d float64, fn func()) EventRef {
 
 // Len reports the lane's scheduled events, the head included.
 func (l *Lane) Len() int { return l.live }
+
+// Withdraw drops the tombstones at the tail of the lane's ring and rolls
+// its latest scheduled time back to that of its newest live event (to zero
+// when none is left). Cancel the newest events first, then Withdraw, and
+// the lane accepts times from its newest live event on again. It never
+// panics; on a lane with no cancelled tail it changes nothing.
+func (l *Lane) Withdraw() {
+	for ; l.n > 0; l.n-- {
+		i := (l.head + l.n - 1) & (len(l.ring) - 1)
+		if s := l.ring[i]; s.ev.seq == s.seq {
+			l.last = s.ev.at
+			return
+		}
+		l.ring[i] = laneSlot{}
+	}
+	l.last = 0
+	if l.front != nil {
+		l.last = l.front.at
+	}
+}
 
 // enqueue appends a waiting event to the ring, doubling it when full.
 func (l *Lane) enqueue(ev *Event) {
@@ -376,8 +400,13 @@ func (l *Lane) promote() *Event {
 	}
 	l.live--
 	if l.live == 0 {
-		clear(l.ring)
-		l.head, l.n = 0, 0
+		// Only tombstones are left; clear just those, not the whole ring.
+		for ; l.n > 0; l.n-- {
+			l.ring[l.head] = laneSlot{}
+			l.head = (l.head + 1) & (len(l.ring) - 1)
+		}
+		l.head = 0
+		l.front = nil
 		return nil
 	}
 	for {
@@ -387,6 +416,7 @@ func (l *Lane) promote() *Event {
 		l.n--
 		if s.ev.seq == s.seq {
 			l.eng.waiting--
+			l.front = s.ev
 			return s.ev
 		}
 	}

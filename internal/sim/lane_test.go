@@ -10,9 +10,10 @@ import (
 // plain heap: one engine runs random monotone lane streams beside plain At
 // events, and an oracle engine gets the same schedule through At alone.
 // Times fall on a 1/8 s grid, so lane and plain events often tie exactly.
-// Random cancels hit the head, the middle and the tail of the lanes. The
-// firing sequence, Now, Fired, Pending and every ref's Active and Time must
-// agree after each step.
+// Random cancels hit the head, the middle and the tail of the lanes, and
+// random withdrawals cancel a lane's newest events and schedule earlier
+// ones. The firing sequence, Now, Fired, Pending and every ref's Active and
+// Time must agree after each step.
 func TestLaneMatchesPlainEngine(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -40,22 +41,44 @@ func TestLaneMatchesPlainEngine(t *testing.T) {
 			refs = append(refs, [2]EventRef{r, o.At(at, func() { want = append(want, id) })})
 		}
 		grid := func() Time { return Time(rnd.Intn(4)) / 8 }
+		// liveRefs prunes lane l's list to its scheduled events.
+		liveRefs := func(l int) []int {
+			live := byLane[l][:0]
+			for _, id := range byLane[l] {
+				if refs[id][0].Active() {
+					live = append(live, id)
+				}
+			}
+			byLane[l] = live
+			return live
+		}
 		for op := 0; op < 3000; op++ {
-			switch k := rnd.Intn(10); {
+			switch k := rnd.Intn(11); {
 			case k < 4:
 				l := rnd.Intn(len(lanes))
 				schedule(l, max(last[l], e.Now())+grid())
 			case k < 6:
 				schedule(-1, e.Now()+grid()+Time(rnd.Intn(3))/8)
-			case k < 8:
+			case k == 10:
+				// Withdraw the newest 1-3 events, then resume from the
+				// newest one left.
 				l := rnd.Intn(len(lanes))
-				live := byLane[l][:0]
-				for _, id := range byLane[l] {
-					if refs[id][0].Active() {
-						live = append(live, id)
-					}
+				live := liveRefs(l)
+				for n := 1 + rnd.Intn(3); n > 0 && len(live) > 0; n-- {
+					id := live[len(live)-1]
+					live = live[:len(live)-1]
+					refs[id][0].Cancel()
+					refs[id][1].Cancel()
 				}
 				byLane[l] = live
+				lanes[l].Withdraw()
+				last[l] = 0
+				if len(live) > 0 {
+					last[l] = refs[live[len(live)-1]][0].Time()
+				}
+			case k < 8:
+				l := rnd.Intn(len(lanes))
+				live := liveRefs(l)
 				if len(live) == 0 {
 					continue
 				}
@@ -211,6 +234,46 @@ func TestLaneBackwardsPanics(t *testing.T) {
 	e.Run()
 	mustPanic("negative delay", func() { l.After(-1, func() {}) })
 	mustPanic("into the past", func() { e.NewLane().At(1, func() {}) })
+}
+
+// TestLaneWithdraw: withdrawing a cancelled tail rolls the lane's latest
+// time back to its newest live event, past tombstones and down to the head
+// in the heap, so earlier times are accepted again; with nothing cancelled
+// it changes nothing.
+func TestLaneWithdraw(t *testing.T) {
+	e := NewEngine()
+	l := e.NewLane()
+	var order []Time
+	at := func(t Time) EventRef { return l.At(t, func() { order = append(order, t) }) }
+	at(1)
+	r2 := at(2)
+	r3 := at(3)
+	r4 := at(4)
+	l.Withdraw()
+	if !r4.Active() || l.Len() != 4 {
+		t.Fatalf("Withdraw with nothing cancelled: len %d", l.Len())
+	}
+	r4.Cancel()
+	r2.Cancel() // a tombstone in the middle stays
+	l.Withdraw()
+	r35 := at(3.5) // after 3, the newest live event
+	r35.Cancel()
+	r3.Cancel()
+	l.Withdraw()
+	at(1.5) // only the head at 1 is left
+	if e.Pending() != 2 || l.Len() != 2 {
+		t.Fatalf("pending %d lane len %d, want 2 and 2", e.Pending(), l.Len())
+	}
+	e.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 1.5 {
+		t.Fatalf("fired %v, want [1 1.5]", order)
+	}
+	l.Withdraw() // empty: any time from now on
+	at(e.Now())
+	e.Run()
+	if len(order) != 3 {
+		t.Fatalf("fired %v after reuse", order)
+	}
 }
 
 // TestLaneSteadyStateNoAlloc: once the lane's ring and the event pool have

@@ -24,13 +24,14 @@ type heapShape struct {
 func waiting(l *sim.Lane) int { return max(l.Len()-1, 0) }
 
 // probeHeap runs cfg on d and samples the engine's pending set. The heap
-// length is Pending less the events waiting in the run's lanes.
+// length is Pending less the events waiting in the run's lanes and in the
+// fabric's link arrival lanes.
 func probeHeap(d *Deployment, cfg RunConfig) heapShape {
 	var s heapShape
 	var tick func()
 	tick = func() {
 		rs := d.run
-		lanes := waiting(rs.timeouts)
+		lanes := waiting(rs.timeouts) + d.Fab.ArrivalsWaiting()
 		for _, l := range rs.synTimers {
 			lanes += waiting(l)
 		}
@@ -59,10 +60,10 @@ func probeHeap(d *Deployment, cfg RunConfig) heapShape {
 // armed (0.5 s request timeouts, a retry budget, deadline shedding, an SLO,
 // and on the diurnal cycle target-util autoscaling) on both baseline
 // fleets, and samples the pending set. The queued accepts, queued worker
-// starts, request timeouts and SYN retransmit timers must wait in their
-// lanes: at 2× connection capacity they are most of the pending set, and
-// the heap holds only the lane heads beside the other events. -v logs the
-// mean and max of both per run.
+// starts, request timeouts, SYN retransmit timers and message hop arrivals
+// must wait in their lanes: at 2× connection capacity they are most of the
+// pending set, and the heap holds only the lane heads beside the other
+// events. -v logs the mean and max of both per run.
 func TestLanesKeepHeapShallow(t *testing.T) {
 	dur := 8.0
 	if testing.Short() {

@@ -2,6 +2,7 @@ package edisim
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,40 @@ func TestOverloadStudyScenario(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(a.Notes, "\n"), "SLO:") {
 		t.Fatalf("missing SLO note: %v", a.Notes)
+	}
+}
+
+// TestOverloadStudyDefaultWindow: an SLO that leaves Window at 0 runs
+// 1 s windows, and the controller figure plots finite per-second rates.
+func TestOverloadStudyDefaultWindow(t *testing.T) {
+	scn := overloadScenario(1)
+	scn.Workloads[0].(*OverloadStudy).SLO.Window = 0
+	var col Collector
+	if err := Run(context.Background(), scn, &col); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	assertFiniteFigures(t, col.Artifacts)
+}
+
+// assertFiniteFigures fails on any NaN or Inf figure value, and when no
+// figure has a value at all.
+func assertFiniteFigures(t *testing.T, arts []*Artifact) {
+	t.Helper()
+	n := 0
+	for _, a := range arts {
+		for _, f := range a.Figures {
+			for _, s := range f.Series {
+				for i, y := range s.Y {
+					if math.IsNaN(y) || math.IsInf(y, 0) {
+						t.Fatalf("%s: %q[%d] = %v", f.Name, s.Label, i, y)
+					}
+					n++
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no figure values to check")
 	}
 }
 

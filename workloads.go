@@ -398,10 +398,11 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 			served := make([]float64, len(wins))
 			shed := make([]float64, len(wins))
 			active := make([]float64, len(wins))
+			window := effWindow(rc.SLO.Window)
 			for i, w := range wins {
 				x[i] = w.T
-				served[i] = float64(w.Served) / rc.SLO.Window
-				shed[i] = float64(w.Shed) / rc.SLO.Window
+				served[i] = float64(w.Served) / window
+				shed[i] = float64(w.Shed) / window
 				active[i] = float64(w.Active)
 			}
 			f := report.NewFigure(title+" — SLO controller windows", "t (s)", "per second / servers", x)
@@ -425,6 +426,15 @@ func effPercentile(p float64) float64 {
 		return 0.99
 	}
 	return p
+}
+
+// effWindow resolves the SLO controller window default (1 s), the period
+// a window's counts are divided by to plot per-second rates.
+func effWindow(w float64) float64 {
+	if w == 0 {
+		return 1
+	}
+	return w
 }
 
 // --- MapReduce job ---------------------------------------------------------
