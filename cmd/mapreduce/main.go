@@ -16,18 +16,8 @@ import (
 	"os"
 
 	"edisim"
+	"edisim/internal/core"
 )
-
-// paperTable8 holds the published numbers for side-by-side comparison:
-// seconds and joules per (job, cluster label).
-var paperTable8 = map[string]map[string][2]float64{
-	"wordcount":  {"35E": {310, 17670}, "17E": {1065, 29485}, "8E": {1817, 23673}, "4E": {3283, 21386}, "2D": {213, 40214}, "1D": {310, 30552}},
-	"wordcount2": {"35E": {182, 10370}, "17E": {270, 7475}, "8E": {450, 5862}, "4E": {1192, 7765}, "2D": {66, 11695}, "1D": {93, 8124}},
-	"logcount":   {"35E": {279, 15903}, "17E": {601, 16860}, "8E": {990, 12898}, "4E": {2233, 14546}, "2D": {206, 40803}, "1D": {516, 53303}},
-	"logcount2":  {"35E": {115, 6555}, "17E": {118, 3267}, "8E": {125, 1629}, "4E": {162, 1055}, "2D": {59, 9486}, "1D": {88, 6905}},
-	"pi":         {"35E": {200, 11445}, "17E": {334, 9247}, "8E": {577, 7517}, "4E": {1076, 7009}, "2D": {50, 9285}, "1D": {77, 6878}},
-	"terasort":   {"35E": {750, 43440}, "17E": {1364, 37763}, "8E": {3736, 48675}, "4E": {8220, 53547}, "2D": {331, 64210}, "1D": {1336, 111422}},
-}
 
 func main() {
 	var (
@@ -77,7 +67,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "mapreduce: %s on %s: %v\n", name, cfg.label, err)
 				os.Exit(1)
 			}
-			paper := paperTable8[name][cfg.label]
+			paper := core.PaperTable8[name][cfg.label]
 			tab.AddRow(name, cfg.label,
 				edisim.Num(r.Duration, "s"), edisim.Num(paper[0], "s"),
 				edisim.Num(float64(r.Energy), "J"), edisim.Num(paper[1], "J"),

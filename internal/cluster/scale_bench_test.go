@@ -9,6 +9,8 @@ import (
 )
 
 // scaleShape picks leaf-spine dimensions for a target fleet size.
+// BenchmarkEagerOracleScaleFlowChurn in internal/netsim repeats the 100 and
+// 1024 shapes; keep the two in step.
 func scaleShape(nodes int) LeafSpineConfig {
 	switch nodes {
 	case 100:
@@ -28,42 +30,31 @@ func scaleShape(nodes int) LeafSpineConfig {
 
 // BenchmarkScaleFlowChurn measures the cost of one flow arrival + departure
 // against a datacenter-scale live flow set (one background flow per host):
-// the per-event flow path of the lazy default must be independent of the
-// fleet size, while the eager reference pays O(flows) per event. The
-// lazy/eager ratio at nodes=1024 is the PR 7 ≥10× acceptance gate; the
-// lazy ns/op across 100 → 1024 → 4096 pins sub-linear event cost.
-// nodes=4096 runs lazy-only: the eager quadratic blowup is the point, not a
-// case worth minutes of benchtime.
+// the per-event flow path must be independent of the fleet size, so the
+// lazy ns/op across 100 → 1024 → 4096 pins sub-linear event cost. The
+// O(flows)-per-event eager model runs the same churn as a test oracle in
+// internal/netsim (BenchmarkEagerOracleScaleFlowChurn).
 func BenchmarkScaleFlowChurn(b *testing.B) {
 	for _, nodes := range []int{100, 1024, 4096} {
-		for _, mode := range []struct {
-			name  string
-			eager bool
-		}{{"lazy", false}, {"eager", true}} {
-			if mode.eager && nodes > 1024 {
-				continue
+		b.Run(fmt.Sprintf("nodes=%d/lazy", nodes), func(b *testing.B) {
+			cfg := scaleShape(nodes)
+			eng := sim.NewEngine()
+			f, hosts := LeafSpine(eng, cfg)
+			for l := 0; l < cfg.Leaves; l++ {
+				base := l * cfg.HostsPerLeaf
+				for h := 0; h < cfg.HostsPerLeaf; h++ {
+					f.StartFlow(hosts[base+h], hosts[base+(h+1)%cfg.HostsPerLeaf], units.Bytes(1e18), nil)
+				}
 			}
-			b.Run(fmt.Sprintf("nodes=%d/%s", nodes, mode.name), func(b *testing.B) {
-				cfg := scaleShape(nodes)
-				eng := sim.NewEngine()
-				f, hosts := LeafSpine(eng, cfg)
-				f.SetEagerReference(mode.eager)
-				for l := 0; l < cfg.Leaves; l++ {
-					base := l * cfg.HostsPerLeaf
-					for h := 0; h < cfg.HostsPerLeaf; h++ {
-						f.StartFlow(hosts[base+h], hosts[base+(h+1)%cfg.HostsPerLeaf], units.Bytes(1e18), nil)
-					}
-				}
+			eng.RunUntil(eng.Now() + 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Churn inside leaf 0's component, then across the spine.
+				f.StartFlow(hosts[0], hosts[1], units.Bytes(1e6), nil)
 				eng.RunUntil(eng.Now() + 1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Churn inside leaf 0's component, then across the spine.
-					f.StartFlow(hosts[0], hosts[1], units.Bytes(1e6), nil)
-					eng.RunUntil(eng.Now() + 1)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ func init() {
 }
 
 // PaperTable8 holds the published Table 8: (seconds, joules) per job and
-// cluster label. Exported for the benches and EXPERIMENTS.md generation.
+// cluster label. Exported for cmd/mapreduce and perfbench.
 var PaperTable8 = map[string]map[string][2]float64{
 	"wordcount":  {"35E": {310, 17670}, "17E": {1065, 29485}, "8E": {1817, 23673}, "4E": {3283, 21386}, "2D": {213, 40214}, "1D": {310, 30552}},
 	"wordcount2": {"35E": {182, 10370}, "17E": {270, 7475}, "8E": {450, 5862}, "4E": {1192, 7765}, "2D": {66, 11695}, "1D": {93, 8124}},

@@ -24,6 +24,19 @@ func TestConnectAsymOneWay(t *testing.T) {
 	f.Route("b", "a")
 }
 
+func TestConnectAsymZeroCapacityPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng)
+	f.AddVertex("a")
+	f.AddVertex("b")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for a zero-capacity one-way link")
+		}
+	}()
+	f.ConnectAsym("a", "b", 0, 0)
+}
+
 func TestRouteCacheInvalidatedByConnect(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng)

@@ -131,11 +131,8 @@ type Fabric struct {
 	completeFn func()
 
 	// dirtyLinks are the links dirtied by flow arrivals/departures/capacity
-	// changes since the last pass; eager selects the retained reference
-	// implementation (eager crediting + full recompute + linear
-	// next-completion scan) instead of the lazy default.
+	// changes since the last pass.
 	dirtyLinks []*Link
-	eager      bool
 }
 
 // NewFabric returns an empty network on the engine.
@@ -150,21 +147,6 @@ func NewFabric(eng *sim.Engine) *Fabric {
 	return f
 }
 
-// SetEagerReference switches the fabric to the retained reference
-// implementation of flow accounting: progress is credited to every live
-// flow on every event (the old eager advanceFlows), every water-filling
-// pass recomputes all flows from scratch, and the next completion is found
-// by a linear scan — O(flows) per event, semantically equivalent to the
-// lazy default (pinned within tolerance by TestLazyMatchesEagerReference).
-// It exists as the equivalence baseline and debugging fallback, and must be
-// selected before any flow starts.
-func (f *Fabric) SetEagerReference(on bool) {
-	if len(f.flows) > 0 || len(f.doneHeap) > 0 {
-		panic("netsim: SetEagerReference with live flows")
-	}
-	f.eager = on
-}
-
 // Engine returns the engine the fabric runs on.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
@@ -176,6 +158,13 @@ func (f *Fabric) AddVertex(name string) {
 // Connect joins a and b with a duplex cable of the given per-direction
 // capacity and one-way propagation delay. Routes are invalidated.
 func (f *Fabric) Connect(a, b string, capacity units.BytesPerSec, delay float64) {
+	f.ConnectAsym(a, b, capacity, delay)
+	f.ConnectAsym(b, a, capacity, delay)
+}
+
+// ConnectAsym joins a -> b only, for asymmetric capacities. Routes are
+// invalidated.
+func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay float64) {
 	if !f.vertices[a] || !f.vertices[b] {
 		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
 	}
@@ -183,17 +172,7 @@ func (f *Fabric) Connect(a, b string, capacity units.BytesPerSec, delay float64)
 		panic("netsim: non-positive link capacity")
 	}
 	f.newLink(a, b, capacity, delay)
-	f.newLink(b, a, capacity, delay)
-	f.routes = make(map[[2]string][]*Link)
-}
-
-// ConnectAsym joins a -> b only, for asymmetric capacities.
-func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay float64) {
-	if !f.vertices[a] || !f.vertices[b] {
-		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
-	}
-	f.newLink(a, b, capacity, delay)
-	f.routes = make(map[[2]string][]*Link)
+	clear(f.routes)
 }
 
 // Route returns the shortest path (in hops) from src to dst as directed
@@ -273,9 +252,6 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !f.vertices[v] {
 		panic(fmt.Sprintf("netsim: SetVertexLinks of unknown vertex %q", v))
 	}
-	if f.eager {
-		f.advanceFlows()
-	}
 	changed := false
 	for _, l := range f.links {
 		if (l.Src == v || l.Dst == v) && l.scale != scale {
@@ -298,35 +274,11 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 // link (flows parked at rate 0 on an earlier, unrelated cut keep waiting).
 // Aborted flows never run their done callbacks — the transfer is simply
 // lost, like a TCP connection through a yanked cable. The cut links must
-// already be marked dirty by the caller; in the lazy default the victims
-// are found through the cut links' own flow lists (cost proportional to the
-// crossing flows, not the live set) and credited just before recycling, per
-// the lazy-crediting invariant.
+// already be marked dirty by the caller; the victims are found through the
+// cut links' own flow lists (cost proportional to the crossing flows, not
+// the live set) and credited just before recycling, per the lazy-crediting
+// invariant.
 func (f *Fabric) abortCrossing() {
-	if f.eager {
-		live := f.flows[:0]
-		for _, fl := range f.flows {
-			crossed := false
-			for _, l := range fl.path {
-				if l.dirty && l.Down() {
-					crossed = true
-					break
-				}
-			}
-			if !crossed {
-				fl.idx = int32(len(live))
-				live = append(live, fl)
-				continue
-			}
-			f.unlink(fl)
-			f.recycleFlow(fl)
-		}
-		for i := len(live); i < len(f.flows); i++ {
-			f.flows[i] = nil
-		}
-		f.flows = live
-		return
-	}
 	// The just-cut links sit on the dirty list; collect their crossing
 	// flows once (epoch-deduplicated), then retire each.
 	f.epoch++

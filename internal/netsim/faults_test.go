@@ -92,6 +92,40 @@ func TestFlowOverDownLinkWaitsForRestore(t *testing.T) {
 	}
 }
 
+func TestParkedFlowSurvivesUnrelatedCut(t *testing.T) {
+	// a, b, c and d hang off one switch. A flow parked at rate 0 on b's
+	// earlier cut keeps waiting when d is cut: a cut aborts only flows
+	// that cross a link it just cut, here c→d.
+	eng := sim.NewEngine()
+	f := NewFabric(eng)
+	for _, v := range []string{"a", "b", "c", "d", "sw"} {
+		f.AddVertex(v)
+	}
+	for _, v := range []string{"a", "b", "c", "d"} {
+		f.Connect(v, "sw", 10*units.MBps, 0)
+	}
+	f.SetVertexLinks("b", 0)
+	var abAt sim.Time
+	cdDone := false
+	ab := f.StartFlow("a", "b", 10*units.MB, func() { abAt = eng.Now() })
+	f.StartFlow("c", "d", 100*units.MB, func() { cdDone = true })
+	eng.After(1, func() { f.SetVertexLinks("d", 0) })
+	eng.After(1.5, func() {
+		if ab.Finished() || ab.Rate() != 0 {
+			t.Errorf("a→b after d's cut: finished=%v rate=%v, want parked at rate 0", ab.Finished(), ab.Rate())
+		}
+	})
+	// Healed at t=2, the 10 MB drain at 10 MB/s: done at 3.
+	eng.After(2, func() { f.SetVertexLinks("b", 1) })
+	eng.Run()
+	if cdDone {
+		t.Fatal("c→d crossed d's cut and still completed")
+	}
+	if !almost(float64(abAt), 3.0, 1e-9) {
+		t.Fatalf("parked a→b done at %v, want 3.0", abAt)
+	}
+}
+
 func TestMessageDroppedAtDownLink(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)

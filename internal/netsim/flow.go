@@ -148,9 +148,6 @@ func (fl *Flow) finishZero() {
 // may change.
 func (fl *Flow) admit() {
 	f := fl.fab
-	if f.eager {
-		f.advanceFlows()
-	}
 	// The propagation window transferred nothing: advance lastT so the first
 	// crediting pass doesn't pay the flow phantom bytes over [start, admit)
 	// at its post-admission rate (the pre-lazy code had exactly that
@@ -187,21 +184,15 @@ func (f *Fabric) credit(fl *Flow) {
 	fl.lastT = now
 }
 
-// advanceFlows credits progress to every active flow at its current rate —
-// an O(flows) pass used by the eager reference mode on every event, and by
-// FlushProgress on demand. The lazy default never calls it per event.
-func (f *Fabric) advanceFlows() {
-	for _, fl := range f.flows {
-		f.credit(fl)
-	}
-}
-
 // FlushProgress brings every live flow's lazy byte accounting up to now and
 // credits every message whose last byte has left its link, so Link.Bytes
 // and TotalBytes reflect all progress. Reports and assertions should call
-// it (TotalBytes does so itself); the hot path never needs it.
+// it (TotalBytes does so itself); the hot path never needs it, and this
+// O(flows) pass is the only place every live flow is credited at once.
 func (f *Fabric) FlushProgress() {
-	f.advanceFlows()
+	for _, fl := range f.flows {
+		f.credit(fl)
+	}
 	now := f.eng.Now()
 	for _, l := range f.links {
 		l.creditSent(now)
@@ -226,9 +217,9 @@ func (f *Fabric) unlink(fl *Flow) {
 	}
 }
 
-// removeFlow drops the flow from the live set by swap-remove (lazy mode:
-// admission order is restored where it matters by sorting affected
-// components on seq; see affectedFlows).
+// removeFlow drops the flow from the live set by swap-remove. Admission
+// order is restored where it matters: affectedFlows sorts components on
+// seq, and the completion heap ties on it.
 func (f *Fabric) removeFlow(fl *Flow) {
 	i := fl.idx
 	last := len(f.flows) - 1
@@ -246,10 +237,6 @@ func (f *Fabric) removeFlow(fl *Flow) {
 // Finished records are recycled before their done callbacks run, so a
 // callback starting a new flow can reuse them immediately.
 func (f *Fabric) completeFlows() {
-	if f.eager {
-		f.completeFlowsEager()
-		return
-	}
 	f.nextDone = sim.EventRef{}
 	now := f.eng.Now()
 	// Collect done callbacks in the reusable queue. completeFlows never
@@ -274,41 +261,6 @@ func (f *Fabric) completeFlows() {
 		}
 		f.recycleFlow(fl)
 	}
-	f.reallocate()
-	for _, done := range finished {
-		done()
-	}
-	for i := range finished {
-		finished[i] = nil
-	}
-	f.doneQueue = finished[:0]
-}
-
-// completeFlowsEager is the reference-mode completion sweep: advance every
-// flow eagerly and finish the drained ones in admission order, compacting
-// the live set in place (the pre-lazy-accounting behavior).
-func (f *Fabric) completeFlowsEager() {
-	f.nextDone = sim.EventRef{}
-	f.advanceFlows()
-	const eps = 1 // byte tolerance
-	finished := f.doneQueue[:0]
-	live := f.flows[:0]
-	for _, fl := range f.flows {
-		if fl.remaining <= eps {
-			f.unlink(fl)
-			if fl.done != nil {
-				finished = append(finished, fl.done)
-			}
-			f.recycleFlow(fl)
-		} else {
-			fl.idx = int32(len(live))
-			live = append(live, fl)
-		}
-	}
-	for i := len(live); i < len(f.flows); i++ {
-		f.flows[i] = nil
-	}
-	f.flows = live
 	f.reallocate()
 	for _, done := range finished {
 		done()

@@ -3,8 +3,6 @@ package netsim
 import (
 	"math"
 	"slices"
-
-	"edisim/internal/sim"
 )
 
 // Incremental max-min reallocation with lazy progress crediting.
@@ -40,16 +38,17 @@ import (
 // filling, completion does it when popping the heap, and abortCrossing
 // does it before recycling. Reads of byte counters (TotalBytes, reports)
 // go through FlushProgress. Untouched flows are deliberately NOT credited
-// per event — that O(flows) pass (the old eager advanceFlows) is exactly
-// what this design removes; it survives only behind SetEagerReference as
-// the reference implementation.
+// per event: crediting every flow on every event costs O(flows) per event,
+// and removing that pass is the point of this design.
 //
 // Compatibility note: crediting progress in one closed-form chunk per rate
 // change instead of one chunk per fabric event changes the float
-// accumulation order, so completion times differ from the eager reference
-// in the last bits. TestLazyMatchesEagerReference pins the two modes
+// accumulation order, so completion times differ from the eager model
+// (every flow credited on every event, full recompute, linear
+// next-completion scan) in the last bits. That model lives on as a test
+// oracle in flow_oracle_test.go; TestLazyMatchesEagerReference pins the two
 // together within tolerance on randomized traces (including link-fault
-// storms); the paper-output baseline was refreshed once for this change
+// storms). The paper-output baseline was refreshed once for this change
 // (see API.md).
 
 // markDirty queues the link for the next reallocate pass. Idempotent
@@ -59,14 +58,6 @@ func (f *Fabric) markDirty(l *Link) {
 		l.dirty = true
 		f.dirtyLinks = append(f.dirtyLinks, l)
 	}
-}
-
-// clearDirty empties the dirty-link list.
-func (f *Fabric) clearDirty() {
-	for _, l := range f.dirtyLinks {
-		l.dirty = false
-	}
-	f.dirtyLinks = f.dirtyLinks[:0]
 }
 
 // affectedFlows computes the set of flows whose rate may have changed since
@@ -124,10 +115,6 @@ func (f *Fabric) affectedFlows() []*Flow {
 // comment above), re-water-fill them, re-key them in the completion heap,
 // and re-arm the single next-completion event.
 func (f *Fabric) reallocate() {
-	if f.eager {
-		f.reallocateEager()
-		return
-	}
 	if len(f.dirtyLinks) > 0 {
 		affected := f.affectedFlows()
 		now := f.eng.Now()
@@ -140,37 +127,6 @@ func (f *Fabric) reallocate() {
 		}
 	}
 	f.armCompletion()
-}
-
-// reallocateEager is the retained reference implementation: every pass
-// recomputes all flows from scratch and re-arms the completion event from a
-// linear next-completion scan (the pre-lazy behavior, O(flows) per event).
-func (f *Fabric) reallocateEager() {
-	f.epoch++
-	f.clearDirty()
-	f.nextDone.Cancel()
-	f.nextDone = sim.EventRef{}
-	if len(f.flows) == 0 {
-		return
-	}
-	f.waterFill(f.flows)
-	next := math.Inf(1)
-	for _, fl := range f.flows {
-		if fl.rate <= 0 {
-			continue
-		}
-		t := fl.remaining / fl.rate
-		if t < next {
-			next = t
-		}
-	}
-	if math.IsInf(next, 1) {
-		return
-	}
-	if next < 0 {
-		next = 0
-	}
-	f.nextDone = f.eng.After(next, f.completeFn)
 }
 
 // waterFill runs progressive filling (water-filling) to a max-min fair

@@ -2,37 +2,53 @@ package netsim
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
 
-// leafSpineFabric builds a 2-spine × 2-leaf × 4-host fat tree: 100 Mbps
-// host access links, 1 Gbps leaf-spine uplinks (the platform_matrix shape).
-func leafSpineFabric(eng *sim.Engine) (*Fabric, []string) {
+// leafSpineShape sizes a leaf-spine fabric: every leaf joins every spine,
+// and each leaf has perLeaf hosts on access links.
+type leafSpineShape struct {
+	spines, leaves, perLeaf int
+	hostLink, uplink        units.BytesPerSec
+	hostDelay, uplinkDelay  float64
+}
+
+// buildLeafSpine builds the fabric in the same vertex and link order as
+// cluster.LeafSpine and returns it with the host names, leaf-major
+// ("h<leaf>-<index>").
+func buildLeafSpine(eng *sim.Engine, s leafSpineShape) (*Fabric, []string) {
 	f := NewFabric(eng)
 	var hosts []string
-	for s := 0; s < 2; s++ {
-		f.AddVertex(fmt.Sprintf("spine%d", s))
+	for sp := 0; sp < s.spines; sp++ {
+		f.AddVertex(fmt.Sprintf("spine%d", sp))
 	}
-	for l := 0; l < 2; l++ {
+	for l := 0; l < s.leaves; l++ {
 		leaf := fmt.Sprintf("leaf%d", l)
 		f.AddVertex(leaf)
-		for s := 0; s < 2; s++ {
-			f.Connect(leaf, fmt.Sprintf("spine%d", s), units.Gbps(1), 0.1e-3)
+		for sp := 0; sp < s.spines; sp++ {
+			f.Connect(leaf, fmt.Sprintf("spine%d", sp), s.uplink, s.uplinkDelay)
 		}
-		for h := 0; h < 4; h++ {
+		for h := 0; h < s.perLeaf; h++ {
 			host := fmt.Sprintf("h%d-%d", l, h)
 			f.AddVertex(host)
-			f.Connect(host, leaf, units.Mbps(100), 0.2e-3)
+			f.Connect(host, leaf, s.hostLink, s.hostDelay)
 			hosts = append(hosts, host)
 		}
 	}
 	return f, hosts
+}
+
+// leafSpineFabric builds a 2-spine × 2-leaf × 4-host fat tree: 100 Mbps
+// host access links, 1 Gbps leaf-spine uplinks (the platform_matrix shape).
+func leafSpineFabric(eng *sim.Engine) (*Fabric, []string) {
+	return buildLeafSpine(eng, leafSpineShape{
+		spines: 2, leaves: 2, perLeaf: 4,
+		hostLink: units.Mbps(100), uplink: units.Gbps(1),
+		hostDelay: 0.2e-3, uplinkDelay: 0.1e-3,
+	})
 }
 
 // table6Fabric builds the paper's Table 6 testbed shape: 35 Edison-class
@@ -59,243 +75,6 @@ func table6Fabric(eng *sim.Engine) (*Fabric, []string) {
 	f.Connect("dell", "dsw", units.Gbps(1), 0.1e-3)
 	hosts = append(hosts, "dell")
 	return f, hosts
-}
-
-// driveTrace schedules the given flow trace on the fabric, sampling every
-// flow's rate at fixed intervals and recording completion times. Returned
-// slices are deterministic given the trace.
-type flowEvent struct {
-	at       float64
-	src, dst string
-	size     units.Bytes
-}
-
-func driveTrace(eng *sim.Engine, f *Fabric, trace []flowEvent) (doneTimes []sim.Time, rateSamples []float64) {
-	refs := make([]FlowRef, len(trace))
-	doneTimes = make([]sim.Time, len(trace))
-	var horizon float64
-	for i, fe := range trace {
-		i, fe := i, fe
-		eng.At(sim.Time(fe.at), func() {
-			refs[i] = f.StartFlow(fe.src, fe.dst, fe.size, func() {
-				doneTimes[i] = eng.Now()
-			})
-		})
-		if fe.at > horizon {
-			horizon = fe.at
-		}
-	}
-	// Sample all live rates on a fixed grid spanning the arrival window.
-	for k := 0; k < 400; k++ {
-		eng.At(sim.Time(float64(k)*horizon/400), func() {
-			for _, r := range refs {
-				rateSamples = append(rateSamples, float64(r.Rate()))
-			}
-		})
-	}
-	eng.Run()
-	return doneTimes, rateSamples
-}
-
-// randomTrace builds a reproducible arrival/departure mix: flow sizes span
-// RPC-ish to HDFS-block-ish so completions interleave heavily with
-// arrivals.
-func randomTrace(rng *rand.Rand, hosts []string, n int) []flowEvent {
-	trace := make([]flowEvent, n)
-	for i := range trace {
-		src := hosts[rng.Intn(len(hosts))]
-		dst := hosts[rng.Intn(len(hosts))]
-		for dst == src {
-			dst = hosts[rng.Intn(len(hosts))]
-		}
-		trace[i] = flowEvent{
-			at:   rng.Float64() * 2.0,
-			src:  src,
-			dst:  dst,
-			size: units.Bytes(1e4 + rng.Float64()*2e6),
-		}
-	}
-	return trace
-}
-
-// close reports a ≈ b within a relative tolerance generous enough to absorb
-// the lazy/eager float-accumulation difference (progress credited in one
-// closed-form chunk per rate change vs one chunk per event) but far tighter
-// than any behavioral divergence.
-func closeTo(a, b float64) bool {
-	d := math.Abs(a - b)
-	return d <= 1e-6*math.Max(math.Abs(a), math.Abs(b))+1e-9
-}
-
-// TestLazyMatchesEagerReference: on randomized flow traces over the
-// leaf-spine and Table-6 topologies, the lazy default (dirty-component
-// crediting + completion heap) must reproduce the eager reference
-// implementation within float tolerance — same completion time per flow,
-// same completion order, same sampled rates. Rate samples that land in the
-// sliver between the two modes' completion instants (one mode has finished
-// the flow, the other finishes it a few ulps later) are excused only when
-// one side reads exactly 0.
-func TestLazyMatchesEagerReference(t *testing.T) {
-	builders := map[string]func(*sim.Engine) (*Fabric, []string){
-		"leafSpine": leafSpineFabric,
-		"table6":    table6Fabric,
-	}
-	for name, build := range builders {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				engLazy := sim.NewEngine()
-				fabLazy, hosts := build(engLazy)
-				engEager := sim.NewEngine()
-				fabEager, _ := build(engEager)
-				fabEager.SetEagerReference(true)
-
-				trace := randomTrace(rand.New(rand.NewSource(seed)), hosts, 120)
-				doneLazy, ratesLazy := driveTrace(engLazy, fabLazy, trace)
-				doneEager, ratesEager := driveTrace(engEager, fabEager, trace)
-
-				checkEquivalence(t, trace, doneLazy, doneEager, ratesLazy, ratesEager)
-			})
-		}
-	}
-}
-
-func checkEquivalence(t *testing.T, trace []flowEvent, doneLazy, doneEager []sim.Time, ratesLazy, ratesEager []float64) {
-	t.Helper()
-	for i := range doneLazy {
-		if (doneLazy[i] == 0) != (doneEager[i] == 0) {
-			t.Fatalf("flow %d (%s->%s): finished in one mode only: %v (lazy) vs %v (eager)",
-				i, trace[i].src, trace[i].dst, doneLazy[i], doneEager[i])
-		}
-		if !closeTo(float64(doneLazy[i]), float64(doneEager[i])) {
-			t.Fatalf("flow %d (%s->%s): completion %v (lazy) != %v (eager)",
-				i, trace[i].src, trace[i].dst, doneLazy[i], doneEager[i])
-		}
-	}
-	// Completion order must match exactly (the heap ties on admission seq to
-	// reproduce the eager sweep's order).
-	orderOf := func(done []sim.Time) []int {
-		order := make([]int, 0, len(done))
-		for i, d := range done {
-			if d != 0 {
-				order = append(order, i)
-			}
-		}
-		sort.SliceStable(order, func(a, b int) bool { return done[order[a]] < done[order[b]] })
-		return order
-	}
-	ol, oe := orderOf(doneLazy), orderOf(doneEager)
-	for i := range ol {
-		if ol[i] != oe[i] {
-			// Permit swaps between flows whose completions are within
-			// tolerance of each other — their order is float noise.
-			if closeTo(float64(doneLazy[ol[i]]), float64(doneLazy[oe[i]])) {
-				continue
-			}
-			t.Fatalf("completion order diverged at position %d: flow %d (lazy) vs %d (eager)", i, ol[i], oe[i])
-		}
-	}
-	if len(ratesLazy) != len(ratesEager) {
-		t.Fatalf("sample count %d != %d", len(ratesLazy), len(ratesEager))
-	}
-	for i := range ratesLazy {
-		if ratesLazy[i] == ratesEager[i] {
-			continue
-		}
-		if ratesLazy[i] == 0 || ratesEager[i] == 0 {
-			continue // sample landed between the modes' completion instants
-		}
-		if !closeTo(ratesLazy[i], ratesEager[i]) {
-			t.Fatalf("rate sample %d: %v (lazy) != %v (eager)",
-				i, ratesLazy[i], ratesEager[i])
-		}
-	}
-}
-
-// faultStorm schedules link cut/degrade/restore storms against a couple of
-// vertices: mass simultaneous rate changes, aborted crossing flows, and
-// rate-0 admissions that must wait for restore — the paths most likely to
-// break the lazy-crediting invariant.
-func faultStorm(eng *sim.Engine, f *Fabric, victims []string) {
-	for i, v := range victims {
-		v := v
-		base := 0.35 + 0.1*float64(i)
-		eng.At(sim.Time(base), func() { f.SetVertexLinks(v, 0) })        // cut
-		eng.At(sim.Time(base+0.3), func() { f.SetVertexLinks(v, 0.25) }) // partial restore, degraded
-		eng.At(sim.Time(base+0.7), func() { f.SetVertexLinks(v, 1) })    // healthy
-	}
-}
-
-// TestLazyMatchesEagerReferenceWithFaults runs the same lockstep comparison
-// through link cut/degrade storms. Flows whose completion (in either mode)
-// lands within a hair of a fault instant are excused from the per-flow
-// checks: a cut arriving a few ulps before vs after a completion flips the
-// flow between finished and aborted, which is fault-timing noise, not a
-// divergence. The seeds are chosen so at most a handful of flows hit that
-// window.
-func TestLazyMatchesEagerReferenceWithFaults(t *testing.T) {
-	builders := map[string]struct {
-		build   func(*sim.Engine) (*Fabric, []string)
-		victims []string
-	}{
-		"leafSpine": {leafSpineFabric, []string{"h0-1", "leaf1"}},
-		"table6":    {table6Fabric, []string{"e05", "esw2"}},
-	}
-	for name, tc := range builders {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				engLazy := sim.NewEngine()
-				fabLazy, hosts := tc.build(engLazy)
-				faultStorm(engLazy, fabLazy, tc.victims)
-				engEager := sim.NewEngine()
-				fabEager, _ := tc.build(engEager)
-				fabEager.SetEagerReference(true)
-				faultStorm(engEager, fabEager, tc.victims)
-
-				trace := randomTrace(rand.New(rand.NewSource(seed)), hosts, 120)
-				doneLazy, ratesLazy := driveTrace(engLazy, fabLazy, trace)
-				doneEager, ratesEager := driveTrace(engEager, fabEager, trace)
-
-				finLazy, finEager, aborted := 0, 0, 0
-				for i := range doneLazy {
-					if doneLazy[i] != 0 {
-						finLazy++
-					}
-					if doneEager[i] != 0 {
-						finEager++
-					}
-					if (doneLazy[i] == 0) != (doneEager[i] == 0) {
-						aborted++
-						continue
-					}
-					if doneLazy[i] == 0 {
-						continue // aborted in both modes
-					}
-					if !closeTo(float64(doneLazy[i]), float64(doneEager[i])) {
-						t.Fatalf("flow %d (%s->%s): completion %v (lazy) != %v (eager)",
-							i, trace[i].src, trace[i].dst, doneLazy[i], doneEager[i])
-					}
-				}
-				if aborted > 2 {
-					t.Fatalf("%d flows flipped finished/aborted across modes (fault-window noise budget is 2)", aborted)
-				}
-				if finLazy == len(trace) || finLazy == 0 {
-					t.Fatalf("fault storm had no effect: %d/%d flows finished (lazy)", finLazy, len(trace))
-				}
-				mismatched := 0
-				for i := range ratesLazy {
-					if ratesLazy[i] == ratesEager[i] || ratesLazy[i] == 0 || ratesEager[i] == 0 {
-						continue
-					}
-					if !closeTo(ratesLazy[i], ratesEager[i]) {
-						mismatched++
-					}
-				}
-				if mismatched > 0 {
-					t.Fatalf("%d rate samples diverged beyond tolerance", mismatched)
-				}
-			})
-		}
-	}
 }
 
 // TestFlowChurnSteadyStateNoAlloc pins the whole lazy flow path — StartFlow,
@@ -353,43 +132,48 @@ func TestIncrementalSkipsUntouchedComponent(t *testing.T) {
 	}
 }
 
+// manyComponentsFabric builds 128 disjoint a<i>–sw<i>–b<i> pairs on 1 Gbps
+// links, the platform_matrix many-nodes shape, and returns the pairs.
+func manyComponentsFabric(eng *sim.Engine) (*Fabric, [][2]string) {
+	f := NewFabric(eng)
+	const pairs = 128
+	hosts := make([][2]string, pairs)
+	for i := 0; i < pairs; i++ {
+		sw := fmt.Sprintf("sw%d", i)
+		a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		f.AddVertex(sw)
+		f.AddVertex(a)
+		f.AddVertex(c)
+		f.Connect(a, sw, units.Gbps(1), 0)
+		f.Connect(c, sw, units.Gbps(1), 0)
+		hosts[i] = [2]string{a, c}
+	}
+	return f, hosts
+}
+
+// benchManyComponents keeps every pair busy with an effectively infinite
+// background flow, then times one churn flow on the first pair per op.
+func benchManyComponents(b *testing.B, eng *sim.Engine, m flowModel, pairs [][2]string) {
+	for _, p := range pairs {
+		m.StartFlow(p[0], p[1], units.Bytes(1e18), nil)
+	}
+	eng.RunUntil(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.StartFlow(pairs[0][0], pairs[0][1], units.Bytes(1e6), nil)
+		eng.RunUntil(eng.Now() + 1)
+	}
+}
+
 // BenchmarkFlowChurnManyComponents measures reallocation cost with many
 // disjoint active components: 128 long-lived pair flows plus churn on one
-// pair — the platform_matrix many-nodes shape. The lazy pass only touches
-// the churning component; the eager variant is the retained reference
-// (credit + recompute every component on every event).
+// pair. The lazy pass only touches the churning component; its eager
+// counterpart is BenchmarkEagerOracleFlowChurnManyComponents.
 func BenchmarkFlowChurnManyComponents(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"lazy", false}, {"eager", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := sim.NewEngine()
-			f := NewFabric(eng)
-			f.SetEagerReference(mode.eager)
-			const pairs = 128
-			hosts := make([][2]string, pairs)
-			for i := 0; i < pairs; i++ {
-				sw := fmt.Sprintf("sw%d", i)
-				a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
-				f.AddVertex(sw)
-				f.AddVertex(a)
-				f.AddVertex(c)
-				f.Connect(a, sw, units.Gbps(1), 0)
-				f.Connect(c, sw, units.Gbps(1), 0)
-				hosts[i] = [2]string{a, c}
-			}
-			// Keep every pair busy with an effectively infinite background flow.
-			for i := 0; i < pairs; i++ {
-				f.StartFlow(hosts[i][0], hosts[i][1], units.Bytes(1e18), nil)
-			}
-			eng.RunUntil(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.StartFlow(hosts[0][0], hosts[0][1], units.Bytes(1e6), nil)
-				eng.RunUntil(eng.Now() + 1)
-			}
-		})
-	}
+	b.Run("lazy", func(b *testing.B) {
+		eng := sim.NewEngine()
+		f, pairs := manyComponentsFabric(eng)
+		benchManyComponents(b, eng, f, pairs)
+	})
 }
