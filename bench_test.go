@@ -21,7 +21,8 @@ import (
 
 // benchCfg picks fidelity. Sweep-style experiments default to Quick so the
 // whole suite finishes in minutes; set EDISIM_FULL=1 for the full-fidelity
-// sweeps used to produce EXPERIMENTS.md (cmd/paper runs those by default).
+// sweeps behind the ledger `cmd/paper -experiments` prints (cmd/paper runs
+// those by default).
 // MapReduce job benches always run at the paper's full cluster scale.
 //
 // Sweep points fan across GOMAXPROCS workers (so `go test -bench -cpu 1,4`

@@ -1,7 +1,7 @@
 // Command paper runs the complete reproduction: every registered
 // experiment, printing each artifact and a final paper-vs-measured ledger.
-// With -experiments it writes the EXPERIMENTS.md comparison section to
-// stdout in markdown.
+// With -experiments it writes only that ledger to stdout as a markdown
+// table: one row per published paper value.
 //
 // The command is a thin shell over the public edisim package: it builds a
 // Scenario of paper experiments and streams the artifacts through a sink.
@@ -64,7 +64,7 @@ func main() {
 		only      = flag.String("only", "", "comma-separated experiment IDs (default: all paper artifacts)")
 		seed      = flag.Int64("seed", 1, "root random seed")
 		jobs      = flag.Int("j", runner.DefaultWorkers(), "parallel workers for experiments and sweep points")
-		markdown  = flag.Bool("experiments", false, "emit the EXPERIMENTS.md comparison ledger as markdown")
+		markdown  = flag.Bool("experiments", false, "emit only the paper-vs-measured ledger, as a markdown table")
 		platforms = flag.String("platforms", "", "comma-separated hw catalog platforms for matrix experiments (default: whole catalog)")
 		format    = flag.String("format", "text", "output format: text, json or csv")
 		faultSpec = flag.String("faults", "", "fault schedule for fault-injecting experiments, e.g. 'node_crash@30+120:slave[1];straggler@10+60x0.25:web' (see API.md)")

@@ -186,7 +186,11 @@ func TestFleetComparisonScenario(t *testing.T) {
 			t.Fatalf("web fleet cost cell bogus: %#v", row[5])
 		}
 	}
-	// Web matrix: peak throughput and per-dollar columns live.
+	// Web matrix: one row per platform, peak throughput and per-dollar
+	// columns live.
+	if len(a.Tables[1].Rows) != 2 {
+		t.Fatalf("web matrix rows = %d, want 2", len(a.Tables[1].Rows))
+	}
 	for _, row := range a.Tables[1].Rows {
 		if peak, ok := row[4].Float(); !ok || peak <= 0 {
 			t.Fatalf("web peak cell bogus: %#v", row[4])
@@ -196,13 +200,16 @@ func TestFleetComparisonScenario(t *testing.T) {
 		}
 	}
 	// Hadoop matrix: both platforms ran the job.
+	if len(a.Tables[3].Rows) != 2 {
+		t.Fatalf("hadoop matrix rows = %d, want 2", len(a.Tables[3].Rows))
+	}
 	for _, row := range a.Tables[3].Rows {
 		if dur, ok := row[3].Float(); !ok || dur <= 0 {
 			t.Fatalf("hadoop duration cell bogus: %#v", row[3])
 		}
 	}
-	if len(a.Comparisons) == 0 {
-		t.Fatal("fleet comparison recorded no ledger comparisons")
+	if len(a.Comparisons) != 0 {
+		t.Fatalf("fleet comparison recorded %d ledger rows; it is beyond the paper", len(a.Comparisons))
 	}
 }
 

@@ -69,12 +69,11 @@ func autoscalePolicies() []asPolicy {
 }
 
 type asPoint struct {
-	res       web.Result
-	sloMet    float64   // fraction of controller windows that met the SLO
-	ep        float64   // energy-proportionality score of the web tier
-	perW      float64   // goodput per cluster watt (boot + idle priced in)
-	webEnergy float64   // web-tier joules over the window
-	actives   []float64 // rotation size per controller window
+	res     web.Result
+	sloMet  float64   // fraction of controller windows that met the SLO
+	ep      float64   // energy-proportionality score of the web tier
+	perW    float64   // goodput per cluster watt (boot + idle priced in)
+	actives []float64 // rotation size per controller window
 }
 
 // runAutoscale asks the elasticity question the paper's fixed testbeds
@@ -146,12 +145,11 @@ func runAutoscale(cfg Config) *Outcome {
 				ep = 1
 			}
 			return asPoint{
-				res:       res,
-				sloMet:    1 - safeDiv(float64(burned), float64(wins), 0),
-				ep:        ep,
-				perW:      safeDiv(res.Throughput, float64(res.MeanPower), 0),
-				webEnergy: webEnergy,
-				actives:   actives,
+				res:     res,
+				sloMet:  1 - safeDiv(float64(burned), float64(wins), 0),
+				ep:      ep,
+				perW:    safeDiv(res.Throughput, float64(res.MeanPower), 0),
+				actives: actives,
 			}
 		})
 	at := func(pi, fi, ci int) asPoint {
@@ -199,38 +197,6 @@ func runAutoscale(cfg Config) *Outcome {
 		}
 	}
 	o.Tables = append(o.Tables, tab)
-
-	// Per-platform pins on the diurnal cycle: the best elastic policy at SLO
-	// parity (within 5 points of static attainment) against the static
-	// fleet's energy and efficiency. Ratio < 1 on energy means elasticity
-	// paid for its boots; the regression test requires that on the micro
-	// fleets, whose 1–2 W servers and 2–3 s boots make granularity cheap.
-	const sloParity = 0.05
-	for pi, p := range plats {
-		static := at(pi, 0, 0)
-		bestEnergy := 0.0 // ratio vs static; 0 = no elastic policy at parity
-		bestPerW := 0.0
-		bestEP := static.ep
-		for ci := 1; ci < len(policies); ci++ {
-			pt := at(pi, 0, ci)
-			if pt.ep > bestEP {
-				bestEP = pt.ep
-			}
-			if pt.sloMet < static.sloMet-sloParity {
-				continue
-			}
-			if ratio := safeDiv(float64(pt.res.Energy), float64(static.res.Energy), 0); bestEnergy == 0 || ratio < bestEnergy {
-				bestEnergy = ratio
-			}
-			if ratio := safeDiv(pt.perW, static.perW, 0); ratio > bestPerW {
-				bestPerW = ratio
-			}
-		}
-		o.AddComparison("autoscale / diurnal", p.Label+" best elastic energy vs static", 1, bestEnergy)
-		o.AddComparison("autoscale / diurnal", p.Label+" best elastic req/s/W vs static", 1, bestPerW)
-		o.AddComparison("autoscale / proportionality", p.Label+" best EP score", 1, bestEP)
-		o.AddComparison("autoscale / proportionality", p.Label+" static EP score", 1, static.ep)
-	}
 
 	// Fleet-size trace on the baseline micro's diurnal cycle: the shape of
 	// each policy following (or failing to follow) the day curve.

@@ -1,16 +1,17 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"edisim/internal/report"
 )
 
 // TestAutoscaleExperimentQuick checks the autoscale experiment's artifact
-// shape: the elasticity ladder table, the fleet-size trace figure, finite
-// comparisons, and the PR's headline pin — on the micro fleet some elastic
-// policy beats the static fleet on energy at SLO parity.
+// shape: the elasticity ladder table, the fleet-size trace figure, no
+// ledger rows (it is beyond the paper), and the headline pin — on the micro
+// fleet some elastic policy beats the static fleet on energy at SLO parity.
 func TestAutoscaleExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep experiment in -short mode")
@@ -29,15 +30,11 @@ func TestAutoscaleExperimentQuick(t *testing.T) {
 	if len(o.Figures) != 1 {
 		t.Fatalf("got %d figures, want 1 (fleet-size trace)", len(o.Figures))
 	}
-	if len(o.Comparisons) == 0 {
-		t.Fatal("no comparisons recorded")
+	if len(o.Comparisons) != 0 {
+		t.Fatalf("recorded %d comparisons; beyond-paper metrics belong in the tables", len(o.Comparisons))
 	}
-	for _, c := range o.Comparisons {
-		if math.IsNaN(c.Measured) || math.IsInf(c.Measured, 0) {
-			t.Errorf("comparison %q measured %v is not finite", c.Metric, c.Measured)
-		}
-	}
-	ladder := o.Tables[0].String()
+	tab := o.Tables[0]
+	ladder := tab.String()
 	for _, want := range []string{"static", "target-util", "queue-depth", "predictive", "diurnal", "spike"} {
 		if !strings.Contains(ladder, want) {
 			t.Errorf("ladder table missing %q:\n%s", want, ladder)
@@ -48,30 +45,41 @@ func TestAutoscaleExperimentQuick(t *testing.T) {
 	}
 
 	// The headline pin: on the baseline micro fleet (24 × ~1.5 W servers,
-	// 2 s boots) at least one elastic policy must beat the static fleet on
-	// energy over the diurnal cycle without giving up SLO attainment, and
-	// must improve the energy-proportionality score. The brawny fleet
-	// (2 servers, 10 s boots) is allowed to lose — that asymmetry is the
-	// experiment's point — so only the micro side is pinned.
-	comp := func(metric string) float64 {
-		t.Helper()
-		for _, c := range o.Comparisons {
-			if c.Metric == metric {
-				return c.Measured
-			}
+	// 2 s boots) at least one elastic policy must, over the diurnal cycle
+	// and within 5 points of static SLO attainment, use less energy than
+	// the static fleet and raise both req/s/W and the energy-
+	// proportionality score. Every point shares one measurement window, so
+	// the power ratio is the energy ratio. The brawny fleet (2 servers,
+	// 10 s boots) is allowed to lose — that asymmetry is the experiment's
+	// point — so only the micro side is pinned.
+	const sloParity = 0.05
+	sloMet, power, perW, ep := column(t, tab, "SLO met"), column(t, tab, "power W"), column(t, tab, "req/s/W"), column(t, tab, "EP score")
+	var static []report.Value
+	var elastic [][]report.Value
+	for _, row := range tab.Rows {
+		if row[0].Str != "Edison" || row[1].Str != "diurnal" {
+			continue
 		}
-		t.Fatalf("comparison %q missing", metric)
-		return 0
+		if row[2].Str == "static" {
+			static = row
+		} else {
+			elastic = append(elastic, row)
+		}
 	}
-	microEnergy := comp("Edison best elastic energy vs static")
-	if microEnergy <= 0 || microEnergy >= 1 {
-		t.Errorf("micro elastic energy ratio %.3f: no elastic policy beat the static fleet at SLO parity", microEnergy)
+	if static == nil || len(elastic) == 0 {
+		t.Fatalf("ladder has no Edison diurnal static/elastic rows:\n%s", ladder)
 	}
-	if bestEP, staticEP := comp("Edison best EP score"), comp("Edison static EP score"); bestEP <= staticEP {
-		t.Errorf("micro best EP %.3f did not improve on static EP %.3f", bestEP, staticEP)
+	won := false
+	for _, row := range elastic {
+		if row[sloMet].Num >= static[sloMet].Num-sloParity &&
+			row[power].Num < static[power].Num &&
+			row[perW].Num > static[perW].Num &&
+			row[ep].Num > static[ep].Num {
+			won = true
+		}
 	}
-	if perW := comp("Edison best elastic req/s/W vs static"); perW <= 1 {
-		t.Errorf("micro elastic req/s/W ratio %.3f: elasticity should raise efficiency at parity", perW)
+	if !won {
+		t.Errorf("no elastic policy beat the static Edison fleet at SLO parity on energy, req/s/W and EP score:\n%s", ladder)
 	}
 }
 

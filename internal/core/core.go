@@ -98,7 +98,9 @@ func (c Config) MatrixPlatforms() []*hw.Platform {
 func DefaultConfig() Config { return Config{Seed: 1} }
 
 // Outcome is what an experiment produces: renderable artifacts plus
-// paper-vs-measured comparisons for EXPERIMENTS.md.
+// paper-vs-measured comparisons for the ledger `cmd/paper -experiments`
+// prints. Comparisons hold only published paper values; opt-in
+// experiments keep their metrics in their tables and record none.
 type Outcome struct {
 	Tables      []*report.Table
 	Figures     []*report.Figure

@@ -311,10 +311,8 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 			}
 			row = append(row, report.Num(gph, "g/h"), report.Num(reqPerG, "req/g"),
 				report.Num(regionalFleetCost(cfg, sz.p, sz.web+sz.cache, equalBudgetWebUtil), "$"))
-			o.AddComparison("equal budget / web", sz.p.Label+" req per gCO2e", 0, reqPerG)
 		}
 		webTab.AddRow(row...)
-		o.AddComparison("equal budget / web", sz.p.Label+" peak req/s per TCO-k$", 0, perK)
 	}
 	o.Tables = append(o.Tables, webTab)
 
@@ -402,10 +400,8 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 			}
 			row = append(row, report.Num(grams, "g"), report.Num(mbPerG, "MB/g"),
 				report.Num(regionalFleetCost(cfg, sz.p, sz.slaves, hadoopUtil(sz.p)), "$"))
-			o.AddComparison("equal budget / "+job, sz.p.Label+" MB per gCO2e", 0, mbPerG)
 		}
 		hTab.AddRow(row...)
-		o.AddComparison("equal budget / "+job, sz.p.Label+" MB per J", 0, mbPerJ)
 	}
 	o.Tables = append(o.Tables, hTab)
 

@@ -120,7 +120,6 @@ func runFaultTolerance(cfg Config) *Outcome {
 				"no traffic", "no traffic",
 				report.Num(1, "x"),
 				report.Count(r.faulty.Timeouts, ""))
-			o.AddComparison("fault tolerance / web", p.Label+" availability %", 0, 0)
 			continue
 		}
 		avail := 100 * (1 - r.faulty.ErrorRate)
@@ -133,8 +132,6 @@ func runFaultTolerance(cfg Config) *Outcome {
 			report.Num(p99, "s"),
 			report.Num(amp, "x"),
 			report.Count(r.faulty.Timeouts, ""))
-		o.AddComparison("fault tolerance / web", p.Label+" availability %", 0, avail)
-		o.AddComparison("fault tolerance / web", p.Label+" p99 under failure s", 0, p99)
 	}
 	o.Tables = append(o.Tables, webTab)
 
@@ -178,7 +175,6 @@ func runFaultTolerance(cfg Config) *Outcome {
 			state,
 			report.Count(int64(r.faulty.TaskRetries), ""),
 			report.Count(int64(r.faulty.LostMapOutputs), ""))
-		o.AddComparison("fault tolerance / terasort", p.Label+" slowdown x", 0, slow)
 	}
 	o.Tables = append(o.Tables, teraTab)
 

@@ -35,45 +35,49 @@ type clusterConfig struct {
 	Label    string
 	Platform *hw.Platform
 	Slaves   int
+	// Pair marks the paper-scale clusters (35 micro, 2 brawny slaves) that
+	// the per-job experiments run; they own these rungs' Table 8 rows.
+	Pair bool
 }
 
 // clusterConfigs lists the Table 8 cluster configurations over the pair.
 func clusterConfigs(micro, brawny *hw.Platform) []clusterConfig {
 	return []clusterConfig{
-		{"35E", micro, 35},
-		{"17E", micro, 17},
-		{"8E", micro, 8},
-		{"4E", micro, 4},
-		{"2D", brawny, 2},
-		{"1D", brawny, 1},
+		{"35E", micro, 35, true},
+		{"17E", micro, 17, false},
+		{"8E", micro, 8, false},
+		{"4E", micro, 4, false},
+		{"2D", brawny, 2, true},
+		{"1D", brawny, 1, false},
 	}
 }
 
 // runPairJobs executes the same job list on both paper-scale clusters (35
-// micro slaves, 2 brawny slaves), fanning the independent simulations
-// across the worker pool. Every run keeps the experiment's root seed — the
-// same seed each run used when they were serial — so results are
-// bit-identical to the serial path, just computed concurrently. Results
-// are ordered [job0-micro, job0-brawny, job1-micro, ...].
-func runPairJobs(cfg Config, jobNames []string) []*mapred.JobResult {
-	micro, brawny := cfg.Pair()
-	type cell struct {
-		job    string
-		p      *hw.Platform
-		slaves int
+// micro slaves, 2 brawny slaves) and records their Table 8 rows, fanning
+// the independent simulations across the worker pool. Every run keeps the
+// experiment's root seed — the same seed each run used when they were
+// serial — so results are bit-identical to the serial path, just computed
+// concurrently. Results are ordered [job0-micro, job0-brawny, job1-micro,
+// ...].
+func runPairJobs(o *Outcome, cfg Config, jobNames []string) []*mapred.JobResult {
+	var pair []clusterConfig
+	for _, l := range clusterConfigs(cfg.Pair()) {
+		if l.Pair {
+			pair = append(pair, l)
+		}
 	}
-	var cells []cell
-	for _, j := range jobNames {
-		cells = append(cells, cell{j, micro, 35}, cell{j, brawny, 2})
-	}
-	return runner.Map(cfg.Workers, len(cells), func(i int) *mapred.JobResult {
-		c := cells[i]
-		r, err := jobs.Run(c.job, c.p, c.slaves, cfg.Seed, cfg.Energy)
+	results := runner.Map(cfg.Workers, len(jobNames)*len(pair), func(i int) *mapred.JobResult {
+		job, l := jobNames[i/len(pair)], pair[i%len(pair)]
+		r, err := jobs.Run(job, l.Platform, l.Slaves, cfg.Seed, cfg.Energy)
 		if err != nil {
-			panic(fmt.Sprintf("core: %s on %s: %v", c.job, c.p.Label, err))
+			panic(fmt.Sprintf("core: %s on %s: %v", job, l.Platform.Label, err))
 		}
 		return r
 	})
+	for i, r := range results {
+		addTable8Comparisons(o, jobNames[i/len(pair)], pair[i%len(pair)].Label, r)
+	}
+	return results
 }
 
 // TraceFigure converts a JobResult's sampled series (CPU/memory/progress/
@@ -126,13 +130,11 @@ func traceExperiment(job string) func(cfg Config) *Outcome {
 		o := &Outcome{}
 		micro, brawny := cfg.Pair()
 		names := figNames[job]
-		results := runPairJobs(cfg, []string{job})
+		results := runPairJobs(o, cfg, []string{job})
 		re, rd := results[0], results[1]
 		o.Figures = append(o.Figures,
 			TraceFigure(fmt.Sprintf(names[0], micro.Label), re),
 			TraceFigure(fmt.Sprintf(names[1], brawny.Label), rd))
-		addTable8Comparisons(o, job, "35E", re)
-		addTable8Comparisons(o, job, "2D", rd)
 		if job == "wordcount" {
 			o.AddComparison("Figure 12", fmt.Sprintf("%s reduce start (fraction of runtime)", micro.Label), 0.61, reduceStartFraction(re))
 			o.AddComparison("Figure 15", fmt.Sprintf("%s reduce start (fraction of runtime)", brawny.Label), 0.28, reduceStartFraction(rd))
@@ -149,12 +151,7 @@ func addTable8Comparisons(o *Outcome, job, label string, r *mapred.JobResult) {
 
 func runLogcount(cfg Config) *Outcome {
 	o := &Outcome{}
-	jobNames := []string{"logcount", "logcount2"}
-	results := runPairJobs(cfg, jobNames)
-	for ji, job := range jobNames {
-		addTable8Comparisons(o, job, "35E", results[2*ji])
-		addTable8Comparisons(o, job, "2D", results[2*ji+1])
-	}
+	runPairJobs(o, cfg, []string{"logcount", "logcount2"})
 	micro, _ := cfg.Pair()
 	o.Notes = append(o.Notes, fmt.Sprintf(
 		"logcount: %s reaches ≈2.6× work-done-per-joule; logcount2 shrinks the gap to ≈1.4× (container-allocation overhead removed)",
@@ -164,10 +161,8 @@ func runLogcount(cfg Config) *Outcome {
 
 func runTerasort(cfg Config) *Outcome {
 	o := &Outcome{}
-	results := runPairJobs(cfg, []string{"terasort"})
+	results := runPairJobs(o, cfg, []string{"terasort"})
 	re, rd := results[0], results[1]
-	addTable8Comparisons(o, "terasort", "35E", re)
-	addTable8Comparisons(o, "terasort", "2D", rd)
 	eff := (float64(rd.Energy) / float64(re.Energy))
 	o.AddComparison("§5.2.4", "terasort energy-efficiency gain (x)", 1.48, eff)
 	return o
@@ -175,12 +170,13 @@ func runTerasort(cfg Config) *Outcome {
 
 func runScalability(cfg Config) *Outcome {
 	o := &Outcome{}
-	micro, brawny := cfg.Pair()
 	names := jobs.Names()
-	labels := clusterConfigs(micro, brawny)
+	labels := clusterConfigs(cfg.Pair())
 	if cfg.Quick {
+		// The 1D rung: the cheapest cell (one slave), and one no other
+		// quick experiment simulates.
 		names = []string{"wordcount2", "pi"}
-		labels = labels[:1]
+		labels = labels[len(labels)-1:]
 	}
 	timeTab := report.NewTable("Figure 18 / Table 8 — job finish time (s)",
 		append([]string{"job"}, labelNames(labels)...)...).
@@ -206,7 +202,10 @@ func runScalability(cfg Config) *Outcome {
 			r := results[ji*len(labels)+li]
 			trow = append(trow, report.Num(r.Duration, "s"))
 			erow = append(erow, report.Num(float64(r.Energy), "J"))
-			addTable8Comparisons(o, job, l.Label, r)
+			// The pair experiments own the 35E and 2D ledger rows.
+			if !l.Pair {
+				addTable8Comparisons(o, job, l.Label, r)
+			}
 		}
 		timeTab.AddRow(trow...)
 		energyTab.AddRow(erow...)

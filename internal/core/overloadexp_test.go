@@ -1,12 +1,12 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"testing"
 
 	"edisim/internal/hw"
+	"edisim/internal/report"
 )
 
 func TestSafeDiv(t *testing.T) {
@@ -29,9 +29,21 @@ func overloadPairConfig(seed int64, workers int) Config {
 		Matrix: []*hw.Platform{micro, brawny}}
 }
 
+// column returns the index of the header named name in tab.
+func column(t *testing.T, tab *report.Table, name string) int {
+	t.Helper()
+	for i, h := range tab.Headers {
+		if h == name {
+			return i
+		}
+	}
+	t.Fatalf("table %q has no %q column: %v", tab.Title, name, tab.Headers)
+	return -1
+}
+
 // TestOverloadExperimentQuick checks the overload experiment's artifact
-// shape: ladder + drill tables, the two offered-load figures, finite
-// comparisons, and a drill that degrades and recovers on every platform.
+// shape: ladder + drill tables, the two offered-load figures, no ledger
+// rows (it is beyond the paper), and a drill that degrades and recovers on every platform.
 func TestOverloadExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep experiment in -short mode")
@@ -50,19 +62,22 @@ func TestOverloadExperimentQuick(t *testing.T) {
 	if len(o.Figures) != 2 {
 		t.Fatalf("got %d figures, want 2 (p99 + goodput vs offered load)", len(o.Figures))
 	}
-	if len(o.Comparisons) == 0 {
-		t.Fatal("no comparisons recorded")
+	if len(o.Comparisons) != 0 {
+		t.Fatalf("recorded %d comparisons; beyond-paper metrics belong in the tables", len(o.Comparisons))
 	}
-	for _, c := range o.Comparisons {
-		if math.IsNaN(c.Measured) || math.IsInf(c.Measured, 0) {
-			t.Errorf("comparison %q measured %v is not finite", c.Metric, c.Measured)
+	// Every platform must meet the SLO at least at the 0.5x point, so each
+	// ladder has an ok verdict row to read req/s/W at SLO from.
+	ladder := o.Tables[0]
+	verdict := column(t, ladder, "SLO")
+	for _, p := range overloadPairConfig(1, 1).Matrix {
+		met := false
+		for _, row := range ladder.Rows {
+			if row[0].Str == p.Label && row[verdict].Str == "ok" {
+				met = true
+			}
 		}
-	}
-	// Every platform must meet the SLO at least at the 0.5x point, so the
-	// req/s/W-at-SLO comparison is positive.
-	for _, c := range o.Comparisons {
-		if strings.HasSuffix(c.Metric, "req/s/W at SLO") && c.Measured <= 0 {
-			t.Errorf("%s = %g: no ladder point met the SLO", c.Metric, c.Measured)
+		if !met {
+			t.Errorf("%s: no ladder point met the SLO:\n%s", p.Label, ladder)
 		}
 	}
 	// The drill's verdict column must never read COLLAPSED: goodput during
@@ -108,11 +123,6 @@ func TestFaultToleranceNoNaN(t *testing.T) {
 		t.Fatal("fault_tolerance experiment not registered")
 	}
 	o := e.Run(overloadPairConfig(1, runtime.GOMAXPROCS(0)))
-	for _, c := range o.Comparisons {
-		if math.IsNaN(c.Measured) || math.IsInf(c.Measured, 0) {
-			t.Errorf("comparison %q measured %v is not finite", c.Metric, c.Measured)
-		}
-	}
 	for _, tab := range o.Tables {
 		if s := tab.String(); strings.Contains(s, "NaN") {
 			t.Errorf("table contains NaN:\n%s", s)

@@ -30,7 +30,8 @@ func renderOutcome(o *Outcome) string {
 
 // TestParallelSweepMatchesSerial: the parallel runner must produce
 // byte-identical outcomes to the serial path for the same seed — the core
-// guarantee that makes -j safe to use for EXPERIMENTS.md regeneration.
+// guarantee that makes -j safe to use for the full ledger
+// (`cmd/paper -experiments`).
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep experiments in -short mode")

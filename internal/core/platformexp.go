@@ -99,10 +99,8 @@ func runPlatformMatrix(cfg Config) *Outcome {
 			}
 			row = append(row, report.Num(gph, "g/h"), report.Num(reqPerG, "req/g"),
 				report.Num(regionalFleetCost(cfg, p, p.Fleet.Web+p.Fleet.Cache, 0.75), "$"))
-			o.AddComparison("platform matrix / web", p.Label+" req per gCO2e", 0, reqPerG)
 		}
 		webTab.AddRow(row...)
-		o.AddComparison("platform matrix / web", p.Label+" peak req/s per W", 0, perWatt)
 	}
 	o.Tables = append(o.Tables, webTab)
 
@@ -152,10 +150,8 @@ func runPlatformMatrix(cfg Config) *Outcome {
 			}
 			row = append(row, report.Num(grams, "g"), report.Num(mbPerG, "MB/g"),
 				report.Num(regionalFleetCost(cfg, p, p.Fleet.Slaves, util), "$"))
-			o.AddComparison("platform matrix / terasort", p.Label+" MB per gCO2e", 0, mbPerG)
 		}
 		teraTab.AddRow(row...)
-		o.AddComparison("platform matrix / terasort", p.Label+" MB per J", 0, mbPerJ)
 	}
 	o.Tables = append(o.Tables, teraTab)
 

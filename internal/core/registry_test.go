@@ -34,12 +34,21 @@ func TestEveryExperimentQuickSmoke(t *testing.T) {
 			if len(o.Tables)+len(o.Figures)+len(o.Comparisons) == 0 {
 				t.Fatalf("%s produced no artifacts", e.ID)
 			}
-			if !figureOnly[e.ID] && len(o.Comparisons) == 0 {
+			// The ledger holds only published paper values: opt-in
+			// experiments keep their metrics in their tables, and every
+			// paper row has a paper value to compare against.
+			if e.OptIn && len(o.Comparisons) != 0 {
+				t.Fatalf("opt-in %s recorded %d comparisons, want none", e.ID, len(o.Comparisons))
+			}
+			if !e.OptIn && !figureOnly[e.ID] && len(o.Comparisons) == 0 {
 				t.Fatalf("%s recorded no comparisons", e.ID)
 			}
 			for _, c := range o.Comparisons {
 				if c.Artifact == "" || c.Metric == "" {
 					t.Fatalf("%s: blank comparison %+v", e.ID, c)
+				}
+				if c.Paper <= 0 {
+					t.Fatalf("%s: comparison %s / %s has paper value %g, want > 0", e.ID, c.Artifact, c.Metric, c.Paper)
 				}
 			}
 		})
@@ -83,7 +92,7 @@ func TestWebSweepHonorsPairOverride(t *testing.T) {
 
 // TestPlatformMatrixCoversConfiguredPlatforms: the matrix experiment must
 // honor Config.Matrix (cmd/paper's -platforms) and emit one web and one
-// terasort comparison per platform.
+// terasort table row per platform.
 func TestPlatformMatrixCoversConfiguredPlatforms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
@@ -99,11 +108,18 @@ func TestPlatformMatrixCoversConfiguredPlatforms(t *testing.T) {
 	cfg := Config{Seed: 1, Quick: true, Workers: runtime.GOMAXPROCS(0),
 		Matrix: []*hw.Platform{micro, brawny}}
 	o := e.Run(cfg)
-	if got := len(o.Comparisons); got != 4 {
-		t.Fatalf("matrix over 2 platforms produced %d comparisons, want 4", got)
-	}
 	if len(o.Tables) != 2 {
 		t.Fatalf("matrix produced %d tables, want 2", len(o.Tables))
+	}
+	for _, tab := range o.Tables {
+		if len(tab.Rows) != len(cfg.Matrix) {
+			t.Fatalf("%q has %d rows, want one per platform (%d)", tab.Title, len(tab.Rows), len(cfg.Matrix))
+		}
+		for i, p := range cfg.Matrix {
+			if tab.Rows[i][0].Str != p.Label {
+				t.Fatalf("%q row %d is %q, want %q", tab.Title, i, tab.Rows[i][0].Str, p.Label)
+			}
+		}
 	}
 }
 
@@ -137,7 +153,9 @@ func TestFaultTolerancePlanOverride(t *testing.T) {
 	if o == nil || len(o.Tables) != 2 {
 		t.Fatalf("fault_tolerance with a custom plan returned %+v", o)
 	}
-	if len(o.Comparisons) == 0 {
-		t.Fatal("no availability comparisons recorded under the custom plan")
+	for _, tab := range o.Tables {
+		if len(tab.Rows) != 1 || tab.Rows[0][0].Str != r620.Label {
+			t.Fatalf("%q under the custom plan has rows %v, want one %s row", tab.Title, tab.Rows, r620.Label)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package report renders experiment output: aligned ASCII tables, CSV, and
-// labeled x/y series ("figures"). Every cmd tool and EXPERIMENTS.md row goes
+// labeled x/y series ("figures"). Every cmd tool and ledger row goes
 // through these types so paper-vs-measured comparisons look uniform.
 //
 // Cells are typed Values (number + unit + display hint), so emitters beyond
@@ -263,8 +263,8 @@ func (f *Figure) Table() *Table {
 // String renders the figure via its table form.
 func (f *Figure) String() string { return f.Table().String() }
 
-// Comparison records paper-reported vs simulator-measured values for
-// EXPERIMENTS.md.
+// Comparison records one published paper value against the simulator's
+// measurement: a row of the ledger `cmd/paper -experiments` prints.
 type Comparison struct {
 	Artifact string // e.g. "Table 8 / wordcount / 35 Edison"
 	Metric   string // e.g. "energy (J)"
