@@ -10,8 +10,9 @@ import (
 
 // TestAutoscaleExperimentQuick checks the autoscale experiment's artifact
 // shape: the elasticity ladder table, the fleet-size trace figure, no
-// ledger rows (it is beyond the paper), and the headline pin — on the micro
-// fleet some elastic policy beats the static fleet on energy at SLO parity.
+// ledger rows (it is beyond the paper), finite table cells, and the
+// headline pin — on the micro fleet some elastic policy beats the static
+// fleet on energy at SLO parity.
 func TestAutoscaleExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep experiment in -short mode")
@@ -33,6 +34,7 @@ func TestAutoscaleExperimentQuick(t *testing.T) {
 	if len(o.Comparisons) != 0 {
 		t.Fatalf("recorded %d comparisons; beyond-paper metrics belong in the tables", len(o.Comparisons))
 	}
+	requireFiniteCells(t, o)
 	tab := o.Tables[0]
 	ladder := tab.String()
 	for _, want := range []string{"static", "target-util", "queue-depth", "predictive", "diurnal", "spike"} {

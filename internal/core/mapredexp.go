@@ -41,6 +41,8 @@ type clusterConfig struct {
 }
 
 // clusterConfigs lists the Table 8 cluster configurations over the pair.
+// The micro pair rung (35E) comes before the brawny one (2D): runPairJobs
+// keeps this order, and its callers read results as micro, brawny.
 func clusterConfigs(micro, brawny *hw.Platform) []clusterConfig {
 	return []clusterConfig{
 		{"35E", micro, 35, true},
@@ -189,6 +191,11 @@ func runScalability(cfg Config) *Outcome {
 	results := RunSweep(cfg, "fig18_fig19_table8", len(names)*len(labels),
 		func(i int, seed int64) *mapred.JobResult {
 			job, l := names[i/len(labels)], labels[i%len(labels)]
+			// The pair rungs keep the root seed the pair experiments run
+			// with, so their cells show the ledger's 35E and 2D values.
+			if l.Pair {
+				seed = cfg.Seed
+			}
 			r, err := jobs.Run(job, l.Platform, l.Slaves, seed, cfg.Energy)
 			if err != nil {
 				panic(err)

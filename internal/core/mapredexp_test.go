@@ -33,3 +33,21 @@ func TestMapReduceHonorsEnergyModel(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterConfigsPairOrder: runPairJobs' callers read its results as
+// micro then brawny, so the pair rungs of clusterConfigs must list the 35
+// micro slaves before the 2 brawny ones.
+func TestClusterConfigsPairOrder(t *testing.T) {
+	micro, brawny := hw.BaselinePair()
+	var pair []clusterConfig
+	for _, l := range clusterConfigs(micro, brawny) {
+		if l.Pair {
+			pair = append(pair, l)
+		}
+	}
+	if len(pair) != 2 ||
+		pair[0].Label != "35E" || pair[0].Platform != micro || pair[0].Slaves != 35 ||
+		pair[1].Label != "2D" || pair[1].Platform != brawny || pair[1].Slaves != 2 {
+		t.Fatalf("pair rungs = %+v, want 35E on %s then 2D on %s", pair, micro.Label, brawny.Label)
+	}
+}

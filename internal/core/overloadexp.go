@@ -73,9 +73,10 @@ func overloadTestbed(cfg Config, p *hw.Platform, seed int64) *web.Deployment {
 //
 //   - Ladder: steady open-loop arrivals at 0.5×..3× the fleet's connection
 //     capacity with shedding + retry budgets on, reporting goodput, shed
-//     rate, p99/p999, power, and req/s/W at the SLO (the
-//     energy-proportionality lens — a fleet that only meets the SLO at
-//     full saturation is not the fleet that meets it in production).
+//     rate, p99/p999, power, req/s/W and an SLO verdict per point (read
+//     req/s/W on the rows that meet the SLO: the energy-proportionality
+//     lens — a fleet that only meets the SLO at full saturation is not the
+//     fleet that meets it in production).
 //   - Drill: a flash-crowd spike to ~2.2× capacity with a rolling crash of
 //     a quarter of the web tier mid-spike (cfg.Faults, when set, replaces
 //     the built-in crash plan via its "web" events), brownout enabled —
@@ -272,7 +273,7 @@ func runOverload(cfg Config) *Outcome {
 	o.Notes = append(o.Notes,
 		"open-loop arrivals: the client population sends at the profiled rate whether or not the fleet keeps up; goodput is successful replies inside the measurement window",
 		"every point runs with deadline shedding (0.5 s), a 10% retry budget and 0.5 s client timeouts; the drill adds brownout (stale cache-only answers while the SLO burns)",
-		"req/s/W at SLO is the req/s/W of the ladder rows whose SLO column reads ok (p99 <= 0.5 s and availability >= 99%) — the energy-proportionality lens of Subramaniam & Feng rather than peak-throughput-per-watt",
+		"the ladder's SLO column reads ok when p99 <= 0.5 s and availability >= 99%; read req/s/W on ok rows, the energy-proportionality lens of Subramaniam & Feng, rather than as peak throughput per watt",
 	)
 	if armed {
 		o.Notes = append(o.Notes, carbonLensNote(cfg))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,9 +42,26 @@ func column(t *testing.T, tab *report.Table, name string) int {
 	return -1
 }
 
+// requireFiniteCells fails t on every numeric table cell of o that is NaN
+// or ±Inf: beyond-paper metrics live only in the tables, so the tables are
+// where their arithmetic is checked.
+func requireFiniteCells(t *testing.T, o *Outcome) {
+	t.Helper()
+	for _, tab := range o.Tables {
+		for _, row := range tab.Rows {
+			for i, v := range row {
+				if v.Kind == report.KindFloat && (math.IsNaN(v.Num) || math.IsInf(v.Num, 0)) {
+					t.Errorf("%s: %s / %s = %v is not finite", tab.Title, row[0].Str, tab.Headers[i], v.Num)
+				}
+			}
+		}
+	}
+}
+
 // TestOverloadExperimentQuick checks the overload experiment's artifact
 // shape: ladder + drill tables, the two offered-load figures, no ledger
-// rows (it is beyond the paper), and a drill that degrades and recovers on every platform.
+// rows (it is beyond the paper), finite table cells, and a drill that
+// degrades and recovers on every platform.
 func TestOverloadExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep experiment in -short mode")
@@ -65,8 +83,9 @@ func TestOverloadExperimentQuick(t *testing.T) {
 	if len(o.Comparisons) != 0 {
 		t.Fatalf("recorded %d comparisons; beyond-paper metrics belong in the tables", len(o.Comparisons))
 	}
+	requireFiniteCells(t, o)
 	// Every platform must meet the SLO at least at the 0.5x point, so each
-	// ladder has an ok verdict row to read req/s/W at SLO from.
+	// ladder has an ok verdict row whose req/s/W is read at the SLO.
 	ladder := o.Tables[0]
 	verdict := column(t, ladder, "SLO")
 	for _, p := range overloadPairConfig(1, 1).Matrix {
@@ -123,9 +142,8 @@ func TestFaultToleranceNoNaN(t *testing.T) {
 		t.Fatal("fault_tolerance experiment not registered")
 	}
 	o := e.Run(overloadPairConfig(1, runtime.GOMAXPROCS(0)))
-	for _, tab := range o.Tables {
-		if s := tab.String(); strings.Contains(s, "NaN") {
-			t.Errorf("table contains NaN:\n%s", s)
-		}
+	if len(o.Comparisons) != 0 {
+		t.Fatalf("recorded %d comparisons; beyond-paper metrics belong in the tables", len(o.Comparisons))
 	}
+	requireFiniteCells(t, o)
 }
