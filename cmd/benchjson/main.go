@@ -13,6 +13,8 @@
 //	-append    merge with the records already in -o (the trajectory grows
 //	           across PRs; earlier records are preserved verbatim)
 //	-label s   stamp each new record with a label (e.g. the PR number)
+//	-median    keep one record per benchmark name, the one with the median
+//	           ns/op (for repeated runs: go test -count N)
 //
 // A record carries the benchmark name (Benchmark prefix stripped), the
 // fleet size parsed from a "nodes=N" component of the name when present,
@@ -28,6 +30,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -90,13 +93,36 @@ func parse(r io.Reader, label string) ([]Record, error) {
 	return out, sc.Err()
 }
 
-func run(in io.Reader, outPath, label string, appendTo bool) error {
+// medians keeps, for each benchmark name in first-seen order, the record
+// with the median ns/op (the lower middle one of an even count).
+func medians(recs []Record) []Record {
+	var names []string
+	byName := map[string][]Record{}
+	for _, r := range recs {
+		if _, ok := byName[r.Name]; !ok {
+			names = append(names, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Record, 0, len(names))
+	for _, name := range names {
+		rs := byName[name]
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		out = append(out, rs[(len(rs)-1)/2])
+	}
+	return out
+}
+
+func run(in io.Reader, outPath, label string, appendTo, median bool) error {
 	recs, err := parse(in, label)
 	if err != nil {
 		return err
 	}
 	if len(recs) == 0 {
 		return fmt.Errorf("benchjson: no benchmark lines on stdin")
+	}
+	if median {
+		recs = medians(recs)
 	}
 	var all []Record
 	if appendTo && outPath != "" {
@@ -125,8 +151,9 @@ func main() {
 	outPath := flag.String("o", "", "output file (default stdout)")
 	appendTo := flag.Bool("append", false, "merge with records already in -o")
 	label := flag.String("label", "", "label stamped on each new record")
+	median := flag.Bool("median", false, "keep the median-ns/op record per benchmark name")
 	flag.Parse()
-	if err := run(os.Stdin, *outPath, *label, *appendTo); err != nil {
+	if err := run(os.Stdin, *outPath, *label, *appendTo, *median); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -28,6 +28,8 @@ import (
 // propagation delay. Duplex cables are two Links.
 type Link struct {
 	Src, Dst string
+	src, dst int32 // dense vertex indices of Src and Dst (Fabric.vertices)
+	idx      int32 // position in Fabric.links, the route trees' parent key
 	Capacity units.BytesPerSec
 	Delay    float64 // one-way propagation delay in seconds
 
@@ -83,9 +85,10 @@ func (l *Link) effCap() float64 { return float64(l.Capacity) * l.scale }
 
 // newLink adds one direction of a cable to the fabric.
 func (f *Fabric) newLink(src, dst string, capacity units.BytesPerSec, delay float64) *Link {
-	l := &Link{Src: src, Dst: dst, Capacity: capacity, Delay: delay,
+	l := &Link{Src: src, Dst: dst, src: f.vertices[src], dst: f.vertices[dst],
+		idx: int32(len(f.links)), Capacity: capacity, Delay: delay,
 		arrivals: f.eng.NewLane(), scale: 1}
-	f.adj[src] = append(f.adj[src], l)
+	f.adj[l.src] = append(f.adj[l.src], l)
 	f.links = append(f.links, l)
 	return l
 }
@@ -93,19 +96,35 @@ func (f *Fabric) newLink(src, dst string, capacity units.BytesPerSec, delay floa
 // Fabric is the network graph plus the active flow set.
 type Fabric struct {
 	eng      *sim.Engine
-	vertices map[string]bool
-	adj      map[string][]*Link
+	vertices map[string]int32 // name -> dense vertex index, in AddVertex order
+	adj      [][]*Link        // outgoing links by vertex index, in Connect order
 	links    []*Link
 	routes   map[[2]string][]*Link
 
-	// flows is the live max-min flow set. Maintained by swap-removal (each
-	// flow carries its index), so iteration order is NOT admission order;
-	// every pass that cares — water-filling arithmetic, completion
-	// callbacks — orders on Flow.seq instead (affectedFlows sorts, the
-	// completion heap ties on seq), keeping reruns bit-identical.
-	flows    []*Flow
-	epoch    uint64
-	nextDone sim.EventRef
+	// trees[s] is the breadth-first parent tree from source vertex s, built
+	// on the first route miss from s (nil until then): trees[s][v] is the
+	// Fabric.links index of the link that first reached v, or unreached.
+	// Every later route from s walks up the tree instead of searching
+	// again. nTrees counts the built trees, so building a topology (one
+	// ConnectAsym per link, before any route) never clears an empty table,
+	// and bounds the table's size (treeBudget).
+	trees    [][]int32
+	nTrees   int
+	bfsQueue []int32
+	// pathSlab is the unused tail of the chunk new routes are carved from,
+	// so a cold route table allocates per chunk, not per pair.
+	pathSlab []*Link
+
+	// The live max-min flow set is a doubly linked list in admission (seq)
+	// order, from flowHead to flowTail: admit inserts by seq, removeFlow
+	// unlinks in O(1). Every pass whose arithmetic depends on order —
+	// water-filling, completion callbacks — follows seq (affectedFlows
+	// reads the list or sorts, the completion heap ties on seq), keeping
+	// reruns bit-identical.
+	flowHead, flowTail *Flow
+	nFlows             int
+	epoch              uint64
+	nextDone           sim.EventRef
 
 	// doneHeap is the indexed 4-ary min-heap of projected completion times
 	// (see doneheap.go); one engine event is armed at its minimum.
@@ -139,8 +158,7 @@ type Fabric struct {
 func NewFabric(eng *sim.Engine) *Fabric {
 	f := &Fabric{
 		eng:      eng,
-		vertices: make(map[string]bool),
-		adj:      make(map[string][]*Link),
+		vertices: make(map[string]int32),
 		routes:   make(map[[2]string][]*Link),
 	}
 	f.completeFn = f.completeFlows
@@ -150,9 +168,15 @@ func NewFabric(eng *sim.Engine) *Fabric {
 // Engine returns the engine the fabric runs on.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
-// AddVertex registers a host or switch by name. Re-adding is a no-op.
+// AddVertex registers a host or switch by name, interning it to the next
+// dense vertex index. Re-adding is a no-op.
 func (f *Fabric) AddVertex(name string) {
-	f.vertices[name] = true
+	if _, ok := f.vertices[name]; ok {
+		return
+	}
+	f.vertices[name] = int32(len(f.adj))
+	f.adj = append(f.adj, nil)
+	f.trees = append(f.trees, nil)
 }
 
 // Connect joins a and b with a duplex cable of the given per-direction
@@ -165,7 +189,9 @@ func (f *Fabric) Connect(a, b string, capacity units.BytesPerSec, delay float64)
 // ConnectAsym joins a -> b only, for asymmetric capacities. Routes are
 // invalidated.
 func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay float64) {
-	if !f.vertices[a] || !f.vertices[b] {
+	_, okA := f.vertices[a]
+	_, okB := f.vertices[b]
+	if !okA || !okB {
 		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
 	}
 	if capacity <= 0 {
@@ -173,11 +199,19 @@ func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay floa
 	}
 	f.newLink(a, b, capacity, delay)
 	clear(f.routes)
+	if f.nTrees > 0 {
+		clear(f.trees)
+		f.nTrees = 0
+	}
 }
 
 // Route returns the shortest path (in hops) from src to dst as directed
 // links, memoized. It panics when no route exists: topologies are static and
 // a missing route is a configuration bug.
+//
+// A miss walks up src's breadth-first tree (see tree). Its parents are the
+// first-discovery links, so the path equals that of a search from src that
+// stops as soon as dst is reached: both visit vertices in the same order.
 func (f *Fabric) Route(src, dst string) []*Link {
 	if src == dst {
 		return nil
@@ -186,43 +220,91 @@ func (f *Fabric) Route(src, dst string) []*Link {
 	if p, ok := f.routes[key]; ok {
 		return p
 	}
-	// BFS over vertices.
-	prev := map[string]*Link{src: nil}
-	queue := []string{src}
-	for len(queue) > 0 && prev[dst] == nil {
-		v := queue[0]
-		queue = queue[1:]
-		for _, l := range f.adj[v] {
-			if _, seen := prev[l.Dst]; !seen {
-				prev[l.Dst] = l
-				queue = append(queue, l.Dst)
-			}
-		}
-		if _, ok := prev[dst]; ok {
-			break
-		}
+	s, okS := f.vertices[src]
+	d, okD := f.vertices[dst]
+	var t []int32
+	if okS && okD {
+		t = f.tree(s)
 	}
-	back, ok := prev[dst]
-	if !ok || back == nil {
+	// A vertex added after the tree was built has no entry yet; it is
+	// unreachable until a Connect rebuilds the tree.
+	if int(d) >= len(t) || t[d] < 0 {
 		panic(fmt.Sprintf("netsim: no route %s -> %s", src, dst))
 	}
-	var rev []*Link
-	for l := back; l != nil; l = prev[l.Src] {
-		rev = append(rev, l)
+	n := 0
+	for v := d; v != s; v = f.links[t[v]].src {
+		n++
 	}
-	path := make([]*Link, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
+	if len(f.pathSlab) < n {
+		f.pathSlab = make([]*Link, max(n, pathChunk))
+	}
+	path := f.pathSlab[:n:n]
+	f.pathSlab = f.pathSlab[n:]
+	for v := d; v != s; {
+		l := f.links[t[v]]
+		n--
+		path[n] = l
+		v = l.src
 	}
 	f.routes[key] = path
 	return path
 }
 
+// Route tree markers: a vertex the search never reached, and the source.
+const (
+	unreached int32 = -1
+	treeRoot  int32 = -2
+)
+
+// pathChunk is how many links a route slab holds.
+const pathChunk = 256
+
+// treeBudget caps the entries of all route trees together (4 bytes each).
+// A fabric with thousands of sending hosts drops every tree when the next
+// one would pass it and rebuilds them on demand, so its table stays
+// bounded rather than growing to one tree per source.
+const treeBudget = 1 << 22
+
+// tree returns source s's breadth-first parent tree over the whole graph,
+// building it on first use. Vertices are dequeued in discovery order and
+// each one's links are scanned in Connect order, so every vertex's parent
+// is the first link that reaches it.
+func (f *Fabric) tree(s int32) []int32 {
+	if t := f.trees[s]; t != nil {
+		return t
+	}
+	if (f.nTrees+1)*len(f.adj) > treeBudget {
+		clear(f.trees)
+		f.nTrees = 0
+	}
+	t := make([]int32, len(f.adj))
+	for i := range t {
+		t[i] = unreached
+	}
+	t[s] = treeRoot
+	queue := append(f.bfsQueue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		for _, l := range f.adj[queue[i]] {
+			if t[l.dst] == unreached {
+				t[l.dst] = l.idx
+				queue = append(queue, l.dst)
+			}
+		}
+	}
+	f.bfsQueue = queue[:0]
+	f.trees[s] = t
+	f.nTrees++
+	return t
+}
+
 // Latency reports the one-way propagation delay from src to dst (no
 // queueing, no transmission), i.e. an idealized tiny-packet trip.
-func (f *Fabric) Latency(src, dst string) float64 {
+func (f *Fabric) Latency(src, dst string) float64 { return pathDelay(f.Route(src, dst)) }
+
+// pathDelay sums the propagation delays along a path, source first.
+func pathDelay(path []*Link) float64 {
 	var d float64
-	for _, l := range f.Route(src, dst) {
+	for _, l := range path {
 		d += l.Delay
 	}
 	return d
@@ -249,7 +331,7 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !(scale >= 0) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("netsim: link scale %g must be finite and non-negative", scale))
 	}
-	if !f.vertices[v] {
+	if _, ok := f.vertices[v]; !ok {
 		panic(fmt.Sprintf("netsim: SetVertexLinks of unknown vertex %q", v))
 	}
 	changed := false

@@ -35,7 +35,8 @@ type Flow struct {
 	done      func()
 	frozen    bool // scratch flag for the water-filling pass
 
-	idx     int32    // position in Fabric.flows
+	prev    *Flow // neighbours in the fabric's seq-ordered live list
+	next    *Flow
 	heapPos int32    // position in the completion heap, -1 when absent
 	doneAt  sim.Time // projected completion (heap key), valid while heapPos >= 0
 	mark    uint64   // epoch stamp for the dirty-component sweep
@@ -126,7 +127,7 @@ func (f *Fabric) StartFlow(src, dst string, size units.Bytes, done func()) FlowR
 	fl.path = f.Route(src, dst)
 	// Propagation: first byte takes the path latency; model by delaying
 	// admission of the flow into the bandwidth-sharing set.
-	f.eng.After(f.Latency(src, dst), fl.admitFn)
+	f.eng.After(pathDelay(fl.path), fl.admitFn)
 	return ref
 }
 
@@ -153,8 +154,7 @@ func (fl *Flow) admit() {
 	// at its post-admission rate (the pre-lazy code had exactly that
 	// double-count; the golden refresh covers the fix).
 	fl.lastT = f.eng.Now()
-	fl.idx = int32(len(f.flows))
-	f.flows = append(f.flows, fl)
+	f.insertFlow(fl)
 	fl.linkPos = fl.linkPos[:0]
 	for i, l := range fl.path {
 		fl.linkPos = append(fl.linkPos, int32(len(l.flows)))
@@ -190,7 +190,7 @@ func (f *Fabric) credit(fl *Flow) {
 // it (TotalBytes does so itself); the hot path never needs it, and this
 // O(flows) pass is the only place every live flow is credited at once.
 func (f *Fabric) FlushProgress() {
-	for _, fl := range f.flows {
+	for fl := f.flowHead; fl != nil; fl = fl.next {
 		f.credit(fl)
 	}
 	now := f.eng.Now()
@@ -217,18 +217,46 @@ func (f *Fabric) unlink(fl *Flow) {
 	}
 }
 
-// removeFlow drops the flow from the live set by swap-remove. Admission
-// order is restored where it matters: affectedFlows sorts components on
-// seq, and the completion heap ties on it.
-func (f *Fabric) removeFlow(fl *Flow) {
-	i := fl.idx
-	last := len(f.flows) - 1
-	if int(i) != last {
-		f.flows[i] = f.flows[last]
-		f.flows[i].idx = i
+// insertFlow links an admitted flow into the live list at its seq
+// position. Flows are admitted after their path latency, so a flow started
+// later on a shorter path can be admitted first; the walk back from the
+// newest flow is short because admissions are nearly in seq order.
+func (f *Fabric) insertFlow(fl *Flow) {
+	after := f.flowTail
+	for after != nil && after.seq > fl.seq {
+		after = after.prev
 	}
-	f.flows[last] = nil
-	f.flows = f.flows[:last]
+	fl.prev = after
+	if after == nil {
+		fl.next = f.flowHead
+		f.flowHead = fl
+	} else {
+		fl.next = after.next
+		after.next = fl
+	}
+	if fl.next == nil {
+		f.flowTail = fl
+	} else {
+		fl.next.prev = fl
+	}
+	f.nFlows++
+}
+
+// removeFlow unlinks the flow from the live list in O(1); the list stays
+// in seq order.
+func (f *Fabric) removeFlow(fl *Flow) {
+	if fl.prev == nil {
+		f.flowHead = fl.next
+	} else {
+		fl.prev.next = fl.next
+	}
+	if fl.next == nil {
+		f.flowTail = fl.prev
+	} else {
+		fl.next.prev = fl.prev
+	}
+	fl.prev, fl.next = nil, nil
+	f.nFlows--
 }
 
 // completeFlows is the single pending-completion event: it finishes every
@@ -288,4 +316,4 @@ func (f *Fabric) rekey(fl *Flow, now sim.Time) {
 }
 
 // ActiveFlows reports the number of in-flight bulk transfers.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return f.nFlows }

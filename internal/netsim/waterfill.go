@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -22,11 +23,14 @@ import (
 // Component discovery is a breadth-first sweep over the per-link flow lists
 // (Link.flows, maintained by admit/unlink with O(1) swap-removal), starting
 // from the dirty links: it touches only the flows and links of the
-// perturbed components, never the full live set. Combined with the
-// completion heap (doneheap.go) this makes the whole per-event flow path —
-// crediting, component discovery, water-filling, rescheduling — independent
-// of the total number of live flows: an arrival or departure costs
-// O(component + log flows), where the log is the heap re-key.
+// perturbed components, never the full live set. The component is then put
+// in admission order: the live flows form a doubly linked list kept in seq
+// order (insertFlow, removeFlow), so a component of A flows with
+// A·log₂A ≥ live flows is read off that list, and a smaller one is sorted.
+// Combined with the completion heap (doneheap.go) this makes the whole
+// per-event flow path — crediting, component discovery, ordering,
+// water-filling, rescheduling — cost O(A·log A + log flows) for an
+// arrival or departure, where the last log is the heap re-key.
 //
 // THE LAZY-CREDITING INVARIANT. For every live flow, `remaining` and the
 // per-link byte counters are exact as of `lastT`, and the flow has been
@@ -64,8 +68,9 @@ func (f *Fabric) markDirty(l *Link) {
 // the last pass: the union of the flow/link connected components containing
 // a dirty link, found by BFS over the per-link flow lists. It consumes
 // (clears) the dirty-link list and returns the affected flows in admission
-// order, in reusable scratch storage. Cost is proportional to the size of
-// the perturbed components, not the live flow set.
+// order, in reusable scratch storage. A component of A flows costs
+// O(A·log A): it is sorted, or, when that would cost as much as reading
+// the live set, read off the seq-ordered live list.
 func (f *Fabric) affectedFlows() []*Flow {
 	f.epoch++
 	epoch := f.epoch
@@ -98,13 +103,24 @@ func (f *Fabric) affectedFlows() []*Flow {
 		}
 	}
 	// Water-filling iterates (and subtracts shares) in admission order so
-	// the arithmetic is independent of traversal order.
-	slices.SortFunc(aff, func(a, b *Flow) int {
-		if a.seq < b.seq {
-			return -1
+	// the arithmetic is independent of traversal order. A component that
+	// spans most of the live set (a shuffle's all-to-all flows) is read off
+	// the live list; a small one is sorted.
+	if n := len(aff); n*bits.Len(uint(n)) >= f.nFlows {
+		aff = aff[:0]
+		for fl := f.flowHead; fl != nil; fl = fl.next {
+			if fl.mark == epoch {
+				aff = append(aff, fl)
+			}
 		}
-		return 1
-	})
+	} else {
+		slices.SortFunc(aff, func(a, b *Flow) int {
+			if a.seq < b.seq {
+				return -1
+			}
+			return 1
+		})
+	}
 	f.affScratch = aff
 	return aff
 }

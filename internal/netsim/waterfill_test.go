@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"edisim/internal/sim"
@@ -176,4 +177,55 @@ func BenchmarkFlowChurnManyComponents(b *testing.B) {
 		f, pairs := manyComponentsFabric(eng)
 		benchManyComponents(b, eng, f, pairs)
 	})
+}
+
+// TestAffectedFlowsSeqOrder starts flow A on a long-latency path and then
+// flow B on a shorter one, so B is admitted first although A has the
+// lower seq. The live list and affectedFlows must still put A before B,
+// both when the component is read off the live list (A and B alone) and
+// when it is sorted (A and B beside unrelated flows on disjoint links).
+func TestAffectedFlowsSeqOrder(t *testing.T) {
+	for _, others := range []int{0, 3} {
+		eng := sim.NewEngine()
+		f := NewFabric(eng)
+		for _, v := range []string{"a", "b", "sw", "c", "x", "y"} {
+			f.AddVertex(v)
+		}
+		f.Connect("a", "sw", units.Mbps(100), 10e-3)
+		f.Connect("b", "sw", units.Mbps(100), 1e-3)
+		f.Connect("sw", "c", units.Mbps(100), 1e-3)
+		f.Connect("x", "y", units.Mbps(100), 1e-3)
+		for i := 0; i < others; i++ {
+			f.StartFlow("x", "y", units.GB, nil)
+		}
+		a := f.StartFlow("a", "c", units.GB, nil)
+		eng.RunUntil(1e-3)
+		b := f.StartFlow("b", "c", units.GB, nil)
+		eng.RunUntil(5e-3)
+		if b.Rate() == 0 || a.Rate() != 0 {
+			t.Fatalf("others=%d: want B admitted before A (rates A %g, B %g)", others, a.Rate(), b.Rate())
+		}
+		eng.RunUntil(20e-3)
+
+		var live []*Flow
+		for fl := f.flowHead; fl != nil; fl = fl.next {
+			live = append(live, fl)
+		}
+		for i := 1; i < len(live); i++ {
+			if live[i-1].seq >= live[i].seq {
+				t.Fatalf("others=%d: live list out of seq order at %d", others, i)
+			}
+		}
+
+		f.markDirty(f.Route("sw", "c")[0])
+		aff := f.affectedFlows()
+		if len(aff) != 2 || aff[0] != a.fl || aff[1] != b.fl {
+			t.Fatalf("others=%d: affectedFlows gave %d flows, want [A B] in seq order", others, len(aff))
+		}
+		// others=0 reads the component off the live list; others=3 sorts.
+		walked := len(aff)*bits.Len(uint(len(aff))) >= f.ActiveFlows()
+		if walked != (others == 0) {
+			t.Fatalf("others=%d: list walk %v with %d live flows", others, walked, f.ActiveFlows())
+		}
+	}
 }

@@ -9,7 +9,7 @@ package yarn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"edisim/internal/hw"
 	"edisim/internal/sim"
@@ -28,7 +28,8 @@ type ContainerRequest struct {
 	MemoryMB int
 	VCores   int
 	// PreferredNodes lists nodes whose local data make them better hosts
-	// (HDFS locality); the scheduler tries them first.
+	// (HDFS locality); the scheduler tries them first. They must be the
+	// ResourceManager's own NodeManagers (Nodes, NodeManagerOf).
 	PreferredNodes []*NodeManager
 	// Priority orders pending requests: higher first, FIFO within equal
 	// priorities. MapReduce AMs use it to let a few early reducers start
@@ -82,8 +83,16 @@ type ResourceManager struct {
 	// paper configuration; see §5.2).
 	Master *hw.Node
 
-	nodes   []*NodeManager
+	nodes []*NodeManager
+	// pending is the request queue in service order: highest priority
+	// first, FIFO within a priority. Request inserts at that position, so
+	// the queue never needs sorting.
 	pending []*pendingReq
+	// Per-round placement state (see tick): the request sizes for which
+	// the any-node scan found no node, and the most free memory and the
+	// most free vcores on any usable node, each maximum taken on its own.
+	noFit []NodeResources
+	room  NodeResources
 
 	// HeartbeatInterval is the NM→RM heartbeat period gating allocation
 	// (Hadoop default 1 s).
@@ -97,6 +106,7 @@ type ResourceManager struct {
 
 	granted int64
 	ticking bool
+	tickFn  func() // tick, bound once so arming a heartbeat never allocates
 }
 
 type pendingReq struct {
@@ -132,6 +142,7 @@ func NewResourceManager(eng *sim.Engine, master *hw.Node, slaves []*hw.Node, res
 		GrantsPerHeartbeat: 24,
 		ContainerStartup:   DefaultContainerStartup,
 	}
+	rm.tickFn = rm.tick
 	for _, s := range slaves {
 		nm := &NodeManager{Node: s, capacity: res(s)}
 		rm.nodes = append(rm.nodes, nm)
@@ -173,9 +184,14 @@ func (rm *ResourceManager) Nodes() []*NodeManager { return rm.nodes }
 func (rm *ResourceManager) Granted() int64 { return rm.granted }
 
 // Request queues a container request; done runs (after the heartbeat
-// allocation delay and JVM startup) with the granted container.
+// allocation delay and JVM startup) with the granted container. The request
+// goes after every pending request of equal or higher priority.
 func (rm *ResourceManager) Request(req ContainerRequest, done func(*Container)) {
-	rm.pending = append(rm.pending, &pendingReq{req: req, done: done})
+	i := len(rm.pending)
+	for i > 0 && rm.pending[i-1].req.Priority < req.Priority {
+		i--
+	}
+	rm.pending = slices.Insert(rm.pending, i, &pendingReq{req: req, done: done})
 	rm.ensureTicking()
 }
 
@@ -184,49 +200,78 @@ func (rm *ResourceManager) ensureTicking() {
 		return
 	}
 	rm.ticking = true
-	rm.eng.After(rm.HeartbeatInterval, rm.tick)
+	rm.eng.After(rm.HeartbeatInterval, rm.tickFn)
 }
 
 // tick is one heartbeat round: grant up to GrantsPerHeartbeat pending
-// requests onto nodes with room, preferring data-local nodes. Requests are
-// served by priority (stable within a class, preserving FIFO).
+// requests onto nodes with room, preferring data-local nodes, in queue
+// order (by priority, FIFO within a class; see pending). The queue is
+// filtered in place and never sorted.
+//
+// Free capacity only shrinks within a round, which makes two per-round
+// memos exact. Once the any-node scan finds no node for a size, every
+// later request at least that large in both dimensions skips the scan
+// (noFit). A request larger than the round's free-room bound (room,
+// refreshed after each grant) in either dimension fits no node, so it
+// skips its preferred-node checks too. A request that is not placed counts
+// one more waited round, exactly as with a full search.
 func (rm *ResourceManager) tick() {
 	rm.ticking = false
+	rm.noFit = rm.noFit[:0]
+	rm.measureRoom()
 	grants := 0
-	sort.SliceStable(rm.pending, func(i, j int) bool {
-		return rm.pending[i].req.Priority > rm.pending[j].req.Priority
-	})
-	var still []*pendingReq
-	for _, p := range rm.pending {
+	kept := rm.pending[:0]
+	for i := range rm.pending {
 		if grants >= rm.GrantsPerHeartbeat {
-			still = append(still, p)
-			continue
+			kept = append(kept, rm.pending[i:]...)
+			break
 		}
+		p := rm.pending[i]
 		nm := rm.place(p.req, p.waited >= delayRounds)
 		if nm == nil {
 			p.waited++
-			still = append(still, p)
+			kept = append(kept, p)
 			continue
 		}
 		grants++
 		rm.granted++
 		nm.usedMem += p.req.MemoryMB
 		nm.usedVC += p.req.VCores
+		rm.measureRoom()
 		c := &Container{Node: nm, Req: p.req}
 		startup := rm.ContainerStartup(nm.Node)
-		p := p
-		rm.eng.After(startup, func() { p.done(c) })
+		done := p.done
+		rm.eng.After(startup, func() { done(c) })
 	}
-	rm.pending = still
+	clear(rm.pending[len(kept):])
+	rm.pending = kept
 	if len(rm.pending) > 0 {
 		rm.ensureTicking()
 	}
 }
 
+// measureRoom sets room to the most free memory and the most free vcores
+// on any usable node.
+func (rm *ResourceManager) measureRoom() {
+	rm.room = NodeResources{}
+	for _, nm := range rm.nodes {
+		if !nm.unusable {
+			a := nm.Available()
+			rm.room.MemoryMB = max(rm.room.MemoryMB, a.MemoryMB)
+			rm.room.VCores = max(rm.room.VCores, a.VCores)
+		}
+	}
+}
+
 // place chooses a node for the request: preferred (data-local) first; any
 // fitting node only once the request has waited out its delay-scheduling
-// rounds (or has no preference).
+// rounds (or has no preference). A request beyond the round's room, or at
+// least as large as a size the round's any-node scan already failed for,
+// fails without searching.
 func (rm *ResourceManager) place(req ContainerRequest, anyNode bool) *NodeManager {
+	if req.MemoryMB > rm.room.MemoryMB || req.VCores > rm.room.VCores {
+		return nil
+	}
 	for _, nm := range req.PreferredNodes {
 		if !nm.unusable && nm.fits(req) {
 			return nm
@@ -234,6 +279,11 @@ func (rm *ResourceManager) place(req ContainerRequest, anyNode bool) *NodeManage
 	}
 	if len(req.PreferredNodes) > 0 && !anyNode {
 		return nil
+	}
+	for _, sz := range rm.noFit {
+		if req.MemoryMB >= sz.MemoryMB && req.VCores >= sz.VCores {
+			return nil
+		}
 	}
 	var best *NodeManager
 	for _, nm := range rm.nodes {
@@ -243,6 +293,9 @@ func (rm *ResourceManager) place(req ContainerRequest, anyNode bool) *NodeManage
 		if best == nil || nm.Available().MemoryMB > best.Available().MemoryMB {
 			best = nm
 		}
+	}
+	if best == nil {
+		rm.noFit = append(rm.noFit, NodeResources{MemoryMB: req.MemoryMB, VCores: req.VCores})
 	}
 	return best
 }

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"fmt"
 	"testing"
 
 	"edisim/internal/hw"
@@ -177,5 +178,47 @@ func TestNodeManagerAccounting(t *testing.T) {
 	rm.Release(c)
 	if nm.Available().MemoryMB != 600 || nm.Available().VCores != 2 {
 		t.Fatalf("available %+v after release", nm.Available())
+	}
+}
+
+// BenchmarkRMTickBacklog measures one heartbeat round over a backlog that
+// cannot be placed: 35 Edison slaves filled to capacity and 500 pending
+// requests (mixed sizes and priorities, most preferring three nodes). Each
+// op is one tick that grants nothing and re-arms the next heartbeat; it
+// must not allocate.
+func BenchmarkRMTickBacklog(b *testing.B) {
+	eng := sim.NewEngine()
+	master := hw.NewNode(eng, hw.DellR620Spec(), "master")
+	slaves := make([]*hw.Node, 35)
+	for i := range slaves {
+		slaves[i] = hw.NewNode(eng, hw.EdisonSpec(), fmt.Sprintf("e%d", i))
+	}
+	rm, err := NewResourceManager(eng, master, slaves, DefaultResources)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range slaves {
+		rm.Request(ContainerRequest{MemoryMB: 600, VCores: 2}, func(*Container) {})
+	}
+	eng.RunUntil(30)
+	if rm.Granted() != int64(len(slaves)) {
+		b.Fatalf("filled %d of %d slaves", rm.Granted(), len(slaves))
+	}
+	nodes := rm.Nodes()
+	for i := 0; i < 500; i++ {
+		req := ContainerRequest{MemoryMB: 150 + 50*(i%3), VCores: 1, Priority: i % 2}
+		if i%5 != 0 {
+			req.PreferredNodes = []*NodeManager{nodes[i%35], nodes[(i+7)%35], nodes[(i+19)%35]}
+		}
+		rm.Request(req, func(*Container) {})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	if rm.Granted() != int64(len(slaves)) || len(rm.pending) != 500 {
+		b.Fatalf("backlog changed: %d granted, %d pending", rm.Granted(), len(rm.pending))
 	}
 }
