@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"edisim/internal/autoscale"
-	"edisim/internal/cluster"
 	"edisim/internal/core"
-	"edisim/internal/faults"
 	"edisim/internal/report"
 	"edisim/internal/web"
 )
@@ -125,22 +123,25 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 	if as.Profile == nil {
 		return nil, fmt.Errorf("edisim: %s: an autoscale study needs a load Profile (e.g. DiurnalLoad{Min: 60, Max: 400, Period: 30})", id)
 	}
-	if err := as.Profile.Validate(); err != nil {
-		return nil, fmt.Errorf("edisim: %s: %w", id, err)
+	rc := web.RunConfig{
+		Profile:        as.Profile,
+		Duration:       studyDuration(as.Duration, cfg, 30, 8),
+		ImageFrac:      as.ImageFrac,
+		CacheHit:       as.CacheHit,
+		RequestTimeout: studyTimeout(as.RequestTimeout),
+		RetryBudget:    as.RetryBudget,
+		Shed:           as.Shed,
+		SLO:            as.SLO,
 	}
-	if err := as.Shed.Validate(); err != nil {
-		return nil, fmt.Errorf("edisim: %s: %w", id, err)
-	}
-	if err := as.SLO.Validate(); err != nil {
-		return nil, fmt.Errorf("edisim: %s: %w", id, err)
+	if rc.SLO == nil {
+		rc.SLO = autoscaleStudySLO()
 	}
 	if as.Autoscale != nil {
-		if err := as.Autoscale.Validate(); err != nil {
-			return nil, fmt.Errorf("edisim: %s: %w", id, err)
-		}
-		if as.SLO != nil && as.SLO.Reserve > 0 {
-			return nil, fmt.Errorf("edisim: %s: Autoscale and SLO.Reserve both edit the routing rotation; use one", id)
-		}
+		ac := *as.Autoscale
+		rc.Autoscale = &ac
+	}
+	if err := rc.Validate(); err != nil {
+		return nil, fmt.Errorf("edisim: %s: %w", id, err)
 	}
 
 	mode := "static fleet"
@@ -148,104 +149,44 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 		mode = as.Autoscale.Policy.Name() + " policy"
 	}
 	title := fmt.Sprintf("Autoscale study: %v, %s on %d %s web + %d %s cache",
-		as.Profile, mode, ts.nWeb, ts.webPlat.Label, ts.nCache, ts.cachePlat.Label)
+		as.Profile, mode, ts.NWeb, ts.Web.Label, ts.NCache, ts.Cache.Label)
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		duration := as.Duration
-		if duration == 0 {
-			duration = 30
-			if cfg.Quick {
-				duration = 8
-			}
-		}
-		timeout := as.RequestTimeout
-		if timeout == 0 {
-			timeout = 0.5
-		}
-		rc := web.RunConfig{
-			Profile:        as.Profile,
-			Duration:       duration,
-			ImageFrac:      as.ImageFrac,
-			CacheHit:       as.CacheHit,
-			RequestTimeout: timeout,
-			RetryBudget:    as.RetryBudget,
-			Shed:           as.Shed,
-		}
-		if as.Autoscale != nil {
-			ac := *as.Autoscale
-			rc.Autoscale = &ac
-		}
-		rc.SLO = as.SLO
-		if rc.SLO == nil {
-			rc.SLO = autoscaleStudySLO()
-		}
-
-		seed := cfg.PointSeed(id, 0)
-		cc := ts.clusterConfig()
-		cc.Energy = cfg.Energy
-		tb := cluster.New(cc)
-		dep := web.NewTieredDeployment(tb, ts.webPlat, ts.nWeb, ts.cachePlat, ts.nCache, seed)
-		dep.WarmFor(rc)
-		if cfg.Faults != nil {
-			if plan := cfg.Faults.Filter("web", "cache"); !plan.Empty() {
-				faults.Schedule(dep.Eng, plan, seed, webRoster(dep))
-			}
-		}
-		res := dep.Run(rc)
-
-		// SLO-met fraction over the measurement window's controller
-		// evaluations (window ends after warm-up, T is relative to run
-		// start).
-		wins := res.Windows
-		wInWin, burned := 0, 0
-		for _, w := range wins {
-			if w.T > 0.1*duration && w.T <= duration {
-				wInWin++
-				if w.Burning {
-					burned++
-				}
-			}
-		}
-		sloMet := 1.0
-		if wInWin > 0 {
-			sloMet = 1 - float64(burned)/float64(wInWin)
-		}
+		res := runStudy(cfg, id, ts, rc)
 		meanActive := res.MeanActive
 		if as.Autoscale == nil {
-			meanActive = float64(ts.nWeb)
+			meanActive = float64(ts.NWeb)
 		}
 		perW := 0.0
 		if res.MeanPower > 0 {
 			perW = res.Throughput / float64(res.MeanPower)
 		}
 
-		window := duration * 0.9
 		o := &core.Outcome{}
 		t := report.NewTable(title,
 			"offered conn/s", "goodput req/s", "SLO met", "mean active", "scale events", "boots", "boot J", "power W", "req/s/W", "shed /s", "err rate").
 			WithUnits("conn/s", "req/s", "", "servers", "", "", "J", "W", "req/s/W", "/s", "")
 		t.AddRow(
-			report.Num(float64(res.Offered)/window, "conn/s"),
+			report.Num(float64(res.Offered)/res.WindowSecs, "conn/s"),
 			report.Num(res.Throughput, "req/s"),
-			report.Num(sloMet, ""),
+			report.Num(res.SLOMet(), ""),
 			report.Num(meanActive, "servers"),
 			report.Count(res.ScaleUps+res.ScaleDowns, ""),
 			report.Count(res.Boots, ""),
 			report.Num(float64(res.BootEnergy), "J"),
 			report.Num(float64(res.MeanPower), "W"),
 			report.Num(perW, "req/s/W"),
-			report.Num(float64(res.Shed)/window, "/s"),
+			report.Num(float64(res.Shed)/res.WindowSecs, "/s"),
 			report.Num(res.ErrorRate, ""),
 		)
 		o.Tables = append(o.Tables, t)
-		if len(wins) > 0 {
+		if wins := res.Windows; len(wins) > 0 {
 			x := make([]float64, len(wins))
 			served := make([]float64, len(wins))
 			active := make([]float64, len(wins))
-			window := effWindow(rc.SLO.Window)
 			for i, w := range wins {
 				x[i] = w.T
-				served[i] = float64(w.Served) / window
+				served[i] = float64(w.Served) / res.Config.SLO.Window
 				active[i] = float64(w.Active)
 			}
 			f := report.NewFigure(title+" — fleet vs load", "t (s)", "per second / servers", x)

@@ -2,6 +2,7 @@ package edisim
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -149,5 +150,35 @@ func TestAutoscaleStudyValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestAutoscaleStudyRatesUseMeasurementWindow: the study divides its
+// in-window counts by the run's measurement window, so a static fleet under
+// steady load reports the offered rate it was given, and SLO met counts
+// only the controller windows that end inside the measurement window.
+func TestAutoscaleStudyRatesUseMeasurementWindow(t *testing.T) {
+	scn := Scenario{Quick: true, Workloads: []Workload{&AutoscaleStudy{
+		Web:      TierSpec{Nodes: 6},
+		Cache:    TierSpec{Nodes: 3},
+		Profile:  SteadyLoad{Rate: 200},
+		Duration: 20,
+	}}}
+	var col Collector
+	if err := Run(context.Background(), scn, &col); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if offered, _ := col.Artifacts[0].Tables[0].Rows[0][0].Float(); math.Abs(offered-200) > 0.05*200 {
+		t.Fatalf("offered %.1f conn/s, want within 5%% of the profile's 200", offered)
+	}
+
+	// Windows end every second over a 20 s run whose window opens at 5 s.
+	// Those ending at or before 5 s, or after 20 s, are outside it.
+	res := WebResult{Config: WebRunConfig{Duration: 20, WarmupFrac: 0.25}}
+	for end := 1; end <= 22; end++ {
+		res.Windows = append(res.Windows, SLOWindow{T: float64(end), Burning: end <= 5 || end > 20 || end == 12})
+	}
+	if got, want := res.SLOMet(), 1-1.0/15; got != want {
+		t.Fatalf("SLO met %v, want %v (one burned of 15 in-window windows)", got, want)
 	}
 }

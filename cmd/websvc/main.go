@@ -230,12 +230,7 @@ func runOverload(ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.Sh
 		if tier.Web == 0 {
 			continue
 		}
-		p, nWeb, nCache := tier.Platform, tier.Web, tier.Cache
-		tb := edisim.NewTestbed(edisim.ClusterConfig{
-			Groups:  []edisim.ClusterGroup{{Platform: p, Nodes: nWeb + nCache}},
-			DBNodes: 2, Clients: 8,
-		})
-		dep := edisim.NewWebDeployment(tb, p, nWeb, nCache, seed)
+		p, nWeb := tier.Platform, tier.Web
 		rc := edisim.WebRunConfig{
 			Profile:        profile,
 			ImageFrac:      image,
@@ -249,24 +244,8 @@ func runOverload(ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.Sh
 		if sloTarget > 0 {
 			rc.SLO = &edisim.SLO{Latency: sloTarget, Window: 1, Brownout: brownout}
 		}
-		dep.WarmFor(rc)
-		if crash > 0 {
-			if crash > nWeb {
-				crash = nWeb
-			}
-			start := 0.3 * duration
-			gap := 0.5 * duration / float64(crash)
-			plan := edisim.RollingCrashFaults("web", crash, start, gap, downtime)
-			if err := edisim.ScheduleWebFaults(dep, plan, seed); err != nil {
-				fmt.Fprintf(os.Stderr, "websvc: %v\n", err)
-				os.Exit(2)
-			}
-		}
-		r := dep.Run(rc)
-		window := duration * (1 - 0.25) // default warmup fraction
-		if r.Config.WarmupFrac > 0 {
-			window = duration * (1 - r.Config.WarmupFrac)
-		}
+		r := runPoint(p, nWeb, tier.Cache, rc, seed, crash, downtime)
+		window := r.WindowSecs
 		t.AddRow(p.Label, nWeb,
 			edisim.Num(float64(r.Offered)/window, "conn/s"),
 			edisim.Num(r.Throughput, "req/s"),
@@ -294,33 +273,35 @@ func runOverload(ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.Sh
 	}
 }
 
-// sweepPoint runs one concurrency level on a fresh testbed so runs are
-// independent and reproducible. With crash > 0, that many web servers go
-// down in a rolling wave through the middle of the measurement window.
+// sweepPoint runs one concurrency level.
 func sweepPoint(p *edisim.Platform, nWeb, nCache int, conc, image, hit, duration float64,
 	seed int64, timeout float64, retries, crash int, downtime float64) edisim.WebResult {
-	tb := edisim.NewTestbed(edisim.ClusterConfig{
-		Groups:  []edisim.ClusterGroup{{Platform: p, Nodes: nWeb + nCache}},
-		DBNodes: 2, Clients: 8,
-	})
-	dep := edisim.NewWebDeployment(tb, p, nWeb, nCache, seed)
-	rc := edisim.WebRunConfig{
+	return runPoint(p, nWeb, nCache, edisim.WebRunConfig{
 		Concurrency:    conc,
 		ImageFrac:      image,
 		CacheHit:       hit,
 		Duration:       duration,
 		RequestTimeout: timeout,
 		MaxRetries:     retries,
-	}
+	}, seed, crash, downtime)
+}
+
+// runPoint runs rc on a fresh testbed so runs are independent and
+// reproducible. With crash > 0, that many web servers go down in a rolling
+// wave through the middle of the measurement window.
+func runPoint(p *edisim.Platform, nWeb, nCache int, rc edisim.WebRunConfig, seed int64, crash int, downtime float64) edisim.WebResult {
+	tb := edisim.NewTestbed(edisim.ClusterConfig{
+		Groups:  []edisim.ClusterGroup{{Platform: p, Nodes: nWeb + nCache}},
+		DBNodes: 2, Clients: 8,
+	})
+	dep := edisim.NewWebDeployment(tb, p, nWeb, nCache, seed)
 	dep.WarmFor(rc)
 	if crash > 0 {
-		if crash > nWeb {
-			crash = nWeb
-		}
+		crash = min(crash, nWeb)
 		// The wave starts after the warm-up quarter and spreads over the
-		// middle half of the window.
-		start := 0.3 * duration
-		gap := 0.5 * duration / float64(crash)
+		// middle half of the run.
+		start := 0.3 * rc.Duration
+		gap := 0.5 * rc.Duration / float64(crash)
 		plan := edisim.RollingCrashFaults("web", crash, start, gap, downtime)
 		if err := edisim.ScheduleWebFaults(dep, plan, seed); err != nil {
 			fmt.Fprintf(os.Stderr, "websvc: %v\n", err)

@@ -132,7 +132,7 @@ func ScheduleWebFaults(dep *WebDeployment, plan *FaultPlan, seed int64) error {
 	if p.Empty() {
 		return nil
 	}
-	roster := webRoster(dep)
+	roster := dep.Roster()
 	for _, r := range p.Roles() {
 		if _, ok := roster[r]; !ok {
 			return fmt.Errorf("edisim: fault plan targets role %q; a web deployment has roles web and cache", r)
@@ -140,17 +140,4 @@ func ScheduleWebFaults(dep *WebDeployment, plan *FaultPlan, seed int64) error {
 	}
 	faults.Schedule(dep.Eng, p, seed, roster)
 	return nil
-}
-
-// webRoster maps fault roles "web" and "cache" to a web deployment's
-// server tiers in ring order.
-func webRoster(dep *WebDeployment) map[string][]faults.Target {
-	roster := map[string][]faults.Target{}
-	for _, w := range dep.Web {
-		roster["web"] = append(roster["web"], faults.Target{Node: w.Node, Fab: dep.Fab})
-	}
-	for _, c := range dep.Cache {
-		roster["cache"] = append(roster["cache"], faults.Target{Node: c.Node, Fab: dep.Fab})
-	}
-	return roster
 }

@@ -102,12 +102,12 @@ func runAutoscale(cfg Config) *Outcome {
 			prof := profiles[rest/len(policies)].mk(connCapacity(p), dur)
 			ac := policies[rest%len(policies)].mk(prof)
 
-			dep := overloadTestbed(cfg, p, seed)
 			rc := overloadRunConfig(dur)
 			rc.Profile = prof
 			s := slo
 			rc.SLO = &s
 			rc.Autoscale = ac
+			dep := fleetTier(p).Build(cfg.Energy, cfg.Interrupt, seed)
 			dep.WarmFor(rc)
 
 			// Meter the web tier alone over the measurement window: the
@@ -121,20 +121,13 @@ func runAutoscale(cfg Config) *Outcome {
 			meter := power.NewMeter("web-tier", webNodes)
 			origin := dep.Eng.Now()
 			var webEnergy float64
-			dep.Eng.At(origin+sim.Time(0.1*dur), func() { meter.Reset() })
-			dep.Eng.At(origin+sim.Time(dur), func() { webEnergy = float64(meter.Energy()) })
+			dep.Eng.At(origin+sim.Time(rc.Duration*rc.WarmupFrac), func() { meter.Reset() })
+			dep.Eng.At(origin+sim.Time(rc.Duration), func() { webEnergy = float64(meter.Energy()) })
 
 			res := dep.Run(rc)
-			wins, burned := 0, 0
 			actives := make([]float64, len(res.Windows))
 			for wi, w := range res.Windows {
 				actives[wi] = float64(w.Active)
-				if w.T > 0.1*dur && w.T <= dur {
-					wins++
-					if w.Burning {
-						burned++
-					}
-				}
 			}
 
 			// Ideal joules price offered work at the armed model's busy draw,
@@ -146,7 +139,7 @@ func runAutoscale(cfg Config) *Outcome {
 			}
 			return asPoint{
 				res:     res,
-				sloMet:  1 - safeDiv(float64(burned), float64(wins), 0),
+				sloMet:  res.SLOMet(),
 				ep:      ep,
 				perW:    safeDiv(res.Throughput, float64(res.MeanPower), 0),
 				actives: actives,

@@ -251,10 +251,10 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		}
 	}
 	s.Point = func(_ int, c webCell, seed int64) web.Result {
-		return runWebPoint(cfg, sizings[c.sizing].p, c.web, c.cache, web.RunConfig{
+		return runWebPoint(cfg, paperTier(sizings[c.sizing].p, c.web, c.cache), web.RunConfig{
 			Concurrency: c.conc,
 			Duration:    webDuration(cfg),
-		}, seed)
+		}, nil, seed)
 	}
 	webResults := s.Run(cfg)
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"edisim/internal/cluster"
 	"edisim/internal/faults"
 	"edisim/internal/jobs"
 	"edisim/internal/mapred"
@@ -75,23 +74,6 @@ func runFaultTolerance(cfg Config) *Outcome {
 	webResults := RunSweep(cfg, "fault_tolerance/web", len(plats),
 		func(i int, seed int64) faultWebResult {
 			p := plats[i]
-			run := func(rc web.RunConfig, plan *faults.Plan) web.Result {
-				tb := cluster.New(cluster.Config{
-					Groups:  []cluster.GroupConfig{{Platform: p, Nodes: p.Fleet.Web + p.Fleet.Cache}},
-					DBNodes: 2, Clients: 8,
-					Interrupt: cfg.Interrupt,
-				})
-				dep := web.NewDeployment(tb, p, p.Fleet.Web, p.Fleet.Cache, seed)
-				dep.WarmFor(rc)
-				if !plan.Empty() {
-					targets := make([]faults.Target, len(dep.Web))
-					for i, w := range dep.Web {
-						targets[i] = faults.Target{Node: w.Node, Fab: dep.Fab}
-					}
-					faults.Schedule(dep.Eng, plan, seed, map[string][]faults.Target{"web": targets})
-				}
-				return dep.Run(rc)
-			}
 			rc := webFaultRecovery
 			rc.Concurrency = conc
 			rc.Duration = duration
@@ -100,8 +82,8 @@ func runFaultTolerance(cfg Config) *Outcome {
 				plan = cfg.Faults.Filter("web")
 			}
 			return faultWebResult{
-				healthy: run(rc, nil),
-				faulty:  run(rc, plan),
+				healthy: runWebPoint(cfg, fleetTier(p), rc, nil, seed),
+				faulty:  runWebPoint(cfg, fleetTier(p), rc, plan, seed),
 			}
 		})
 

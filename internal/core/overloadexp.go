@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"edisim/internal/carbon"
-	"edisim/internal/cluster"
 	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/load"
@@ -56,17 +55,6 @@ func connCapacity(p *hw.Platform) float64 {
 	return float64(p.Fleet.Web) * p.Web.ConnRate
 }
 
-// overloadTestbed builds one platform's catalog web fleet.
-func overloadTestbed(cfg Config, p *hw.Platform, seed int64) *web.Deployment {
-	tb := cluster.New(cluster.Config{
-		Groups:  []cluster.GroupConfig{{Platform: p, Nodes: p.Fleet.Web + p.Fleet.Cache}},
-		DBNodes: 2, Clients: 8,
-		Interrupt: cfg.Interrupt,
-		Energy:    cfg.Energy,
-	})
-	return web.NewDeployment(tb, p, p.Fleet.Web, p.Fleet.Cache, seed)
-}
-
 // runOverload re-asks the paper's req/s/W question the way production asks
 // it: under open-loop traffic, what does each platform fleet serve at an
 // SLO, and how does it behave past saturation? Two stages per platform:
@@ -104,13 +92,11 @@ func runOverload(cfg Config) *Outcome {
 		func(i int, seed int64) ladderPoint {
 			p := plats[i/len(mults)]
 			offered := connCapacity(p) * mults[i%len(mults)]
-			dep := overloadTestbed(cfg, p, seed)
 			rc := overloadRunConfig(dur)
 			rc.Profile = load.Steady{Rate: offered}
 			s := slo
 			rc.SLO = &s
-			dep.WarmFor(rc)
-			res := dep.Run(rc)
+			res := runWebPoint(cfg, fleetTier(p), rc, nil, seed)
 			p99 := res.Latency.Quantile(0.99)
 			p999 := res.Latency.Quantile(0.999)
 			avail := 1 - res.ErrorRate
@@ -133,7 +119,6 @@ func runOverload(cfg Config) *Outcome {
 	tab := report.NewTable("Overload ladder — open-loop goodput, shedding and tails at the SLO (p99 ≤ 0.5 s, availability ≥ 99%)",
 		ladderCols...).WithUnits(ladderUnits...)
 	for pi, p := range plats {
-		window := dur * 0.9
 		for mi, m := range mults {
 			lp := ladder[pi*len(mults)+mi]
 			r := lp.res
@@ -148,7 +133,7 @@ func runOverload(cfg Config) *Outcome {
 				report.Num(connCapacity(p)*m, "conn/s"),
 				report.Num(m, "x"),
 				report.Num(r.Throughput, "req/s"),
-				report.Num(safeDiv(float64(r.Shed), window, 0), "/s"),
+				report.Num(float64(r.Shed)/r.WindowSecs, "/s"),
 				report.Num(lp.p99, "s"),
 				report.Num(lp.p999, "s"),
 				report.Num(float64(r.MeanPower), "W"),
@@ -194,14 +179,12 @@ func runOverload(cfg Config) *Outcome {
 	drill := RunSweep(cfg, "overload/drill", len(plats),
 		func(i int, seed int64) drillResult {
 			p := plats[i]
-			dep := overloadTestbed(cfg, p, seed)
 			rc := overloadRunConfig(dur)
 			cap := connCapacity(p)
 			rc.Profile = load.Spike{Base: 0.5 * cap, Peak: 2.2 * cap, Start: spikeStart, Duration: spikeDur}
 			s := slo
 			s.Brownout = true
 			rc.SLO = &s
-			dep.WarmFor(rc)
 
 			victims := p.Fleet.Web / 4
 			if victims == 0 {
@@ -211,14 +194,7 @@ func runOverload(cfg Config) *Outcome {
 			if cfg.Faults != nil {
 				plan = cfg.Faults.Filter("web")
 			}
-			if !plan.Empty() {
-				targets := make([]faults.Target, len(dep.Web))
-				for wi, w := range dep.Web {
-					targets[wi] = faults.Target{Node: w.Node, Fab: dep.Fab}
-				}
-				faults.Schedule(dep.Eng, plan, seed, map[string][]faults.Target{"web": targets})
-			}
-			res := dep.Run(rc)
+			res := runWebPoint(cfg, fleetTier(p), rc, plan, seed)
 
 			phase := func(from, to float64) float64 {
 				var served int64
@@ -247,7 +223,6 @@ func runOverload(cfg Config) *Outcome {
 	for pi, p := range plats {
 		d := drill[pi]
 		r := d.res
-		window := dur * 0.9
 		amp := safeDiv(float64(r.Attempts), float64(r.Latency.N()+r.Errors500), 1)
 		// "Never collapses": both the incident and the recovered phases hold
 		// at least 80% of the pre-spike goodput.
@@ -262,8 +237,8 @@ func runOverload(cfg Config) *Outcome {
 			report.Num(d.mid, "req/s"),
 			report.Num(d.post, "req/s"),
 			report.Num(d.p999, "s"),
-			report.Num(safeDiv(float64(r.Shed), window, 0), "/s"),
-			report.Num(safeDiv(float64(r.Degraded), window, 0), "/s"),
+			report.Num(float64(r.Shed)/r.WindowSecs, "/s"),
+			report.Num(float64(r.Degraded)/r.WindowSecs, "/s"),
 			report.Num(amp, "x"),
 			report.Count(r.RetryDenied, ""),
 			verdict)

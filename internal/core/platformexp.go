@@ -54,10 +54,10 @@ func runPlatformMatrix(cfg Config) *Outcome {
 		}
 	}
 	s.Point = func(_ int, c webCell, seed int64) web.Result {
-		return runWebPoint(cfg, c.p, c.p.Fleet.Web, c.p.Fleet.Cache, web.RunConfig{
+		return runWebPoint(cfg, fleetTier(c.p), web.RunConfig{
 			Concurrency: c.conc,
 			Duration:    webDuration(cfg),
-		}, seed)
+		}, nil, seed)
 	}
 	webResults := s.Run(cfg)
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"edisim/internal/cluster"
+	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/report"
 	"edisim/internal/stats"
@@ -34,16 +35,24 @@ func webConcurrencies(cfg Config) []float64 {
 	return []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 }
 
-// runWebPoint executes one concurrency level on a fresh single-platform
-// testbed, under the config's power model.
-func runWebPoint(cfg Config, p *hw.Platform, nWeb, nCache int, rc web.RunConfig, seed int64) web.Result {
-	tb := cluster.New(cluster.Config{
-		Groups:  []cluster.GroupConfig{{Platform: p, Nodes: nWeb + nCache}},
-		DBNodes: 2, Clients: 8,
-		Energy: cfg.Energy,
-	})
-	dep := web.NewDeployment(tb, p, nWeb, nCache, seed)
+// paperTier is a single-platform middle tier of nWeb web and nCache cache
+// servers in front of the paper's 2 database servers and 8 clients.
+func paperTier(p *hw.Platform, nWeb, nCache int) web.Tier {
+	return web.Tier{Web: p, Cache: p, NWeb: nWeb, NCache: nCache, DBNodes: 2, Clients: 8}
+}
+
+// fleetTier is a platform's catalog web fleet as a paper-shaped tier.
+func fleetTier(p *hw.Platform) web.Tier { return paperTier(p, p.Fleet.Web, p.Fleet.Cache) }
+
+// runWebPoint runs rc on a fresh testbed of tier t, under the config's power
+// model and interrupt, with plan's "web" and "cache" faults scheduled
+// (nil: a healthy run).
+func runWebPoint(cfg Config, t web.Tier, rc web.RunConfig, plan *faults.Plan, seed int64) web.Result {
+	dep := t.Build(cfg.Energy, cfg.Interrupt, seed)
 	dep.WarmFor(rc)
+	if !plan.Empty() {
+		faults.Schedule(dep.Eng, plan, seed, dep.Roster())
+	}
 	return dep.Run(rc)
 }
 
@@ -75,12 +84,12 @@ func sweepWebCurves(cfg Config, name string, curves []webCurve) [][]web.Result {
 		}
 	}
 	s.Point = func(_ int, p webPoint, seed int64) web.Result {
-		return runWebPoint(cfg, p.curve.p, p.curve.nWeb, p.curve.nCache, web.RunConfig{
+		return runWebPoint(cfg, paperTier(p.curve.p, p.curve.nWeb, p.curve.nCache), web.RunConfig{
 			Concurrency: p.conc,
 			ImageFrac:   p.curve.image,
 			CacheHit:    p.curve.hit,
 			Duration:    webDuration(cfg),
-		}, seed)
+		}, nil, seed)
 	}
 	flat := s.Run(cfg)
 	out := make([][]web.Result, len(curves))
@@ -237,7 +246,7 @@ func runWebDelayDist(cfg Config) *Outcome {
 		{brawny, bt.Web, bt.Cache, "Figure 11 — " + brawny.Label},
 	}
 	results := RunSweep(cfg, "fig10_fig11", len(sides), func(i int, seed int64) web.Result {
-		return runWebPoint(cfg, sides[i].p, sides[i].nWeb, sides[i].nCache, rc, seed)
+		return runWebPoint(cfg, paperTier(sides[i].p, sides[i].nWeb, sides[i].nCache), rc, nil, seed)
 	})
 	var spread []string
 	for i, side := range sides {
@@ -292,9 +301,9 @@ func runTable7(cfg Config) *Outcome {
 	results := RunSweep(cfg, "table7", 2*len(rates), func(i int, seed int64) web.Result {
 		rc := web.RunConfig{Concurrency: rates[i/2] / 8, ImageFrac: 0.20, CacheHit: 0.93, Duration: webDuration(cfg)}
 		if i%2 == 0 {
-			return runWebPoint(cfg, micro, mt.Web, mt.Cache, rc, seed)
+			return runWebPoint(cfg, paperTier(micro, mt.Web, mt.Cache), rc, nil, seed)
 		}
-		return runWebPoint(cfg, brawny, bt.Web, bt.Cache, rc, seed)
+		return runWebPoint(cfg, paperTier(brawny, bt.Web, bt.Cache), rc, nil, seed)
 	})
 	for ri, rate := range rates {
 		re, rd := results[2*ri], results[2*ri+1]

@@ -9,13 +9,12 @@ import (
 )
 
 // This file adapts a Deployment's web tier onto the autoscale.Pool
-// contract. When RunConfig.Autoscale arms the elasticity engine, routing
-// switches from the run's active prefix of Web to an explicit rotation
-// slice the lifecycle manager edits; parked nodes are powered off
-// (hw.Node.PowerDown, zero draw), booting nodes burn busy power for the
-// platform's boot delay, and freshly joined nodes run at the platform's
-// warm-up factor until their caches are hot. With Autoscale nil none of
-// this code runs.
+// contract. When RunConfig.Autoscale arms the elasticity engine, the
+// lifecycle manager edits the run's routing rotation; parked nodes are
+// powered off (hw.Node.PowerDown, zero draw), booting nodes burn busy power
+// for the platform's boot delay, and freshly joined nodes run at the
+// platform's warm-up factor until their caches are hot. With Autoscale nil
+// none of this code runs.
 
 // fleetPool is the autoscale.Pool over a deployment's web servers. It
 // snapshots each node's busy floor and straggler factor at construction so

@@ -68,15 +68,11 @@ func TestFailoverSurvivesWebCrash(t *testing.T) {
 	d := NewDeployment(tb, microP(), 6, 3, 1)
 	rc := RunConfig{Concurrency: 256, Duration: 10, RequestTimeout: 0.25}
 	d.WarmFor(rc)
-	targets := make([]faults.Target, len(d.Web))
-	for i, w := range d.Web {
-		targets[i] = faults.Target{Node: w.Node, Fab: d.Fab}
-	}
 	// Half the tier crashes in a rolling wave starting at t=4 — past the
 	// default warm-up (25% of 10 s), so the fault's timeouts land inside
 	// the measurement window.
 	plan := faults.RollingCrashes("web", 3, 4, 1.5, 2)
-	faults.Schedule(d.Eng, plan, 1, map[string][]faults.Target{"web": targets})
+	faults.Schedule(d.Eng, plan, 1, d.Roster())
 	r := d.Run(rc)
 	if r.Throughput <= 0 {
 		t.Fatal("no throughput under a single-node crash with failover on")
@@ -159,11 +155,7 @@ func TestAttemptsMatchSettledOperations(t *testing.T) {
 	d = NewDeployment(tb, microP(), 6, 3, 1)
 	rc := RunConfig{Concurrency: 256, Duration: 10, RequestTimeout: 0.25}
 	d.WarmFor(rc)
-	targets := make([]faults.Target, len(d.Web))
-	for i, w := range d.Web {
-		targets[i] = faults.Target{Node: w.Node, Fab: d.Fab}
-	}
-	faults.Schedule(d.Eng, faults.RollingCrashes("web", 3, 4, 1.5, 2), 1, map[string][]faults.Target{"web": targets})
+	faults.Schedule(d.Eng, faults.RollingCrashes("web", 3, 4, 1.5, 2), 1, d.Roster())
 	r = d.Run(rc)
 	if ops := r.Latency.N() + r.Errors500; r.Retries == 0 || r.Attempts <= ops {
 		t.Fatalf("crash run: Attempts=%d for %d settled operations and %d retries, want more attempts than operations", r.Attempts, ops, r.Retries)

@@ -180,8 +180,11 @@ type SLO struct {
 	Window float64
 	// Brownout enables degraded cache-only answers while burning.
 	Brownout bool
-	// Reserve holds back this many web servers from the routing rotation
-	// at run start; the controller activates them while burning.
+	// Reserve holds back this many web servers (the tail of the tier) from
+	// the routing rotation at run start; the controller activates them one
+	// per burning window and holds them back again after two healthy ones.
+	// Failover stays inside the rotation: a held-back server takes no
+	// traffic, not even a dead server's.
 	Reserve int
 }
 
@@ -267,9 +270,9 @@ func (b *retryBudget) spend() bool {
 // counters, reset every tick.
 type overloadCounters struct {
 	winServed, winOps, winShed int64
-	// winArr counts connection arrivals per controller window; only
-	// maintained when autoscale is armed (the predictive policies read an
-	// arrival rate, closed-loop runs leave it zero).
+	// winArr counts the connections fired per controller window, closed
+	// and open loop alike; the autoscale policies read it as the arrival
+	// rate.
 	winArr int64
 }
 

@@ -8,15 +8,6 @@ import (
 	"edisim/internal/load"
 )
 
-// drillTargets wraps the web tier as fault targets.
-func drillTargets(d *Deployment) map[string][]faults.Target {
-	targets := make([]faults.Target, len(d.Web))
-	for i, w := range d.Web {
-		targets[i] = faults.Target{Node: w.Node, Fab: d.Fab}
-	}
-	return map[string][]faults.Target{"web": targets}
-}
-
 // The 6-server micro web tier accepts ~45 conn/s per server, so ~270 conn/s
 // is its connection capacity; the drills below size their profiles off it.
 const microTierCap = 270.0
@@ -48,7 +39,7 @@ func TestOpenLoopSteadyMatchesOffered(t *testing.T) {
 func TestOpenLoopRunDeterministic(t *testing.T) {
 	run := func() Result {
 		d := smallDeployment(t, microP(), 6, 3)
-		faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 8, 0.5, 2), 1, drillTargets(d))
+		faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 8, 0.5, 2), 1, d.Roster())
 		return d.Run(RunConfig{
 			Profile:  load.Spike{Base: 120, Peak: 600, Start: 6, Duration: 6},
 			Duration: 20, WarmupFrac: 0.1,
@@ -114,7 +105,7 @@ func TestShedPriorityKeepsInteractive(t *testing.T) {
 // budget.
 func TestOverloadCrashDrill(t *testing.T) {
 	d := smallDeployment(t, microP(), 6, 3)
-	faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 7, 0.5, 2), 1, drillTargets(d))
+	faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 7, 0.5, 2), 1, d.Roster())
 	r := d.Run(RunConfig{
 		// Base at ~0.44× capacity, spike to ~2.2× during [6s, 12s); two of
 		// six servers crash at 7s/7.5s and reboot ~2s later — failure at
@@ -188,7 +179,7 @@ func TestSLOWindowsPerTick(t *testing.T) {
 	const window, duration, warmup = 0.5, 20.0, 0.1
 	d := smallDeployment(t, microP(), 6, 3)
 	// The crash drill's spike and rolling crashes burn the SLO mid-run.
-	faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 7, 0.5, 2), 1, drillTargets(d))
+	faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 7, 0.5, 2), 1, d.Roster())
 	r := d.Run(RunConfig{
 		Profile:  load.Spike{Base: 120, Peak: 600, Start: 6, Duration: 6},
 		Duration: duration, WarmupFrac: warmup,
@@ -231,7 +222,7 @@ func TestRetryStormWithoutBudget(t *testing.T) {
 	run := func(budget float64) Result {
 		d := smallDeployment(t, microP(), 6, 3)
 		// Two thirds of the tier crashes rolling through the spike peak.
-		faults.Schedule(d.Eng, faults.RollingCrashes("web", 4, 7, 0.3, 2), 1, drillTargets(d))
+		faults.Schedule(d.Eng, faults.RollingCrashes("web", 4, 7, 0.3, 2), 1, d.Roster())
 		return d.Run(RunConfig{
 			Profile:  load.Spike{Base: 120, Peak: 600, Start: 6, Duration: 6},
 			Duration: 20, WarmupFrac: 0.1,
@@ -300,6 +291,33 @@ func TestSLOReserveActivates(t *testing.T) {
 	}
 	if r.SLOBreaches == 0 {
 		t.Fatal("no breaches recorded while reserves activated")
+	}
+}
+
+// TestSLOReserveFailoverStaysInRotation: failover walks the routing
+// rotation, so a crashed server's connections never land on reserve
+// servers the controller is still holding back. The latency target is
+// out of reach, so no reserve is ever activated, and both held-back
+// servers burn exactly their idle draw.
+func TestSLOReserveFailoverStaysInRotation(t *testing.T) {
+	d := smallDeployment(t, microP(), 6, 3)
+	faults.Schedule(d.Eng, &faults.Plan{Events: []faults.Event{
+		{Kind: faults.NodeCrash, At: 1, Role: "web", Index: 3},
+	}}, 1, d.Roster())
+	r := d.Run(RunConfig{
+		Concurrency: 64, Duration: 10, RequestTimeout: 0.5,
+		SLO: &SLO{Latency: 100, Reserve: 2},
+	})
+	if r.ActivePeak != 4 {
+		t.Fatalf("active peak %d, want the 4 unreserved servers", r.ActivePeak)
+	}
+	if r.Throughput == 0 {
+		t.Fatal("the tier served nothing")
+	}
+	idle := float64(d.Web[4].Node.PowerModel().IdleDraw()) * float64(d.Eng.Now())
+	e4, e5 := float64(d.Web[4].Node.Energy()), float64(d.Web[5].Node.Energy())
+	if e4 != e5 || math.Abs(e4-idle) > 1e-9*idle {
+		t.Fatalf("reserve servers burned %.4f J and %.4f J, want both the idle %.4f J", e4, e5, idle)
 	}
 }
 

@@ -3,9 +3,11 @@ package web
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"edisim/internal/autoscale"
 	"edisim/internal/cluster"
+	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/load"
 	"edisim/internal/netsim"
@@ -123,6 +125,43 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 	return d
 }
 
+// Tier sizes a web testbed: NWeb web servers on the Web platform and
+// NCache cache servers on the Cache platform, plus DBNodes database
+// servers and Clients load generators on the infra platform. The paper's
+// splits are in cluster.Table6, with 2 database servers and 8 clients.
+type Tier struct {
+	Web, Cache       *hw.Platform
+	NWeb, NCache     int
+	DBNodes, Clients int
+}
+
+// Build builds the tier on a fresh testbed and returns its deployment. The
+// web and cache tiers share one node group when their platforms match (the
+// paper's shape) and get one group each otherwise. Every node runs the
+// energy power model, and the engine polls interrupt (nil: never) so a
+// cancelled caller stops the run promptly.
+func (t Tier) Build(energy hw.PowerModelKind, interrupt func() bool, seed int64) *Deployment {
+	groups := []cluster.GroupConfig{{Platform: t.Web, Nodes: t.NWeb + t.NCache}}
+	if t.Cache != t.Web {
+		groups = []cluster.GroupConfig{{Platform: t.Web, Nodes: t.NWeb}, {Platform: t.Cache, Nodes: t.NCache}}
+	}
+	tb := cluster.New(cluster.Config{Groups: groups, DBNodes: t.DBNodes, Clients: t.Clients, Energy: energy, Interrupt: interrupt})
+	return NewTieredDeployment(tb, t.Web, t.NWeb, t.Cache, t.NCache, seed)
+}
+
+// Roster maps the fault roles "web" and "cache" to the deployment's server
+// tiers in ring order, for faults.Schedule.
+func (d *Deployment) Roster() map[string][]faults.Target {
+	roster := map[string][]faults.Target{}
+	for _, w := range d.Web {
+		roster["web"] = append(roster["web"], faults.Target{Node: w.Node, Fab: d.Fab})
+	}
+	for _, c := range d.Cache {
+		roster["cache"] = append(roster["cache"], faults.Target{Node: c.Node, Fab: d.Fab})
+	}
+	return roster
+}
+
 // Warm preloads the cache tier so that a hitRatio fraction of uniformly
 // drawn rows are resident, emulating the paper's warm-up stage. (Misses
 // during the test stage do not insert, as in the paper, so the ratio stays
@@ -211,7 +250,8 @@ type RunConfig struct {
 }
 
 // withDefaults fills unset fields with the values used across the paper
-// reproduction and resolves the ColdCache sentinel.
+// reproduction, resolves the ColdCache sentinel, and points SLO at a
+// resolved copy (the caller's SLO is left as it was).
 func (c RunConfig) withDefaults() RunConfig {
 	if c.CallsPerConn == 0 {
 		c.CallsPerConn = 8
@@ -235,6 +275,10 @@ func (c RunConfig) withDefaults() RunConfig {
 		if c.RetryBase == 0 {
 			c.RetryBase = 0.05
 		}
+	}
+	if c.SLO != nil {
+		slo := c.SLO.withDefaults()
+		c.SLO = &slo
 	}
 	return c
 }
@@ -307,7 +351,14 @@ func (c RunConfig) Validate() error {
 
 // Result is the outcome of one run.
 type Result struct {
+	// Config is the run's configuration with every default resolved,
+	// SLO included.
 	Config RunConfig
+	// WindowSecs is the measurement window's length in seconds,
+	// Duration × (1 − WarmupFrac). Every per-second figure below divides
+	// by it; divide an in-window count (Offered, Shed, ...) by it for a
+	// rate.
+	WindowSecs float64
 
 	Throughput float64 // successful replies per second in the window
 	MeanDelay  float64 // mean per-request response time (httperf view): Latency.Mean()
@@ -363,6 +414,26 @@ type Result struct {
 	MeanActive   float64      // time-weighted mean serving servers over the window
 }
 
+// SLOMet is the fraction of the SLO controller's in-window evaluations
+// that did not burn: windows ending in (WarmupFrac·Duration, Duration]. It
+// is 1 when no evaluation ended in the window, or when no SLO was set.
+func (r Result) SLOMet() float64 {
+	from, to := r.Config.WarmupFrac*r.Config.Duration, r.Config.Duration
+	wins, burned := 0, 0
+	for _, w := range r.Windows {
+		if w.T > from && w.T <= to {
+			wins++
+			if w.Burning {
+				burned++
+			}
+		}
+	}
+	if wins == 0 {
+		return 1
+	}
+	return 1 - float64(burned)/float64(wins)
+}
+
 // runState is one Run's state: the resolved config, the measurement
 // window, the Result being filled, and the overload and SLO controller
 // state that connections, servers and requests read and write. Servers and
@@ -394,14 +465,18 @@ type runState struct {
 	arr             *load.Arrivals
 	genFn, arriveFn func()
 
+	// rotation is the routing rotation: the web servers new connections
+	// go to, round-robin, and the ring failover walks. It starts as all of
+	// Web; SLO.Reserve holds back its tail, and autoscale edits it.
+	rotation []*WebServer
+
 	// Overload resilience (see overload.go): the resolved shedding policy
 	// and the CPU cost of one fast-fail rejection, the client retry
-	// budget, the routing-rotation prefix of Web, the brownout flag, and
-	// the SLO controller's window digest and counters.
+	// budget, the brownout flag, and the SLO controller's window digest
+	// and counters.
 	shed        ShedPolicy
 	fastFailCPU float64
 	budget      retryBudget
-	active      int
 	brownout    bool
 	sloDig      *stats.Digest
 	ovl         overloadCounters
@@ -413,10 +488,8 @@ type runState struct {
 	tickFn               func()
 
 	// Elasticity (see autoscale.go), nil unless cfg.Autoscale is set: the
-	// lifecycle manager, the explicit routing rotation that replaces the
-	// active prefix of Web while it runs, and the fleet it edits.
+	// lifecycle manager and the fleet whose rotation it edits.
 	scaler                         *autoscale.Manager
-	rotation                       []*WebServer
 	asPool                         *fleetPool
 	asIntegWinStart, asIntegWinEnd float64
 }
@@ -441,7 +514,7 @@ func (d *Deployment) begin(cfg RunConfig) *runState {
 		recover:  cfg.RequestTimeout > 0,
 		budgeted: cfg.RequestTimeout > 0 && cfg.RetryBudget > 0,
 		budget:   retryBudget{rate: cfg.RetryBudget, tokens: retryBurst},
-		active:   len(d.Web),
+		rotation: slices.Clone(d.Web),
 		// Threads and ports are held for transfer durations, so admission
 		// intervals scale with the run's mean reply size.
 		loadFactor: 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024,
@@ -544,21 +617,14 @@ func (rs *runState) arrive() {
 }
 
 // fire starts one connection from the next client at the next web server
-// in the routing rotation, round-robin as HAProxy does: the explicit
-// rs.rotation slice when autoscale is armed, else the d.Web prefix (only the
-// SLO controller ever shrinks that prefix below the full tier). Under
-// recovery the balancer health-checks: a connection aimed at a dead server
-// is steered to the next live one in ring order.
+// in the routing rotation, round-robin as HAProxy does. Under recovery the
+// balancer health-checks: a connection aimed at a dead server is steered to
+// the next live one in the rotation's ring order.
 func (rs *runState) fire() {
 	d := rs.d
 	client := d.Clients[rs.next%len(d.Clients)]
-	var w *WebServer
-	if rs.scaler != nil {
-		rs.ovl.winArr++
-		w = rs.rotation[rs.next%len(rs.rotation)]
-	} else {
-		w = d.Web[rs.next%rs.active]
-	}
+	rs.ovl.winArr++
+	w := rs.rotation[rs.next%len(rs.rotation)]
 	rs.next++
 	if rs.recover {
 		w = d.steer(w)
@@ -566,20 +632,17 @@ func (rs *runState) fire() {
 	rs.launch(client, w)
 }
 
-// armSLO starts the SLO controller: a tick every Window seconds.
+// armSLO starts the SLO controller: a tick every Window seconds. A reserve
+// truncates the rotation, holding back the tail of Web.
 func (rs *runState) armSLO() {
 	d := rs.d
-	rs.slo = rs.cfg.SLO.withDefaults()
-	rs.baseActive = len(d.Web)
+	rs.slo = *rs.cfg.SLO
 	if rs.slo.Reserve > 0 {
-		rs.baseActive = max(1, rs.baseActive-rs.slo.Reserve)
-		rs.active = rs.baseActive
+		rs.rotation = rs.rotation[:max(1, len(d.Web)-rs.slo.Reserve)]
 	}
+	rs.baseActive = len(rs.rotation)
 	rs.sloDig = stats.NewDigest()
-	rs.res.ActivePeak = rs.active
-	if rs.scaler != nil {
-		rs.res.ActivePeak = len(rs.rotation)
-	}
+	rs.res.ActivePeak = len(rs.rotation)
 	rs.runStart = d.Eng.Now()
 	d.Eng.After(rs.slo.Window, rs.tickFn)
 }
@@ -603,8 +666,8 @@ func (rs *runState) tick() {
 		if rs.inWindow() {
 			res.SLOBreaches++
 		}
-		if rs.scaler == nil && rs.active < len(d.Web) {
-			rs.active++
+		if slo.Reserve > 0 && len(rs.rotation) < len(d.Web) {
+			rs.rotation = append(rs.rotation, d.Web[len(rs.rotation)])
 		}
 		if slo.Brownout && !rs.brownout {
 			rs.brownout = true
@@ -617,12 +680,11 @@ func (rs *runState) tick() {
 				rs.brownout = false
 				res.BrownoutSecs += float64(now - rs.brownoutAt)
 			}
-			if rs.scaler == nil && rs.active > rs.baseActive {
-				rs.active--
+			if slo.Reserve > 0 && len(rs.rotation) > rs.baseActive {
+				rs.rotation = rs.rotation[:len(rs.rotation)-1]
 			}
 		}
 	}
-	activeNow := rs.active
 	if rs.scaler != nil {
 		// Autoscale replaces the reserve reaction above: the policy sees
 		// this window's signals and the manager moves servers through
@@ -638,8 +700,8 @@ func (rs *runState) tick() {
 			Availability: avail,
 			Burning:      burning,
 		})
-		activeNow = len(rs.rotation)
 	}
+	activeNow := len(rs.rotation)
 	if activeNow > res.ActivePeak {
 		res.ActivePeak = activeNow
 	}
@@ -670,6 +732,7 @@ func (rs *runState) tick() {
 func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) Result {
 	d, res := rs.d, &rs.res
 	window := float64(rs.winEnd - rs.winStart)
+	res.WindowSecs = window
 	res.Throughput = float64(rs.served) / window
 	res.MeanDelay = res.Latency.Mean()
 	res.Errors500 = rs.errored
@@ -707,19 +770,15 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 	return *res
 }
 
-// nextLive returns the first web server after w in ring order whose node is
-// up, or nil when the whole tier is down. Ring order keeps failover
-// deterministic and spreads a dead server's inherited load evenly. With
-// autoscale armed the ring is the serving rotation, so retries never land on
-// a booting or parked server (Up, but not serving).
+// nextLive returns the first web server after w in the routing rotation's
+// ring order whose node is up, or nil when every server in the rotation is
+// down. Ring order keeps failover deterministic and spreads a dead server's
+// inherited load evenly. Walking the rotation, not all of Web, keeps
+// failover off servers that are not serving: an SLO reserve still held
+// back, or an autoscaled server that is booting or parked (Up, but not
+// serving).
 func (d *Deployment) nextLive(w *WebServer) *WebServer {
-	ring := d.Web
-	if rs := d.run; rs.scaler != nil {
-		ring = rs.rotation
-		if len(ring) == 0 {
-			return nil
-		}
-	}
+	ring := d.run.rotation
 	start := 0
 	for i, s := range ring {
 		if s == w {

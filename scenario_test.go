@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"edisim/internal/cluster"
@@ -190,6 +191,38 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if len(col.Artifacts) != 0 {
 		t.Fatalf("cancelled run emitted %d artifacts", len(col.Artifacts))
+	}
+}
+
+// TestWebUnitsPollInterrupt: every web testbed wires the caller's Interrupt
+// into its engine, so cancelling Run reaches a simulation in flight. Each
+// unit below must poll it at least once.
+func TestWebUnitsPollInterrupt(t *testing.T) {
+	for _, w := range []Workload{
+		&WebSweep{Concurrencies: []float64{256}},
+		&OverloadStudy{Profile: SteadyLoad{Rate: 200}},
+		&AutoscaleStudy{Profile: SteadyLoad{Rate: 200}},
+		&PaperExperiments{IDs: []string{"fig4_fig7"}},
+	} {
+		scn := Scenario{Quick: true}
+		cfg, err := scn.config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var polls atomic.Int64
+		cfg.Interrupt = func() bool { polls.Add(1); return false }
+		units, err := w.expand(cfg)
+		if err != nil {
+			t.Fatalf("%T: %v", w, err)
+		}
+		for _, u := range units {
+			if _, err := u.run(cfg); err != nil {
+				t.Fatalf("%s: %v", u.id, err)
+			}
+		}
+		if polls.Load() == 0 {
+			t.Errorf("%T never polled Interrupt", w)
+		}
 	}
 }
 

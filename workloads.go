@@ -106,20 +106,12 @@ type WebSweep struct {
 // zero value means "use the paper's 0.93 default").
 const ColdCache = web.ColdCache
 
-// tierSetup is a resolved middle-tier shape: platforms, sizes and the
-// shared infrastructure tier, with every default applied and every cap
-// checked. WebSweep and OverloadStudy resolve through it identically.
-type tierSetup struct {
-	webPlat, cachePlat *hw.Platform
-	nWeb, nCache       int
-	db, clients        int
-}
-
 // resolveTiers applies the shared tier defaults: baseline-micro web tier at
 // its fleet size, cache tier on the web platform at its fleet size, the
-// paper's 2 DB servers and 8 clients.
-func resolveTiers(id string, webTier, cacheTier TierSpec, dbNodes, clients int) (tierSetup, error) {
-	var ts tierSetup
+// paper's 2 DB servers and 8 clients. Every cap is checked, so the
+// resolved tier builds without panicking.
+func resolveTiers(id string, webTier, cacheTier TierSpec, dbNodes, clients int) (web.Tier, error) {
+	var ts web.Tier
 	webPlat, err := webTier.Platform.resolve()
 	if err != nil {
 		return ts, err
@@ -161,12 +153,7 @@ func resolveTiers(id string, webTier, cacheTier TierSpec, dbNodes, clients int) 
 	if dbNodes < 0 || clients < 0 {
 		return ts, fmt.Errorf("edisim: %s: DBNodes and Clients must be positive (got %d, %d)", id, dbNodes, clients)
 	}
-	return tierSetup{webPlat: webPlat, cachePlat: cachePlat, nWeb: nWeb, nCache: nCache, db: dbNodes, clients: clients}, nil
-}
-
-// clusterConfig builds the testbed config for the resolved tiers.
-func (ts tierSetup) clusterConfig() cluster.Config {
-	return tierClusterConfig(ts.webPlat, ts.nWeb, ts.cachePlat, ts.nCache, ts.db, ts.clients)
+	return web.Tier{Web: webPlat, Cache: cachePlat, NWeb: nWeb, NCache: nCache, DBNodes: dbNodes, Clients: clients}, nil
 }
 
 func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
@@ -178,7 +165,6 @@ func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	webPlat, cachePlat, nWeb, nCache := ts.webPlat, ts.cachePlat, ts.nWeb, ts.nCache
 	concs := ws.Concurrencies
 	if len(concs) == 0 {
 		if cfg.Quick {
@@ -188,8 +174,8 @@ func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
 		}
 	}
 
-	title := fmt.Sprintf("Web sweep: %d %s web + %d %s cache", nWeb, webPlat.Label, nCache, cachePlat.Label)
-	label := fmt.Sprintf("%d %s / %d %s", nWeb, webPlat.Label, nCache, cachePlat.Label)
+	title := fmt.Sprintf("Web sweep: %d %s web + %d %s cache", ts.NWeb, ts.Web.Label, ts.NCache, ts.Cache.Label)
+	label := fmt.Sprintf("%d %s / %d %s", ts.NWeb, ts.Web.Label, ts.NCache, ts.Cache.Label)
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
 		duration := ws.Duration
@@ -207,10 +193,7 @@ func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
 				CacheHit:    ws.CacheHit,
 				Duration:    duration,
 			}
-			cc := ts.clusterConfig()
-			cc.Energy = cfg.Energy
-			tb := cluster.New(cc)
-			dep := web.NewTieredDeployment(tb, webPlat, nWeb, cachePlat, nCache, seed)
+			dep := ts.Build(cfg.Energy, cfg.Interrupt, seed)
 			dep.WarmFor(rc)
 			return dep.Run(rc)
 		}
@@ -246,20 +229,6 @@ func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
 		return o, nil
 	}
 	return []unit{{id: id, title: title, section: "scenario", run: run}}, nil
-}
-
-// tierClusterConfig builds the cluster config for a (web, cache) tier pair:
-// one node group when the platforms coincide (the paper's shape), two
-// groups otherwise.
-func tierClusterConfig(webPlat *hw.Platform, nWeb int, cachePlat *hw.Platform, nCache, db, clients int) cluster.Config {
-	groups := []cluster.GroupConfig{{Platform: webPlat, Nodes: nWeb + nCache}}
-	if cachePlat != webPlat {
-		groups = []cluster.GroupConfig{
-			{Platform: webPlat, Nodes: nWeb},
-			{Platform: cachePlat, Nodes: nCache},
-		}
-	}
-	return cluster.Config{Groups: groups, DBNodes: db, Clients: clients}
 }
 
 // --- Overload study ----------------------------------------------------------
@@ -323,57 +292,26 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 	if ov.Profile == nil {
 		return nil, fmt.Errorf("edisim: %s: an overload study needs a load Profile (e.g. SteadyLoad{Rate: 400})", id)
 	}
-	if err := ov.Profile.Validate(); err != nil {
-		return nil, fmt.Errorf("edisim: %s: %w", id, err)
+	rc := web.RunConfig{
+		Profile:        ov.Profile,
+		Duration:       studyDuration(ov.Duration, cfg, 15, 4),
+		ImageFrac:      ov.ImageFrac,
+		CacheHit:       ov.CacheHit,
+		RequestTimeout: studyTimeout(ov.RequestTimeout),
+		RetryBudget:    ov.RetryBudget,
+		Shed:           ov.Shed,
+		SLO:            ov.SLO,
 	}
-	if err := ov.Shed.Validate(); err != nil {
-		return nil, fmt.Errorf("edisim: %s: %w", id, err)
-	}
-	if err := ov.SLO.Validate(); err != nil {
+	if err := rc.Validate(); err != nil {
 		return nil, fmt.Errorf("edisim: %s: %w", id, err)
 	}
 
 	title := fmt.Sprintf("Overload study: %v on %d %s web + %d %s cache",
-		ov.Profile, ts.nWeb, ts.webPlat.Label, ts.nCache, ts.cachePlat.Label)
+		ov.Profile, ts.NWeb, ts.Web.Label, ts.NCache, ts.Cache.Label)
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		duration := ov.Duration
-		if duration == 0 {
-			duration = 15
-			if cfg.Quick {
-				duration = 4
-			}
-		}
-		timeout := ov.RequestTimeout
-		if timeout == 0 {
-			timeout = 0.5
-		}
-		rc := web.RunConfig{
-			Profile:        ov.Profile,
-			Duration:       duration,
-			ImageFrac:      ov.ImageFrac,
-			CacheHit:       ov.CacheHit,
-			RequestTimeout: timeout,
-			RetryBudget:    ov.RetryBudget,
-			Shed:           ov.Shed,
-			SLO:            ov.SLO,
-		}
-
-		seed := cfg.PointSeed(id, 0)
-		cc := ts.clusterConfig()
-		cc.Energy = cfg.Energy
-		tb := cluster.New(cc)
-		dep := web.NewTieredDeployment(tb, ts.webPlat, ts.nWeb, ts.cachePlat, ts.nCache, seed)
-		dep.WarmFor(rc)
-		if cfg.Faults != nil {
-			if plan := cfg.Faults.Filter("web", "cache"); !plan.Empty() {
-				faults.Schedule(dep.Eng, plan, seed, webRoster(dep))
-			}
-		}
-		res := dep.Run(rc)
-
-		// Rates are over the measurement window (Duration minus warmup).
-		window := duration * 0.75
+		res := runStudy(cfg, id, ts, rc)
+		window := res.WindowSecs
 		o := &core.Outcome{}
 		t := report.NewTable(title,
 			"offered conn/s", "goodput req/s", "shed /s", "degraded /s", "p50 ms", "p99 ms", "p999 ms", "err rate", "retries", "denied", "power W").
@@ -394,15 +332,15 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 		o.Tables = append(o.Tables, t)
 		// The controller time series backs the figure.
 		if wins := res.Windows; len(wins) > 0 {
+			slo := res.Config.SLO
 			x := make([]float64, len(wins))
 			served := make([]float64, len(wins))
 			shed := make([]float64, len(wins))
 			active := make([]float64, len(wins))
-			window := effWindow(rc.SLO.Window)
 			for i, w := range wins {
 				x[i] = w.T
-				served[i] = float64(w.Served) / window
-				shed[i] = float64(w.Shed) / window
+				served[i] = float64(w.Served) / slo.Window
+				shed[i] = float64(w.Shed) / slo.Window
 				active[i] = float64(w.Active)
 			}
 			f := report.NewFigure(title+" — SLO controller windows", "t (s)", "per second / servers", x)
@@ -412,7 +350,7 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 			o.Figures = append(o.Figures, f)
 			o.Notes = append(o.Notes, fmt.Sprintf(
 				"SLO: p%g of window latency <= %gs, availability >= %g; %d window(s) burned, brownout engaged for %.1fs, routing rotation peaked at %d servers",
-				100*effPercentile(rc.SLO.Percentile), rc.SLO.Latency, rc.SLO.Availability,
+				100*slo.Percentile, slo.Latency, slo.Availability,
 				res.SLOBreaches, res.BrownoutSecs, res.ActivePeak))
 		}
 		return o, nil
@@ -420,21 +358,38 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 	return []unit{{id: id, title: title, section: "scenario", run: run}}, nil
 }
 
-// effPercentile resolves the SLO percentile default for display.
-func effPercentile(p float64) float64 {
-	if p == 0 {
-		return 0.99
+// studyDuration resolves a study's Duration: set wins, else full or quick
+// by the scenario's fidelity.
+func studyDuration(set float64, cfg core.Config, full, quick float64) float64 {
+	switch {
+	case set != 0:
+		return set
+	case cfg.Quick:
+		return quick
 	}
-	return p
+	return full
 }
 
-// effWindow resolves the SLO controller window default (1 s), the period
-// a window's counts are divided by to plot per-second rates.
-func effWindow(w float64) float64 {
-	if w == 0 {
-		return 1
+// studyTimeout resolves a study's RequestTimeout: open-loop clients must
+// time out, so unset means 0.5 s.
+func studyTimeout(set float64) float64 {
+	if set == 0 {
+		return 0.5
 	}
-	return w
+	return set
+}
+
+// runStudy builds a study's tier, warms it for rc, schedules the
+// scenario's "web" and "cache" faults against it and runs rc. The run's
+// seed is the study ID's.
+func runStudy(cfg core.Config, id string, ts web.Tier, rc web.RunConfig) web.Result {
+	seed := cfg.PointSeed(id, 0)
+	dep := ts.Build(cfg.Energy, cfg.Interrupt, seed)
+	dep.WarmFor(rc)
+	if plan := cfg.Faults.Filter("web", "cache"); !plan.Empty() {
+		faults.Schedule(dep.Eng, plan, seed, dep.Roster())
+	}
+	return dep.Run(rc)
 }
 
 // --- MapReduce job ---------------------------------------------------------
