@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,34 +28,46 @@ import (
 )
 
 func main() {
-	var (
-		image    = flag.Float64("image", 0.0, "image query fraction (paper: 0, 0.06, 0.10, 0.20)")
-		cacheHit = flag.Float64("cachehit", 0.93, "cache hit ratio (paper: 0.93, 0.77, 0.60; 0 = cold cache)")
-		duration = flag.Float64("duration", 20, "simulated seconds per concurrency level")
-		scale    = flag.String("scale", "full", "cluster scale: full, 1/2, 1/4, 1/8")
-		seed     = flag.Int64("seed", 1, "root random seed")
-		format   = flag.String("format", "text", "output format: text, json or csv")
-		timeout  = flag.Float64("timeout", 0, "client request timeout in seconds; 0 disables recovery (the paper's behavior)")
-		retries  = flag.Int("retries", 0, "max retries per request after a timeout (0 = default 3 when -timeout is set)")
-		crash    = flag.Int("crash", 0, "crash drill: this many web servers crash in a rolling wave mid-measurement")
-		downtime = flag.Float64("downtime", 30, "seconds each crashed server stays down before rebooting")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		profileSpec = flag.String("profile", "", "open-loop load profile (steady:RATE, spike:BASE,PEAK@START+DUR, diurnal:MIN..MAX/PERIOD, bursty:BASE,BURST,MEANBURST,MEANGAP); replaces the concurrency sweep")
-		shedSpec    = flag.String("shed", "", "admission control: drop[:QUEUE], deadline[:SECS] or priority[:LOWFRAC]")
-		retryBudget = flag.Float64("retrybudget", 0, "client retry budget as a fraction of first attempts (0 = unbudgeted); needs -timeout")
-		sloTarget   = flag.Float64("slo", 0, "SLO: p99 latency target in seconds, evaluated per 1s window (0 = no controller)")
-		brownout    = flag.Bool("brownout", false, "degrade cache misses to stale answers while the SLO burns (needs -slo)")
+// run is main with its streams and exit code lifted out, so the golden
+// tests drive the real flag, sweep and output paths.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("websvc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		image    = fs.Float64("image", 0.0, "image query fraction (paper: 0, 0.06, 0.10, 0.20)")
+		cacheHit = fs.Float64("cachehit", 0.93, "cache hit ratio (paper: 0.93, 0.77, 0.60; 0 = cold cache)")
+		duration = fs.Float64("duration", 20, "simulated seconds per concurrency level")
+		scale    = fs.String("scale", "full", "cluster scale: full, 1/2, 1/4, 1/8")
+		seed     = fs.Int64("seed", 1, "root random seed")
+		format   = fs.String("format", "text", "output format: text, json or csv")
+		timeout  = fs.Float64("timeout", 0, "client request timeout in seconds; 0 disables recovery (the paper's behavior)")
+		retries  = fs.Int("retries", 0, "max retries per request after a timeout (0 = default 3 when -timeout is set)")
+		crash    = fs.Int("crash", 0, "crash drill: this many web servers crash in a rolling wave mid-measurement")
+		downtime = fs.Float64("downtime", 30, "seconds each crashed server stays down before rebooting")
+
+		profileSpec = fs.String("profile", "", "open-loop load profile (steady:RATE, spike:BASE,PEAK@START+DUR, diurnal:MIN..MAX/PERIOD, bursty:BASE,BURST,MEANBURST,MEANGAP); replaces the concurrency sweep")
+		shedSpec    = fs.String("shed", "", "admission control: drop[:QUEUE], deadline[:SECS] or priority[:LOWFRAC]")
+		retryBudget = fs.Float64("retrybudget", 0, "client retry budget as a fraction of first attempts (0 = unbudgeted); needs -timeout")
+		sloTarget   = fs.Float64("slo", 0, "SLO: p99 latency target in seconds, evaluated per 1s window (0 = no controller)")
+		brownout    = fs.Bool("brownout", false, "degrade cache misses to stale answers while the SLO burns (needs -slo)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "websvc: %v\n", err)
+		return code
+	}
 	profile, err := parseProfileArg(*profileSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "websvc: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	shed, err := parseShed(*shedSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "websvc: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if profile != nil && *timeout == 0 {
 		// Open-loop clients must time out: an unanswered open-loop request
@@ -62,8 +75,7 @@ func main() {
 		*timeout = 0.5
 	}
 	if !edisim.ValidOutputFormat(*format) {
-		fmt.Fprintf(os.Stderr, "websvc: unknown format %q (want text, json or csv)\n", *format)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown format %q (want text, json or csv)", *format))
 	}
 	if *cacheHit == 0 {
 		// An explicit -cachehit 0 means a cold cache; the WebRunConfig zero
@@ -79,14 +91,12 @@ func main() {
 		}
 	}
 	if ws == nil {
-		fmt.Fprintf(os.Stderr, "websvc: unknown scale %q\n", *scale)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown scale %q", *scale))
 	}
 
 	if profile != nil {
-		runOverload(ws, profile, shed, *retryBudget, *sloTarget, *brownout,
+		return runOverload(stdout, stderr, ws, profile, shed, *retryBudget, *sloTarget, *brownout,
 			*image, *cacheHit, *duration, *seed, *timeout, *retries, *crash, *downtime, *format)
-		return
 	}
 
 	concurrencies := []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
@@ -95,13 +105,16 @@ func main() {
 	pfig := edisim.NewFigure("Cluster power", "conn/s", "W", concurrencies)
 
 	if *crash > 0 && *timeout == 0 {
-		fmt.Fprintln(os.Stderr, "websvc: a -crash drill without -timeout loses every request on the dead servers; set -timeout to measure recovery")
+		fmt.Fprintln(stderr, "websvc: a -crash drill without -timeout loses every request on the dead servers; set -timeout to measure recovery")
 	}
 
-	run := func(p *edisim.Platform, nWeb, nCache int) {
+	sweep := func(p *edisim.Platform, nWeb, nCache int) error {
 		var tput, delay, pow []float64
 		for _, c := range concurrencies {
-			r := sweepPoint(p, nWeb, nCache, c, *image, *cacheHit, *duration, *seed, *timeout, *retries, *crash, *downtime)
+			r, err := sweepPoint(p, nWeb, nCache, c, *image, *cacheHit, *duration, *seed, *timeout, *retries, *crash, *downtime)
+			if err != nil {
+				return err
+			}
 			if *format == "text" {
 				mark := ""
 				if r.ErrorRate > 0.01 {
@@ -110,7 +123,7 @@ func main() {
 				if r.Timeouts > 0 || r.Retries > 0 {
 					mark += fmt.Sprintf(" [timeouts=%d retries=%d]", r.Timeouts, r.Retries)
 				}
-				fmt.Printf("%-7s web=%-2d conc=%-6.0f tput=%-7.0f delay=%-8.2fms err=%-6.3f power=%-7.1fW cpu(web)=%.0f%% cpu(cache)=%.0f%% hit=%.2f%s\n",
+				fmt.Fprintf(stdout, "%-7s web=%-2d conc=%-6.0f tput=%-7.0f delay=%-8.2fms err=%-6.3f power=%-7.1fW cpu(web)=%.0f%% cpu(cache)=%.0f%% hit=%.2f%s\n",
 					p.Label, nWeb, c, r.Throughput, r.MeanDelay*1e3, r.ErrorRate,
 					float64(r.MeanPower), r.WebCPU*100, r.CacheCPU*100, r.HitRatio, mark)
 			}
@@ -122,11 +135,14 @@ func main() {
 		fig.Add(label, tput)
 		dfig.Add(label, delay)
 		pfig.Add(label, pow)
+		return nil
 	}
 
 	for _, tier := range ws.Tiers {
 		if tier.Web > 0 {
-			run(tier.Platform, tier.Web, tier.Cache)
+			if err := sweep(tier.Platform, tier.Web, tier.Cache); err != nil {
+				return fail(2, err)
+			}
 		}
 	}
 
@@ -135,17 +151,17 @@ func main() {
 			ID: "websvc", Title: "httperf concurrency sweep", Section: "5.1",
 			Figures: []*edisim.Figure{fig, dfig, pfig},
 		}
-		if err := edisim.WriteDocument(*format, os.Stdout, []*edisim.Artifact{a}); err != nil {
-			fmt.Fprintf(os.Stderr, "websvc: %v\n", err)
-			os.Exit(1)
+		if err := edisim.WriteDocument(*format, stdout, []*edisim.Artifact{a}); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
-	fmt.Println()
-	fmt.Println(fig)
-	fmt.Println(dfig)
-	fmt.Println(pfig)
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, fig)
+	fmt.Fprintln(stdout, dfig)
+	fmt.Fprintln(stdout, pfig)
+	return 0
 }
 
 // profileGrammar is the whole -profile grammar, one line per kind, shown
@@ -219,9 +235,9 @@ func parseShed(spec string) (edisim.ShedPolicy, error) {
 // runOverload replaces the concurrency sweep with one open-loop run per
 // tier: the profile sets the offered load, and the resilience knobs
 // (shedding, retry budget, SLO controller) shape how the tier degrades.
-func runOverload(ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.ShedPolicy,
+func runOverload(stdout, stderr io.Writer, ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.ShedPolicy,
 	retryBudget, sloTarget float64, brownout bool,
-	image, hit, duration float64, seed int64, timeout float64, retries, crash int, downtime float64, format string) {
+	image, hit, duration float64, seed int64, timeout float64, retries, crash int, downtime float64, format string) int {
 	t := edisim.NewTable(fmt.Sprintf("Open-loop overload: %v", profile),
 		"platform", "web", "offered conn/s", "goodput req/s", "shed /s", "degraded /s",
 		"p50 ms", "p99 ms", "p999 ms", "err rate", "denied", "power W").
@@ -244,7 +260,11 @@ func runOverload(ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.Sh
 		if sloTarget > 0 {
 			rc.SLO = &edisim.SLO{Latency: sloTarget, Window: 1, Brownout: brownout}
 		}
-		r := runPoint(p, nWeb, tier.Cache, rc, seed, crash, downtime)
+		r, err := runPoint(p, nWeb, tier.Cache, rc, seed, crash, downtime)
+		if err != nil {
+			fmt.Fprintf(stderr, "websvc: %v\n", err)
+			return 2
+		}
 		window := r.WindowSecs
 		t.AddRow(p.Label, nWeb,
 			edisim.Num(float64(r.Offered)/window, "conn/s"),
@@ -260,22 +280,23 @@ func runOverload(ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.Sh
 		)
 	}
 	if format == "text" {
-		fmt.Println(t)
-		return
+		fmt.Fprintln(stdout, t)
+		return 0
 	}
 	a := &edisim.Artifact{
 		ID: "websvc_overload", Title: "open-loop overload run", Section: "beyond-paper",
 		Tables: []*edisim.Table{t},
 	}
-	if err := edisim.WriteDocument(format, os.Stdout, []*edisim.Artifact{a}); err != nil {
-		fmt.Fprintf(os.Stderr, "websvc: %v\n", err)
-		os.Exit(1)
+	if err := edisim.WriteDocument(format, stdout, []*edisim.Artifact{a}); err != nil {
+		fmt.Fprintf(stderr, "websvc: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 // sweepPoint runs one concurrency level.
 func sweepPoint(p *edisim.Platform, nWeb, nCache int, conc, image, hit, duration float64,
-	seed int64, timeout float64, retries, crash int, downtime float64) edisim.WebResult {
+	seed int64, timeout float64, retries, crash int, downtime float64) (edisim.WebResult, error) {
 	return runPoint(p, nWeb, nCache, edisim.WebRunConfig{
 		Concurrency:    conc,
 		ImageFrac:      image,
@@ -289,7 +310,7 @@ func sweepPoint(p *edisim.Platform, nWeb, nCache int, conc, image, hit, duration
 // runPoint runs rc on a fresh testbed so runs are independent and
 // reproducible. With crash > 0, that many web servers go down in a rolling
 // wave through the middle of the measurement window.
-func runPoint(p *edisim.Platform, nWeb, nCache int, rc edisim.WebRunConfig, seed int64, crash int, downtime float64) edisim.WebResult {
+func runPoint(p *edisim.Platform, nWeb, nCache int, rc edisim.WebRunConfig, seed int64, crash int, downtime float64) (edisim.WebResult, error) {
 	tb := edisim.NewTestbed(edisim.ClusterConfig{
 		Groups:  []edisim.ClusterGroup{{Platform: p, Nodes: nWeb + nCache}},
 		DBNodes: 2, Clients: 8,
@@ -304,9 +325,8 @@ func runPoint(p *edisim.Platform, nWeb, nCache int, rc edisim.WebRunConfig, seed
 		gap := 0.5 * rc.Duration / float64(crash)
 		plan := edisim.RollingCrashFaults("web", crash, start, gap, downtime)
 		if err := edisim.ScheduleWebFaults(dep, plan, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "websvc: %v\n", err)
-			os.Exit(2)
+			return edisim.WebResult{}, err
 		}
 	}
-	return dep.Run(rc)
+	return dep.Run(rc), nil
 }
