@@ -152,7 +152,7 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 		as.Profile, mode, ts.NWeb, ts.Web.Label, ts.NCache, ts.Cache.Label)
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		res := runStudy(cfg, id, ts, rc)
+		res := core.RunWebPoint(cfg, ts, rc, cfg.Faults, cfg.PointSeed(id, 0))
 		meanActive := res.MeanActive
 		if as.Autoscale == nil {
 			meanActive = float64(ts.NWeb)

@@ -80,7 +80,7 @@ func BenchmarkTable7_DelayDecomposition(b *testing.B) { runExperiment(b, "table7
 func benchJob(b *testing.B, job string, platform *hw.Platform, slaves int) {
 	var secs, joules float64
 	for i := 0; i < b.N; i++ {
-		r, err := jobs.Run(job, platform, slaves, 1, hw.PowerLinear)
+		r, err := jobs.Run(job, platform, slaves, 1, hw.PowerLinear, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func BenchmarkAblation_DelayScheduling(b *testing.B) {
 	m, _ := benchPair()
 	var locality float64
 	for i := 0; i < b.N; i++ {
-		r, err := jobs.Run("wordcount", m, 17, 1, hw.PowerLinear)
+		r, err := jobs.Run("wordcount", m, 17, 1, hw.PowerLinear, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,8 +53,9 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadInput checks that bad flags exit 2 with the error on
-// stderr instead of exiting the process.
+// TestRunRejectsBadInput checks that bad flags, including a crash drill
+// whose fault plan fails validation, exit 2 with the error on stderr
+// instead of exiting the process.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "1/3"},
@@ -62,6 +63,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-profile", "steady"},
 		{"-shed", "lifo"},
 		{"-nosuchflag"},
+		{"-scale", "1/8", "-duration", "1", "-timeout", "0.5", "-crash", "1", "-downtime", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

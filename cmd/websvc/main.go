@@ -94,9 +94,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, fmt.Errorf("unknown scale %q", *scale))
 	}
 
+	base := edisim.WebRunConfig{
+		ImageFrac:      *image,
+		CacheHit:       *cacheHit,
+		Duration:       *duration,
+		RequestTimeout: *timeout,
+		MaxRetries:     *retries,
+	}
+	point := func(tier edisim.WebTier, rc edisim.WebRunConfig) (edisim.WebResult, error) {
+		return runPoint(tier, rc, *seed, *crash, *downtime)
+	}
 	if profile != nil {
-		return runOverload(stdout, stderr, ws, profile, shed, *retryBudget, *sloTarget, *brownout,
-			*image, *cacheHit, *duration, *seed, *timeout, *retries, *crash, *downtime, *format)
+		base.Profile, base.Shed, base.RetryBudget = profile, shed, *retryBudget
+		if *sloTarget > 0 {
+			base.SLO = &edisim.SLO{Latency: *sloTarget, Window: 1, Brownout: *brownout}
+		}
+		return runOverload(stdout, stderr, ws, base, point, *format)
 	}
 
 	concurrencies := []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
@@ -108,10 +121,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "websvc: a -crash drill without -timeout loses every request on the dead servers; set -timeout to measure recovery")
 	}
 
-	sweep := func(p *edisim.Platform, nWeb, nCache int) error {
+	sweep := func(tier edisim.WebTier) error {
 		var tput, delay, pow []float64
 		for _, c := range concurrencies {
-			r, err := sweepPoint(p, nWeb, nCache, c, *image, *cacheHit, *duration, *seed, *timeout, *retries, *crash, *downtime)
+			rc := base
+			rc.Concurrency = c
+			r, err := point(tier, rc)
 			if err != nil {
 				return err
 			}
@@ -124,14 +139,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 					mark += fmt.Sprintf(" [timeouts=%d retries=%d]", r.Timeouts, r.Retries)
 				}
 				fmt.Fprintf(stdout, "%-7s web=%-2d conc=%-6.0f tput=%-7.0f delay=%-8.2fms err=%-6.3f power=%-7.1fW cpu(web)=%.0f%% cpu(cache)=%.0f%% hit=%.2f%s\n",
-					p.Label, nWeb, c, r.Throughput, r.MeanDelay*1e3, r.ErrorRate,
+					tier.Web.Label, tier.NWeb, c, r.Throughput, r.MeanDelay*1e3, r.ErrorRate,
 					float64(r.MeanPower), r.WebCPU*100, r.CacheCPU*100, r.HitRatio, mark)
 			}
 			tput = append(tput, r.Throughput)
 			delay = append(delay, r.MeanDelay*1e3)
 			pow = append(pow, float64(r.MeanPower))
 		}
-		label := fmt.Sprintf("%d %s", nWeb, p.Label)
+		label := fmt.Sprintf("%d %s", tier.NWeb, tier.Web.Label)
 		fig.Add(label, tput)
 		dfig.Add(label, delay)
 		pfig.Add(label, pow)
@@ -139,10 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, tier := range ws.Tiers {
-		if tier.Web > 0 {
-			if err := sweep(tier.Platform, tier.Web, tier.Cache); err != nil {
-				return fail(2, err)
-			}
+		if err := sweep(tier); err != nil {
+			return fail(2, err)
 		}
 	}
 
@@ -232,41 +245,24 @@ func parseShed(spec string) (edisim.ShedPolicy, error) {
 	return p, nil
 }
 
-// runOverload replaces the concurrency sweep with one open-loop run per
-// tier: the profile sets the offered load, and the resilience knobs
-// (shedding, retry budget, SLO controller) shape how the tier degrades.
-func runOverload(stdout, stderr io.Writer, ws *edisim.WebScale, profile edisim.LoadProfile, shed edisim.ShedPolicy,
-	retryBudget, sloTarget float64, brownout bool,
-	image, hit, duration float64, seed int64, timeout float64, retries, crash int, downtime float64, format string) int {
-	t := edisim.NewTable(fmt.Sprintf("Open-loop overload: %v", profile),
+// runOverload replaces the concurrency sweep with one open-loop run of rc
+// per tier, each through point: rc.Profile sets the offered load, and the
+// resilience knobs (shedding, retry budget, SLO controller) shape how the
+// tier degrades.
+func runOverload(stdout, stderr io.Writer, ws *edisim.WebScale, rc edisim.WebRunConfig,
+	point func(edisim.WebTier, edisim.WebRunConfig) (edisim.WebResult, error), format string) int {
+	t := edisim.NewTable(fmt.Sprintf("Open-loop overload: %v", rc.Profile),
 		"platform", "web", "offered conn/s", "goodput req/s", "shed /s", "degraded /s",
 		"p50 ms", "p99 ms", "p999 ms", "err rate", "denied", "power W").
 		WithUnits("", "nodes", "conn/s", "req/s", "/s", "/s", "ms", "ms", "ms", "", "", "W")
 	for _, tier := range ws.Tiers {
-		if tier.Web == 0 {
-			continue
-		}
-		p, nWeb := tier.Platform, tier.Web
-		rc := edisim.WebRunConfig{
-			Profile:        profile,
-			ImageFrac:      image,
-			CacheHit:       hit,
-			Duration:       duration,
-			RequestTimeout: timeout,
-			MaxRetries:     retries,
-			RetryBudget:    retryBudget,
-			Shed:           shed,
-		}
-		if sloTarget > 0 {
-			rc.SLO = &edisim.SLO{Latency: sloTarget, Window: 1, Brownout: brownout}
-		}
-		r, err := runPoint(p, nWeb, tier.Cache, rc, seed, crash, downtime)
+		r, err := point(tier, rc)
 		if err != nil {
 			fmt.Fprintf(stderr, "websvc: %v\n", err)
 			return 2
 		}
 		window := r.WindowSecs
-		t.AddRow(p.Label, nWeb,
+		t.AddRow(tier.Web.Label, tier.NWeb,
 			edisim.Num(float64(r.Offered)/window, "conn/s"),
 			edisim.Num(r.Throughput, "req/s"),
 			edisim.Num(float64(r.Shed)/window, "/s"),
@@ -294,31 +290,14 @@ func runOverload(stdout, stderr io.Writer, ws *edisim.WebScale, profile edisim.L
 	return 0
 }
 
-// sweepPoint runs one concurrency level.
-func sweepPoint(p *edisim.Platform, nWeb, nCache int, conc, image, hit, duration float64,
-	seed int64, timeout float64, retries, crash int, downtime float64) (edisim.WebResult, error) {
-	return runPoint(p, nWeb, nCache, edisim.WebRunConfig{
-		Concurrency:    conc,
-		ImageFrac:      image,
-		CacheHit:       hit,
-		Duration:       duration,
-		RequestTimeout: timeout,
-		MaxRetries:     retries,
-	}, seed, crash, downtime)
-}
-
-// runPoint runs rc on a fresh testbed so runs are independent and
+// runPoint runs rc on a freshly built tier so runs are independent and
 // reproducible. With crash > 0, that many web servers go down in a rolling
 // wave through the middle of the measurement window.
-func runPoint(p *edisim.Platform, nWeb, nCache int, rc edisim.WebRunConfig, seed int64, crash int, downtime float64) (edisim.WebResult, error) {
-	tb := edisim.NewTestbed(edisim.ClusterConfig{
-		Groups:  []edisim.ClusterGroup{{Platform: p, Nodes: nWeb + nCache}},
-		DBNodes: 2, Clients: 8,
-	})
-	dep := edisim.NewWebDeployment(tb, p, nWeb, nCache, seed)
+func runPoint(tier edisim.WebTier, rc edisim.WebRunConfig, seed int64, crash int, downtime float64) (edisim.WebResult, error) {
+	dep := tier.Build(edisim.PowerLinear, nil, seed)
 	dep.WarmFor(rc)
 	if crash > 0 {
-		crash = min(crash, nWeb)
+		crash = min(crash, tier.NWeb)
 		// The wave starts after the warm-up quarter and spreads over the
 		// middle half of the run.
 		start := 0.3 * rc.Duration

@@ -3,9 +3,10 @@
 // showing the paper's headline trade-off: comparable peak throughput,
 // higher micro-server latency, and ≈3.5× better energy efficiency (§5.1).
 //
-// Uses only the public edisim package (the composition toolkit: testbeds
-// and web deployments built by hand); -quick trims the sweep for CI smoke
-// runs. See examples/mixedtier for the declarative Scenario API.
+// Uses only the public edisim package (the composition toolkit: the full
+// row of Table6, each tier built with WebTier.Build and run by hand);
+// -quick trims the sweep for CI smoke runs. See examples/mixedtier for the
+// declarative Scenario API.
 package main
 
 import (
@@ -19,7 +20,6 @@ func main() {
 	quick := flag.Bool("quick", false, "fewer concurrency levels, shorter windows (CI smoke run)")
 	flag.Parse()
 
-	micro, brawny := edisim.BaselinePair()
 	concs := []float64{128, 512, 1024}
 	duration := 8.0
 	if *quick {
@@ -31,22 +31,13 @@ func main() {
 		"tier", "conn/s", "req/s", "delay", "power", "req/joule")
 
 	for _, conc := range concs {
-		for _, tier := range []struct {
-			p            *edisim.Platform
-			nWeb, nCache int
-		}{
-			{micro, 24, 11},
-			{brawny, 2, 1},
-		} {
-			tb := edisim.NewTestbed(edisim.ClusterConfig{
-				Groups:  []edisim.ClusterGroup{{Platform: tier.p, Nodes: tier.nWeb + tier.nCache}},
-				DBNodes: 2, Clients: 8,
-			})
-			dep := edisim.NewWebDeployment(tb, tier.p, tier.nWeb, tier.nCache, 1)
-			dep.Warm(0.93)
-			r := dep.Run(edisim.WebRunConfig{Concurrency: conc, Duration: duration})
+		for _, tier := range edisim.Table6()[0].Tiers {
+			rc := edisim.WebRunConfig{Concurrency: conc, Duration: duration}
+			dep := tier.Build(edisim.PowerLinear, nil, 1)
+			dep.WarmFor(rc)
+			r := dep.Run(rc)
 			fmt.Printf("%-8s %-8.0f %-10.0f %-10s %-10s %-12.1f\n",
-				tier.p.Label, conc, r.Throughput,
+				tier.Web.Label, conc, r.Throughput,
 				fmt.Sprintf("%.1fms", r.MeanDelay*1e3),
 				fmt.Sprintf("%.1fW", float64(r.MeanPower)),
 				r.Throughput/float64(r.MeanPower))

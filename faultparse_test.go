@@ -74,13 +74,8 @@ func TestRollingCrashFaults(t *testing.T) {
 
 func TestScheduleWebFaults(t *testing.T) {
 	micro, _ := BaselinePair()
-	build := func() *WebDeployment {
-		tb := NewTestbed(ClusterConfig{
-			Groups:  []ClusterGroup{{Platform: micro, Nodes: 9}},
-			DBNodes: 2, Clients: 4,
-		})
-		return NewWebDeployment(tb, micro, 6, 3, 1)
-	}
+	tier := WebTier{Web: micro, Cache: micro, NWeb: 6, NCache: 3, DBNodes: 2, Clients: 4}
+	build := func() *WebDeployment { return tier.Build(PowerLinear, nil, 1) }
 	d := build()
 	if err := ScheduleWebFaults(d, RollingCrashFaults("web", 2, 5, 2, 2), 1); err != nil {
 		t.Fatalf("ScheduleWebFaults: %v", err)

@@ -237,43 +237,3 @@ func Table3() []PowerState {
 	}
 	return rows
 }
-
-// WebTier is one platform's web/cache contribution at a scale factor.
-type WebTier struct {
-	Platform   *hw.Platform
-	Web, Cache int
-}
-
-// WebScale is a row of Table 6: how many web/cache servers each cluster
-// contributes at each scale factor. Tiers are ordered micro then brawny.
-type WebScale struct {
-	Name  string
-	Tiers []WebTier
-}
-
-// Tier returns the row's tier for a platform (zero sizes when absent).
-func (s WebScale) Tier(p *hw.Platform) WebTier {
-	for _, t := range s.Tiers {
-		if t.Platform == p {
-			return t
-		}
-	}
-	return WebTier{Platform: p}
-}
-
-// Table6 returns the paper's cluster scale configurations over the
-// baseline pair.
-func Table6() []WebScale {
-	return Table6For(hw.BaselinePair())
-}
-
-// Table6For returns the paper's scale ladder over an arbitrary compared
-// pair (the tier sizes are the paper's; the platforms are the caller's).
-func Table6For(micro, brawny *hw.Platform) []WebScale {
-	return []WebScale{
-		{Name: "full", Tiers: []WebTier{{micro, 24, 11}, {brawny, 2, 1}}},
-		{Name: "1/2", Tiers: []WebTier{{micro, 12, 6}, {brawny, 1, 1}}},
-		{Name: "1/4", Tiers: []WebTier{{micro, 6, 3}}},
-		{Name: "1/8", Tiers: []WebTier{{micro, 3, 2}}},
-	}
-}

@@ -68,23 +68,6 @@ func TestTable3Rows(t *testing.T) {
 	}
 }
 
-func TestTable6Configuration(t *testing.T) {
-	micro, brawny := pair()
-	rows := Table6()
-	full := rows[0]
-	mt, bt := full.Tier(micro), full.Tier(brawny)
-	if mt.Web != 24 || mt.Cache != 11 || bt.Web != 2 || bt.Cache != 1 {
-		t.Fatalf("full-scale row wrong: %+v", full)
-	}
-	// Web servers ≈ 2× cache servers throughout (paper's provisioning rule).
-	for _, r := range rows {
-		mt := r.Tier(micro)
-		if mt.Cache > 0 && (mt.Web < mt.Cache || mt.Web > 3*mt.Cache) {
-			t.Errorf("scale %s: web/cache ratio off: %d/%d", r.Name, mt.Web, mt.Cache)
-		}
-	}
-}
-
 func TestMicroUplinkIsBottleneck(t *testing.T) {
 	// The client room reaches the micro room through a single 1 Gbps path;
 	// each individual link to a brawny host is also ≈1 Gbps. Verify topology

@@ -251,7 +251,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		}
 	}
 	s.Point = func(_ int, c webCell, seed int64) web.Result {
-		return runWebPoint(cfg, paperTier(sizings[c.sizing].p, c.web, c.cache), web.RunConfig{
+		return RunWebPoint(cfg, web.TierOn(sizings[c.sizing].p, c.web, c.cache), web.RunConfig{
 			Concurrency: c.conc,
 			Duration:    webDuration(cfg),
 		}, nil, seed)
@@ -345,7 +345,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	hResults := RunSweep(cfg, name+"/hadoop", len(hCells),
 		func(i int, seed int64) *mapred.JobResult {
 			sz := sizings[hCells[i].sizing]
-			r, err := jobs.Run(job, sz.p, sz.slaves, seed, cfg.Energy)
+			r, err := jobs.Run(job, sz.p, sz.slaves, seed, cfg.Energy, cfg.Interrupt)
 			if err != nil {
 				panic(fmt.Sprintf("core: %s: %s on %s: %v", name, job, sz.p.Label, err))
 			}

@@ -82,8 +82,8 @@ func runFaultTolerance(cfg Config) *Outcome {
 				plan = cfg.Faults.Filter("web")
 			}
 			return faultWebResult{
-				healthy: runWebPoint(cfg, fleetTier(p), rc, nil, seed),
-				faulty:  runWebPoint(cfg, fleetTier(p), rc, plan, seed),
+				healthy: RunWebPoint(cfg, fleetTier(p), rc, nil, seed),
+				faulty:  RunWebPoint(cfg, fleetTier(p), rc, plan, seed),
 			}
 		})
 
@@ -123,7 +123,7 @@ func runFaultTolerance(cfg Config) *Outcome {
 		func(i int, seed int64) teraPair {
 			p := plats[i]
 			groups := []jobs.SlaveGroup{{Platform: p, Nodes: p.Fleet.Slaves}}
-			healthy, err := jobs.RunGroups("terasort", groups, seed, cfg.Energy)
+			healthy, err := jobs.RunGroups("terasort", groups, seed, cfg.Energy, cfg.Interrupt)
 			if err != nil {
 				panic(fmt.Sprintf("core: terasort on %s: %v", p.Label, err))
 			}

@@ -70,7 +70,7 @@ func runPairJobs(o *Outcome, cfg Config, jobNames []string) []*mapred.JobResult 
 	}
 	results := runner.Map(cfg.Workers, len(jobNames)*len(pair), func(i int) *mapred.JobResult {
 		job, l := jobNames[i/len(pair)], pair[i%len(pair)]
-		r, err := jobs.Run(job, l.Platform, l.Slaves, cfg.Seed, cfg.Energy)
+		r, err := jobs.Run(job, l.Platform, l.Slaves, cfg.Seed, cfg.Energy, cfg.Interrupt)
 		if err != nil {
 			panic(fmt.Sprintf("core: %s on %s: %v", job, l.Platform.Label, err))
 		}
@@ -196,7 +196,7 @@ func runScalability(cfg Config) *Outcome {
 			if l.Pair {
 				seed = cfg.Seed
 			}
-			r, err := jobs.Run(job, l.Platform, l.Slaves, seed, cfg.Energy)
+			r, err := jobs.Run(job, l.Platform, l.Slaves, seed, cfg.Energy, cfg.Interrupt)
 			if err != nil {
 				panic(err)
 			}

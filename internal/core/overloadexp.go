@@ -96,7 +96,7 @@ func runOverload(cfg Config) *Outcome {
 			rc.Profile = load.Steady{Rate: offered}
 			s := slo
 			rc.SLO = &s
-			res := runWebPoint(cfg, fleetTier(p), rc, nil, seed)
+			res := RunWebPoint(cfg, fleetTier(p), rc, nil, seed)
 			p99 := res.Latency.Quantile(0.99)
 			p999 := res.Latency.Quantile(0.999)
 			avail := 1 - res.ErrorRate
@@ -194,7 +194,7 @@ func runOverload(cfg Config) *Outcome {
 			if cfg.Faults != nil {
 				plan = cfg.Faults.Filter("web")
 			}
-			res := runWebPoint(cfg, fleetTier(p), rc, plan, seed)
+			res := RunWebPoint(cfg, fleetTier(p), rc, plan, seed)
 
 			phase := func(from, to float64) float64 {
 				var served int64

@@ -54,7 +54,7 @@ func runPlatformMatrix(cfg Config) *Outcome {
 		}
 	}
 	s.Point = func(_ int, c webCell, seed int64) web.Result {
-		return runWebPoint(cfg, fleetTier(c.p), web.RunConfig{
+		return RunWebPoint(cfg, fleetTier(c.p), web.RunConfig{
 			Concurrency: c.conc,
 			Duration:    webDuration(cfg),
 		}, nil, seed)
@@ -108,7 +108,7 @@ func runPlatformMatrix(cfg Config) *Outcome {
 	teraResults := RunSweep(cfg, "platform_matrix/terasort", len(plats),
 		func(i int, seed int64) *mapred.JobResult {
 			p := plats[i]
-			r, err := jobs.Run("terasort", p, p.Fleet.Slaves, seed, cfg.Energy)
+			r, err := jobs.Run("terasort", p, p.Fleet.Slaves, seed, cfg.Energy, cfg.Interrupt)
 			if err != nil {
 				panic(fmt.Sprintf("core: terasort on %s: %v", p.Label, err))
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"edisim/internal/cluster"
 	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/report"
@@ -35,34 +34,26 @@ func webConcurrencies(cfg Config) []float64 {
 	return []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 }
 
-// paperTier is a single-platform middle tier of nWeb web and nCache cache
-// servers in front of the paper's 2 database servers and 8 clients.
-func paperTier(p *hw.Platform, nWeb, nCache int) web.Tier {
-	return web.Tier{Web: p, Cache: p, NWeb: nWeb, NCache: nCache, DBNodes: 2, Clients: 8}
-}
-
 // fleetTier is a platform's catalog web fleet as a paper-shaped tier.
-func fleetTier(p *hw.Platform) web.Tier { return paperTier(p, p.Fleet.Web, p.Fleet.Cache) }
+func fleetTier(p *hw.Platform) web.Tier { return web.TierOn(p, p.Fleet.Web, p.Fleet.Cache) }
 
-// runWebPoint runs rc on a fresh testbed of tier t, under the config's power
-// model and interrupt, with plan's "web" and "cache" faults scheduled
-// (nil: a healthy run).
-func runWebPoint(cfg Config, t web.Tier, rc web.RunConfig, plan *faults.Plan, seed int64) web.Result {
+// RunWebPoint runs rc on a fresh testbed of tier t, under the config's
+// power model and interrupt, with plan's "web" and "cache" faults scheduled
+// (nil: a healthy run). Every web measurement but the autoscale matrix,
+// which meters its tier between build and run, goes through here.
+func RunWebPoint(cfg Config, t web.Tier, rc web.RunConfig, plan *faults.Plan, seed int64) web.Result {
 	dep := t.Build(cfg.Energy, cfg.Interrupt, seed)
 	dep.WarmFor(rc)
-	if !plan.Empty() {
-		faults.Schedule(dep.Eng, plan, seed, dep.Roster())
-	}
+	faults.Schedule(dep.Eng, plan.Filter("web", "cache"), seed, dep.Roster())
 	return dep.Run(rc)
 }
 
-// webCurve is one line of a web figure: a tier configuration and workload
-// mix swept across the concurrency axis.
+// webCurve is one line of a web figure: a tier swept across the
+// concurrency axis under one workload mix.
 type webCurve struct {
-	label        string
-	p            *hw.Platform
-	nWeb, nCache int
-	image, hit   float64
+	label      string
+	tier       web.Tier
+	image, hit float64
 }
 
 // webPoint is one (curve, concurrency) cell of a figure's sweep grid.
@@ -84,7 +75,7 @@ func sweepWebCurves(cfg Config, name string, curves []webCurve) [][]web.Result {
 		}
 	}
 	s.Point = func(_ int, p webPoint, seed int64) web.Result {
-		return runWebPoint(cfg, paperTier(p.curve.p, p.curve.nWeb, p.curve.nCache), web.RunConfig{
+		return RunWebPoint(cfg, p.curve.tier, web.RunConfig{
 			Concurrency: p.conc,
 			ImageFrac:   p.curve.image,
 			CacheHit:    p.curve.hit,
@@ -111,8 +102,8 @@ func curveSeries(results []web.Result) (tput, delay, power []float64) {
 
 // webScales lists the Table 6 tier sizes over the configured pair,
 // trimmed in Quick mode.
-func webScales(cfg Config) []cluster.WebScale {
-	all := cluster.Table6For(cfg.Pair())
+func webScales(cfg Config) []web.Scale {
+	all := web.Table6(cfg.Pair())
 	if cfg.Quick {
 		return all[:1]
 	}
@@ -133,20 +124,16 @@ func runWebScaledSweeps(cfg Config, id string, image float64, figTput, figDelay 
 	var curves []webCurve
 	for _, s := range webScales(cfg) {
 		for _, tier := range s.Tiers {
-			if tier.Web > 0 {
-				curves = append(curves, webCurve{
-					label: fmt.Sprintf("%d %s", tier.Web, tier.Platform.Label),
-					p:     tier.Platform, nWeb: tier.Web, nCache: tier.Cache,
-					image: image, hit: 0.93,
-				})
-			}
+			curves = append(curves, webCurve{
+				label: fmt.Sprintf("%d %s", tier.NWeb, tier.Web.Label),
+				tier:  tier, image: image, hit: 0.93,
+			})
 		}
 	}
 
 	// Peak tracking at the full-scale tier sizes (Table 6's first row).
-	full := cluster.Table6For(micro, brawny)[0]
-	microFull := full.Tier(micro).Web
-	brawnyFull := full.Tier(brawny).Web
+	full := web.Table6(micro, brawny)[0]
+	microFull, brawnyFull := full.Tier(micro), full.Tier(brawny)
 	var microPeak, brawnyPeak, microPeakPower, brawnyPeakPower float64
 	for ci, results := range sweepWebCurves(cfg, id, curves) {
 		c := curves[ci]
@@ -155,11 +142,11 @@ func runWebScaledSweeps(cfg Config, id string, image float64, figTput, figDelay 
 		fd.Add(c.label, delay)
 		fp.Add(c.label, power)
 		for i, v := range tput {
-			if c.p == micro && c.nWeb == microFull && v > microPeak {
+			if c.tier == microFull && v > microPeak {
 				microPeak = v
 				microPeakPower = power[i]
 			}
-			if c.p == brawny && c.nWeb == brawnyFull && v > brawnyPeak {
+			if c.tier == brawnyFull && v > brawnyPeak {
 				brawnyPeak = v
 				brawnyPeakPower = power[i]
 			}
@@ -213,13 +200,12 @@ func runWebMixes(cfg Config) *Outcome {
 	if cfg.Quick {
 		mixes = mixes[:2]
 	}
-	full := cluster.Table6For(micro, brawny)[0]
-	mt, bt := full.Tier(micro), full.Tier(brawny)
+	full := web.Table6(micro, brawny)[0]
 	var curves []webCurve
 	for _, m := range mixes {
 		curves = append(curves,
-			webCurve{label: micro.Label + " " + m.label, p: micro, nWeb: mt.Web, nCache: mt.Cache, image: m.image, hit: m.hit},
-			webCurve{label: brawny.Label + " " + m.label, p: brawny, nWeb: bt.Web, nCache: bt.Cache, image: m.image, hit: m.hit})
+			webCurve{label: micro.Label + " " + m.label, tier: full.Tier(micro), image: m.image, hit: m.hit},
+			webCurve{label: brawny.Label + " " + m.label, tier: full.Tier(brawny), image: m.image, hit: m.hit})
 	}
 	for ci, results := range sweepWebCurves(cfg, "fig5_fig8", curves) {
 		tput, delay, _ := curveSeries(results)
@@ -235,18 +221,16 @@ func runWebDelayDist(cfg Config) *Outcome {
 	micro, brawny := cfg.Pair()
 	// ≈6000 req/s at 20% image: concurrency 768 × 8 calls.
 	rc := web.RunConfig{Concurrency: 768, ImageFrac: 0.20, CacheHit: 0.93, Duration: webDuration(cfg) * 2}
-	full := cluster.Table6For(micro, brawny)[0]
-	mt, bt := full.Tier(micro), full.Tier(brawny)
+	full := web.Table6(micro, brawny)[0]
 	sides := []struct {
-		p            *hw.Platform
-		nWeb, nCache int
-		name         string
+		tier web.Tier
+		name string
 	}{
-		{micro, mt.Web, mt.Cache, "Figure 10 — " + micro.Label},
-		{brawny, bt.Web, bt.Cache, "Figure 11 — " + brawny.Label},
+		{full.Tier(micro), "Figure 10 — " + micro.Label},
+		{full.Tier(brawny), "Figure 11 — " + brawny.Label},
 	}
 	results := RunSweep(cfg, "fig10_fig11", len(sides), func(i int, seed int64) web.Result {
-		return runWebPoint(cfg, paperTier(sides[i].p, sides[i].nWeb, sides[i].nCache), rc, nil, seed)
+		return RunWebPoint(cfg, sides[i].tier, rc, nil, seed)
 	})
 	var spread []string
 	for i, side := range sides {
@@ -272,7 +256,7 @@ func runWebDelayDist(cfg Config) *Outcome {
 		fig.Add("samples", y)
 		o.Figures = append(o.Figures, fig)
 		spread = append(spread, fmt.Sprintf("%s %.2f%% beyond 0.5 s, p99 %.4g s",
-			side.p.Label, 100*safeDiv(float64(late), float64(r.ConnDelays.N()), 0), r.ConnDelays.Quantile(0.99)))
+			side.tier.Web.Label, 100*safeDiv(float64(late), float64(r.ConnDelays.N()), 0), r.ConnDelays.Quantile(0.99)))
 	}
 	o.Notes = append(o.Notes, "connection delays (SYN retransmission backoff shows beyond 0.5 s): "+strings.Join(spread, "; "))
 	return o
@@ -295,15 +279,12 @@ func runTable7(cfg Config) *Outcome {
 		3840: {8.74, 1.60, 105.1, 0.46, 114.7, 1.70},
 		7680: {10.99, 1.98, 212.0, 0.74, 225.1, 2.93},
 	}
-	full := cluster.Table6For(micro, brawny)[0]
-	mt, bt := full.Tier(micro), full.Tier(brawny)
+	full := web.Table6(micro, brawny)[0]
+	tiers := []web.Tier{full.Tier(micro), full.Tier(brawny)}
 	// One sweep cell per (rate, platform): micro at even indices, brawny odd.
 	results := RunSweep(cfg, "table7", 2*len(rates), func(i int, seed int64) web.Result {
 		rc := web.RunConfig{Concurrency: rates[i/2] / 8, ImageFrac: 0.20, CacheHit: 0.93, Duration: webDuration(cfg)}
-		if i%2 == 0 {
-			return runWebPoint(cfg, paperTier(micro, mt.Web, mt.Cache), rc, nil, seed)
-		}
-		return runWebPoint(cfg, paperTier(brawny, bt.Web, bt.Cache), rc, nil, seed)
+		return RunWebPoint(cfg, tiers[i%2], rc, nil, seed)
 	})
 	for ri, rate := range rates {
 		re, rd := results[2*ri], results[2*ri+1]

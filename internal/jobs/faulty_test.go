@@ -16,7 +16,7 @@ func TestTerasortSurvivesMidJobCrash(t *testing.T) {
 	micro, _ := hw.BaselinePair()
 	groups := []SlaveGroup{{Platform: micro, Nodes: 8}}
 
-	base, err := RunGroups("terasort", groups, 11, hw.PowerLinear)
+	base, err := RunGroups("terasort", groups, 11, hw.PowerLinear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTerasortSurvivesMidJobCrash(t *testing.T) {
 func TestFaultToleranceNilIsIdentical(t *testing.T) {
 	micro, _ := hw.BaselinePair()
 	groups := []SlaveGroup{{Platform: micro, Nodes: 6}}
-	a, err := RunGroups("wordcount2", groups, 7, hw.PowerLinear)
+	a, err := RunGroups("wordcount2", groups, 7, hw.PowerLinear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ func TestRunSmallClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster simulation in -short mode")
 	}
-	r, err := Run("logcount2", microP(), 4, 1, hw.PowerLinear)
+	r, err := Run("logcount2", microP(), 4, 1, hw.PowerLinear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,21 +232,21 @@ func TestMixedSlaveGroupsEndToEnd(t *testing.T) {
 	}
 	micro, brawny := pair()
 	mixed := []SlaveGroup{{Platform: micro, Nodes: 3}, {Platform: brawny, Nodes: 1}}
-	r1, err := RunGroups("terasort", mixed, 1, hw.PowerLinear)
+	r1, err := RunGroups("terasort", mixed, 1, hw.PowerLinear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Duration <= 0 || r1.Energy <= 0 || r1.ReduceTasks <= 0 {
 		t.Fatalf("bad mixed result: %+v", r1)
 	}
-	r2, err := RunGroups("terasort", mixed, 1, hw.PowerLinear)
+	r2, err := RunGroups("terasort", mixed, 1, hw.PowerLinear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Duration != r2.Duration || r1.Energy != r2.Energy {
 		t.Fatalf("mixed run not deterministic: %v/%v vs %v/%v", r1.Duration, r1.Energy, r2.Duration, r2.Energy)
 	}
-	allMicro, err := RunGroups("terasort", []SlaveGroup{{Platform: micro, Nodes: 4}}, 1, hw.PowerLinear)
+	allMicro, err := RunGroups("terasort", []SlaveGroup{{Platform: micro, Nodes: 4}}, 1, hw.PowerLinear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,16 +228,28 @@ func Names() []string {
 
 // Run stages and executes one named job on a fresh homogeneous deployment
 // under the given node power model, returning the result. This is the
-// one-call path used by experiments and benches.
-func Run(job string, p *hw.Platform, slaves int, seed int64, energy hw.PowerModelKind) (*mapred.JobResult, error) {
-	return RunGroups(job, []SlaveGroup{{Platform: p, Nodes: slaves}}, seed, energy)
+// one-call path used by experiments and benches; interrupt (nil: never) is
+// polled by the engine for cooperative cancellation.
+func Run(job string, p *hw.Platform, slaves int, seed int64, energy hw.PowerModelKind, interrupt func() bool) (*mapred.JobResult, error) {
+	return RunGroups(job, []SlaveGroup{{Platform: p, Nodes: slaves}}, seed, energy, interrupt)
 }
 
 // RunGroups stages and executes one named job on a fresh deployment over a
 // (possibly mixed-platform) slave set — the heterogeneous-cluster
 // counterpart of Run. Job tuning follows the first group's platform;
-// experiments thread core Config.Energy through energy.
-func RunGroups(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind) (*mapred.JobResult, error) {
+// experiments thread core Config.Energy through energy and
+// Config.Interrupt through interrupt.
+func RunGroups(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind, interrupt func() bool) (*mapred.JobResult, error) {
+	h, err := stage(job, groups, seed, energy, interrupt)
+	if err != nil {
+		return nil, err
+	}
+	return h.Cluster.Run(h.Def(job))
+}
+
+// stage builds a deployment for job over groups, arms interrupt on its
+// engine and stages the job's input.
+func stage(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind, interrupt func() bool) (*Hadoop, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("jobs: %s needs at least one slave group", job)
 	}
@@ -248,8 +260,9 @@ func RunGroups(job string, groups []SlaveGroup, seed int64, energy hw.PowerModel
 	if err != nil {
 		return nil, err
 	}
+	h.Eng.SetInterrupt(interrupt)
 	h.Stage(job)
-	return h.Cluster.Run(h.Def(job))
+	return h, nil
 }
 
 // FaultRoster maps the deployment's nodes to fault-plan roles: "slave" (the
@@ -275,20 +288,10 @@ func (h *Hadoop) FaultRoster() map[string][]faults.Target {
 // Failed with FailReason "deadline exceeded" when the deadline fired first.
 func RunGroupsFaulty(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind, plan *faults.Plan,
 	ft *mapred.FaultTolerance, deadline float64, interrupt func() bool) (*mapred.JobResult, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("jobs: %s needs at least one slave group", job)
-	}
-	if groups[0].Platform == nil {
-		return nil, fmt.Errorf("jobs: slave group without a platform")
-	}
-	h, err := NewHadoopGroups(groups, BlockSizeFor(job, groups[0].Platform), seed, energy)
+	h, err := stage(job, groups, seed, energy, interrupt)
 	if err != nil {
 		return nil, err
 	}
-	if interrupt != nil {
-		h.Eng.SetInterrupt(interrupt)
-	}
-	h.Stage(job)
 	def := h.Def(job)
 	def.FT = ft
 	faults.Schedule(h.Eng, plan, seed, h.FaultRoster())

@@ -25,9 +25,9 @@ const (
 	rowsPerTable   = 2000
 )
 
-// Deployment is one cluster configured as the paper's middle tier: web
-// servers plus cache servers from a single platform, with the shared
-// infra-platform database tier and the client machines.
+// Deployment is one testbed configured as the paper's middle tier: web
+// servers and cache servers, on one platform or one each (see Tier), with
+// the shared infra-platform database tier and the client machines.
 type Deployment struct {
 	Eng    *sim.Engine
 	Fab    *netsim.Fabric
@@ -65,39 +65,38 @@ type Deployment struct {
 }
 
 // NewDeployment builds a middle tier of nWeb web servers and nCache cache
-// servers on the chosen platform's node group of testbed tb. The paper's
-// splits are in cluster.Table6.
+// servers on platform p's node group of testbed tb, web servers first.
+// Tier.Build builds the testbed as well; Table6 lists the paper's tiers.
 func NewDeployment(tb *cluster.Testbed, p *hw.Platform, nWeb, nCache int, seed int64) *Deployment {
-	return NewTieredDeployment(tb, p, nWeb, p, nCache, seed)
+	return Tier{Web: p, Cache: p, NWeb: nWeb, NCache: nCache}.deploy(tb, seed)
 }
 
-// NewTieredDeployment builds a middle tier whose web and cache tiers may
-// sit on different platforms (e.g. a Pi3 web tier in front of a Xeon cache
-// tier): nWeb web servers on webPlat's node group and nCache cache servers
-// on cachePlat's. When the platforms coincide this is exactly NewDeployment:
-// both tiers split one node group, web servers first.
-func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, cachePlat *hw.Platform, nCache int, seed int64) *Deployment {
+// deploy places the tier's servers on testbed tb: NWeb web servers on the
+// Web platform's node group and NCache cache servers on the Cache
+// platform's. When the platforms coincide both tiers split one node group,
+// web servers first.
+func (t Tier) deploy(tb *cluster.Testbed, seed int64) *Deployment {
 	var webNodes, cacheNodes []*hw.Node
-	if webPlat == cachePlat {
-		pool := tb.Nodes(webPlat)
-		if nWeb+nCache > len(pool) {
-			panic(fmt.Sprintf("web: need %d %s nodes, testbed has %d", nWeb+nCache, webPlat.Name, len(pool)))
+	if t.Web == t.Cache {
+		pool := tb.Nodes(t.Web)
+		if t.NWeb+t.NCache > len(pool) {
+			panic(fmt.Sprintf("web: need %d %s nodes, testbed has %d", t.NWeb+t.NCache, t.Web.Name, len(pool)))
 		}
-		webNodes, cacheNodes = pool[:nWeb], pool[nWeb:nWeb+nCache]
+		webNodes, cacheNodes = pool[:t.NWeb], pool[t.NWeb:t.NWeb+t.NCache]
 	} else {
-		wp, cp := tb.Nodes(webPlat), tb.Nodes(cachePlat)
-		if nWeb > len(wp) {
-			panic(fmt.Sprintf("web: need %d %s web nodes, testbed has %d", nWeb, webPlat.Name, len(wp)))
+		wp, cp := tb.Nodes(t.Web), tb.Nodes(t.Cache)
+		if t.NWeb > len(wp) {
+			panic(fmt.Sprintf("web: need %d %s web nodes, testbed has %d", t.NWeb, t.Web.Name, len(wp)))
 		}
-		if nCache > len(cp) {
-			panic(fmt.Sprintf("web: need %d %s cache nodes, testbed has %d", nCache, cachePlat.Name, len(cp)))
+		if t.NCache > len(cp) {
+			panic(fmt.Sprintf("web: need %d %s cache nodes, testbed has %d", t.NCache, t.Cache.Name, len(cp)))
 		}
-		webNodes, cacheNodes = wp[:nWeb], cp[:nCache]
+		webNodes, cacheNodes = wp[:t.NWeb], cp[:t.NCache]
 	}
 	if len(tb.DB) == 0 || len(tb.Clients) == 0 {
 		panic("web: testbed needs DB servers and clients")
 	}
-	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients,
+	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: t.Web, CachePlat: t.Cache, Clients: tb.Clients,
 		webNodes: webNodes, cacheNodes: cacheNodes}
 	d.run = &runState{d: d, loadFactor: 1}
 	for _, n := range webNodes {
@@ -109,9 +108,9 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 	for _, n := range tb.DB {
 		d.DBs = append(d.DBs, newDBServer(d, n, tb.Infra.Web.DBQueryCPU))
 	}
-	meterName := webPlat.Label + "-cluster"
-	if cachePlat != webPlat {
-		meterName = webPlat.Label + "+" + cachePlat.Label + "-tier"
+	meterName := t.Web.Label + "-cluster"
+	if t.Cache != t.Web {
+		meterName = t.Web.Label + "+" + t.Cache.Label + "-tier"
 	}
 	d.meter = power.NewMeter(meterName, append(append([]*hw.Node(nil), webNodes...), cacheNodes...))
 	root := rng.New(seed)
@@ -123,30 +122,6 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 	// substream draws nothing, so healthy runs are untouched).
 	d.rnd.class = root.Derive("web/class")
 	return d
-}
-
-// Tier sizes a web testbed: NWeb web servers on the Web platform and
-// NCache cache servers on the Cache platform, plus DBNodes database
-// servers and Clients load generators on the infra platform. The paper's
-// splits are in cluster.Table6, with 2 database servers and 8 clients.
-type Tier struct {
-	Web, Cache       *hw.Platform
-	NWeb, NCache     int
-	DBNodes, Clients int
-}
-
-// Build builds the tier on a fresh testbed and returns its deployment. The
-// web and cache tiers share one node group when their platforms match (the
-// paper's shape) and get one group each otherwise. Every node runs the
-// energy power model, and the engine polls interrupt (nil: never) so a
-// cancelled caller stops the run promptly.
-func (t Tier) Build(energy hw.PowerModelKind, interrupt func() bool, seed int64) *Deployment {
-	groups := []cluster.GroupConfig{{Platform: t.Web, Nodes: t.NWeb + t.NCache}}
-	if t.Cache != t.Web {
-		groups = []cluster.GroupConfig{{Platform: t.Web, Nodes: t.NWeb}, {Platform: t.Cache, Nodes: t.NCache}}
-	}
-	tb := cluster.New(cluster.Config{Groups: groups, DBNodes: t.DBNodes, Clients: t.Clients, Energy: energy, Interrupt: interrupt})
-	return NewTieredDeployment(tb, t.Web, t.NWeb, t.Cache, t.NCache, seed)
 }
 
 // Roster maps the fault roles "web" and "cache" to the deployment's server

@@ -1,0 +1,94 @@
+package web
+
+import (
+	"errors"
+	"fmt"
+
+	"edisim/internal/cluster"
+	"edisim/internal/hw"
+)
+
+// Tier sizes a web testbed: NWeb web servers on the Web platform and
+// NCache cache servers on the Cache platform, plus DBNodes database
+// servers and Clients load generators on the infra platform. The paper's
+// tiers are in Table6.
+type Tier struct {
+	Web, Cache       *hw.Platform
+	NWeb, NCache     int
+	DBNodes, Clients int
+}
+
+// TierOn is a single-platform tier of nWeb web and nCache cache servers in
+// front of the paper's 2 database servers and 8 clients.
+func TierOn(p *hw.Platform, nWeb, nCache int) Tier {
+	return Tier{Web: p, Cache: p, NWeb: nWeb, NCache: nCache, DBNodes: 2, Clients: 8}
+}
+
+// Validate reports why Build would reject the tier, or nil. Both tiers
+// need a platform and at least one node, each node group stays within
+// cluster.MaxGroupNodes (web and cache share one group when their
+// platforms match), and the infra tier needs a database server and a
+// client.
+func (t Tier) Validate() error {
+	if t.Web == nil || t.Cache == nil {
+		return errors.New("web and cache tiers need a platform")
+	}
+	if t.NWeb <= 0 || t.NCache <= 0 {
+		return fmt.Errorf("web and cache tiers need at least one node (got %d web, %d cache)", t.NWeb, t.NCache)
+	}
+	grp := max(t.NWeb, t.NCache)
+	if t.Web == t.Cache {
+		grp = t.NWeb + t.NCache
+	}
+	if grp > cluster.MaxGroupNodes {
+		return fmt.Errorf("tier group of %d nodes exceeds the %d-node group cap", grp, cluster.MaxGroupNodes)
+	}
+	if t.DBNodes <= 0 || t.Clients <= 0 {
+		return fmt.Errorf("DBNodes and Clients must be positive (got %d, %d)", t.DBNodes, t.Clients)
+	}
+	return nil
+}
+
+// Build builds the tier on a fresh testbed and returns its deployment. The
+// web and cache tiers share one node group when their platforms match (the
+// paper's shape) and get one group each otherwise. Every node runs the
+// energy power model, and the engine polls interrupt (nil: never) so a
+// cancelled caller stops the run promptly. Build does not check the tier:
+// call Validate first on sizes that come from outside the program.
+func (t Tier) Build(energy hw.PowerModelKind, interrupt func() bool, seed int64) *Deployment {
+	groups := []cluster.GroupConfig{{Platform: t.Web, Nodes: t.NWeb + t.NCache}}
+	if t.Cache != t.Web {
+		groups = []cluster.GroupConfig{{Platform: t.Web, Nodes: t.NWeb}, {Platform: t.Cache, Nodes: t.NCache}}
+	}
+	tb := cluster.New(cluster.Config{Groups: groups, DBNodes: t.DBNodes, Clients: t.Clients, Energy: energy, Interrupt: interrupt})
+	return t.deploy(tb, seed)
+}
+
+// Scale is one row of the paper's Table 6: the middle tier each compared
+// platform contributes at one cluster scale factor, micro then brawny.
+type Scale struct {
+	Name  string
+	Tiers []Tier
+}
+
+// Tier returns the row's tier on platform p, or an empty tier on p when
+// the row has none.
+func (s Scale) Tier(p *hw.Platform) Tier {
+	for _, t := range s.Tiers {
+		if t.Web == p {
+			return t
+		}
+	}
+	return TierOn(p, 0, 0)
+}
+
+// Table6 returns the paper's cluster scale ladder over a compared pair:
+// the tier sizes are the paper's, the platforms the caller's.
+func Table6(micro, brawny *hw.Platform) []Scale {
+	return []Scale{
+		{Name: "full", Tiers: []Tier{TierOn(micro, 24, 11), TierOn(brawny, 2, 1)}},
+		{Name: "1/2", Tiers: []Tier{TierOn(micro, 12, 6), TierOn(brawny, 1, 1)}},
+		{Name: "1/4", Tiers: []Tier{TierOn(micro, 6, 3)}},
+		{Name: "1/8", Tiers: []Tier{TierOn(micro, 3, 2)}},
+	}
+}

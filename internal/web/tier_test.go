@@ -1,0 +1,108 @@
+package web
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"edisim/internal/cluster"
+	"edisim/internal/hw"
+)
+
+func TestTable6Configuration(t *testing.T) {
+	micro, brawny := hw.BaselinePair()
+	rows := Table6(micro, brawny)
+	full := rows[0]
+	mt, bt := full.Tier(micro), full.Tier(brawny)
+	if mt.NWeb != 24 || mt.NCache != 11 || bt.NWeb != 2 || bt.NCache != 1 {
+		t.Fatalf("full-scale row wrong: %+v", full)
+	}
+	if got := rows[2].Tier(brawny); got.NWeb != 0 || got.NCache != 0 || got.Web != brawny {
+		t.Fatalf("absent tier = %+v, want an empty tier on %s", got, brawny.Name)
+	}
+	for _, r := range rows {
+		// Web servers ≈ 2× cache servers throughout (paper's provisioning rule).
+		mt := r.Tier(micro)
+		if mt.NWeb < mt.NCache || mt.NWeb > 3*mt.NCache {
+			t.Errorf("scale %s: web/cache ratio off: %d/%d", r.Name, mt.NWeb, mt.NCache)
+		}
+		for _, tier := range r.Tiers {
+			if tier.Web != tier.Cache || tier.DBNodes != 2 || tier.Clients != 8 {
+				t.Errorf("scale %s: %+v is not a single-platform tier with 2 DB servers and 8 clients", r.Name, tier)
+			}
+			if err := tier.Validate(); err != nil {
+				t.Errorf("scale %s %s: %v", r.Name, tier.Web.Name, err)
+			}
+			d := tier.Build(hw.PowerLinear, nil, 1)
+			if len(d.Web) != tier.NWeb || len(d.Cache) != tier.NCache || len(d.DBs) != 2 || len(d.Clients) != 8 {
+				t.Errorf("scale %s %s: built %d web, %d cache, %d DB, %d clients",
+					r.Name, tier.Web.Name, len(d.Web), len(d.Cache), len(d.DBs), len(d.Clients))
+			}
+			for _, w := range d.Web {
+				if w.Node.Spec != tier.Web.Spec {
+					t.Errorf("scale %s: web server %s is not on %s", r.Name, w.Node.ID, tier.Web.Name)
+				}
+			}
+		}
+	}
+}
+
+func TestTierValidate(t *testing.T) {
+	micro, brawny := hw.BaselinePair()
+	ok := TierOn(micro, 6, 3)
+	split := Tier{Web: micro, Cache: brawny, NWeb: 6, NCache: 1, DBNodes: 2, Clients: 8}
+	with := func(base Tier, edit func(*Tier)) Tier { edit(&base); return base }
+	cases := []struct {
+		name string
+		tier Tier
+		want string // error substring; "" = valid
+	}{
+		{"paper shape", ok, ""},
+		{"split platforms", split, ""},
+		{"split groups each at the cap", with(split, func(t *Tier) { t.NWeb, t.NCache = cluster.MaxGroupNodes, cluster.MaxGroupNodes }), ""},
+		{"no web platform", with(ok, func(t *Tier) { t.Web = nil }), "need a platform"},
+		{"no cache platform", with(ok, func(t *Tier) { t.Cache = nil }), "need a platform"},
+		{"no web servers", with(ok, func(t *Tier) { t.NWeb = 0 }), "at least one node (got 0 web, 3 cache)"},
+		{"negative cache servers", with(ok, func(t *Tier) { t.NCache = -1 }), "at least one node (got 6 web, -1 cache)"},
+		{"shared group over the cap", with(ok, func(t *Tier) { t.NWeb = cluster.MaxGroupNodes }), "tier group of 10003 nodes exceeds the 10000-node group cap"},
+		{"split group over the cap", with(split, func(t *Tier) { t.NCache = cluster.MaxGroupNodes + 1 }), "tier group of 10001 nodes"},
+		{"no DB servers", with(ok, func(t *Tier) { t.DBNodes = 0 }), "DBNodes and Clients must be positive (got 0, 8)"},
+		{"negative clients", with(ok, func(t *Tier) { t.Clients = -2 }), "DBNodes and Clients must be positive (got 2, -2)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.tier.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Validate() = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestBuildMatchesNewDeployment checks the two ways onto a testbed agree:
+// Tier.Build (every experiment) and cluster.New + NewDeployment (perfbench's
+// web-open workload) give the same Result for the same shape and seed.
+func TestBuildMatchesNewDeployment(t *testing.T) {
+	micro, brawny := hw.BaselinePair()
+	rc := RunConfig{Concurrency: 128, ImageFrac: 0.1, Duration: 3, RequestTimeout: 0.5}
+	for _, tier := range []Tier{TierOn(micro, 6, 3), TierOn(brawny, 1, 1)} {
+		built := tier.Build(hw.PowerLinear, nil, 7)
+		tb := cluster.New(cluster.Config{
+			Groups:  []cluster.GroupConfig{{Platform: tier.Web, Nodes: tier.NWeb + tier.NCache}},
+			DBNodes: tier.DBNodes, Clients: tier.Clients,
+		})
+		byHand := NewDeployment(tb, tier.Web, tier.NWeb, tier.NCache, 7)
+		built.WarmFor(rc)
+		byHand.WarmFor(rc)
+		a, b := built.Run(rc), byHand.Run(rc)
+		if a.Throughput == 0 {
+			t.Fatalf("%s: no throughput", tier.Web.Name)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Tier.Build result %+v\n!= NewDeployment result %+v", tier.Web.Name, a, b)
+		}
+	}
+}

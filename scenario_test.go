@@ -194,15 +194,17 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestWebUnitsPollInterrupt: every web testbed wires the caller's Interrupt
-// into its engine, so cancelling Run reaches a simulation in flight. Each
-// unit below must poll it at least once.
-func TestWebUnitsPollInterrupt(t *testing.T) {
+// TestUnitsPollInterrupt: every web testbed and Hadoop deployment wires the
+// caller's Interrupt into its engine, so cancelling Run reaches a
+// simulation in flight. Each unit below must poll it at least once.
+func TestUnitsPollInterrupt(t *testing.T) {
 	for _, w := range []Workload{
 		&WebSweep{Concurrencies: []float64{256}},
 		&OverloadStudy{Profile: SteadyLoad{Rate: 200}},
 		&AutoscaleStudy{Profile: SteadyLoad{Rate: 200}},
 		&PaperExperiments{IDs: []string{"fig4_fig7"}},
+		&MapReduceJob{Job: "logcount2", Platform: Ref("pi3"), Slaves: 4},
+		&PaperExperiments{IDs: []string{"fig14_fig17"}},
 	} {
 		scn := Scenario{Quick: true}
 		cfg, err := scn.config()

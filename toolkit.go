@@ -60,17 +60,22 @@ func NewTestbed(cfg ClusterConfig) *Testbed { return cluster.New(cfg) }
 // database servers, 8 client machines.
 func PaperTestbedConfig() ClusterConfig { return cluster.DefaultConfig() }
 
-// WebScale is one row of the paper's Table 6 scale ladder; WebTier one
-// platform's web/cache contribution in it.
-type (
-	WebScale = cluster.WebScale
-	WebTier  = cluster.WebTier
-)
-
-// Table6 returns the paper's web cluster scale configurations.
-func Table6() []WebScale { return cluster.Table6() }
-
 // --- Web deployments -------------------------------------------------------
+
+// WebTier sizes a web testbed: NWeb web servers on the Web platform and
+// NCache cache servers on the Cache platform, in front of DBNodes database
+// servers and Clients load generators. tier.Build(PowerLinear, nil, seed)
+// builds it on a fresh testbed without checking it; tier.Validate reports
+// the sizes Build cannot take.
+type WebTier = web.Tier
+
+// WebScale is one row of the paper's Table 6 scale ladder: each compared
+// platform's tier at one scale factor, micro then brawny.
+type WebScale = web.Scale
+
+// Table6 returns the paper's web cluster scale configurations over the
+// baseline pair, each tier in front of 2 database servers and 8 clients.
+func Table6() []WebScale { return web.Table6(hw.BaselinePair()) }
 
 // WebDeployment is the paper's LLMP middle tier (Lighttpd + memcached +
 // MySQL behind HAProxy) deployed on a testbed.
@@ -82,18 +87,6 @@ type (
 	WebResult    = web.Result
 )
 
-// NewWebDeployment builds a homogeneous middle tier: nWeb web servers and
-// nCache cache servers on platform p's node group of tb.
-func NewWebDeployment(tb *Testbed, p *Platform, nWeb, nCache int, seed int64) *WebDeployment {
-	return web.NewDeployment(tb, p, nWeb, nCache, seed)
-}
-
-// NewTieredWebDeployment builds a heterogeneous middle tier: the web and
-// cache tiers may sit on different platforms.
-func NewTieredWebDeployment(tb *Testbed, webPlat *Platform, nWeb int, cachePlat *Platform, nCache int, seed int64) *WebDeployment {
-	return web.NewTieredDeployment(tb, webPlat, nWeb, cachePlat, nCache, seed)
-}
-
 // --- MapReduce -------------------------------------------------------------
 
 // JobResult is a simulated Hadoop run: duration, energy, task counts and
@@ -104,7 +97,7 @@ type JobResult = mapred.JobResult
 // `slaves` workers of platform p, staging input and running YARN, HDFS and
 // the shuffle in full.
 func RunJob(job string, p *Platform, slaves int, seed int64) (*JobResult, error) {
-	return jobs.Run(job, p, slaves, seed, hw.PowerLinear)
+	return jobs.Run(job, p, slaves, seed, hw.PowerLinear, nil)
 }
 
 // TraceFigure converts a JobResult's sampled series (CPU/memory/progress/

@@ -7,7 +7,6 @@ import (
 	"edisim/internal/carbon"
 	"edisim/internal/cluster"
 	"edisim/internal/core"
-	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/jobs"
 	"edisim/internal/report"
@@ -108,8 +107,8 @@ const ColdCache = web.ColdCache
 
 // resolveTiers applies the shared tier defaults: baseline-micro web tier at
 // its fleet size, cache tier on the web platform at its fleet size, the
-// paper's 2 DB servers and 8 clients. Every cap is checked, so the
-// resolved tier builds without panicking.
+// paper's 2 DB servers and 8 clients. The resolved tier passes
+// web.Tier.Validate, so it builds without panicking.
 func resolveTiers(id string, webTier, cacheTier TierSpec, dbNodes, clients int) (web.Tier, error) {
 	var ts web.Tier
 	webPlat, err := webTier.Platform.resolve()
@@ -126,34 +125,23 @@ func resolveTiers(id string, webTier, cacheTier TierSpec, dbNodes, clients int) 
 	if cachePlat == nil {
 		cachePlat = webPlat
 	}
-	nWeb, nCache := webTier.Nodes, cacheTier.Nodes
-	if nWeb == 0 {
-		nWeb = webPlat.Fleet.Web
+	ts = web.Tier{Web: webPlat, Cache: cachePlat, NWeb: webTier.Nodes, NCache: cacheTier.Nodes, DBNodes: dbNodes, Clients: clients}
+	if ts.NWeb == 0 {
+		ts.NWeb = webPlat.Fleet.Web
 	}
-	if nCache == 0 {
-		nCache = cachePlat.Fleet.Cache
+	if ts.NCache == 0 {
+		ts.NCache = cachePlat.Fleet.Cache
 	}
-	if nWeb <= 0 || nCache <= 0 {
-		return ts, fmt.Errorf("edisim: %s: web and cache tiers need at least one node (got %d web, %d cache)", id, nWeb, nCache)
+	if ts.DBNodes == 0 {
+		ts.DBNodes = 2
 	}
-	// Same-platform tiers share one node group; split tiers get one each.
-	grp := max(nWeb, nCache)
-	if webPlat == cachePlat {
-		grp = nWeb + nCache
+	if ts.Clients == 0 {
+		ts.Clients = 8
 	}
-	if grp > cluster.MaxGroupNodes {
-		return ts, fmt.Errorf("edisim: %s: tier group of %d nodes exceeds the %d-node group cap", id, grp, cluster.MaxGroupNodes)
+	if err := ts.Validate(); err != nil {
+		return ts, fmt.Errorf("edisim: %s: %w", id, err)
 	}
-	if dbNodes == 0 {
-		dbNodes = 2
-	}
-	if clients == 0 {
-		clients = 8
-	}
-	if dbNodes < 0 || clients < 0 {
-		return ts, fmt.Errorf("edisim: %s: DBNodes and Clients must be positive (got %d, %d)", id, dbNodes, clients)
-	}
-	return web.Tier{Web: webPlat, Cache: cachePlat, NWeb: nWeb, NCache: nCache, DBNodes: dbNodes, Clients: clients}, nil
+	return ts, nil
 }
 
 func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
@@ -187,15 +175,12 @@ func (ws *WebSweep) expand(cfg core.Config) ([]unit, error) {
 		}
 		s := core.Sweep[float64, web.Result]{Name: id, Points: concs}
 		s.Point = func(_ int, conc float64, seed int64) web.Result {
-			rc := web.RunConfig{
+			return core.RunWebPoint(cfg, ts, web.RunConfig{
 				Concurrency: conc,
 				ImageFrac:   ws.ImageFrac,
 				CacheHit:    ws.CacheHit,
 				Duration:    duration,
-			}
-			dep := ts.Build(cfg.Energy, cfg.Interrupt, seed)
-			dep.WarmFor(rc)
-			return dep.Run(rc)
+			}, nil, seed)
 		}
 		results := s.Run(cfg)
 
@@ -310,7 +295,7 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 		ov.Profile, ts.NWeb, ts.Web.Label, ts.NCache, ts.Cache.Label)
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		res := runStudy(cfg, id, ts, rc)
+		res := core.RunWebPoint(cfg, ts, rc, cfg.Faults, cfg.PointSeed(id, 0))
 		window := res.WindowSecs
 		o := &core.Outcome{}
 		t := report.NewTable(title,
@@ -377,19 +362,6 @@ func studyTimeout(set float64) float64 {
 		return 0.5
 	}
 	return set
-}
-
-// runStudy builds a study's tier, warms it for rc, schedules the
-// scenario's "web" and "cache" faults against it and runs rc. The run's
-// seed is the study ID's.
-func runStudy(cfg core.Config, id string, ts web.Tier, rc web.RunConfig) web.Result {
-	seed := cfg.PointSeed(id, 0)
-	dep := ts.Build(cfg.Energy, cfg.Interrupt, seed)
-	dep.WarmFor(rc)
-	if plan := cfg.Faults.Filter("web", "cache"); !plan.Empty() {
-		faults.Schedule(dep.Eng, plan, seed, dep.Roster())
-	}
-	return dep.Run(rc)
 }
 
 // --- MapReduce job ---------------------------------------------------------
@@ -538,7 +510,7 @@ func (mj *MapReduceJob) expand(core.Config) ([]unit, error) {
 	}
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		r, err := jobs.RunGroups(job, groups, cfg.Seed, cfg.Energy)
+		r, err := jobs.RunGroups(job, groups, cfg.Seed, cfg.Energy, cfg.Interrupt)
 		if err != nil {
 			return nil, err
 		}
