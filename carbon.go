@@ -102,27 +102,12 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 	if id == "" {
 		id = "carbon_study"
 	}
-	var plats []*hw.Platform
-	for _, r := range cs.Platforms {
-		p, err := r.resolve()
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, fmt.Errorf("edisim: %s: empty platform ref", id)
-		}
-		plats = append(plats, p)
+	plats, err := resolvePlatforms(id, cs.Platforms, hw.Platforms())
+	if err != nil {
+		return nil, err
 	}
-	if len(plats) == 0 {
-		plats = hw.Platforms()
-	}
-	if cs.Nodes != nil && len(cs.Nodes) != len(plats) {
-		return nil, fmt.Errorf("edisim: %s: %d node counts for %d platforms", id, len(cs.Nodes), len(plats))
-	}
-	for i, n := range cs.Nodes {
-		if n <= 0 {
-			return nil, fmt.Errorf("edisim: %s: bad node count %d for %s", id, n, plats[i].Label)
-		}
+	if err := checkNodeCounts(id, cs.Nodes, plats); err != nil {
+		return nil, err
 	}
 	grids := carbon.Regions()
 	if len(cs.Regions) > 0 {
@@ -143,15 +128,9 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 	if math.IsNaN(cs.CarbonPricePerTonne) || cs.CarbonPricePerTonne < 0 {
 		return nil, fmt.Errorf("edisim: %s: negative carbon price %v $/tCO2e", id, cs.CarbonPricePerTonne)
 	}
-	util := cs.Utilization
-	if util == 0 {
-		util = 0.5
-	}
-	if util < 0 { // ZeroUtilization sentinel
-		util = 0
-	}
-	if util > 1 {
-		return nil, fmt.Errorf("edisim: %s: utilization %v outside [0,1]", id, util)
+	util, err := resolveUtilization(id, cs.Utilization)
+	if err != nil {
+		return nil, err
 	}
 	title := fmt.Sprintf("3-year energy, carbon and cost by region at %.0f%% utilization", util*100)
 

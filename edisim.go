@@ -95,53 +95,24 @@ type Scenario struct {
 }
 
 // FaultPlan is a reproducible fault-injection schedule (see API.md for the
-// schedule grammar). The zero value injects nothing.
-type FaultPlan struct {
-	// Events are applied in order; see FaultEvent.
-	Events []FaultEvent
-	// Jitter perturbs every event time by a uniform seed-derived offset in
-	// [0, Jitter) seconds; 0 keeps the literal schedule.
-	Jitter float64
-}
+// schedule grammar): Events are applied in order, and Jitter perturbs every
+// event time by a uniform seed-derived offset in [0, Jitter) seconds (0
+// keeps the literal schedule). The zero value and nil inject nothing;
+// Validate reports the first malformed event.
+type FaultPlan = faults.Plan
 
 // FaultEvent is one scheduled fault against a named role of the workload's
-// testbed ("web" for the web tier, "slave"/"master" for a Hadoop cluster).
-type FaultEvent struct {
-	// Kind is one of "node_crash", "straggler", "link_cut", "link_degrade".
-	Kind string
-	// At is the injection time in seconds into the run; Duration is how long
-	// the fault lasts before the target recovers (0 = permanent).
-	At, Duration float64
-	// Factor scales CPU/disk speed (straggler) or link capacity
-	// (link_degrade); ignored by the other kinds.
-	Factor float64
-	// Role names the target set; Index picks the target within it (reduced
-	// modulo the role's size).
-	Role  string
-	Index int
-}
+// testbed ("web"/"cache" for a web tier, "slave"/"master" for a Hadoop
+// cluster). Kind is one of "node_crash", "straggler", "link_cut" and
+// "link_degrade"; At is the injection time in seconds into the run and
+// Duration how long the fault lasts before the target recovers (0 =
+// permanent); Factor scales CPU/disk speed (straggler) or link capacity
+// (link_degrade); Index picks the target within the role (reduced modulo
+// the role's size).
+type FaultEvent = faults.Event
 
-// compile converts the public plan into the internal one, validating it.
-func (fp *FaultPlan) compile() (*faults.Plan, error) {
-	if fp == nil {
-		return nil, nil
-	}
-	p := &faults.Plan{Jitter: fp.Jitter}
-	for _, e := range fp.Events {
-		p.Events = append(p.Events, faults.Event{
-			Kind:     faults.Kind(e.Kind),
-			At:       e.At,
-			Duration: e.Duration,
-			Factor:   e.Factor,
-			Role:     e.Role,
-			Index:    e.Index,
-		})
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+// FaultKind names a FaultEvent's kind.
+type FaultKind = faults.Kind
 
 // Workload is one unit of evaluation inside a Scenario. Implementations
 // are the exported workload types of this package (PaperExperiments,
@@ -184,9 +155,10 @@ func (s *Scenario) config() (core.Config, error) {
 		}
 		cfg.Matrix = append(cfg.Matrix, p)
 	}
-	if cfg.Faults, err = s.Faults.compile(); err != nil {
+	if err := s.Faults.Validate(); err != nil {
 		return cfg, err
 	}
+	cfg.Faults = s.Faults
 	if cfg.Energy, err = hw.ParsePowerModelKind(s.EnergyModel); err != nil {
 		return cfg, fmt.Errorf("edisim: %w", err)
 	}

@@ -67,7 +67,7 @@ func TestRollingCrashFaults(t *testing.T) {
 			t.Fatalf("event %d = %+v, want %+v", i, e, want)
 		}
 	}
-	if _, err := fp.compile(); err != nil {
+	if err := fp.Validate(); err != nil {
 		t.Fatalf("rolling plan invalid: %v", err)
 	}
 }

@@ -46,7 +46,7 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	if len(fp.Events) == 0 {
 		return nil, nil
 	}
-	if _, err := fp.compile(); err != nil {
+	if err := fp.Validate(); err != nil {
 		return nil, err
 	}
 	return fp, nil
@@ -59,7 +59,7 @@ func parseFaultEvent(s string) (FaultEvent, error) {
 	if !ok {
 		return ev, fmt.Errorf("missing '@AT' (want KIND@AT[+DURATION][xFACTOR]:ROLE[INDEX])")
 	}
-	ev.Kind = strings.TrimSpace(kind)
+	ev.Kind = FaultKind(strings.TrimSpace(kind))
 	timing, target, ok := strings.Cut(rest, ":")
 	if !ok {
 		return ev, fmt.Errorf("missing ':ROLE'")
@@ -105,17 +105,7 @@ func parseFaultEvent(s string) (FaultEvent, error) {
 // count distinct targets of the role crash one after another — target i goes
 // down at start + i×gap and reboots downtime seconds later.
 func RollingCrashFaults(role string, count int, start, gap, downtime float64) *FaultPlan {
-	fp := &FaultPlan{}
-	for i := 0; i < count; i++ {
-		fp.Events = append(fp.Events, FaultEvent{
-			Kind:     "node_crash",
-			At:       start + float64(i)*gap,
-			Duration: downtime,
-			Role:     role,
-			Index:    i,
-		})
-	}
-	return fp
+	return faults.RollingCrashes(role, count, start, gap, downtime)
 }
 
 // ScheduleWebFaults arms a fault plan against a web deployment before a Run:
@@ -125,19 +115,18 @@ func RollingCrashFaults(role string, count int, start, gap, downtime float64) *F
 // drives the plan's jitter. A nil or empty plan is a no-op; an invalid plan
 // or one naming any other role is an error.
 func ScheduleWebFaults(dep *WebDeployment, plan *FaultPlan, seed int64) error {
-	p, err := plan.compile()
-	if err != nil {
+	if err := plan.Validate(); err != nil {
 		return err
 	}
-	if p.Empty() {
+	if plan.Empty() {
 		return nil
 	}
 	roster := dep.Roster()
-	for _, r := range p.Roles() {
+	for _, r := range plan.Roles() {
 		if _, ok := roster[r]; !ok {
 			return fmt.Errorf("edisim: fault plan targets role %q; a web deployment has roles web and cache", r)
 		}
 	}
-	faults.Schedule(dep.Eng, p, seed, roster)
+	faults.Schedule(dep.Eng, plan, seed, roster)
 	return nil
 }

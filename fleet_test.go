@@ -127,6 +127,10 @@ func TestSlaveGroupValidationErrors(t *testing.T) {
 		return Scenario{Quick: true,
 			Workloads: []Workload{&MapReduceJob{Job: "terasort", SlaveGroups: groups}}}
 	}
+	single := func(mj *MapReduceJob) Scenario {
+		mj.Job = "terasort"
+		return Scenario{Quick: true, Workloads: []Workload{mj}}
+	}
 	cases := []struct {
 		name string
 		scn  Scenario
@@ -138,6 +142,10 @@ func TestSlaveGroupValidationErrors(t *testing.T) {
 		{"unknown platform", mk(TierSpec{Platform: Ref("pdp11"), Nodes: 2}), `"pdp11"`},
 		{"duplicate group", mk(TierSpec{Platform: Ref("edison"), Nodes: 2}, TierSpec{Platform: Ref("Edison"), Nodes: 1}), "duplicate slave group"},
 		{"over group cap", mk(TierSpec{Platform: Ref("edison"), Nodes: cluster.MaxGroupNodes + 300}), "group cap"},
+		// The single-platform form: the expansion error names the job (a
+		// failed unit would name its artifact ID, mapreduce_terasort).
+		{"negative slaves", single(&MapReduceJob{Slaves: -1}), "edisim: mapreduce terasort: "},
+		{"fleet-less custom platform", single(&MapReduceJob{Platform: Custom(&Platform{Name: "bare"})}), "edisim: mapreduce terasort: "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,6 +241,76 @@ func TestFleetComparisonValidation(t *testing.T) {
 			err := Run(context.Background(), scn, &Collector{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// TestFleetComparisonBaselineIsScenarioBrawny: the default baseline is the
+// scenario's brawny platform, so a fleet-less custom Brawny fails at
+// expansion, before any unit runs.
+func TestFleetComparisonBaselineIsScenarioBrawny(t *testing.T) {
+	scn := Scenario{Quick: true, Brawny: Custom(&Platform{Name: "bare", Label: "Bare"})}
+	cfg, err := scn.config()
+	if err != nil {
+		t.Fatalf("config: %v", err)
+	}
+	units, err := (&FleetComparison{}).expand(cfg)
+	if err == nil || !strings.Contains(err.Error(), "no catalog fleet") || !strings.Contains(err.Error(), "bare") {
+		t.Fatalf("expand = %d units, %v; want a no-catalog-fleet error naming the custom brawny platform", len(units), err)
+	}
+}
+
+// TestPricingStudyExpansionErrors pins the expansion checks of the two
+// closed-form pricing studies: each bad input fails expand with its own
+// message, and the defaults expand.
+func TestPricingStudyExpansionErrors(t *testing.T) {
+	edison := []PlatformRef{Ref("edison")}
+	cases := []struct {
+		name string
+		w    Workload
+		want string // error substring; "" = expands
+	}{
+		{"tco defaults", &TCOStudy{}, ""},
+		{"tco idle fleet", &TCOStudy{Utilization: ZeroUtilization}, ""},
+		{"tco empty platform ref", &TCOStudy{Platforms: []PlatformRef{{}}}, "edisim: tco_study: empty platform ref"},
+		{"tco unknown platform", &TCOStudy{Platforms: []PlatformRef{Ref("pdp11")}}, `unknown platform "pdp11"`},
+		{"tco node count mismatch", &TCOStudy{Platforms: edison, Nodes: []int{3, 4}}, "edisim: tco_study: 2 node counts for 1 platforms"},
+		{"tco zero nodes", &TCOStudy{Platforms: edison, Nodes: []int{0}}, "edisim: tco_study: bad node count 0 for Edison"},
+		{"tco negative budget", &TCOStudy{Budget: -10}, "edisim: tco_study: budget $-10 must be positive and finite"},
+		{"tco infinite budget", &TCOStudy{Budget: math.Inf(1)}, "must be positive and finite"},
+		{"tco budget and nodes", &TCOStudy{Platforms: edison, Nodes: []int{3}, Budget: 1000}, "Budget and Nodes are mutually exclusive"},
+		{"tco utilization above 1", &TCOStudy{Utilization: 1.5}, "edisim: tco_study: utilization 1.5 outside [0,1]"},
+		{"tco negative carbon price", &TCOStudy{CarbonPricePerTonne: -1}, "negative carbon price -1"},
+		{"tco NaN carbon price", &TCOStudy{CarbonPricePerTonne: math.NaN()}, "negative carbon price NaN"},
+		{"tco unknown region", &TCOStudy{Region: "atlantis"}, `unknown region "atlantis"`},
+		{"tco custom ID", &TCOStudy{ID: "prices", Utilization: 2}, "edisim: prices: utilization 2 outside [0,1]"},
+		{"carbon defaults", &CarbonStudy{}, ""},
+		{"carbon duplicate regions", &CarbonStudy{Regions: []string{"eu-north", "EU-North"}}, ""},
+		{"carbon empty platform ref", &CarbonStudy{Platforms: []PlatformRef{{}}}, "edisim: carbon_study: empty platform ref"},
+		{"carbon unknown platform", &CarbonStudy{Platforms: []PlatformRef{Ref("pdp11")}}, `unknown platform "pdp11"`},
+		{"carbon node count mismatch", &CarbonStudy{Platforms: edison, Nodes: []int{1, 2}}, "edisim: carbon_study: 2 node counts for 1 platforms"},
+		{"carbon negative nodes", &CarbonStudy{Platforms: edison, Nodes: []int{-2}}, "edisim: carbon_study: bad node count -2 for Edison"},
+		{"carbon unknown region", &CarbonStudy{Regions: []string{"atlantis"}}, `unknown region "atlantis"`},
+		{"carbon negative carbon price", &CarbonStudy{CarbonPricePerTonne: -5}, "edisim: carbon_study: negative carbon price -5"},
+		{"carbon utilization above 1", &CarbonStudy{Utilization: 2}, "edisim: carbon_study: utilization 2 outside [0,1]"},
+		{"carbon custom ID", &CarbonStudy{ID: "grid", Platforms: []PlatformRef{{}}}, "edisim: grid: empty platform ref"},
+	}
+	cfg, err := (&Scenario{}).config()
+	if err != nil {
+		t.Fatalf("config: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			units, err := tc.w.expand(cfg)
+			if tc.want == "" {
+				if err != nil || len(units) != 1 {
+					t.Fatalf("expand = %d units, %v; want one unit", len(units), err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("expand = %d units, %v; want error containing %q", len(units), err, tc.want)
 			}
 		})
 	}

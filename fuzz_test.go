@@ -34,8 +34,7 @@ func FuzzParseLoadProfile(f *testing.F) {
 }
 
 // FuzzParseFaultPlan guards the -faults grammar: any plan ParseFaultPlan
-// accepts has at least one event and compiles to a valid internal plan
-// with the same events.
+// accepts has at least one event and passes Validate.
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, spec := range []string{
 		"node_crash@30+120:slave[1]", "straggler@10+60x0.25:web[2]", "link_degrade@5x0.5:slave",
@@ -50,12 +49,11 @@ func FuzzParseFaultPlan(f *testing.F) {
 		if err != nil || fp == nil {
 			return
 		}
-		p, err := fp.compile()
-		if err != nil {
-			t.Fatalf("%q was accepted but does not compile: %v", spec, err)
+		if err := fp.Validate(); err != nil {
+			t.Fatalf("%q was accepted but does not validate: %v", spec, err)
 		}
-		if len(fp.Events) == 0 || len(p.Events) != len(fp.Events) {
-			t.Fatalf("%q: %d parsed events compiled to %d", spec, len(fp.Events), len(p.Events))
+		if len(fp.Events) == 0 {
+			t.Fatalf("%q was accepted with no events", spec)
 		}
 	})
 }

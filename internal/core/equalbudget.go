@@ -43,7 +43,7 @@ type EqualBudgetSpec struct {
 	SweepName string
 	// Baseline sets the budget: its catalog web and Hadoop fleets priced
 	// with the 3-year TCO model. Nil selects the configured brawny
-	// platform (the paper's Dell R620).
+	// platform (Config.Pair).
 	Baseline *hw.Platform
 	// Platforms is the compared set; nil selects cfg.MatrixPlatforms().
 	Platforms []*hw.Platform
@@ -52,6 +52,37 @@ type EqualBudgetSpec struct {
 	// Budget overrides both derived budgets with an explicit 3-year spend
 	// in USD; 0 derives them from the baseline fleets.
 	Budget float64
+}
+
+// Resolve fills the spec's defaults under cfg and checks the equal-budget
+// rules: the job is known, Budget is finite and not negative, and without a
+// Budget the baseline has catalog web, cache and slave fleets to price.
+// EqualBudget runs the spec it returns; callers with input from outside
+// the program call it to fail before running.
+func (s EqualBudgetSpec) Resolve(cfg Config) (EqualBudgetSpec, error) {
+	if s.SweepName == "" {
+		s.SweepName = "equal_budget"
+	}
+	if s.Baseline == nil {
+		_, s.Baseline = cfg.Pair()
+	}
+	if s.Job == "" {
+		s.Job = "terasort"
+	}
+	if len(s.Platforms) == 0 {
+		s.Platforms = cfg.MatrixPlatforms()
+	}
+	if err := jobs.CheckJob(s.Job); err != nil {
+		return s, err
+	}
+	if s.Budget < 0 || math.IsNaN(s.Budget) || math.IsInf(s.Budget, 0) {
+		return s, fmt.Errorf("budget $%v must be positive and finite", s.Budget)
+	}
+	if f := s.Baseline.Fleet; s.Budget == 0 && (f.Web <= 0 || f.Cache <= 0 || f.Slaves <= 0) {
+		return s, fmt.Errorf("baseline %s has no catalog fleet to price (web %d, cache %d, slaves %d) — set an explicit Budget",
+			s.Baseline.Name, f.Web, f.Cache, f.Slaves)
+	}
+	return s, nil
 }
 
 // Equal-budget utilization points follow Table 10: web fleets at the
@@ -128,41 +159,16 @@ func ladderFor(cfg Config, nWeb, nCache int) [][2]int {
 // the paper's §6 economic question asked of the whole catalog: not "what
 // does a fixed fleet cost" but "what does a fixed spend buy".
 func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
-	name := spec.SweepName
-	if name == "" {
-		name = "equal_budget"
+	spec, err := spec.Resolve(cfg)
+	if err != nil {
+		return nil, err
 	}
-	baseline := spec.Baseline
-	if baseline == nil {
-		_, baseline = cfg.Pair()
-	}
-	job := spec.Job
-	if job == "" {
-		job = "terasort"
-	}
-	known := false
-	for _, n := range jobs.Names() {
-		known = known || n == job
-	}
-	if !known {
-		return nil, fmt.Errorf("unknown Hadoop job %q (valid: %v)", job, jobs.Names())
-	}
-	plats := spec.Platforms
-	if len(plats) == 0 {
-		plats = cfg.MatrixPlatforms()
-	}
+	name, baseline, job, plats := spec.SweepName, spec.Baseline, spec.Job, spec.Platforms
 
 	// --- Budgets: what the baseline fleets cost over the model lifetime.
 	webBudget, hadoopBudget := spec.Budget, spec.Budget
-	if spec.Budget < 0 || math.IsNaN(spec.Budget) || math.IsInf(spec.Budget, 0) {
-		return nil, fmt.Errorf("budget $%v must be positive and finite", spec.Budget)
-	}
 	if spec.Budget == 0 {
 		f := baseline.Fleet
-		if f.Web <= 0 || f.Cache <= 0 || f.Slaves <= 0 {
-			return nil, fmt.Errorf("baseline %s has no catalog fleet to price (web %d, cache %d, slaves %d) — set an explicit Budget",
-				baseline.Name, f.Web, f.Cache, f.Slaves)
-		}
 		wb, err := tco.Compute(tco.ForPlatform(baseline, f.Web+f.Cache, equalBudgetWebUtil))
 		if err != nil {
 			return nil, err

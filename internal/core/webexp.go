@@ -110,6 +110,14 @@ func webScales(cfg Config) []web.Scale {
 	return all
 }
 
+// fullScaleTiers returns Table 6's full-scale micro and brawny tiers over
+// the configured pair, read by position so that a pair naming one
+// platform twice still compares the two tier sizes.
+func fullScaleTiers(cfg Config) (micro, brawny web.Tier) {
+	full := web.Table6(cfg.Pair())[0]
+	return full.Tiers[0], full.Tiers[1]
+}
+
 // runWebScaledSweeps renders one scaled throughput/delay/power figure set.
 // id is the stable experiment ID, used (not the display titles, which may
 // be reworded) to namespace per-point seed derivation.
@@ -132,8 +140,7 @@ func runWebScaledSweeps(cfg Config, id string, image float64, figTput, figDelay 
 	}
 
 	// Peak tracking at the full-scale tier sizes (Table 6's first row).
-	full := web.Table6(micro, brawny)[0]
-	microFull, brawnyFull := full.Tier(micro), full.Tier(brawny)
+	microFull, brawnyFull := fullScaleTiers(cfg)
 	var microPeak, brawnyPeak, microPeakPower, brawnyPeakPower float64
 	for ci, results := range sweepWebCurves(cfg, id, curves) {
 		c := curves[ci]
@@ -200,12 +207,12 @@ func runWebMixes(cfg Config) *Outcome {
 	if cfg.Quick {
 		mixes = mixes[:2]
 	}
-	full := web.Table6(micro, brawny)[0]
+	microFull, brawnyFull := fullScaleTiers(cfg)
 	var curves []webCurve
 	for _, m := range mixes {
 		curves = append(curves,
-			webCurve{label: micro.Label + " " + m.label, tier: full.Tier(micro), image: m.image, hit: m.hit},
-			webCurve{label: brawny.Label + " " + m.label, tier: full.Tier(brawny), image: m.image, hit: m.hit})
+			webCurve{label: micro.Label + " " + m.label, tier: microFull, image: m.image, hit: m.hit},
+			webCurve{label: brawny.Label + " " + m.label, tier: brawnyFull, image: m.image, hit: m.hit})
 	}
 	for ci, results := range sweepWebCurves(cfg, "fig5_fig8", curves) {
 		tput, delay, _ := curveSeries(results)
@@ -221,13 +228,13 @@ func runWebDelayDist(cfg Config) *Outcome {
 	micro, brawny := cfg.Pair()
 	// ≈6000 req/s at 20% image: concurrency 768 × 8 calls.
 	rc := web.RunConfig{Concurrency: 768, ImageFrac: 0.20, CacheHit: 0.93, Duration: webDuration(cfg) * 2}
-	full := web.Table6(micro, brawny)[0]
+	microFull, brawnyFull := fullScaleTiers(cfg)
 	sides := []struct {
 		tier web.Tier
 		name string
 	}{
-		{full.Tier(micro), "Figure 10 — " + micro.Label},
-		{full.Tier(brawny), "Figure 11 — " + brawny.Label},
+		{microFull, "Figure 10 — " + micro.Label},
+		{brawnyFull, "Figure 11 — " + brawny.Label},
 	}
 	results := RunSweep(cfg, "fig10_fig11", len(sides), func(i int, seed int64) web.Result {
 		return RunWebPoint(cfg, sides[i].tier, rc, nil, seed)
@@ -264,7 +271,6 @@ func runWebDelayDist(cfg Config) *Outcome {
 
 func runTable7(cfg Config) *Outcome {
 	o := &Outcome{}
-	micro, brawny := cfg.Pair()
 	t := report.NewTable("Table 7 — delay decomposition (ms)",
 		"req/s", "DB (E)", "DB (D)", "cache (E)", "cache (D)", "total (E)", "total (D)").
 		WithUnits("req/s", "ms", "ms", "ms", "ms", "ms", "ms")
@@ -279,8 +285,8 @@ func runTable7(cfg Config) *Outcome {
 		3840: {8.74, 1.60, 105.1, 0.46, 114.7, 1.70},
 		7680: {10.99, 1.98, 212.0, 0.74, 225.1, 2.93},
 	}
-	full := web.Table6(micro, brawny)[0]
-	tiers := []web.Tier{full.Tier(micro), full.Tier(brawny)}
+	microFull, brawnyFull := fullScaleTiers(cfg)
+	tiers := []web.Tier{microFull, brawnyFull}
 	// One sweep cell per (rate, platform): micro at even indices, brawny odd.
 	results := RunSweep(cfg, "table7", 2*len(rates), func(i int, seed int64) web.Result {
 		rc := web.RunConfig{Concurrency: rates[i/2] / 8, ImageFrac: 0.20, CacheHit: 0.93, Duration: webDuration(cfg)}

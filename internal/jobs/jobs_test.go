@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"edisim/internal/cluster"
 	"edisim/internal/hw"
 	"edisim/internal/mapred"
 )
@@ -293,28 +294,60 @@ func TestMixedGroupsResolvePerPlatformCosts(t *testing.T) {
 	}
 }
 
-// TestSlaveGroupValidation pins the error paths: empty sets, nil platforms,
-// non-positive node counts and duplicate groups must error, not panic.
+// TestSlaveGroupValidation pins the slave-set rules: empty sets, nil
+// platforms, non-positive node counts, duplicate groups, an unknown hybrid
+// master and groups over the cap (a self-hosted master counted as one more
+// node of its group) must error, not panic, in both Validate and the
+// builder; the sets at the cap are valid.
 func TestSlaveGroupValidation(t *testing.T) {
-	micro, _ := pair()
+	micro, brawny := pair()
+	orphan := *micro
+	orphan.Name = "orphan"
+	orphan.Hadoop.MasterPlatform = "nowhere"
+	limit := cluster.MaxGroupNodes
 	cases := []struct {
 		name   string
 		groups []SlaveGroup
-		want   string
+		want   string // error substring; "" = valid
 	}{
 		{"empty", nil, "at least one"},
 		{"nil platform", []SlaveGroup{{Platform: nil, Nodes: 2}}, "without a platform"},
 		{"zero nodes", []SlaveGroup{{Platform: micro, Nodes: 0}}, "positive node count"},
 		{"negative nodes", []SlaveGroup{{Platform: micro, Nodes: -3}}, "positive node count"},
 		{"duplicate group", []SlaveGroup{{Platform: micro, Nodes: 2}, {Platform: micro, Nodes: 1}}, "duplicate"},
+		{"unknown master platform", []SlaveGroup{{Platform: &orphan, Nodes: 2}}, `unknown master platform "nowhere"`},
+		{"external master at the cap", []SlaveGroup{{Platform: micro, Nodes: limit}}, ""},
+		{"over the cap", []SlaveGroup{{Platform: micro, Nodes: limit + 1}}, "exceeds the"},
+		{"self-hosted master at the cap", []SlaveGroup{{Platform: brawny, Nodes: limit - 1}}, ""},
+		{"self-hosted master over the cap", []SlaveGroup{{Platform: brawny, Nodes: limit}}, "slaves plus the self-hosted master exceeds"},
+		{"mixed, master on the second group", []SlaveGroup{{Platform: micro, Nodes: limit}, {Platform: brawny, Nodes: limit}}, brawny.Name + " group of"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewHadoopGroups(tc.groups, microP().Hadoop.BlockSize, 1, hw.PowerLinear)
+			err := Validate("pi", tc.groups)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("valid slave set rejected: %v", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
+				t.Fatalf("Validate: want error containing %q, got %v", tc.want, err)
+			}
+			_, err = NewHadoopGroups(tc.groups, microP().Hadoop.BlockSize, 1, hw.PowerLinear)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewHadoopGroups: want error containing %q, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// TestRunGroupsUnknownJob: an unknown job is an error from RunGroups, not
+// a panic while staging its input.
+func TestRunGroupsUnknownJob(t *testing.T) {
+	_, err := RunGroups("sort9000", []SlaveGroup{{Platform: microP(), Nodes: 2}}, 1, hw.PowerLinear, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown job "sort9000"`) {
+		t.Fatalf("want an unknown-job error, got %v", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"edisim/internal/cluster"
 	"edisim/internal/faults"
@@ -52,9 +54,7 @@ func NewHadoop(p *hw.Platform, n int, blockSize units.Bytes, seed int64) (*Hadoo
 // namenode + ResourceManager as one extra node of that group: the first
 // group able to self-host (catalog MasterPlatform empty). -1 means no
 // group can, and NewHadoopGroups deploys the first group's catalog-named
-// master platform as its own extra group — the paper's hybrid. Exported so
-// public-API validation sizes group caps against the same rule the builder
-// uses.
+// master platform as its own extra group — the paper's hybrid.
 func MasterGroupIndex(groups []SlaveGroup) int {
 	for i, g := range groups {
 		if g.Platform != nil && g.Platform.Hadoop.MasterPlatform == "" {
@@ -62,6 +62,69 @@ func MasterGroupIndex(groups []SlaveGroup) int {
 		}
 	}
 	return -1
+}
+
+// CheckJob reports whether job is one of Names().
+func CheckJob(job string) error {
+	if !slices.Contains(Names(), job) {
+		return fmt.Errorf("unknown job %q (valid: %v)", job, Names())
+	}
+	return nil
+}
+
+// Validate reports why job cannot run on groups, or nil. It owns every
+// slave-set rule: the job is known, there is at least one group, each
+// group has a platform and a positive node count, no platform repeats, a
+// hybrid's master platform is in the catalog, and each group stays within
+// cluster.MaxGroupNodes, counting the self-hosted master (MasterGroupIndex)
+// as one more node of its group. RunGroups and RunGroupsFaulty call it;
+// callers with input from outside the program call it to fail early.
+func Validate(job string, groups []SlaveGroup) error {
+	if err := CheckJob(job); err != nil {
+		return err
+	}
+	_, err := masterFor(groups)
+	return err
+}
+
+// masterFor checks the slave set against every Validate rule but the job
+// name and returns the platform that hosts the master.
+func masterFor(groups []SlaveGroup) (*hw.Platform, error) {
+	if len(groups) == 0 {
+		return nil, errors.New("needs at least one slave group")
+	}
+	seen := map[*hw.Platform]bool{}
+	for i, g := range groups {
+		if g.Platform == nil {
+			return nil, fmt.Errorf("slave group %d without a platform (each group needs an explicit platform)", i)
+		}
+		if g.Nodes <= 0 {
+			return nil, fmt.Errorf("slave group %d (%s) needs a positive node count (got %d)", i, g.Platform.Name, g.Nodes)
+		}
+		if seen[g.Platform] {
+			return nil, fmt.Errorf("duplicate slave group for %s", g.Platform.Name)
+		}
+		seen[g.Platform] = true
+	}
+	self := MasterGroupIndex(groups)
+	for i, g := range groups {
+		n, detail := g.Nodes, fmt.Sprintf("%d slaves", g.Nodes)
+		if i == self {
+			n, detail = n+1, detail+" plus the self-hosted master"
+		}
+		if n > cluster.MaxGroupNodes {
+			return nil, fmt.Errorf("%s group of %s exceeds the %d-node group cap", g.Platform.Name, detail, cluster.MaxGroupNodes)
+		}
+	}
+	if self >= 0 {
+		return groups[self].Platform, nil
+	}
+	mp := groups[0].Platform.Hadoop.MasterPlatform
+	master, ok := hw.LookupPlatform(mp)
+	if !ok {
+		return nil, fmt.Errorf("%s names unknown master platform %q", groups[0].Platform.Name, mp)
+	}
+	return master, nil
 }
 
 // NewHadoopGroups builds a Hadoop deployment over a (possibly mixed) slave
@@ -72,41 +135,14 @@ func MasterGroupIndex(groups []SlaveGroup) int {
 // placement, YARN capacities and container startup times all resolve per
 // node, so a hybrid Edison+Dell slave set schedules exactly like the real
 // thing would. energy selects the power model armed on every node, slaves
-// and master alike (the zero value is the paper's linear model).
+// and master alike (the zero value is the paper's linear model). A slave
+// set that breaks a Validate rule is an error.
 func NewHadoopGroups(groups []SlaveGroup, blockSize units.Bytes, seed int64, energy hw.PowerModelKind) (*Hadoop, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("jobs: deployment needs at least one slave group")
+	masterPlat, err := masterFor(groups)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	seen := map[*hw.Platform]bool{}
-	total := 0
-	for _, g := range groups {
-		if g.Platform == nil {
-			return nil, fmt.Errorf("jobs: slave group without a platform")
-		}
-		if g.Nodes <= 0 {
-			return nil, fmt.Errorf("jobs: slave group %s needs a positive node count (got %d)", g.Platform.Name, g.Nodes)
-		}
-		if seen[g.Platform] {
-			return nil, fmt.Errorf("jobs: duplicate slave group for %s", g.Platform.Name)
-		}
-		seen[g.Platform] = true
-		total += g.Nodes
-	}
-
-	// Master selection: the first self-hosting-capable group platform, or
-	// the first group's catalog-named master platform (hybrid).
 	selfIdx := MasterGroupIndex(groups)
-	var masterPlat *hw.Platform
-	if selfIdx >= 0 {
-		masterPlat = groups[selfIdx].Platform
-	} else {
-		mp := groups[0].Platform.Hadoop.MasterPlatform
-		found, ok := hw.LookupPlatform(mp)
-		if !ok {
-			panic(fmt.Sprintf("jobs: platform %s names unknown master platform %q", groups[0].Platform.Name, mp))
-		}
-		masterPlat = found
-	}
 
 	gcs := make([]cluster.GroupConfig, 0, len(groups)+1)
 	for i, g := range groups {
@@ -139,7 +175,7 @@ func NewHadoopGroups(groups []SlaveGroup, blockSize units.Bytes, seed int64, ene
 	if err != nil {
 		return nil, err
 	}
-	return &Hadoop{Cluster: c, Platform: primary, Slaves: total, Groups: groups}, nil
+	return &Hadoop{Cluster: c, Platform: primary, Slaves: len(workers), Groups: groups}, nil
 }
 
 // Stage registers a job's input files in HDFS (the datasets pre-exist when
@@ -250,11 +286,8 @@ func RunGroups(job string, groups []SlaveGroup, seed int64, energy hw.PowerModel
 // stage builds a deployment for job over groups, arms interrupt on its
 // engine and stages the job's input.
 func stage(job string, groups []SlaveGroup, seed int64, energy hw.PowerModelKind, interrupt func() bool) (*Hadoop, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("jobs: %s needs at least one slave group", job)
-	}
-	if groups[0].Platform == nil {
-		return nil, fmt.Errorf("jobs: slave group without a platform")
+	if err := Validate(job, groups); err != nil {
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
 	h, err := NewHadoopGroups(groups, BlockSizeFor(job, groups[0].Platform), seed, energy)
 	if err != nil {

@@ -64,22 +64,13 @@ func (t Tier) Build(energy hw.PowerModelKind, interrupt func() bool, seed int64)
 	return t.deploy(tb, seed)
 }
 
-// Scale is one row of the paper's Table 6: the middle tier each compared
-// platform contributes at one cluster scale factor, micro then brawny.
+// Scale is one row of the paper's Table 6: the middle tiers the compared
+// platforms contribute at one cluster scale factor, read by position:
+// Tiers[0] is the micro tier and Tiers[1], when the row has one, the
+// brawny tier.
 type Scale struct {
 	Name  string
 	Tiers []Tier
-}
-
-// Tier returns the row's tier on platform p, or an empty tier on p when
-// the row has none.
-func (s Scale) Tier(p *hw.Platform) Tier {
-	for _, t := range s.Tiers {
-		if t.Web == p {
-			return t
-		}
-	}
-	return TierOn(p, 0, 0)
 }
 
 // Table6 returns the paper's cluster scale ladder over a compared pair:

@@ -13,16 +13,18 @@ func TestTable6Configuration(t *testing.T) {
 	micro, brawny := hw.BaselinePair()
 	rows := Table6(micro, brawny)
 	full := rows[0]
-	mt, bt := full.Tier(micro), full.Tier(brawny)
-	if mt.NWeb != 24 || mt.NCache != 11 || bt.NWeb != 2 || bt.NCache != 1 {
+	mt, bt := full.Tiers[0], full.Tiers[1]
+	if mt.Web != micro || mt.NWeb != 24 || mt.NCache != 11 || bt.Web != brawny || bt.NWeb != 2 || bt.NCache != 1 {
 		t.Fatalf("full-scale row wrong: %+v", full)
 	}
-	if got := rows[2].Tier(brawny); got.NWeb != 0 || got.NCache != 0 || got.Web != brawny {
-		t.Fatalf("absent tier = %+v, want an empty tier on %s", got, brawny.Name)
+	for i, want := range []int{2, 2, 1, 1} {
+		if got := len(rows[i].Tiers); got != want {
+			t.Fatalf("scale %s has %d tiers, want %d (micro, then brawny where the paper ran one)", rows[i].Name, got, want)
+		}
 	}
 	for _, r := range rows {
 		// Web servers ≈ 2× cache servers throughout (paper's provisioning rule).
-		mt := r.Tier(micro)
+		mt := r.Tiers[0]
 		if mt.NWeb < mt.NCache || mt.NWeb > 3*mt.NCache {
 			t.Errorf("scale %s: web/cache ratio off: %d/%d", r.Name, mt.NWeb, mt.NCache)
 		}

@@ -69,8 +69,9 @@ func PaperTestbedConfig() ClusterConfig { return cluster.DefaultConfig() }
 // the sizes Build cannot take.
 type WebTier = web.Tier
 
-// WebScale is one row of the paper's Table 6 scale ladder: each compared
-// platform's tier at one scale factor, micro then brawny.
+// WebScale is one row of the paper's Table 6 scale ladder: the compared
+// platforms' tiers at one scale factor, by position — Tiers[0] is the
+// micro tier and Tiers[1], in the rows that have one, the brawny tier.
 type WebScale = web.Scale
 
 // Table6 returns the paper's web cluster scale configurations over the

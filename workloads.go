@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"edisim/internal/carbon"
-	"edisim/internal/cluster"
 	"edisim/internal/core"
 	"edisim/internal/hw"
 	"edisim/internal/jobs"
@@ -393,46 +392,6 @@ type MapReduceJob struct {
 	Trace bool
 }
 
-// expandGroups resolves SlaveGroups into the jobs-layer slave set,
-// validating each entry (explicit platform, positive nodes, no duplicate
-// platforms) and the per-group node caps.
-func (mj *MapReduceJob) expandGroups(job string) ([]jobs.SlaveGroup, error) {
-	var groups []jobs.SlaveGroup
-	seen := map[*hw.Platform]bool{}
-	for i, ts := range mj.SlaveGroups {
-		p, err := ts.Platform.resolve()
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, fmt.Errorf("edisim: mapreduce %s: slave group %d needs an explicit platform", job, i)
-		}
-		if ts.Nodes <= 0 {
-			return nil, fmt.Errorf("edisim: mapreduce %s: slave group %d (%s) needs a positive node count (got %d)", job, i, p.Label, ts.Nodes)
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("edisim: mapreduce %s: duplicate slave group for %s", job, p.Label)
-		}
-		seen[p] = true
-		groups = append(groups, jobs.SlaveGroup{Platform: p, Nodes: ts.Nodes})
-	}
-	// Per-group cluster caps, sized against the builder's own master
-	// placement rule (jobs.MasterGroupIndex): the hosting group deploys
-	// one extra node.
-	selfIdx := jobs.MasterGroupIndex(groups)
-	for i, g := range groups {
-		n := g.Nodes
-		if i == selfIdx {
-			n++
-		}
-		if n > cluster.MaxGroupNodes {
-			return nil, fmt.Errorf("edisim: mapreduce %s: %s group of %d nodes exceeds the %d-node group cap",
-				job, g.Platform.Label, g.Nodes, cluster.MaxGroupNodes)
-		}
-	}
-	return groups, nil
-}
-
 // groupsLabel renders a mixed slave set for titles: "3 Edison + 1 Dell".
 func groupsLabel(groups []jobs.SlaveGroup) string {
 	s := ""
@@ -447,23 +406,15 @@ func groupsLabel(groups []jobs.SlaveGroup) string {
 
 func (mj *MapReduceJob) expand(core.Config) ([]unit, error) {
 	job := mj.Job
-	found := false
-	for _, n := range jobs.Names() {
-		if n == job {
-			found = true
-		}
-	}
-	if !found {
-		return nil, unknownNameError("job", job, jobs.Names())
-	}
-
 	var groups []jobs.SlaveGroup
-	if len(mj.SlaveGroups) > 0 {
-		var err error
-		if groups, err = mj.expandGroups(job); err != nil {
+	for _, ts := range mj.SlaveGroups {
+		p, err := ts.Platform.resolve()
+		if err != nil {
 			return nil, err
 		}
-	} else {
+		groups = append(groups, jobs.SlaveGroup{Platform: p, Nodes: ts.Nodes})
+	}
+	if len(groups) == 0 {
 		p, err := mj.Platform.resolve()
 		if err != nil {
 			return nil, err
@@ -475,24 +426,10 @@ func (mj *MapReduceJob) expand(core.Config) ([]unit, error) {
 		if slaves == 0 {
 			slaves = p.Fleet.Slaves
 		}
-		if slaves <= 0 {
-			return nil, fmt.Errorf("edisim: mapreduce %s: need at least one slave", job)
-		}
-		// A self-hosted master shares the slaves' group (slaves+1 nodes);
-		// an external master (Edison/Pi-class hybrids) lives in its own
-		// group.
-		group := slaves
-		if p.Hadoop.MasterPlatform == "" {
-			group = slaves + 1
-		}
-		if group > cluster.MaxGroupNodes {
-			detail := fmt.Sprintf("%d slaves", slaves)
-			if group != slaves {
-				detail += " plus the self-hosted master"
-			}
-			return nil, fmt.Errorf("edisim: mapreduce %s: %s exceeds the %d-node group cap", job, detail, cluster.MaxGroupNodes)
-		}
 		groups = []jobs.SlaveGroup{{Platform: p, Nodes: slaves}}
+	}
+	if err := jobs.Validate(job, groups); err != nil {
+		return nil, fmt.Errorf("edisim: mapreduce %s: %w", job, err)
 	}
 
 	id := mj.ID
@@ -582,13 +519,14 @@ type TCOStudy struct {
 // value selects the 50% default instead.
 const ZeroUtilization = -1
 
-func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
-	id := ts.ID
-	if id == "" {
-		id = "tco_study"
+// resolvePlatforms resolves a study's platform list: every ref must name a
+// platform, and an empty list selects def.
+func resolvePlatforms(id string, refs []PlatformRef, def []*hw.Platform) ([]*hw.Platform, error) {
+	if len(refs) == 0 {
+		return def, nil
 	}
-	var plats []*hw.Platform
-	for _, r := range ts.Platforms {
+	plats := make([]*hw.Platform, len(refs))
+	for i, r := range refs {
 		p, err := r.resolve()
 		if err != nil {
 			return nil, err
@@ -596,13 +534,48 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 		if p == nil {
 			return nil, fmt.Errorf("edisim: %s: empty platform ref", id)
 		}
-		plats = append(plats, p)
+		plats[i] = p
 	}
-	if len(plats) == 0 {
-		plats = hw.Platforms()
+	return plats, nil
+}
+
+// checkNodeCounts checks a study's explicit fleet sizes: nil, or one
+// positive count per platform.
+func checkNodeCounts(id string, nodes []int, plats []*hw.Platform) error {
+	if nodes != nil && len(nodes) != len(plats) {
+		return fmt.Errorf("edisim: %s: %d node counts for %d platforms", id, len(nodes), len(plats))
 	}
-	if ts.Nodes != nil && len(ts.Nodes) != len(plats) {
-		return nil, fmt.Errorf("edisim: %s: %d node counts for %d platforms", id, len(ts.Nodes), len(plats))
+	for i, n := range nodes {
+		if n <= 0 {
+			return fmt.Errorf("edisim: %s: bad node count %d for %s", id, n, plats[i].Label)
+		}
+	}
+	return nil
+}
+
+// resolveUtilization applies a study's Utilization default: 0 means 50%,
+// a negative value (ZeroUtilization) an idle fleet, and a value above 1 is
+// an error.
+func resolveUtilization(id string, u float64) (float64, error) {
+	switch {
+	case u == 0:
+		return 0.5, nil
+	case u < 0:
+		return 0, nil
+	case u > 1 || math.IsNaN(u):
+		return 0, fmt.Errorf("edisim: %s: utilization %v outside [0,1]", id, u)
+	}
+	return u, nil
+}
+
+func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
+	id := ts.ID
+	if id == "" {
+		id = "tco_study"
+	}
+	plats, err := resolvePlatforms(id, ts.Platforms, hw.Platforms())
+	if err != nil {
+		return nil, err
 	}
 	if ts.Budget < 0 || math.IsNaN(ts.Budget) || math.IsInf(ts.Budget, 0) {
 		return nil, fmt.Errorf("edisim: %s: budget $%v must be positive and finite", id, ts.Budget)
@@ -610,20 +583,12 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 	if ts.Budget > 0 && ts.Nodes != nil {
 		return nil, fmt.Errorf("edisim: %s: Budget and Nodes are mutually exclusive", id)
 	}
-	for i, n := range ts.Nodes {
-		if n <= 0 {
-			return nil, fmt.Errorf("edisim: %s: bad node count %d for %s", id, n, plats[i].Label)
-		}
+	if err := checkNodeCounts(id, ts.Nodes, plats); err != nil {
+		return nil, err
 	}
-	util := ts.Utilization
-	if util == 0 {
-		util = 0.5
-	}
-	if util < 0 { // ZeroUtilization sentinel (any negative value)
-		util = 0
-	}
-	if util > 1 {
-		return nil, fmt.Errorf("edisim: %s: utilization %v outside [0,1]", id, util)
+	util, err := resolveUtilization(id, ts.Utilization)
+	if err != nil {
+		return nil, err
 	}
 	if math.IsNaN(ts.CarbonPricePerTonne) || ts.CarbonPricePerTonne < 0 {
 		return nil, fmt.Errorf("edisim: %s: negative carbon price %v $/tCO2e", id, ts.CarbonPricePerTonne)
@@ -736,8 +701,9 @@ type FleetComparison struct {
 	ID string
 	// Baseline sets the budget: its catalog web (Fleet.Web+Fleet.Cache)
 	// and Hadoop (Fleet.Slaves) fleets priced over 3 years. Defaults to
-	// the baseline brawny platform (the paper's Dell R620). A custom
-	// baseline needs positive catalog fleet sizes unless Budget is set.
+	// the scenario's brawny platform (Scenario.Brawny, itself the Dell
+	// R620 by default). Without a Budget the baseline needs positive
+	// catalog fleet sizes.
 	Baseline PlatformRef
 	// Platforms is the compared set (default: the whole catalog).
 	Platforms []PlatformRef
@@ -749,7 +715,7 @@ type FleetComparison struct {
 	Budget float64
 }
 
-func (fc *FleetComparison) expand(core.Config) ([]unit, error) {
+func (fc *FleetComparison) expand(cfg core.Config) ([]unit, error) {
 	id := fc.ID
 	if id == "" {
 		id = "fleet_comparison"
@@ -758,52 +724,24 @@ func (fc *FleetComparison) expand(core.Config) ([]unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plats []*hw.Platform
-	for _, r := range fc.Platforms {
-		p, err := r.resolve()
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, fmt.Errorf("edisim: %s: empty platform ref", id)
-		}
-		plats = append(plats, p)
+	plats, err := resolvePlatforms(id, fc.Platforms, nil)
+	if err != nil {
+		return nil, err
 	}
-	if fc.Budget < 0 || math.IsNaN(fc.Budget) || math.IsInf(fc.Budget, 0) {
-		return nil, fmt.Errorf("edisim: %s: budget $%v must be positive and finite", id, fc.Budget)
+	spec := core.EqualBudgetSpec{
+		SweepName: id,
+		Baseline:  baseline,
+		Platforms: plats,
+		Job:       fc.Job,
+		Budget:    fc.Budget,
 	}
-	if fc.Job != "" {
-		found := false
-		for _, n := range jobs.Names() {
-			found = found || n == fc.Job
-		}
-		if !found {
-			return nil, unknownNameError("job", fc.Job, jobs.Names())
-		}
-	}
-	// The same guard the sized fleets get downstream, surfaced at
-	// expansion: a budget-less baseline must have a priceable catalog
-	// fleet (positive node counts).
-	if fc.Budget == 0 {
-		b := baseline
-		if b == nil {
-			_, b = hw.BaselinePair()
-		}
-		if f := b.Fleet; f.Web <= 0 || f.Cache <= 0 || f.Slaves <= 0 {
-			return nil, fmt.Errorf("edisim: %s: baseline %s has no catalog fleet to price (web %d, cache %d, slaves %d) — set Budget",
-				id, b.Label, f.Web, f.Cache, f.Slaves)
-		}
+	if _, err := spec.Resolve(cfg); err != nil {
+		return nil, fmt.Errorf("edisim: %s: %w", id, err)
 	}
 	title := "Equal-budget fleet comparison"
 
 	run := func(cfg core.Config) (*core.Outcome, error) {
-		return core.EqualBudget(cfg, core.EqualBudgetSpec{
-			SweepName: id,
-			Baseline:  baseline,
-			Platforms: plats,
-			Job:       fc.Job,
-			Budget:    fc.Budget,
-		})
+		return core.EqualBudget(cfg, spec)
 	}
 	return []unit{{id: id, title: title, section: "scenario", run: run}}, nil
 }
