@@ -85,7 +85,8 @@ type CarbonStudy struct {
 	// Platforms to price (default: the whole catalog).
 	Platforms []PlatformRef
 	// Nodes matches Platforms entry for entry (default: each platform's
-	// fleet slave count). Every count must be positive.
+	// fleet slave count, so a platform without one needs Nodes). Every
+	// count must be positive.
 	Nodes []int
 	// Regions selects the compared grid regions by key (see RegionNames);
 	// empty compares all of them.
@@ -106,7 +107,8 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNodeCounts(id, cs.Nodes, plats); err != nil {
+	sizes, err := fleetSizes(id, cs.Nodes, plats)
+	if err != nil {
 		return nil, err
 	}
 	grids := carbon.Regions()
@@ -142,21 +144,15 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 			WithUnits("", "", "nodes", "MWh", "t", "t", "t", "$", "$", "$")
 		lifeSeconds := tco.LifeYears * 365 * 24 * 3600
 		for pi, p := range plats {
-			n := p.Fleet.Slaves
-			if cs.Nodes != nil {
-				n = cs.Nodes[pi]
-			}
-			if n <= 0 {
-				return nil, fmt.Errorf("edisim: %s: %s has no catalog fleet to price — set Nodes", id, p.Label)
-			}
+			n := sizes[pi]
 			for _, g := range grids {
 				in, err := tco.ForPlatformInRegion(p, n, util, cfg.Energy, g.Region, cs.CarbonPricePerTonne)
 				if err != nil {
-					return nil, fmt.Errorf("edisim: %s: %w", id, err)
+					return nil, err
 				}
 				r, err := tco.Compute(in)
 				if err != nil {
-					return nil, fmt.Errorf("edisim: %s: %w", id, err)
+					return nil, err
 				}
 				embodied := carbon.Embodied(p.Energy.EmbodiedKgCO2e, p.Energy.ServiceLifeYears, n, lifeSeconds)
 				t.AddRow(p.Label, g.Region,

@@ -131,6 +131,10 @@ func TestSlaveGroupValidationErrors(t *testing.T) {
 		mj.Job = "terasort"
 		return Scenario{Quick: true, Workloads: []Workload{mj}}
 	}
+	edison, _ := BaselinePair()
+	sameNet := copyOf(edison, "edison-clone")
+	ownSwitches := copyOf(edison, "edison-clone")
+	ownSwitches.Net.SwitchName, ownSwitches.Net.LeafPrefix = "clone-root", "clone-box"
 	cases := []struct {
 		name string
 		scn  Scenario
@@ -142,6 +146,10 @@ func TestSlaveGroupValidationErrors(t *testing.T) {
 		{"unknown platform", mk(TierSpec{Platform: Ref("pdp11"), Nodes: 2}), `"pdp11"`},
 		{"duplicate group", mk(TierSpec{Platform: Ref("edison"), Nodes: 2}, TierSpec{Platform: Ref("Edison"), Nodes: 1}), "duplicate slave group"},
 		{"over group cap", mk(TierSpec{Platform: Ref("edison"), Nodes: cluster.MaxGroupNodes + 300}), "group cap"},
+		{"copy sharing the root switch", mk(TierSpec{Platform: Ref("edison"), Nodes: 2}, TierSpec{Platform: Custom(sameNet), Nodes: 2}),
+			`groups Edison and edison-clone share the root switch "edison-root"`},
+		{"copy sharing host names", mk(TierSpec{Platform: Ref("edison"), Nodes: 2}, TierSpec{Platform: Custom(ownSwitches), Nodes: 2}),
+			`share the host name format "edison%02d"`},
 		// The single-platform form: the expansion error names the job (a
 		// failed unit would name its artifact ID, mapreduce_terasort).
 		{"negative slaves", single(&MapReduceJob{Slaves: -1}), "edisim: mapreduce terasort: "},
@@ -266,6 +274,7 @@ func TestFleetComparisonBaselineIsScenarioBrawny(t *testing.T) {
 // message, and the defaults expand.
 func TestPricingStudyExpansionErrors(t *testing.T) {
 	edison := []PlatformRef{Ref("edison")}
+	bare := []PlatformRef{Custom(&Platform{Name: "bare", Label: "Bare"})}
 	cases := []struct {
 		name string
 		w    Workload
@@ -285,6 +294,9 @@ func TestPricingStudyExpansionErrors(t *testing.T) {
 		{"tco NaN carbon price", &TCOStudy{CarbonPricePerTonne: math.NaN()}, "negative carbon price NaN"},
 		{"tco unknown region", &TCOStudy{Region: "atlantis"}, `unknown region "atlantis"`},
 		{"tco custom ID", &TCOStudy{ID: "prices", Utilization: 2}, "edisim: prices: utilization 2 outside [0,1]"},
+		{"tco fleet-less platform", &TCOStudy{Platforms: bare}, "edisim: tco_study: Bare has no catalog fleet to price — set Nodes"},
+		{"tco fleet-less platform with nodes", &TCOStudy{Platforms: bare, Nodes: []int{3}}, ""},
+		{"tco fleet-less platform sized by budget", &TCOStudy{Platforms: bare, Budget: 1000}, ""},
 		{"carbon defaults", &CarbonStudy{}, ""},
 		{"carbon duplicate regions", &CarbonStudy{Regions: []string{"eu-north", "EU-North"}}, ""},
 		{"carbon empty platform ref", &CarbonStudy{Platforms: []PlatformRef{{}}}, "edisim: carbon_study: empty platform ref"},
@@ -295,6 +307,8 @@ func TestPricingStudyExpansionErrors(t *testing.T) {
 		{"carbon negative carbon price", &CarbonStudy{CarbonPricePerTonne: -5}, "edisim: carbon_study: negative carbon price -5"},
 		{"carbon utilization above 1", &CarbonStudy{Utilization: 2}, "edisim: carbon_study: utilization 2 outside [0,1]"},
 		{"carbon custom ID", &CarbonStudy{ID: "grid", Platforms: []PlatformRef{{}}}, "edisim: grid: empty platform ref"},
+		{"carbon fleet-less platform", &CarbonStudy{Platforms: bare}, "edisim: carbon_study: Bare has no catalog fleet to price — set Nodes"},
+		{"carbon fleet-less platform with nodes", &CarbonStudy{Platforms: bare, Nodes: []int{3}}, ""},
 	}
 	cfg, err := (&Scenario{}).config()
 	if err != nil {
@@ -313,6 +327,16 @@ func TestPricingStudyExpansionErrors(t *testing.T) {
 				t.Fatalf("expand = %d units, %v; want error containing %q", len(units), err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPricingStudyRunErrorNamesUnitOnce: Run prefixes a unit's run-time
+// error with the unit's ID, and the unit adds no prefix of its own.
+func TestPricingStudyRunErrorNamesUnitOnce(t *testing.T) {
+	ts := &TCOStudy{Platforms: []PlatformRef{Custom(&Platform{Name: "bare", Label: "Bare"})}, Budget: 1000}
+	err := Run(context.Background(), Scenario{Workloads: []Workload{ts}}, &Collector{})
+	if err == nil || !strings.HasPrefix(err.Error(), "edisim: tco_study: tco: ") || strings.Count(err.Error(), "tco_study") != 1 {
+		t.Fatalf("want one edisim: tco_study: prefix on the tco error, got %v", err)
 	}
 }
 

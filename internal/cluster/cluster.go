@@ -16,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"edisim/internal/hw"
 	"edisim/internal/netsim"
@@ -112,6 +113,28 @@ func PairConfig(microNodes, brawnyNodes, dbNodes, clients int) Config {
 // DefaultConfig is the paper's full setup.
 func DefaultConfig() Config { return PairConfig(35, 3, 2, 8) }
 
+// CheckNames reports two group platforms of one testbed that would share
+// network vertices: a root switch, a leaf-switch prefix or a host name
+// format. A platform listed twice shares all three with itself. NewOn
+// panics on such a set; the input checks that feed it (jobs.Validate,
+// web.Tier.Validate) call CheckNames to return the same fault as an error.
+func CheckNames(plats []*hw.Platform) error {
+	for i, a := range plats {
+		for _, b := range plats[:i] {
+			an, bn := a.Net, b.Net
+			switch {
+			case an.SwitchName == bn.SwitchName:
+				return fmt.Errorf("groups %s and %s share the root switch %q", b.Name, a.Name, an.SwitchName)
+			case an.LeafFanout > 0 && bn.LeafFanout > 0 && an.LeafPrefix == bn.LeafPrefix:
+				return fmt.Errorf("groups %s and %s share the leaf-switch prefix %q", b.Name, a.Name, an.LeafPrefix)
+			case an.HostFormat == bn.HostFormat:
+				return fmt.Errorf("groups %s and %s share the host name format %q", b.Name, a.Name, an.HostFormat)
+			}
+		}
+	}
+	return nil
+}
+
 // New builds a testbed on a fresh engine.
 func New(cfg Config) *Testbed {
 	eng := sim.NewEngine()
@@ -120,7 +143,9 @@ func New(cfg Config) *Testbed {
 
 // NewOn builds a testbed on an existing engine. Group subtrees are built in
 // Config order; the infra root switch is created on demand when no group
-// already built it, then the DB and client tiers attach there.
+// already built it, then the DB and client tiers attach there. Every node
+// is an instance of its group's (or the infra) platform. Groups whose
+// network names collide (CheckNames) panic.
 func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 	infra := cfg.Infra
 	if infra == nil {
@@ -140,7 +165,7 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 		f.Connect(net.SwitchName, "core", net.CoreUplink, net.CoreDelay)
 	}
 
-	built := map[string]bool{}
+	var plats []*hw.Platform
 	for _, gc := range cfg.Groups {
 		p := gc.Platform
 		if p == nil {
@@ -152,11 +177,11 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 		if gc.Nodes == 0 {
 			continue
 		}
-		if built[p.Net.SwitchName] {
-			panic(fmt.Sprintf("cluster: duplicate group for %s", p.Name))
+		plats = append(plats, p)
+		if err := CheckNames(plats); err != nil {
+			panic("cluster: " + err.Error())
 		}
 		buildRoot(p)
-		built[p.Net.SwitchName] = true
 
 		net := p.Net
 		if net.LeafFanout > 0 {
@@ -176,7 +201,7 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 				attach = fmt.Sprintf("%s%d", net.LeafPrefix, i/net.LeafFanout)
 			}
 			f.Connect(name, attach, p.Spec.NIC.TCPGoodput, net.AccessDelay)
-			n := hw.NewNode(eng, p.Spec, name)
+			n := hw.NewNode(eng, p, name)
 			if cfg.Energy != hw.PowerLinear {
 				n.SetPowerModel(p.PowerModelFor(cfg.Energy))
 			}
@@ -188,14 +213,14 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 	// --- Infrastructure tier: DB servers and clients under the infra
 	// platform's root switch (the paper's Dell machine room, which exists
 	// even in micro-only deployments).
-	if !built[infra.Net.SwitchName] {
+	if !slices.ContainsFunc(plats, func(p *hw.Platform) bool { return p.Net.SwitchName == infra.Net.SwitchName }) {
 		buildRoot(infra)
 	}
 	for i := 0; i < cfg.DBNodes; i++ {
 		name := fmt.Sprintf("db%d", i)
 		f.AddVertex(name)
 		f.Connect(name, infra.Net.SwitchName, infra.Spec.NIC.TCPGoodput, infra.Net.AccessDelay)
-		n := hw.NewNode(eng, infra.Spec, name)
+		n := hw.NewNode(eng, infra, name)
 		if cfg.Energy != hw.PowerLinear {
 			n.SetPowerModel(infra.PowerModelFor(cfg.Energy))
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"edisim/internal/hw"
@@ -104,6 +105,64 @@ func TestNodesUseCorrectSpecs(t *testing.T) {
 	}
 	if tb.Nodes(brawny)[0].Spec.CPU.Cores != 6 {
 		t.Fatal("brawny node has wrong spec")
+	}
+	if tb.Nodes(micro)[0].Platform != micro || tb.Nodes(brawny)[0].Platform != brawny || tb.DB[0].Platform != tb.Infra {
+		t.Fatal("a node does not carry the platform it was built from")
+	}
+}
+
+// TestCheckNames: two group platforms may not share a root switch, a
+// leaf-switch prefix or a host name format, and NewOn panics on such a
+// set instead of wiring one group's hosts into the other's.
+func TestCheckNames(t *testing.T) {
+	micro, brawny := pair()
+	clone := func(edit func(*hw.NetworkProfile)) *hw.Platform {
+		c := *micro
+		c.Name = "edison-clone"
+		edit(&c.Net)
+		return &c
+	}
+	cases := []struct {
+		name  string
+		plats []*hw.Platform
+		want  string // error substring; "" = valid
+	}{
+		{"baseline pair", []*hw.Platform{micro, brawny}, ""},
+		{"whole catalog", hw.Platforms(), ""},
+		{"own network names", []*hw.Platform{micro, clone(func(n *hw.NetworkProfile) {
+			n.SwitchName, n.LeafPrefix, n.HostFormat = "clone-root", "clone-box", "clone%02d"
+		})}, ""},
+		{"flat group reuses a leaf prefix", []*hw.Platform{micro, clone(func(n *hw.NetworkProfile) {
+			n.SwitchName, n.LeafFanout, n.HostFormat = "clone-root", 0, "clone%02d"
+		})}, ""},
+		{"platform twice", []*hw.Platform{micro, brawny, micro}, `groups Edison and Edison share the root switch "edison-root"`},
+		{"same root switch", []*hw.Platform{micro, clone(func(*hw.NetworkProfile) {})}, `share the root switch "edison-root"`},
+		{"same leaf prefix", []*hw.Platform{micro, clone(func(n *hw.NetworkProfile) { n.SwitchName = "clone-root" })},
+			`share the leaf-switch prefix "edison-box"`},
+		{"same host format", []*hw.Platform{micro, clone(func(n *hw.NetworkProfile) {
+			n.SwitchName, n.LeafPrefix = "clone-root", "clone-box"
+		})}, `share the host name format "edison%02d"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckNames(tc.plats)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("CheckNames = %v, want nil", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("CheckNames = %v, want an error containing %q", err, tc.want)
+			}
+			var groups []GroupConfig
+			for _, p := range tc.plats {
+				groups = append(groups, GroupConfig{Platform: p, Nodes: 2})
+			}
+			defer func() {
+				if r := recover(); (r != nil) != (tc.want != "") {
+					t.Fatalf("NewOn panic %v, want one exactly when CheckNames fails", r)
+				}
+			}()
+			New(Config{Groups: groups})
+		})
 	}
 }
 

@@ -87,30 +87,30 @@ func runSysbenchCPU(cfg Config) *Outcome {
 	micro, brawny := cfg.Pair()
 	threads := []int{1, 2, 4, 8}
 	x := []float64{1, 2, 4, 8}
-	specs := []hw.NodeSpec{micro.Spec, brawny.Spec}
+	plats := []*hw.Platform{micro, brawny}
 
 	// One sweep cell per (platform, thread count), each on its own engine.
 	type cpuCell struct {
-		spec hw.NodeSpec
-		th   int
+		p  *hw.Platform
+		th int
 	}
 	s := Sweep[cpuCell, microbench.CPUPoint]{Name: "fig2_fig3"}
-	for _, spec := range specs {
+	for _, p := range plats {
 		for _, th := range threads {
-			s.Points = append(s.Points, cpuCell{spec: spec, th: th})
+			s.Points = append(s.Points, cpuCell{p: p, th: th})
 		}
 	}
 	s.Point = func(_ int, c cpuCell, _ int64) microbench.CPUPoint {
-		return microbench.SysbenchCPU(c.spec, []int{c.th})[0]
+		return microbench.SysbenchCPU(c.p, []int{c.th})[0]
 	}
 	pts := s.Run(cfg)
 
-	for si, spec := range specs {
+	for si, plat := range plats {
 		name := "Figure 2"
 		if si != 0 {
 			name = "Figure 3"
 		}
-		fig := report.NewFigure(fmt.Sprintf("%s — Sysbench CPU on %s", name, spec.Name),
+		fig := report.NewFigure(fmt.Sprintf("%s — Sysbench CPU on %s", name, plat.Spec.Name),
 			"threads", "seconds / ms", x)
 		var total, resp []float64
 		for _, p := range pts[si*len(threads) : (si+1)*len(threads)] {

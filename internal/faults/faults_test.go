@@ -111,7 +111,7 @@ func TestRollingCrashes(t *testing.T) {
 
 func TestScheduleCrashAndReboot(t *testing.T) {
 	eng := sim.NewEngine()
-	n := hw.NewNode(eng, hw.EdisonSpec(), "e0")
+	n := hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e0")
 	plan := &Plan{Events: []Event{
 		{Kind: NodeCrash, At: 1, Duration: 2, Role: "web"},
 	}}
@@ -127,7 +127,7 @@ func TestScheduleCrashAndReboot(t *testing.T) {
 
 func TestScheduleStraggler(t *testing.T) {
 	eng := sim.NewEngine()
-	n := hw.NewNode(eng, hw.EdisonSpec(), "e0")
+	n := hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e0")
 	plan := &Plan{Events: []Event{
 		{Kind: Straggler, At: 1, Duration: 2, Factor: 0.25, Role: "slave"},
 	}}
@@ -146,7 +146,7 @@ func TestScheduleJitterIsSeedDeterministic(t *testing.T) {
 	// a different one.
 	crashAt := func(seed int64) sim.Time {
 		eng := sim.NewEngine()
-		n := hw.NewNode(eng, hw.EdisonSpec(), "e0")
+		n := hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e0")
 		plan := &Plan{
 			Jitter: 5,
 			Events: []Event{{Kind: NodeCrash, At: 1, Role: "web"}},
@@ -178,7 +178,7 @@ func TestScheduleJitterIsSeedDeterministic(t *testing.T) {
 
 func TestScheduleUnknownRolePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	n := hw.NewNode(eng, hw.EdisonSpec(), "e0")
+	n := hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e0")
 	plan := &Plan{Events: []Event{{Kind: NodeCrash, Role: "ghost"}}}
 	defer func() {
 		if r := recover(); r == nil {
@@ -201,7 +201,7 @@ func TestScheduleEmptyRolePanics(t *testing.T) {
 
 func TestScheduleLinkEventWithoutFabricPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	n := hw.NewNode(eng, hw.EdisonSpec(), "e0")
+	n := hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e0")
 	plan := &Plan{Events: []Event{{Kind: LinkCut, Role: "web"}}}
 	defer func() {
 		if r := recover(); r == nil {

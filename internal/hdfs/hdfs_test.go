@@ -27,7 +27,7 @@ func testFS(t *testing.T, n, replication int, blockSize units.Bytes) (*sim.Engin
 		name := string(rune('a' + i))
 		fab.AddVertex(name)
 		fab.Connect(name, "sw", units.Mbps(100), 0.3e-3)
-		nodes[i] = hw.NewNode(eng, hw.EdisonSpec(), name)
+		nodes[i] = hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, name)
 	}
 	return eng, New(fab, "master", nodes, blockSize, replication, 7), nodes
 }

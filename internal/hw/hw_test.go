@@ -70,7 +70,7 @@ func TestCPUGapMatchesSection41(t *testing.T) {
 
 func TestNodeComputeTiming(t *testing.T) {
 	eng := sim.NewEngine()
-	n := NewNode(eng, EdisonSpec(), "e0")
+	n := NewNode(eng, &Platform{Spec: EdisonSpec()}, "e0")
 	var doneAt sim.Time
 	// One second of single-core Edison work.
 	n.ComputeSeconds(1.0, func() { doneAt = eng.Now() })
@@ -82,8 +82,8 @@ func TestNodeComputeTiming(t *testing.T) {
 
 func TestNodeCrossPlatformSpeedRatio(t *testing.T) {
 	eng := sim.NewEngine()
-	ed := NewNode(eng, EdisonSpec(), "e0")
-	dl := NewNode(eng, DellR620Spec(), "d0")
+	ed := NewNode(eng, &Platform{Spec: EdisonSpec()}, "e0")
+	dl := NewNode(eng, &Platform{Spec: DellR620Spec()}, "d0")
 	const work = 11383.0 // one Dell-core-second of DMIPS-seconds
 	var edDone, dlDone sim.Time
 	ed.Compute(work, func() { edDone = eng.Now() })
@@ -97,7 +97,7 @@ func TestNodeCrossPlatformSpeedRatio(t *testing.T) {
 
 func TestNodeEnergyIdleVsBusy(t *testing.T) {
 	eng := sim.NewEngine()
-	n := NewNode(eng, DellR620Spec(), "d0")
+	n := NewNode(eng, &Platform{Spec: DellR620Spec()}, "d0")
 	eng.RunUntil(10) // 10 idle seconds
 	idle := float64(n.Energy())
 	if !almost(idle, 520, 1e-6) {
@@ -118,7 +118,7 @@ func TestNodeEnergyIdleVsBusy(t *testing.T) {
 
 func TestNodeMemAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	n := NewNode(eng, EdisonSpec(), "e0")
+	n := NewNode(eng, &Platform{Spec: EdisonSpec()}, "e0")
 	if err := n.AllocMem(900 * units.MB); err != nil {
 		t.Fatalf("alloc within capacity failed: %v", err)
 	}
@@ -138,13 +138,13 @@ func TestNodeFreeTooMuchPanics(t *testing.T) {
 		}
 	}()
 	eng := sim.NewEngine()
-	n := NewNode(eng, EdisonSpec(), "e0")
+	n := NewNode(eng, &Platform{Spec: EdisonSpec()}, "e0")
 	n.FreeMem(1)
 }
 
 func TestBusyFloorRaisesPower(t *testing.T) {
 	eng := sim.NewEngine()
-	n := NewNode(eng, EdisonSpec(), "e0")
+	n := NewNode(eng, &Platform{Spec: EdisonSpec()}, "e0")
 	base := float64(n.Power())
 	n.SetBusyFloor(0.5)
 	if float64(n.Power()) <= base {
@@ -200,7 +200,7 @@ func TestDiskBufferedFasterThanDirect(t *testing.T) {
 
 func TestSubscribeUtilCancelSafety(t *testing.T) {
 	eng := sim.NewEngine()
-	n := NewNode(eng, EdisonSpec(), "n")
+	n := NewNode(eng, &Platform{Spec: EdisonSpec()}, "n")
 
 	var aCount, bCount int
 	cancelA := n.SubscribeUtil(func(float64) { aCount++ })

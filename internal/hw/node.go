@@ -13,6 +13,10 @@ import (
 // CPU utilization through a pluggable PowerModel (the platform's calibrated
 // linear model unless SetPowerModel arms another).
 type Node struct {
+	// Platform is the platform the node is an instance of; every layer
+	// reads the node's calibration (Hadoop tuning, web costs) from it.
+	Platform *Platform
+	// Spec is Platform.Spec.
 	Spec NodeSpec
 	ID   string
 
@@ -54,17 +58,19 @@ type Node struct {
 	utilSubGen   uint64
 }
 
-// NewNode instantiates a node of the given spec on the engine. The CPU's
-// work unit is the DMIPS-second: submitting work W models W DMIPS-seconds of
+// NewNode instantiates a node of platform p on the engine. The CPU's work
+// unit is the DMIPS-second: submitting work W models W DMIPS-seconds of
 // computation, so identical logical work takes ~18× longer per core on
 // Edison than on Dell, exactly as §4.1 measures.
-func NewNode(eng *sim.Engine, spec NodeSpec, id string) *Node {
+func NewNode(eng *sim.Engine, p *Platform, id string) *Node {
+	spec := p.Spec
 	n := &Node{
-		Spec:   spec,
-		ID:     id,
-		power:  spec.Power,
-		eng:    eng,
-		energy: stats.NewIntegrator(float64(eng.Now()), float64(spec.Power.IdleDraw())),
+		Platform: p,
+		Spec:     spec,
+		ID:       id,
+		power:    spec.Power,
+		eng:      eng,
+		energy:   stats.NewIntegrator(float64(eng.Now()), float64(spec.Power.IdleDraw())),
 	}
 	n.cpu = sim.NewProcShare(eng, spec.CPU.EffectiveCores(), float64(spec.CPU.DMIPS))
 	n.cpu.OnActiveChange = func(int) { n.updatePower() }

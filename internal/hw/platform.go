@@ -14,8 +14,9 @@ import (
 // consumer names platforms explicitly; they resolve entries through
 // Platforms/LookupPlatform and iterate.
 type Platform struct {
-	// Name keys the catalog and matches NodeSpec.Name for nodes built from
-	// this platform.
+	// Name keys the catalog for LookupPlatform. Catalog entries use it as
+	// their NodeSpec.Name too, but nothing looks a platform up by spec
+	// name: a node carries its platform (Node.Platform).
 	Name string
 	// Label is the short display name used in figure legends and table
 	// columns ("Edison", "Dell").
@@ -194,17 +195,6 @@ func LookupPlatform(name string) (*Platform, bool) {
 		}
 	}
 	return nil, false
-}
-
-// PlatformForSpec resolves the catalog entry whose spec a node was built
-// from (nil when the spec is not a catalog platform, e.g. ad-hoc test specs).
-func PlatformForSpec(specName string) *Platform {
-	for _, p := range catalog {
-		if p.Name == specName {
-			return p
-		}
-	}
-	return nil
 }
 
 // BaselinePair returns the paper's compared pair: the first micro entry and

@@ -147,7 +147,7 @@ func TestParsePowerModelKind(t *testing.T) {
 func TestNodeSetPowerModel(t *testing.T) {
 	eng := sim.NewEngine()
 	spec := EdisonSpec()
-	n := NewNode(eng, spec, "n0")
+	n := NewNode(eng, &Platform{Spec: spec}, "n0")
 	if n.Power() != spec.Power.IdleDraw() {
 		t.Fatalf("default idle draw %v, want %v", n.Power(), spec.Power.IdleDraw())
 	}

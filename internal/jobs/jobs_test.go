@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -272,8 +273,8 @@ func TestMixedGroupsResolvePerPlatformCosts(t *testing.T) {
 	if len(j.PlatformCosts) != 2 {
 		t.Fatalf("PlatformCosts has %d entries, want 2", len(j.PlatformCosts))
 	}
-	em, ok1 := j.PlatformCosts[micro.Spec.Name]
-	dm, ok2 := j.PlatformCosts[brawny.Spec.Name]
+	em, ok1 := j.PlatformCosts[micro]
+	dm, ok2 := j.PlatformCosts[brawny]
 	if !ok1 || !ok2 {
 		t.Fatalf("PlatformCosts missing a platform: %v", j.PlatformCosts)
 	}
@@ -291,6 +292,46 @@ func TestMixedGroupsResolvePerPlatformCosts(t *testing.T) {
 	}
 	if jj := hh.Def("wordcount"); jj.PlatformCosts != nil {
 		t.Fatalf("homogeneous JobDef grew PlatformCosts: %v", jj.PlatformCosts)
+	}
+
+	// A custom copy of the micro platform keeps its spec name but runs
+	// wordcount2 at a quarter of the rates, on its own network names.
+	// Rates are keyed by platform, so in either group order each half
+	// runs at its own rates and the mixed run lies strictly between the
+	// all-fast and all-slow runs.
+	slow := *micro
+	slow.Name, slow.Label = "edison-slow", "Slow Edison"
+	slow.Net.SwitchName, slow.Net.LeafPrefix, slow.Net.HostFormat = "slow-root", "slow-box", "slow%02d"
+	slow.Hadoop.Jobs = maps.Clone(micro.Hadoop.Jobs)
+	wc := slow.Hadoop.Jobs["wordcount2"]
+	wc.MapMBps, wc.ReduceMBps = wc.MapMBps/4, wc.ReduceMBps/4
+	slow.Hadoop.Jobs["wordcount2"] = wc
+	run := func(groups ...SlaveGroup) float64 {
+		t.Helper()
+		r, err := RunGroups("wordcount2", groups, 1, hw.PowerLinear, nil)
+		if err != nil || !r.Completed {
+			t.Fatalf("wordcount2 on %v: %v", groups, err)
+		}
+		return r.Duration
+	}
+	fast, slowest := run(SlaveGroup{micro, 8}), run(SlaveGroup{&slow, 8})
+	if fast >= slowest {
+		t.Fatalf("quarter-rate copy ran in %.1f s, not slower than the catalog's %.1f s", slowest, fast)
+	}
+	for _, groups := range [][]SlaveGroup{{{micro, 4}, {&slow, 4}}, {{&slow, 4}, {micro, 4}}} {
+		h, err := NewHadoopGroups(groups, micro.Hadoop.BlockSize, 1, hw.PowerLinear)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := h.Def("wordcount2")
+		if len(j.PlatformCosts) != 2 || j.PlatformCosts[micro] != costFor("wordcount2", micro) ||
+			j.PlatformCosts[&slow] != costFor("wordcount2", &slow) {
+			t.Errorf("%s first: PlatformCosts %v, want each platform's own rates", groups[0].Platform.Name, j.PlatformCosts)
+		}
+		if mixed := run(groups...); mixed <= fast || mixed >= slowest {
+			t.Errorf("%s first: mixed run %.1f s, want strictly between all-fast %.1f s and all-slow %.1f s",
+				groups[0].Platform.Name, mixed, fast, slowest)
+		}
 	}
 }
 

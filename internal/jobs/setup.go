@@ -21,7 +21,7 @@ const TeraBlockSize = 64 * units.MB
 // SlaveGroup sizes one platform's share of a Hadoop slave set. A
 // deployment built from several groups is the mixed-platform cluster the
 // paper could not build (its hybrid stops at a Dell master over Edison
-// slaves): YARN places containers against each node's own catalog
+// slaves): YARN places containers against each node's own platform
 // capacity, and task rates resolve per slave platform.
 type SlaveGroup struct {
 	Platform *hw.Platform
@@ -75,10 +75,12 @@ func CheckJob(job string) error {
 // Validate reports why job cannot run on groups, or nil. It owns every
 // slave-set rule: the job is known, there is at least one group, each
 // group has a platform and a positive node count, no platform repeats, a
-// hybrid's master platform is in the catalog, and each group stays within
+// hybrid's master platform is in the catalog, each group stays within
 // cluster.MaxGroupNodes, counting the self-hosted master (MasterGroupIndex)
-// as one more node of its group. RunGroups and RunGroupsFaulty call it;
-// callers with input from outside the program call it to fail early.
+// as one more node of its group, and no two group platforms, a hybrid's
+// master included, share network names (cluster.CheckNames). RunGroups
+// and RunGroupsFaulty call it; callers with input from outside the
+// program call it to fail early.
 func Validate(job string, groups []SlaveGroup) error {
 	if err := CheckJob(job); err != nil {
 		return err
@@ -93,7 +95,7 @@ func masterFor(groups []SlaveGroup) (*hw.Platform, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("needs at least one slave group")
 	}
-	seen := map[*hw.Platform]bool{}
+	plats := make([]*hw.Platform, 0, len(groups)+1)
 	for i, g := range groups {
 		if g.Platform == nil {
 			return nil, fmt.Errorf("slave group %d without a platform (each group needs an explicit platform)", i)
@@ -101,10 +103,10 @@ func masterFor(groups []SlaveGroup) (*hw.Platform, error) {
 		if g.Nodes <= 0 {
 			return nil, fmt.Errorf("slave group %d (%s) needs a positive node count (got %d)", i, g.Platform.Name, g.Nodes)
 		}
-		if seen[g.Platform] {
+		if slices.Contains(plats, g.Platform) {
 			return nil, fmt.Errorf("duplicate slave group for %s", g.Platform.Name)
 		}
-		seen[g.Platform] = true
+		plats = append(plats, g.Platform)
 	}
 	self := MasterGroupIndex(groups)
 	for i, g := range groups {
@@ -117,14 +119,14 @@ func masterFor(groups []SlaveGroup) (*hw.Platform, error) {
 		}
 	}
 	if self >= 0 {
-		return groups[self].Platform, nil
+		return groups[self].Platform, cluster.CheckNames(plats)
 	}
 	mp := groups[0].Platform.Hadoop.MasterPlatform
 	master, ok := hw.LookupPlatform(mp)
 	if !ok {
 		return nil, fmt.Errorf("%s names unknown master platform %q", groups[0].Platform.Name, mp)
 	}
-	return master, nil
+	return master, cluster.CheckNames(append(plats, master))
 }
 
 // NewHadoopGroups builds a Hadoop deployment over a (possibly mixed) slave
@@ -133,9 +135,10 @@ func masterFor(groups []SlaveGroup) (*hw.Platform, error) {
 // of that platform; when no group platform can, the first group's catalog
 // MasterPlatform hosts it — the paper's hybrid configuration. HDFS
 // placement, YARN capacities and container startup times all resolve per
-// node, so a hybrid Edison+Dell slave set schedules exactly like the real
-// thing would. energy selects the power model armed on every node, slaves
-// and master alike (the zero value is the paper's linear model). A slave
+// node from its platform, so a hybrid Edison+Dell slave set schedules
+// exactly like the real thing would. energy selects the power model armed
+// on every node, slaves and master alike (the zero value is the paper's
+// linear model). A slave
 // set that breaks a Validate rule is an error.
 func NewHadoopGroups(groups []SlaveGroup, blockSize units.Bytes, seed int64, energy hw.PowerModelKind) (*Hadoop, error) {
 	masterPlat, err := masterFor(groups)
@@ -237,13 +240,13 @@ func (h *Hadoop) Def(job string) *mapred.JobDef {
 		j.MaxSplitSize = units.Bytes(total/int64(reduces) + 1)
 	}
 	if len(h.Groups) > 1 {
-		j.PlatformCosts = make(map[string]mapred.CostModel, len(h.Groups))
+		j.PlatformCosts = make(map[*hw.Platform]mapred.CostModel, len(h.Groups))
 		for _, g := range h.Groups {
 			if job == "pi" {
-				j.PlatformCosts[g.Platform.Spec.Name] = piCost(len(j.Inputs), g.Platform)
+				j.PlatformCosts[g.Platform] = piCost(len(j.Inputs), g.Platform)
 				continue
 			}
-			j.PlatformCosts[g.Platform.Spec.Name] = costFor(job, g.Platform)
+			j.PlatformCosts[g.Platform] = costFor(job, g.Platform)
 		}
 	}
 	return j

@@ -30,29 +30,18 @@ type Cluster struct {
 	meter *power.Meter
 }
 
-// daemonMemory is what datanode+nodemanager consume on a worker (§5.2:
-// ≈360 MB total on an Edison incl. the OS, ≈4 GB on a Dell), resolved from
-// the hw platform catalog with a clock-speed heuristic for ad-hoc specs.
-func daemonMemory(n *hw.Node) units.Bytes {
-	if p := hw.PlatformForSpec(n.Spec.Name); p != nil {
-		return p.Hadoop.DaemonMem
-	}
-	if n.Spec.CPU.Clock < 1000 {
-		return 360 * units.MB
-	}
-	return 4 * units.GB
-}
-
 // NewCluster assembles HDFS and YARN. blockSize/replication follow the
 // paper: 16 MB / 2 on the Edison cluster, 64 MB / 1 on the Dell cluster.
+// Each worker pins its platform's Hadoop.DaemonMem for datanode +
+// nodemanager (§5.2: ≈360 MB incl. the OS on an Edison, ≈4 GB on a Dell).
 func NewCluster(eng *sim.Engine, fab *netsim.Fabric, master *hw.Node, workers []*hw.Node,
 	blockSize units.Bytes, replication int, seed int64) (*Cluster, error) {
-	rm, err := yarn.NewResourceManager(eng, master, workers, yarn.DefaultResources)
+	rm, err := yarn.NewResourceManager(eng, master, workers)
 	if err != nil {
 		return nil, err
 	}
 	for _, w := range workers {
-		if err := w.AllocMem(daemonMemory(w)); err != nil {
+		if err := w.AllocMem(w.Platform.Hadoop.DaemonMem); err != nil {
 			return nil, fmt.Errorf("mapred: worker %s cannot run daemons: %w", w.ID, err)
 		}
 		// Datanode + nodemanager keep a small steady load (heartbeats,

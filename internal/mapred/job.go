@@ -32,7 +32,7 @@ type MapFunc func(record string, emit func(k, v string))
 type ReduceFunc func(key string, values []string, emit func(k, v string))
 
 // CostModel carries the calibrated rates for a job on the worker platform
-// it runs on (internal/jobs resolves it from the hw platform catalog).
+// it runs on (internal/jobs resolves it from the platform's Hadoop profile).
 // Rates are per container running on one dedicated core; oversubscription
 // slowdowns (4 containers on 2 Edison cores, 24 on ≈11 Dell
 // core-equivalents) emerge from the processor-sharing CPU model. On a
@@ -86,13 +86,14 @@ type JobDef struct {
 	Cost CostModel
 
 	// PlatformCosts overrides Cost's compute rates per worker platform
-	// (keyed by NodeSpec.Name) for mixed-platform slave sets: a task's
+	// (keyed by the node's Platform, so two platforms that share a spec
+	// name keep their own rates) for mixed-platform slave sets: a task's
 	// map/reduce rate, fixed map seconds and per-attempt overhead follow
 	// the node its container lands on. The byte-shape ratios (OutputRatio,
 	// CombineRatio, ReduceOutputRatio) are properties of the workload, not
 	// the platform, and always come from Cost. Nil on the paper's
 	// homogeneous clusters.
-	PlatformCosts map[string]CostModel
+	PlatformCosts map[*hw.Platform]CostModel
 
 	// FT enables failure recovery for the job: task-attempt watchdogs,
 	// re-execution, node blacklisting and (optionally) speculative backup
@@ -160,7 +161,7 @@ func (ft *FaultTolerance) Validate() error {
 // rates resolves the compute-rate model for a container on node n: the
 // per-platform override when the slave set is mixed, Cost otherwise.
 func (j *JobDef) rates(n *hw.Node) CostModel {
-	if c, ok := j.PlatformCosts[n.Spec.Name]; ok {
+	if c, ok := j.PlatformCosts[n.Platform]; ok {
 		return c
 	}
 	return j.Cost

@@ -61,14 +61,16 @@ func sysbenchEfficiency(spec hw.NodeSpec) float64 {
 	return 1.0
 }
 
-// SysbenchCPU runs the primes benchmark with the given thread counts on the
-// DES processor model and reports one point per thread count.
-func SysbenchCPU(spec hw.NodeSpec, threads []int) []CPUPoint {
+// SysbenchCPU runs the primes benchmark with the given thread counts on a
+// node of platform p (the DES processor model) and reports one point per
+// thread count.
+func SysbenchCPU(p *hw.Platform, threads []int) []CPUPoint {
+	spec := p.Spec
 	eff := sysbenchEfficiency(spec)
 	points := make([]CPUPoint, 0, len(threads))
 	for _, th := range threads {
 		eng := sim.NewEngine()
-		node := hw.NewNode(eng, spec, "bench")
+		node := hw.NewNode(eng, p, "bench")
 		perThread := sysbenchWorkDMIPSSeconds / eff / float64(th)
 		var last sim.Time
 		for i := 0; i < th; i++ {

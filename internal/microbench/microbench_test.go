@@ -27,8 +27,8 @@ func TestDhrystoneReportsSpecDMIPS(t *testing.T) {
 
 func TestSysbenchCPUSingleThreadGap(t *testing.T) {
 	th := []int{1}
-	e := SysbenchCPU(hw.EdisonSpec(), th)[0]
-	d := SysbenchCPU(hw.DellR620Spec(), th)[0]
+	e := SysbenchCPU(&hw.Platform{Spec: hw.EdisonSpec()}, th)[0]
+	d := SysbenchCPU(&hw.Platform{Spec: hw.DellR620Spec()}, th)[0]
 	gap := e.TotalTime / d.TotalTime
 	// §4.1: "a Dell server is 15-18 times faster" single-threaded.
 	if gap < 15 || gap > 18 {
@@ -45,7 +45,7 @@ func TestSysbenchCPUSingleThreadGap(t *testing.T) {
 }
 
 func TestSysbenchCPUThreadScaling(t *testing.T) {
-	pts := SysbenchCPU(hw.EdisonSpec(), []int{1, 2, 4, 8})
+	pts := SysbenchCPU(&hw.Platform{Spec: hw.EdisonSpec()}, []int{1, 2, 4, 8})
 	// Two physical cores: halving from 1→2 threads, flat afterwards (Fig 2).
 	if !almost(pts[1].TotalTime, pts[0].TotalTime/2, 1) {
 		t.Fatalf("2 threads %.1fs, want half of %.1fs", pts[1].TotalTime, pts[0].TotalTime)
@@ -60,7 +60,7 @@ func TestSysbenchCPUThreadScaling(t *testing.T) {
 }
 
 func TestSysbenchCPUDellResponseBand(t *testing.T) {
-	pts := SysbenchCPU(hw.DellR620Spec(), []int{1, 2, 4, 8})
+	pts := SysbenchCPU(&hw.Platform{Spec: hw.DellR620Spec()}, []int{1, 2, 4, 8})
 	// Figure 3 secondary axis: 3–5 ms per event throughout.
 	for _, p := range pts {
 		if p.AvgResponse < 3e-3 || p.AvgResponse > 5e-3 {

@@ -13,8 +13,8 @@ func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func twoNodes() (*sim.Engine, []*hw.Node) {
 	eng := sim.NewEngine()
 	return eng, []*hw.Node{
-		hw.NewNode(eng, hw.EdisonSpec(), "e0"),
-		hw.NewNode(eng, hw.EdisonSpec(), "e1"),
+		hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e0"),
+		hw.NewNode(eng, &hw.Platform{Spec: hw.EdisonSpec()}, "e1"),
 	}
 }
 

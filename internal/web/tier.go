@@ -27,8 +27,9 @@ func TierOn(p *hw.Platform, nWeb, nCache int) Tier {
 // Validate reports why Build would reject the tier, or nil. Both tiers
 // need a platform and at least one node, each node group stays within
 // cluster.MaxGroupNodes (web and cache share one group when their
-// platforms match), and the infra tier needs a database server and a
-// client.
+// platforms match), the infra tier needs a database server and a client,
+// and two distinct platforms must not share network names
+// (cluster.CheckNames).
 func (t Tier) Validate() error {
 	if t.Web == nil || t.Cache == nil {
 		return errors.New("web and cache tiers need a platform")
@@ -45,6 +46,9 @@ func (t Tier) Validate() error {
 	}
 	if t.DBNodes <= 0 || t.Clients <= 0 {
 		return fmt.Errorf("DBNodes and Clients must be positive (got %d, %d)", t.DBNodes, t.Clients)
+	}
+	if t.Web != t.Cache {
+		return cluster.CheckNames([]*hw.Platform{t.Web, t.Cache})
 	}
 	return nil
 }

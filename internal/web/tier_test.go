@@ -49,6 +49,17 @@ func TestTable6Configuration(t *testing.T) {
 	}
 }
 
+// clone copies p as "edison-clone"; a non-empty prefix renames its root
+// and leaf switches but keeps its host names.
+func clone(p *hw.Platform, prefix string) *hw.Platform {
+	c := *p
+	c.Name = "edison-clone"
+	if prefix != "" {
+		c.Net.SwitchName, c.Net.LeafPrefix = prefix+"-root", prefix+"-box"
+	}
+	return &c
+}
+
 func TestTierValidate(t *testing.T) {
 	micro, brawny := hw.BaselinePair()
 	ok := TierOn(micro, 6, 3)
@@ -70,6 +81,10 @@ func TestTierValidate(t *testing.T) {
 		{"split group over the cap", with(split, func(t *Tier) { t.NCache = cluster.MaxGroupNodes + 1 }), "tier group of 10001 nodes"},
 		{"no DB servers", with(ok, func(t *Tier) { t.DBNodes = 0 }), "DBNodes and Clients must be positive (got 0, 8)"},
 		{"negative clients", with(ok, func(t *Tier) { t.Clients = -2 }), "DBNodes and Clients must be positive (got 2, -2)"},
+		{"cache on a copy sharing the root switch", with(ok, func(t *Tier) { t.Cache = clone(micro, "") }),
+			`groups Edison and edison-clone share the root switch "edison-root"`},
+		{"cache on a copy sharing host names", with(ok, func(t *Tier) { t.Cache = clone(micro, "clone") }),
+			`share the host name format "edison%02d"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -59,7 +59,7 @@ func (o *sortingRM) tick() {
 		nm.usedVC += p.req.VCores
 		c := &Container{Node: nm, Req: p.req}
 		p := p
-		o.eng.After(DefaultContainerStartup(nm.Node), func() { p.done(c) })
+		o.eng.After(nm.Node.Platform.Hadoop.ContainerStartup, func() { p.done(c) })
 	}
 	o.pending = still
 	if len(o.pending) > 0 {
@@ -201,13 +201,13 @@ func driveRM(eng *sim.Engine, nodes []*NodeManager, ops []rmOp,
 func rmCluster(t *testing.T) (*sim.Engine, *ResourceManager) {
 	t.Helper()
 	eng := sim.NewEngine()
-	master := hw.NewNode(eng, hw.DellR620Spec(), "master")
+	master := hw.NewNode(eng, dell, "master")
 	var slaves []*hw.Node
 	for i := 0; i < 6; i++ {
-		slaves = append(slaves, hw.NewNode(eng, hw.EdisonSpec(), fmt.Sprintf("e%d", i)))
+		slaves = append(slaves, hw.NewNode(eng, edison, fmt.Sprintf("e%d", i)))
 	}
-	slaves = append(slaves, hw.NewNode(eng, hw.DellR620Spec(), "d0"))
-	rm, err := NewResourceManager(eng, master, slaves, DefaultResources)
+	slaves = append(slaves, hw.NewNode(eng, dell, "d0"))
+	rm, err := NewResourceManager(eng, master, slaves)
 	if err != nil {
 		t.Fatal(err)
 	}

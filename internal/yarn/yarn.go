@@ -100,9 +100,6 @@ type ResourceManager struct {
 	// GrantsPerHeartbeat caps how many containers the RM hands out per
 	// heartbeat round, modeling RM scheduling throughput.
 	GrantsPerHeartbeat int
-	// ContainerStartup is the platform-dependent JVM launch time added
-	// before a granted container begins useful work.
-	ContainerStartup func(n *hw.Node) float64
 
 	granted int64
 	ticking bool
@@ -128,10 +125,12 @@ const MasterMemoryMB = 8 * 1024
 // ErrMasterTooSmall reports that the chosen master cannot host RM+namenode.
 var ErrMasterTooSmall = fmt.Errorf("yarn: master node lacks memory for ResourceManager+NameNode (needs %d MB)", MasterMemoryMB)
 
-// NewResourceManager builds an RM on master over the given slaves. It
-// fails with ErrMasterTooSmall when the master cannot hold the daemons,
-// reproducing the paper's failed Edison-master experiments.
-func NewResourceManager(eng *sim.Engine, master *hw.Node, slaves []*hw.Node, res func(n *hw.Node) NodeResources) (*ResourceManager, error) {
+// NewResourceManager builds an RM on master over the given slaves, each
+// NodeManager offering its node platform's capacity (Hadoop.NodeMemoryMB
+// and Hadoop.VCores). It fails with ErrMasterTooSmall when the master
+// cannot hold the daemons, reproducing the paper's failed Edison-master
+// experiments.
+func NewResourceManager(eng *sim.Engine, master *hw.Node, slaves []*hw.Node) (*ResourceManager, error) {
 	if err := master.AllocMem(units.Bytes(MasterMemoryMB) * units.MB); err != nil {
 		return nil, ErrMasterTooSmall
 	}
@@ -140,41 +139,13 @@ func NewResourceManager(eng *sim.Engine, master *hw.Node, slaves []*hw.Node, res
 		Master:             master,
 		HeartbeatInterval:  1.0,
 		GrantsPerHeartbeat: 24,
-		ContainerStartup:   DefaultContainerStartup,
 	}
 	rm.tickFn = rm.tick
 	for _, s := range slaves {
-		nm := &NodeManager{Node: s, capacity: res(s)}
-		rm.nodes = append(rm.nodes, nm)
+		h := s.Platform.Hadoop
+		rm.nodes = append(rm.nodes, &NodeManager{Node: s, capacity: NodeResources{MemoryMB: h.NodeMemoryMB, VCores: h.VCores}})
 	}
 	return rm, nil
-}
-
-// DefaultResources returns the node platform's NodeManager capacity from
-// the hw catalog (§5.2 for the baseline pair). Ad-hoc specs outside the
-// catalog fall back to a sensor-class-vs-server heuristic on clock speed.
-func DefaultResources(n *hw.Node) NodeResources {
-	if p := hw.PlatformForSpec(n.Spec.Name); p != nil {
-		return NodeResources{MemoryMB: p.Hadoop.NodeMemoryMB, VCores: p.Hadoop.VCores}
-	}
-	if n.Spec.CPU.Clock < 1000 {
-		return NodeResources{MemoryMB: 600, VCores: 2}
-	}
-	return NodeResources{MemoryMB: 12 * 1024, VCores: 12}
-}
-
-// DefaultContainerStartup returns the node platform's JVM + container
-// localization time from the hw catalog: the paper's traces show ≈20 s of
-// ramp on the brawny cluster and ≈45 s (2.3×) on the micro cluster before
-// CPU rises.
-func DefaultContainerStartup(n *hw.Node) float64 {
-	if p := hw.PlatformForSpec(n.Spec.Name); p != nil {
-		return p.Hadoop.ContainerStartup
-	}
-	if n.Spec.CPU.Clock < 1000 {
-		return 12.0
-	}
-	return 2.5
 }
 
 // Nodes returns the NodeManagers.
@@ -184,7 +155,8 @@ func (rm *ResourceManager) Nodes() []*NodeManager { return rm.nodes }
 func (rm *ResourceManager) Granted() int64 { return rm.granted }
 
 // Request queues a container request; done runs (after the heartbeat
-// allocation delay and JVM startup) with the granted container. The request
+// allocation delay and the node platform's JVM startup,
+// Hadoop.ContainerStartup) with the granted container. The request
 // goes after every pending request of equal or higher priority.
 func (rm *ResourceManager) Request(req ContainerRequest, done func(*Container)) {
 	i := len(rm.pending)
@@ -239,9 +211,8 @@ func (rm *ResourceManager) tick() {
 		nm.usedVC += p.req.VCores
 		rm.measureRoom()
 		c := &Container{Node: nm, Req: p.req}
-		startup := rm.ContainerStartup(nm.Node)
 		done := p.done
-		rm.eng.After(startup, func() { done(c) })
+		rm.eng.After(nm.Node.Platform.Hadoop.ContainerStartup, func() { done(c) })
 	}
 	clear(rm.pending[len(kept):])
 	rm.pending = kept

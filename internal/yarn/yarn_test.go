@@ -8,15 +8,19 @@ import (
 	"edisim/internal/sim"
 )
 
+// edison and dell are the catalog's baseline pair, whose NodeManager
+// capacities are the paper's (§5.2).
+var edison, dell = hw.BaselinePair()
+
 func testRM(t *testing.T, slaves int) (*sim.Engine, *ResourceManager, []*hw.Node) {
 	t.Helper()
 	eng := sim.NewEngine()
-	master := hw.NewNode(eng, hw.DellR620Spec(), "master")
+	master := hw.NewNode(eng, dell, "master")
 	nodes := make([]*hw.Node, slaves)
 	for i := range nodes {
-		nodes[i] = hw.NewNode(eng, hw.EdisonSpec(), "e"+string(rune('0'+i)))
+		nodes[i] = hw.NewNode(eng, edison, "e"+string(rune('0'+i)))
 	}
-	rm, err := NewResourceManager(eng, master, nodes, DefaultResources)
+	rm, err := NewResourceManager(eng, master, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +29,8 @@ func testRM(t *testing.T, slaves int) (*sim.Engine, *ResourceManager, []*hw.Node
 
 func TestEdisonMasterRejected(t *testing.T) {
 	eng := sim.NewEngine()
-	master := hw.NewNode(eng, hw.EdisonSpec(), "em")
-	_, err := NewResourceManager(eng, master, nil, DefaultResources)
+	master := hw.NewNode(eng, edison, "em")
+	_, err := NewResourceManager(eng, master, nil)
 	if err != ErrMasterTooSmall {
 		t.Fatalf("got %v, want ErrMasterTooSmall (the paper's failed micro-master setup)", err)
 	}
@@ -34,8 +38,12 @@ func TestEdisonMasterRejected(t *testing.T) {
 
 func TestDefaultResourcesMatchPaper(t *testing.T) {
 	eng := sim.NewEngine()
-	e := DefaultResources(hw.NewNode(eng, hw.EdisonSpec(), "e"))
-	d := DefaultResources(hw.NewNode(eng, hw.DellR620Spec(), "d"))
+	rm, err := NewResourceManager(eng, hw.NewNode(eng, dell, "master"),
+		[]*hw.Node{hw.NewNode(eng, edison, "e"), hw.NewNode(eng, dell, "d")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, d := rm.Nodes()[0].Capacity(), rm.Nodes()[1].Capacity()
 	if e.MemoryMB != 600 || e.VCores != 2 {
 		t.Fatalf("micro resources %+v, want 600MB/2vc (§5.2)", e)
 	}
@@ -188,12 +196,12 @@ func TestNodeManagerAccounting(t *testing.T) {
 // must not allocate.
 func BenchmarkRMTickBacklog(b *testing.B) {
 	eng := sim.NewEngine()
-	master := hw.NewNode(eng, hw.DellR620Spec(), "master")
+	master := hw.NewNode(eng, dell, "master")
 	slaves := make([]*hw.Node, 35)
 	for i := range slaves {
-		slaves[i] = hw.NewNode(eng, hw.EdisonSpec(), fmt.Sprintf("e%d", i))
+		slaves[i] = hw.NewNode(eng, edison, fmt.Sprintf("e%d", i))
 	}
-	rm, err := NewResourceManager(eng, master, slaves, DefaultResources)
+	rm, err := NewResourceManager(eng, master, slaves)
 	if err != nil {
 		b.Fatal(err)
 	}

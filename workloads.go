@@ -488,8 +488,8 @@ type TCOStudy struct {
 	// Platforms to price side by side (default: the whole catalog).
 	Platforms []PlatformRef
 	// Nodes matches Platforms entry for entry (default: each platform's
-	// fleet slave count). Every count must be positive. Mutually exclusive
-	// with Budget.
+	// fleet slave count, so a platform without one needs Nodes or Budget).
+	// Every count must be positive. Mutually exclusive with Budget.
 	Nodes []int
 	// Budget, when positive, sizes every platform's fleet to the largest
 	// node count whose 3-year TCO fits the budget (tco.SizeForBudget)
@@ -539,18 +539,27 @@ func resolvePlatforms(id string, refs []PlatformRef, def []*hw.Platform) ([]*hw.
 	return plats, nil
 }
 
-// checkNodeCounts checks a study's explicit fleet sizes: nil, or one
-// positive count per platform.
-func checkNodeCounts(id string, nodes []int, plats []*hw.Platform) error {
+// fleetSizes resolves a study's fleet sizes, one per platform: Nodes entry
+// for entry when set, each count positive, else each platform's catalog
+// slave fleet, which must then be positive.
+func fleetSizes(id string, nodes []int, plats []*hw.Platform) ([]int, error) {
 	if nodes != nil && len(nodes) != len(plats) {
-		return fmt.Errorf("edisim: %s: %d node counts for %d platforms", id, len(nodes), len(plats))
+		return nil, fmt.Errorf("edisim: %s: %d node counts for %d platforms", id, len(nodes), len(plats))
 	}
-	for i, n := range nodes {
-		if n <= 0 {
-			return fmt.Errorf("edisim: %s: bad node count %d for %s", id, n, plats[i].Label)
+	sizes := make([]int, len(plats))
+	for i, p := range plats {
+		switch {
+		case nodes != nil && nodes[i] <= 0:
+			return nil, fmt.Errorf("edisim: %s: bad node count %d for %s", id, nodes[i], p.Label)
+		case nodes != nil:
+			sizes[i] = nodes[i]
+		case p.Fleet.Slaves <= 0:
+			return nil, fmt.Errorf("edisim: %s: %s has no catalog fleet to price — set Nodes", id, p.Label)
+		default:
+			sizes[i] = p.Fleet.Slaves
 		}
 	}
-	return nil
+	return sizes, nil
 }
 
 // resolveUtilization applies a study's Utilization default: 0 means 50%,
@@ -583,8 +592,11 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 	if ts.Budget > 0 && ts.Nodes != nil {
 		return nil, fmt.Errorf("edisim: %s: Budget and Nodes are mutually exclusive", id)
 	}
-	if err := checkNodeCounts(id, ts.Nodes, plats); err != nil {
-		return nil, err
+	var sizes []int
+	if ts.Budget == 0 {
+		if sizes, err = fleetSizes(id, ts.Nodes, plats); err != nil {
+			return nil, err
+		}
 	}
 	util, err := resolveUtilization(id, ts.Utilization)
 	if err != nil {
@@ -623,14 +635,13 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 		}
 		t := report.NewTable(title, cols...).WithUnits(colUnits...)
 		for i, p := range plats {
-			n := p.Fleet.Slaves
-			if ts.Nodes != nil {
-				n = ts.Nodes[i]
-			}
-			if ts.Budget > 0 {
+			var n int
+			if ts.Budget == 0 {
+				n = sizes[i]
+			} else {
 				var err error
 				if n, err = tco.SizeForBudget(p, ts.Budget, util); err != nil {
-					return nil, fmt.Errorf("edisim: %s: %w", id, err)
+					return nil, err
 				}
 				if n == 0 {
 					row := []any{p.Label, report.Count(0, "nodes"),
@@ -644,14 +655,11 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 					continue
 				}
 			}
-			if n <= 0 {
-				return nil, fmt.Errorf("edisim: %s: bad node count %d for %s", id, n, p.Label)
-			}
 			in := tco.ForPlatformModel(p, n, util, cfg.Energy)
 			if carbonOn {
 				var err error
 				if in, err = tco.ForPlatformInRegion(p, n, util, cfg.Energy, region, ts.CarbonPricePerTonne); err != nil {
-					return nil, fmt.Errorf("edisim: %s: %w", id, err)
+					return nil, err
 				}
 			}
 			if ts.PUE != 0 {
@@ -659,7 +667,7 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 			}
 			r, err := tco.Compute(in)
 			if err != nil {
-				return nil, fmt.Errorf("edisim: %s: %w", id, err)
+				return nil, err
 			}
 			row := []any{
 				p.Label,
