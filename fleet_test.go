@@ -135,6 +135,8 @@ func TestSlaveGroupValidationErrors(t *testing.T) {
 	sameNet := copyOf(edison, "edison-clone")
 	ownSwitches := copyOf(edison, "edison-clone")
 	ownSwitches.Net.SwitchName, ownSwitches.Net.LeafPrefix = "clone-root", "clone-box"
+	dbHosts := copyOf(ownSwitches, "edison-db")
+	dbHosts.Net.HostFormat = "db%d"
 	cases := []struct {
 		name string
 		scn  Scenario
@@ -150,6 +152,8 @@ func TestSlaveGroupValidationErrors(t *testing.T) {
 			`groups Edison and edison-clone share the root switch "edison-root"`},
 		{"copy sharing host names", mk(TierSpec{Platform: Ref("edison"), Nodes: 2}, TierSpec{Platform: Custom(ownSwitches), Nodes: 2}),
 			`share the host name format "edison%02d"`},
+		{"hosts named like the DB servers", mk(TierSpec{Platform: Ref("edison"), Nodes: 2}, TierSpec{Platform: Custom(dbHosts), Nodes: 2}),
+			`group edison-db names a vertex "db0"`},
 		// The single-platform form: the expansion error names the job (a
 		// failed unit would name its artifact ID, mapreduce_terasort).
 		{"negative slaves", single(&MapReduceJob{Slaves: -1}), "edisim: mapreduce terasort: "},
@@ -293,6 +297,10 @@ func TestPricingStudyExpansionErrors(t *testing.T) {
 		{"tco negative carbon price", &TCOStudy{CarbonPricePerTonne: -1}, "negative carbon price -1"},
 		{"tco NaN carbon price", &TCOStudy{CarbonPricePerTonne: math.NaN()}, "negative carbon price NaN"},
 		{"tco unknown region", &TCOStudy{Region: "atlantis"}, `unknown region "atlantis"`},
+		{"tco PUE below 1", &TCOStudy{PUE: 0.5}, "edisim: tco_study: PUE 0.5 must be 0 (unmodeled) or >= 1"},
+		{"tco negative PUE", &TCOStudy{PUE: -1}, "edisim: tco_study: PUE -1 must be 0"},
+		{"tco NaN PUE", &TCOStudy{PUE: math.NaN()}, "edisim: tco_study: PUE NaN must be 0"},
+		{"tco PUE 1.2", &TCOStudy{PUE: 1.2}, ""},
 		{"tco custom ID", &TCOStudy{ID: "prices", Utilization: 2}, "edisim: prices: utilization 2 outside [0,1]"},
 		{"tco fleet-less platform", &TCOStudy{Platforms: bare}, "edisim: tco_study: Bare has no catalog fleet to price — set Nodes"},
 		{"tco fleet-less platform with nodes", &TCOStudy{Platforms: bare, Nodes: []int{3}}, ""},

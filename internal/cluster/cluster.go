@@ -17,6 +17,8 @@ package cluster
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"edisim/internal/hw"
 	"edisim/internal/netsim"
@@ -115,11 +117,18 @@ func DefaultConfig() Config { return PairConfig(35, 3, 2, 8) }
 
 // CheckNames reports two group platforms of one testbed that would share
 // network vertices: a root switch, a leaf-switch prefix or a host name
-// format. A platform listed twice shares all three with itself. NewOn
-// panics on such a set; the input checks that feed it (jobs.Validate,
-// web.Tier.Validate) call CheckNames to return the same fault as an error.
+// format. A platform listed twice shares all three with itself. It also
+// reports a group platform whose root switch, leaf switches or hosts
+// would take a name the testbed gives its own vertices: "core", or a DB
+// server's or client's (db%d, client%d). A group may share the infra
+// platform's root switch. NewOn panics on such a set; the input checks
+// that feed it (jobs.Validate, web.Tier.Validate) call CheckNames to
+// return the same fault as an error.
 func CheckNames(plats []*hw.Platform) error {
 	for i, a := range plats {
+		if name := testbedName(a.Net); name != "" {
+			return fmt.Errorf("group %s names a vertex %q, a name the testbed keeps for its core switch, DB servers or clients", a.Name, name)
+		}
 		for _, b := range plats[:i] {
 			an, bn := a.Net, b.Net
 			switch {
@@ -133,6 +142,69 @@ func CheckNames(plats []*hw.Platform) error {
 		}
 	}
 	return nil
+}
+
+// testbedName returns a name that net would give a group vertex and the
+// testbed keeps for its own, or "". Leaf switches are tried at indices
+// 0–9, which covers every prefix; hosts also at each power of ten below
+// MaxGroupNodes, the first index of its digit count, where a zero-padded
+// format first prints a number without a leading zero. A pattern whose
+// leading text cannot begin a DB or client name is not tried at all.
+func testbedName(net hw.NetworkProfile) string {
+	if reserved(net.SwitchName) {
+		return net.SwitchName
+	}
+	leaves := net.LeafFanout > 0 && mayBeIndexed(net.LeafPrefix)
+	hosts := mayBeIndexed(net.HostFormat)
+	for i := 0; (leaves || hosts) && i < MaxGroupNodes; {
+		if leaves && i < 10 {
+			if leaf := fmt.Sprintf("%s%d", net.LeafPrefix, i); reserved(leaf) {
+				return leaf
+			}
+		}
+		if hosts {
+			if host := fmt.Sprintf(net.HostFormat, i); reserved(host) {
+				return host
+			}
+		}
+		if i < 10 {
+			i++
+		} else {
+			i *= 10
+		}
+	}
+	return ""
+}
+
+// indexedNames are the prefixes of the testbed's own numbered vertices.
+var indexedNames = []string{"db", "client"}
+
+// mayBeIndexed reports whether a name pattern, by its text up to the first
+// verb, could print one of the testbed's numbered names.
+func mayBeIndexed(pattern string) bool {
+	lit, _, _ := strings.Cut(pattern, "%")
+	for _, p := range indexedNames {
+		if strings.HasPrefix(lit, p) || strings.HasPrefix(p, lit) {
+			return true
+		}
+	}
+	return false
+}
+
+// reserved reports whether name is one NewOn gives a vertex of its own:
+// the core switch, a DB server (db%d) or a client (client%d).
+func reserved(name string) bool {
+	if name == "core" {
+		return true
+	}
+	for _, prefix := range indexedNames {
+		if rest, ok := strings.CutPrefix(name, prefix); ok {
+			if n, err := strconv.Atoi(rest); err == nil && n >= 0 && strconv.Itoa(n) == rest {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // New builds a testbed on a fresh engine.

@@ -142,6 +142,21 @@ func TestCheckNames(t *testing.T) {
 		{"same host format", []*hw.Platform{micro, clone(func(n *hw.NetworkProfile) {
 			n.SwitchName, n.LeafPrefix = "clone-root", "clone-box"
 		})}, `share the host name format "edison%02d"`},
+		{"hosts named like the DB servers", []*hw.Platform{micro, clone(func(n *hw.NetworkProfile) {
+			n.SwitchName, n.LeafPrefix, n.HostFormat = "clone-root", "clone-box", "db%d"
+		})}, `group edison-clone names a vertex "db0"`},
+		{"zero-padded hosts reach the DB names", []*hw.Platform{clone(func(n *hw.NetworkProfile) { n.HostFormat = "db%02d" })},
+			`names a vertex "db10"`},
+		{"hosts named like the clients", []*hw.Platform{clone(func(n *hw.NetworkProfile) { n.HostFormat = "client1%d" })},
+			`names a vertex "client10"`},
+		{"leaf switches named like the clients", []*hw.Platform{clone(func(n *hw.NetworkProfile) { n.LeafPrefix = "client" })},
+			`names a vertex "client0"`},
+		{"root switch named core", []*hw.Platform{clone(func(n *hw.NetworkProfile) { n.SwitchName = "core" })},
+			`names a vertex "core"`},
+		{"names that only start like the DB servers", []*hw.Platform{clone(func(n *hw.NetworkProfile) {
+			n.SwitchName, n.LeafPrefix, n.HostFormat = "dbroot", "db-box", "db0%d"
+		})}, ""},
+		{"shares the infra root switch", []*hw.Platform{clone(func(n *hw.NetworkProfile) { n.SwitchName = brawny.Net.SwitchName })}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

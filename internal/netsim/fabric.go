@@ -5,9 +5,13 @@
 //   - Send: store-and-forward FIFO per link, for small RPC-style messages
 //     (HTTP requests, memcached gets, heartbeats). Queueing delay emerges
 //     naturally as links saturate. A link is a capacity-1 FIFO with a
-//     constant delay, so each hop is planned in closed form when the
-//     message enters the link and costs one engine event, its arrival,
-//     on the link's arrival lane (see message).
+//     constant delay that serves legs in order of arrival, ties in the
+//     order they were sent, so a leg's whole path is planned in closed
+//     form when it is sent and the leg costs one engine event, its
+//     delivery, on its last link's delivery lane. A leg that overtakes
+//     legs planned earlier on a shared link is inserted ahead of them, and
+//     those whose start it pushes back are re-planned down the rest of
+//     their paths (see message).
 //   - StartFlow: max-min fair bandwidth sharing with progressive filling,
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
 //
@@ -33,16 +37,18 @@ type Link struct {
 	Capacity units.BytesPerSec
 	Delay    float64 // one-way propagation delay in seconds
 
-	// Send messages: the FIFO ring of messages planned on the link, oldest
-	// first (messages held on a cut link at the tail), when the
-	// transmitter finishes the last of them, their arrival events, and
-	// the event that drops held messages if the cut lasts.
-	ring     []*message
-	head, n  int
-	credited int // planned messages already counted in bytes
-	free     sim.Time
-	arrivals *sim.Lane
-	holdEv   sim.EventRef
+	// Send messages: the plans of the legs crossing the link in order of
+	// arrival, from plans[first] (see hopPlan), how many of them from the
+	// front are already counted in bytes, when the last retired plan's
+	// transmission ended, the delivery events of the legs whose last link
+	// this is, and the event that drops held legs if a cut lasts.
+	fab        *Fabric
+	plans      []hopPlan
+	first      int
+	credited   int
+	base       sim.Time
+	deliveries *sim.Lane
+	holdEv     sim.EventRef
 
 	bytes units.Bytes // cumulative bytes carried (messages + flows); may
 	// lag behind live flow progress and sent messages until
@@ -87,7 +93,7 @@ func (l *Link) effCap() float64 { return float64(l.Capacity) * l.scale }
 func (f *Fabric) newLink(src, dst string, capacity units.BytesPerSec, delay float64) *Link {
 	l := &Link{Src: src, Dst: dst, src: f.vertices[src], dst: f.vertices[dst],
 		idx: int32(len(f.links)), Capacity: capacity, Delay: delay,
-		arrivals: f.eng.NewLane(), scale: 1}
+		fab: f, deliveries: f.eng.NewLane(), scale: 1}
 	f.adj[l.src] = append(f.adj[l.src], l)
 	f.links = append(f.links, l)
 	return l
@@ -132,10 +138,15 @@ type Fabric struct {
 
 	// freeFlows is the Flow record pool (see StartFlow); flowSeq stamps
 	// each started flow so stale FlowRefs are detected after recycling.
-	// freeMsgs is the message record pool (see Send).
+	// freeMsgs is the message record pool (see Send), legs stamps each
+	// message leg, ops queues the plan changes of one settle, and
+	// planStats counts the reorders and re-plans.
 	freeFlows []*Flow
 	flowSeq   uint64
 	freeMsgs  []*message
+	legs      uint64
+	ops       []planOp
+	planStats PlanStats
 
 	// Reusable scratch so steady-state flow churn does not allocate: the
 	// links touched by the current water-filling pass, the pending done
@@ -324,9 +335,10 @@ func (f *Fabric) RTT(a, b string) float64 {
 // departures. Flows started while a link on their path is down are admitted
 // at rate 0 and resume when the link is restored. A Send message is
 // dropped if and only if its link is down at the instant it would start
-// transmitting, so every message on a changed link that has not started
-// yet is re-planned at the new capacity, or held to that instant while
-// the link is cut (see Link.plan); one already transmitting finishes.
+// transmitting, so every leg planned on a changed link that has not
+// started there yet is re-planned at the new capacity, or held to that
+// instant while the link is cut, and the change is carried down the rest
+// of its path; one already transmitting finishes.
 func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !(scale >= 0) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("netsim: link scale %g must be finite and non-negative", scale))
@@ -338,7 +350,7 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	for _, l := range f.links {
 		if (l.Src == v || l.Dst == v) && l.scale != scale {
 			l.scale = scale
-			l.replan(f.eng)
+			l.replan()
 			f.markDirty(l)
 			changed = true
 		}
@@ -346,6 +358,7 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !changed {
 		return
 	}
+	f.settle()
 	if scale == 0 {
 		f.abortCrossing()
 	}
@@ -389,12 +402,12 @@ func (f *Fabric) abortCrossing() {
 	f.abortFlows = victims[:0]
 }
 
-// ArrivalsWaiting reports how many message hop arrivals wait in the links'
-// arrival lanes behind each lane's head, outside the engine heap.
+// ArrivalsWaiting reports how many message legs wait behind the head of
+// their delivery lane, outside the engine heap.
 func (f *Fabric) ArrivalsWaiting() int {
 	n := 0
 	for _, l := range f.links {
-		n += max(l.arrivals.Len()-1, 0)
+		n += max(l.deliveries.Len()-1, 0)
 	}
 	return n
 }

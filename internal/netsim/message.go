@@ -5,48 +5,102 @@ import (
 	"edisim/internal/units"
 )
 
-// message is a pooled in-flight Send/RoundTrip record driven as a state
-// machine: instead of allocating a fresh chain of closures per hop per
-// message, each record carries its cursor (path + hop) and a set of
-// continuations pre-bound once when the record is created, so steady-state
-// messaging does not allocate. Records come from a fabric freelist (grown
-// in chunks, like Flow and sim.Event records) and are recycled on final
-// delivery. No handle type is exposed: a message is never cancellable or
-// observable from user code, so — unlike Event/Flow — records need no
-// sequence stamping; the record is owned by exactly one in-flight transfer
-// from Send to delivery.
+// message is a pooled in-flight Send/RoundTrip record. Records come from a
+// fabric freelist (grown in chunks, like Flow and sim.Event records) and
+// are recycled on final delivery or drop, so steady-state messaging does
+// not allocate. A RoundTrip rides one record for both legs. No handle type
+// is exposed: a message is never cancellable or observable from user code.
 //
-// A hop costs one engine event. A link is a capacity-1 FIFO with a
-// constant delay, so when a message enters it (plan) the instant its last
-// byte leaves is known in closed form, and only the arrival at the far end
-// is scheduled, on the link's arrival lane. While the message is planned on
-// a link, start, sent and arrival describe that hop.
+// A leg costs one engine event, its delivery. A link is a capacity-1 FIFO
+// with a constant delay that serves legs in order of arrival at the link,
+// ties in leg order (the order the legs were sent). So when a leg is sent
+// its whole path is planned in closed form (see hopPlan): at each hop its
+// transmission starts at the later of its arrival and the end of the plan
+// ahead of it, takes size/capacity at the capacity of that instant, and the
+// next hop's arrival is Delay after its last byte leaves. Only the delivery
+// at the far end of the last link is scheduled, on that link's delivery
+// lane; intermediate hops cost no event. The float operations are those of
+// an engine timer chain, so every time is exactly what a transmit event
+// followed by a propagation event per hop would give.
+//
+// A leg sent later can reach a shared link before legs planned there
+// earlier. It is inserted ahead of them (a reorder), and each plan whose
+// start it pushes back is re-planned down the rest of its leg's path (a
+// re-plan); a delivery that moves is cancelled and re-added. Plans behind
+// it whose start does not move keep their times, and so does every plan
+// already transmitting.
 type message struct {
 	fab  *Fabric
 	path []*Link
-	hop  int
+	leg  uint64 // stamp of the leg in flight (Fabric.legs); 0 while pooled
 	size units.Bytes
 	done func()
 
-	// The current hop: when transmission starts and its last byte leaves
-	// (start is the time the message is held to while its link is cut),
-	// and its arrival event, zero while held.
-	start, sent sim.Time
-	arrival     sim.EventRef
+	// delivery is the leg's one event, on its last link's delivery lane;
+	// inactive while the leg is held or dropped short of its destination.
+	delivery sim.EventRef
 
-	// RoundTrip support: when hasReply, final delivery of the request
-	// re-launches the record as the reply leg (dst back to src) instead of
-	// recycling it.
+	// RoundTrip support: when hasReply, delivery of the request re-launches
+	// the record as the reply leg (dst back to src) instead of recycling it.
 	hasReply  bool
 	replySize units.Bytes
 	src, dst  string
 
-	// Pre-bound continuations, created once per record (amortized to zero
-	// by the pool): hopFn runs at the current hop's arrival, nextFn at a
-	// same-host leg's zero-delay event.
-	hopFn  func()
-	nextFn func()
+	// deliverFn is the pre-bound delivery continuation, created once per
+	// record (amortized to zero by the pool).
+	deliverFn func()
 }
+
+// hopPlan is one leg's planned transmission on one link: when it arrives
+// there and when its last byte leaves. A link keeps its plans in order of
+// (arrive, leg), and a plan's transmission starts at the later of its
+// arrival and the previous plan's sent (see startOf). A plan is held when
+// the link is cut at its start: sent is the start, the leg is planned no
+// further, and it is dropped then unless the link heals first. Plans
+// retire lazily from the front of the list once their last byte has left.
+type hopPlan struct {
+	m            *message
+	leg          uint64 // m.leg when planned; a stale plan never matches
+	size         units.Bytes
+	arrive, sent sim.Time
+	hop          int32 // the link's index in m.path
+	last         bool  // the link is the last of the leg's path
+	held         bool
+}
+
+// planKind says what a planOp does to a leg's plan on one link.
+type planKind uint8
+
+const (
+	planPlace  planKind = iota // the leg is not planned on the link yet
+	planMove                   // its arrival at the link changed
+	planRemove                 // it no longer reaches the link
+)
+
+// planOp is a pending change to one leg's plan on m.path[hop]. Changes
+// found while a link's plans are refitted queue up on the fabric and are
+// applied in order by settle, so no link is refitted inside another's
+// refit.
+type planOp struct {
+	m    *message
+	leg  uint64
+	at   sim.Time // arrival at the link (place, move)
+	hop  int32
+	kind planKind
+}
+
+// PlanStats counts how often message legs were planned out of send order.
+type PlanStats struct {
+	// Reorders counts hop plans placed ahead of plans already on their
+	// link, or moved to another place in its order.
+	Reorders uint64
+	// Replans counts hop plans moved or removed because the same leg's
+	// plan on its previous link changed.
+	Replans uint64
+}
+
+// PlanStats reports the fabric's message planning counts so far.
+func (f *Fabric) PlanStats() PlanStats { return f.planStats }
 
 // msgChunk is how many message records the freelist grows by at once.
 const msgChunk = 64
@@ -58,8 +112,7 @@ func (f *Fabric) allocMsg() *message {
 		for i := range chunk {
 			m := &chunk[i]
 			m.fab = f
-			m.hopFn = m.arrived
-			m.nextFn = m.next
+			m.deliverFn = m.deliver
 			f.freeMsgs = append(f.freeMsgs, m)
 		}
 	}
@@ -69,109 +122,247 @@ func (f *Fabric) allocMsg() *message {
 }
 
 // recycleMsg returns the record to the pool. The path slice belongs to the
-// route cache, so dropping the reference costs nothing.
+// route cache, so dropping the reference costs nothing. Plans of the leg
+// left on links go stale with the leg stamp.
 func (f *Fabric) recycleMsg(m *message) {
 	m.done = nil // release the closure for GC
 	m.path = nil
-	m.arrival = sim.EventRef{}
+	m.leg = 0
+	m.delivery = sim.EventRef{}
 	f.freeMsgs = append(f.freeMsgs, m)
 }
 
-// at returns the i-th oldest message planned on the link.
-func (l *Link) at(i int) *message { return l.ring[(l.head+i)&(len(l.ring)-1)] }
-
-// push appends m to the link's FIFO ring, doubling it when full.
-func (l *Link) push(m *message) {
-	if l.n == len(l.ring) {
-		grown := make([]*message, max(8, 2*len(l.ring)))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.at(i)
+// launch stamps m as a new leg and plans its whole path from now. While
+// the leg arrives at each link after every plan already there, and the
+// link is up, its plan is simply appended; the first link where it would
+// overtake a plan, or is cut, goes through apply and settle.
+func (f *Fabric) launch(m *message) {
+	f.legs++
+	m.leg = f.legs
+	now := f.eng.Now()
+	at := now
+	for i, l := range m.path {
+		if len(l.plans) == cap(l.plans) {
+			l.retire(now, false)
 		}
-		l.ring, l.head = grown, 0
-	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = m
-	l.n++
-}
-
-// pop removes and returns the oldest planned message.
-func (l *Link) pop() *message {
-	m := l.ring[l.head]
-	l.ring[l.head] = nil
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
-	return m
-}
-
-// next advances the state machine: enter the current hop's link, or
-// deliver when past the last hop.
-func (m *message) next() {
-	if m.hop >= len(m.path) {
-		m.deliver()
-		return
-	}
-	m.path[m.hop].plan(m)
-}
-
-// arrived runs when the last byte reaches the current hop's far end.
-func (m *message) arrived() {
-	m.path[m.hop].arrive(m)
-	m.hop++
-	m.next()
-}
-
-// plan enters m into the link's FIFO. Transmission starts when the link
-// frees up, takes size/capacity at the capacity of that instant, and the
-// last byte arrives Delay later. The float operations are those of an
-// engine timer chain started at start, so every fire time is exactly what
-// a transmit event followed by a propagation event would give.
-//
-// A message is dropped if and only if the link is down at the instant it
-// would start: at once when that instant is now, otherwise it is held
-// until then (SetVertexLinks re-plans it on a heal, holdEv drops it if the
-// cut lasts). Dropping is silent — done never runs, like a frame on a dead
-// cable; recovery belongs to the sender's timeout machinery.
-func (l *Link) plan(m *message) {
-	eng := m.fab.eng
-	now := eng.Now()
-	start := l.free
-	if start < now {
-		start = now
-	}
-	if l.Down() {
-		if start == now {
-			m.fab.recycleMsg(m)
+		n := len(l.plans)
+		if l.Down() || n > l.first && l.plans[n-1].arrive > at {
+			f.ops = append(f.ops, planOp{m: m, leg: m.leg, at: at, hop: int32(i), kind: planPlace})
+			f.settle()
 			return
 		}
-		m.start, m.sent = start, start
-		l.push(m)
-		l.armHold(eng, start)
+		sent := l.startOf(n, at) + sim.Time(float64(m.size)/l.effCap())
+		l.plans = append(l.plans, hopPlan{m: m, leg: m.leg, size: m.size,
+			arrive: at, sent: sent, hop: int32(i), last: i == len(m.path)-1})
+		at = sent + sim.Time(l.Delay)
+	}
+	m.delivery = m.path[len(m.path)-1].deliveries.At(at, m.deliverFn)
+}
+
+// settle applies the queued plan changes in order, including those each
+// one queues in turn, until every leg's plan is consistent.
+func (f *Fabric) settle() {
+	for i := 0; i < len(f.ops); i++ {
+		op := f.ops[i]
+		if op.m.leg == op.leg {
+			op.m.path[op.hop].apply(op)
+		}
+	}
+	f.ops = f.ops[:0]
+}
+
+// apply places, moves or removes one leg's plan on the link and refits
+// the plans behind it. A leg that would start on a cut link now is
+// dropped at once: done never runs, like a frame on a dead cable, and
+// recovery belongs to the sender's timeout machinery.
+func (l *Link) apply(op planOp) {
+	f := l.fab
+	now := f.eng.Now()
+	if len(l.plans) == cap(l.plans) {
+		l.retire(now, false)
+	}
+	old, at := -1, -1
+	if op.kind != planPlace {
+		old = l.find(op.leg)
+		f.planStats.Replans++
+	}
+	if op.kind != planRemove {
+		at = l.slot(op.at, op.leg, old)
+		if op.kind == planPlace && l.Down() && l.startOf(at, op.at) <= now {
+			f.recycleMsg(op.m)
+			return
+		}
+	}
+	// Plans from j on may change; their deliveries are withdrawn and
+	// re-added in order. Refitting may stop at the first unchanged plan
+	// past through, the last one whose successor has a new predecessor.
+	j := at
+	if old >= 0 && (at < 0 || old < at) {
+		j = old
+	}
+	l.unschedule(j)
+	through := at
+	// A new plan has no plan downstream yet, like a held one.
+	p := hopPlan{m: op.m, leg: op.leg, size: op.m.size, hop: op.hop,
+		last: int(op.hop) == len(op.m.path)-1, held: true}
+	if old >= 0 {
+		p = l.plans[old]
+		copy(l.plans[old:], l.plans[old+1:])
+		l.plans = l.plans[:len(l.plans)-1]
+		if at > old {
+			at--
+		}
+		through = max(at, old)
+		if op.kind == planRemove {
+			through = old - 1
+			if !p.held && !p.last {
+				f.ops = append(f.ops, planOp{m: p.m, leg: p.leg, hop: p.hop + 1, kind: planRemove})
+			}
+		}
+	}
+	if at >= 0 {
+		p.arrive = op.at
+		l.plans = append(l.plans, hopPlan{})
+		copy(l.plans[at+1:], l.plans[at:])
+		l.plans[at] = p
+		if old < 0 && at < len(l.plans)-1 || old >= 0 && at != old {
+			f.planStats.Reorders++
+		}
+	}
+	l.refit(j, through)
+	l.reschedule(j)
+	if l.Down() || l.holdEv.Active() {
+		l.rearmHold()
+	}
+}
+
+// find returns the index of the leg's plan on the link. Leg stamps are
+// unique per fabric.
+func (l *Link) find(leg uint64) int {
+	for i := len(l.plans) - 1; i >= l.first; i-- {
+		if l.plans[i].leg == leg {
+			return i
+		}
+	}
+	panic("netsim: leg has no plan on its link")
+}
+
+// slot returns where a plan arriving at at for leg goes in the link's
+// order, ignoring the plan at skip.
+func (l *Link) slot(at sim.Time, leg uint64, skip int) int {
+	i := len(l.plans)
+	for ; i > l.first; i-- {
+		if q := &l.plans[i-1]; i-1 != skip && (q.arrive < at || q.arrive == at && q.leg < leg) {
+			break
+		}
+	}
+	return i
+}
+
+// startOf is when a plan at index i that arrives at at starts: the later
+// of at and the end of the plan ahead of it, or of the last retired one.
+func (l *Link) startOf(i int, at sim.Time) sim.Time {
+	if i > l.first {
+		return max(at, l.plans[i-1].sent)
+	}
+	return max(at, l.base)
+}
+
+// refit recomputes the plans from index k on at the link's current
+// capacity: start is the later of the plan's arrival and the end of the
+// plan ahead, and on a cut link the plan is held (sent = start). It stops
+// at the first plan past through whose times did not change. A plan whose
+// transmission changed is carried to its leg's next link.
+func (l *Link) refit(k, through int) {
+	f := l.fab
+	down := l.Down()
+	rate := l.effCap()
+	for i := k; i < len(l.plans); i++ {
+		p := &l.plans[i]
+		sent := l.startOf(i, p.arrive)
+		if !down {
+			sent += sim.Time(float64(p.size) / rate)
+		}
+		if i > through && sent == p.sent && down == p.held {
+			return
+		}
+		wasHeld, wasSent := p.held, p.sent
+		p.sent, p.held = sent, down
+		if p.last {
+			continue
+		}
+		next := planOp{m: p.m, leg: p.leg, at: sent + sim.Time(l.Delay), hop: p.hop + 1}
+		switch {
+		case down && !wasHeld:
+			next.kind = planRemove
+		case !down && wasHeld:
+			next.kind = planPlace
+		case !down && sent != wasSent:
+			next.kind = planMove
+		default:
+			continue
+		}
+		f.ops = append(f.ops, next)
+	}
+}
+
+// unschedule cancels the deliveries of the plans from index j on, newest
+// first, and withdraws them from the lane so that they can be re-added in
+// order.
+func (l *Link) unschedule(j int) {
+	if l.deliveries.Len() == 0 {
 		return
 	}
-	l.schedule(m, start)
-	l.push(m)
-}
-
-// schedule fixes m's transmission from start at the link's current
-// capacity and puts its arrival on the lane. At scale 1 the transmission
-// time is bit-identical to the unscaled capacity arithmetic (÷1.0 is
-// exact).
-func (l *Link) schedule(m *message, start sim.Time) {
-	m.start = start
-	m.sent = start + sim.Time(float64(m.size)/l.effCap())
-	l.free = m.sent
-	m.arrival = l.arrivals.At(m.sent+sim.Time(l.Delay), m.hopFn)
-}
-
-// arrive retires m, the link's oldest planned message, at its arrival and
-// credits its bytes unless FlushProgress already has.
-func (l *Link) arrive(m *message) {
-	if l.pop() != m {
-		panic("netsim: link arrivals out of FIFO order")
+	cut := false
+	for i := len(l.plans) - 1; i >= j; i-- {
+		if p := &l.plans[i]; p.last && p.m.delivery.Active() {
+			p.m.delivery.Cancel()
+			cut = true
+		}
 	}
-	if l.credited > 0 {
-		l.credited--
-	} else {
-		l.bytes += m.size
+	if cut {
+		l.deliveries.Withdraw()
+	}
+}
+
+// reschedule puts the delivery of every plan from index j on that ends
+// its leg and has none on the lane, in the link's order.
+func (l *Link) reschedule(j int) {
+	for i := j; i < len(l.plans); i++ {
+		if p := &l.plans[i]; !p.held && p.last && !p.m.delivery.Active() {
+			p.m.delivery = l.deliveries.At(p.sent+sim.Time(l.Delay), p.m.deliverFn)
+		}
+	}
+}
+
+// retire drops the plans at the front whose last byte has left by now,
+// crediting their bytes unless FlushProgress already has. A held plan
+// stops it unless drop is set; then the held leg is dropped. Placing a
+// plan retires only when the link's plan slice is full, so the front is
+// read once per batch rather than once per leg.
+func (l *Link) retire(now sim.Time, drop bool) {
+	i := l.first
+	for ; i < len(l.plans); i++ {
+		p := &l.plans[i]
+		if p.sent > now || p.held && !drop {
+			break
+		}
+		switch {
+		case p.held:
+			if p.m.leg == p.leg {
+				l.fab.recycleMsg(p.m)
+			}
+		case l.credited > 0:
+			l.credited--
+		default:
+			l.bytes += p.size
+		}
+		l.base = p.sent
+	}
+	l.first = i
+	if 4*i >= len(l.plans) {
+		n := copy(l.plans, l.plans[i:])
+		l.plans, l.first = l.plans[:n], 0
 	}
 }
 
@@ -179,93 +370,75 @@ func (l *Link) arrive(m *message) {
 // left the link by now, so Link.Bytes reads as if each were counted when
 // its transmission ended.
 func (l *Link) creditSent(now sim.Time) {
-	for ; l.credited < l.n; l.credited++ {
-		m := l.at(l.credited)
-		if !m.arrival.Active() || m.sent > now {
+	for i := l.first + l.credited; i < len(l.plans); i++ {
+		p := &l.plans[i]
+		if p.held || p.sent > now {
 			return
 		}
-		l.bytes += m.size
+		l.bytes += p.size
+		l.credited++
 	}
 }
 
-// replan re-fixes every message on the link whose start is still in the
-// future after a capacity change, in FIFO order from the end of the
-// current transmission: each one's arrival is cancelled and re-scheduled
-// at the new capacity, or held when the link is now cut. Messages already
-// transmitting keep their times.
-func (l *Link) replan(eng *sim.Engine) {
-	now := eng.Now()
-	k := 0
-	for k < l.n && l.at(k).start <= now {
-		k++
+// replan refits every plan on the link whose start is still in the future
+// after a capacity change, at the new capacity, or holds it when the link
+// is now cut; plans already transmitting keep their times. The changes
+// are carried down each leg's path when the fabric settles.
+func (l *Link) replan() {
+	now := l.fab.eng.Now()
+	l.retire(now, false)
+	k := len(l.plans)
+	for k > l.first && l.startOf(k-1, l.plans[k-1].arrive) > now {
+		k--
 	}
-	if k == l.n {
-		return
+	if k < len(l.plans) {
+		l.unschedule(k)
+		l.refit(k, len(l.plans))
+		l.reschedule(k)
+	}
+	l.rearmHold()
+}
+
+// rearmHold arms the drop of the held plans at the earliest one's start,
+// or disarms it when none is held.
+func (l *Link) rearmHold() {
+	for i := l.first; i < len(l.plans); i++ {
+		if p := &l.plans[i]; p.held {
+			if !l.holdEv.Active() || l.holdEv.Time() != p.sent {
+				l.holdEv.Cancel()
+				l.holdEv = l.fab.eng.At(p.sent, l.dropHeld)
+			}
+			return
+		}
 	}
 	l.holdEv.Cancel()
-	for i := l.n - 1; i >= k; i-- {
-		l.at(i).arrival.Cancel()
-	}
-	l.arrivals.Withdraw()
-	t := l.at(k).start
-	if l.Down() {
-		for i := k; i < l.n; i++ {
-			m := l.at(i)
-			m.start, m.sent, m.arrival = t, t, sim.EventRef{}
-		}
-		l.free = t
-		l.armHold(eng, t)
-		return
-	}
-	for i := k; i < l.n; i++ {
-		m := l.at(i)
-		l.schedule(m, t)
-		t = m.sent
-	}
 }
 
-// armHold schedules the drop of the held messages at t, their start, if
-// it is not armed yet.
-func (l *Link) armHold(eng *sim.Engine, t sim.Time) {
-	if !l.holdEv.Active() {
-		l.holdEv = eng.At(t, l.dropHeld)
-	}
-}
-
-// dropHeld runs at the start instant of the messages held on a link that
-// is still cut: they are dropped.
+// dropHeld runs at the start of the earliest held plan on a link that is
+// still cut: every leg held to now is dropped.
 func (l *Link) dropHeld() {
-	for l.n > 0 {
-		m := l.at(l.n - 1)
-		if m.arrival.Active() {
-			return
-		}
-		l.n--
-		l.ring[(l.head+l.n)&(len(l.ring)-1)] = nil
-		m.fab.recycleMsg(m)
-	}
+	l.retire(l.fab.eng.Now(), true)
+	l.rearmHold()
 }
 
-// deliver runs when the message fully arrives at its destination: either
+// deliver runs when the leg fully arrives at its destination: either
 // turn the record around as the reply leg of a round trip, or finish.
 func (m *message) deliver() {
+	f := m.fab
 	if m.hasReply {
 		m.hasReply = false
 		m.size = m.replySize
 		if m.src == m.dst {
 			// Same-host reply: zero-cost but still asynchronous.
-			m.path = nil
-			m.hop = 0
-			m.fab.eng.After(0, m.nextFn)
+			f.eng.After(0, m.deliverFn)
 			return
 		}
-		m.path = m.fab.Route(m.dst, m.src)
-		m.hop = 0
-		m.next()
+		m.path = f.Route(m.dst, m.src)
+		f.launch(m)
 		return
 	}
 	done := m.done
-	m.fab.recycleMsg(m)
+	f.recycleMsg(m)
 	if done != nil {
 		done()
 	}
@@ -292,8 +465,7 @@ func (f *Fabric) Send(src, dst string, size units.Bytes, done func()) {
 	m.done = done
 	m.hasReply = false
 	m.path = f.Route(src, dst)
-	m.hop = 0
-	m.next()
+	f.launch(m)
 }
 
 // RoundTrip sends a request of reqSize from src to dst, then a reply of
@@ -313,12 +485,9 @@ func (f *Fabric) RoundTrip(src, dst string, reqSize, respSize units.Bytes, done 
 		// Same-host request leg: one zero-delay event, then deliver turns
 		// the record around for the (also zero-delay) reply leg, matching
 		// the two-event timeline of a self Send followed by a self Send.
-		m.path = nil
-		m.hop = 0
-		f.eng.After(0, m.nextFn)
+		f.eng.After(0, m.deliverFn)
 		return
 	}
 	m.path = f.Route(src, dst)
-	m.hop = 0
-	m.next()
+	f.launch(m)
 }

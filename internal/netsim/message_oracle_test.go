@@ -11,7 +11,7 @@ import (
 	"edisim/internal/units"
 )
 
-// oracle is the store-and-forward model that closed-form hops replace.
+// oracle is the store-and-forward model that planned legs replace.
 // Each link is a capacity-1 sim.Resource and every hop costs two engine
 // events: transmitted, when the last byte leaves the link, and propagated,
 // when it reaches the far end. A message is dropped when its link is down
@@ -220,4 +220,126 @@ func checkAgainstOracle(t *testing.T, name string, build oracleNet, seed int64) 
 		t.Fatalf("%s seed %d: %d delivered, %d dropped; the traffic does not exercise faults", name, seed, delivered, dropped)
 	}
 	t.Logf("%s seed %d: %d delivered, %d dropped, %d events (oracle %d)", name, seed, delivered, dropped, eng.Fired(), oeng.Fired())
+}
+
+// slimSpineNet is leafSpineNet with uplinks no faster than the hosts'
+// links, so legs merging from several leaves queue at the spine.
+func slimSpineNet(eng *sim.Engine) (*netsim.Fabric, []string) {
+	return cluster.LeafSpine(eng, cluster.LeafSpineConfig{Spines: 2, Leaves: 4, HostsPerLeaf: 6,
+		HostLink: units.Mbps(100), Uplink: units.Mbps(100)})
+}
+
+// TestOvertakingMatchesOracle drives traffic built to overtake against the
+// two-event oracle. Hosts two hops from one hot host (on its leaf, or on
+// its switch) and hosts four or more hops away (across a spine, or across
+// the zero-delay edison-root↔core hop of the Table 6 net) send to it in
+// bursts: legs from several far hosts, then near legs sent a moment later
+// that reach the shared links first. Far legs from different hosts also
+// overtake each other where they merge upstream, pushing back legs that
+// still have hops to go. Cuts and degrades run throughout. Every delivery
+// must match the oracle exactly, and the fabric must have both reordered
+// plans and carried re-plans down later hops, so the test fails if either
+// path goes unexercised.
+func TestOvertakingMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  oracleNet
+		hot  func(hosts []string) string
+	}{
+		{"leafspine", slimSpineNet, func(hosts []string) string { return hosts[0] }},
+		{"table6", table6Net, func([]string) string { return "db0" }},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			checkOvertaking(t, tc.name, tc.net, tc.hot, seed)
+		}
+	}
+}
+
+func checkOvertaking(t *testing.T, name string, build oracleNet, pickHot func([]string) string, seed int64) {
+	t.Helper()
+	eng, oeng := sim.NewEngine(), sim.NewEngine()
+	f, hosts := build(eng)
+	of, _ := build(oeng)
+	o := &oracle{eng: oeng, fab: of, links: map[*netsim.Link]*oracleLink{}}
+	hot := pickHot(hosts)
+	var near, far, vertices []string
+	seen := map[string]bool{}
+	for _, h := range hosts {
+		switch n := len(f.Route(h, hot)); {
+		case n == 2:
+			near = append(near, h)
+		case n >= 4:
+			far = append(far, h)
+		}
+		for _, l := range f.Route(h, hot) {
+			if !seen[l.Src] {
+				seen[l.Src] = true
+				vertices = append(vertices, l.Src)
+			}
+		}
+	}
+	if len(near) == 0 || len(far) == 0 {
+		t.Fatalf("%s: %d near and %d far senders to %s", name, len(near), len(far), hot)
+	}
+
+	rnd := rand.New(rand.NewSource(seed))
+	const horizon = 0.5
+	var got, want []float64
+	send := func(at sim.Time, src string, size units.Bytes, roundTrip bool) {
+		i := len(got)
+		got, want = append(got, -1), append(want, -1)
+		gotFn := func() { got[i] = float64(eng.Now()) }
+		wantFn := func() { want[i] = float64(oeng.Now()) }
+		if roundTrip {
+			eng.At(at, func() { f.RoundTrip(src, hot, size, 1500, gotFn) })
+			oeng.At(at, func() { o.roundTrip(src, hot, size, 1500, wantFn) })
+			return
+		}
+		eng.At(at, func() { f.Send(src, hot, size, gotFn) })
+		oeng.At(at, func() { o.send(src, hot, size, wantFn) })
+	}
+	for b := 0; b < 400; b++ {
+		at := sim.Time(rnd.Float64() * horizon)
+		for k := rnd.Intn(4); k >= 0; k-- {
+			size := units.Bytes(math.Exp(rnd.Float64() * math.Log(64e3)))
+			send(at, far[rnd.Intn(len(far))], size, rnd.Intn(4) == 0)
+			at += sim.Time(rnd.ExpFloat64() * 2e-4)
+		}
+		for k := rnd.Intn(3); k >= 0; k-- {
+			send(at, near[rnd.Intn(len(near))], units.Bytes(100+rnd.Intn(2000)), rnd.Intn(4) == 0)
+			at += sim.Time(rnd.ExpFloat64() * 2e-4)
+		}
+	}
+	scales := []float64{0, 0.3, 0.7}
+	for i := 0; i < 30; i++ {
+		at := sim.Time(rnd.Float64() * horizon)
+		v := vertices[rnd.Intn(len(vertices))]
+		scale := scales[rnd.Intn(len(scales))]
+		heal := at + sim.Time(rnd.ExpFloat64()*0.005)
+		eng.At(at, func() { f.SetVertexLinks(v, scale) })
+		oeng.At(at, func() { of.SetVertexLinks(v, scale) })
+		eng.At(heal, func() { f.SetVertexLinks(v, 1) })
+		oeng.At(heal, func() { of.SetVertexLinks(v, 1) })
+	}
+	eng.Run()
+	oeng.Run()
+
+	dropped := 0
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s seed %d: message %d delivered at %v, oracle %v", name, seed, i, got[i], want[i])
+		}
+		if got[i] < 0 {
+			dropped++
+		}
+	}
+	if f.TotalBytes() != o.totalBytes() {
+		t.Fatalf("%s seed %d: TotalBytes %v, oracle %v", name, seed, f.TotalBytes(), o.totalBytes())
+	}
+	st := f.PlanStats()
+	if st.Reorders == 0 || st.Replans == 0 || dropped == 0 {
+		t.Fatalf("%s seed %d: %d reorders, %d re-plans, %d dropped; the traffic must overtake, re-plan and hit faults",
+			name, seed, st.Reorders, st.Replans, dropped)
+	}
+	t.Logf("%s seed %d: %d messages, %d dropped, %d reorders, %d re-plans", name, seed, len(got), dropped, st.Reorders, st.Replans)
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"edisim/internal/sim"
@@ -57,12 +58,14 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
 	cpu := sim.NewProcShare(eng, 2, 1000)
+	mf := mergeFabric(eng)
 	fn := func() {}
 	// Warm the pools, the route cache and the waiter ring.
 	for i := 0; i < 10; i++ {
 		f.Send("a", "b", 1000, fn)
 		f.RoundTrip("a", "b", 100, 100, fn)
 		cpu.Submit(1, fn)
+		sendMerge(mf, fn)
 		eng.Run()
 	}
 	cases := []struct {
@@ -77,6 +80,7 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 				f.Send("a", "b", 1000, fn)
 			}
 		}},
+		{"Send merge (overtaking)", func() { sendMerge(mf, fn) }},
 	}
 	for _, c := range cases {
 		allocs := testing.AllocsPerRun(500, func() {
@@ -126,6 +130,54 @@ func BenchmarkRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.RoundTrip("a", "b", 100, 100, nil)
+		eng.Run()
+	}
+}
+
+// mergeFabric is two leaves under one spine, every link 1 Gbps: near
+// hosts n0..n3 and the hot host h on leaf la, far hosts f0..f3 on leaf lb.
+func mergeFabric(eng *sim.Engine) *Fabric {
+	f := NewFabric(eng)
+	for _, v := range []string{"spine", "la", "lb", "h", "n0", "n1", "n2", "n3", "f0", "f1", "f2", "f3"} {
+		f.AddVertex(v)
+	}
+	f.Connect("la", "spine", units.Gbps(1), 5e-6)
+	f.Connect("lb", "spine", units.Gbps(1), 5e-6)
+	f.Connect("h", "la", units.Gbps(1), 1e-6)
+	for i := 0; i < 4; i++ {
+		f.Connect(fmt.Sprintf("n%d", i), "la", units.Gbps(1), 1e-6)
+		f.Connect(fmt.Sprintf("f%d", i), "lb", units.Gbps(1), 1e-6)
+	}
+	return f
+}
+
+// sendMerge sends one round of legs that merge on their way to h: four
+// far legs (4 hops), largest first, so each smaller one reaches lb→spine
+// ahead of the larger ones sent before it and pushes them back down the
+// rest of their paths; then four near legs (2 hops) that reach la→h
+// ahead of every far leg.
+func sendMerge(f *Fabric, done func()) {
+	for i, src := range []string{"f0", "f1", "f2", "f3"} {
+		f.Send(src, "h", units.Bytes(4000-900*i), done)
+	}
+	for _, src := range []string{"n0", "n1", "n2", "n3"} {
+		f.Send(src, "h", 600, done)
+	}
+}
+
+// BenchmarkSendMerge measures multi-hop legs from several sources that
+// merge on shared links, the shape where legs sent later arrive first and
+// plans are reordered and re-planned. One op is one round of sendMerge,
+// start to the last delivery.
+func BenchmarkSendMerge(b *testing.B) {
+	eng := sim.NewEngine()
+	f := mergeFabric(eng)
+	sendMerge(f, nil)
+	eng.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sendMerge(f, nil)
 		eng.Run()
 	}
 }

@@ -44,6 +44,7 @@ type Inputs struct {
 // user-reachable through cmd/tcocalc and the public edisim package, so
 // out-of-range values must surface as errors, not panics or negative costs.
 func (in Inputs) Validate() error {
+	pueErr := CheckPUE(in.PUE)
 	switch {
 	case in.Servers <= 0:
 		return fmt.Errorf("tco: server count %d must be positive", in.Servers)
@@ -55,12 +56,21 @@ func (in Inputs) Validate() error {
 		return fmt.Errorf("tco: negative lifetime %v years", in.LifeYears)
 	case in.PricePerKWh < 0:
 		return fmt.Errorf("tco: negative electricity price %v", in.PricePerKWh)
-	case math.IsNaN(in.PUE) || in.PUE < 0 || (in.PUE > 0 && in.PUE < 1):
-		return fmt.Errorf("tco: PUE %v must be 0 (unmodeled) or >= 1", in.PUE)
+	case pueErr != nil:
+		return fmt.Errorf("tco: %w", pueErr)
 	case math.IsNaN(in.GramsPerKWh) || in.GramsPerKWh < 0:
 		return fmt.Errorf("tco: negative grid intensity %v gCO2e/kWh", in.GramsPerKWh)
 	case math.IsNaN(in.CarbonPricePerTonne) || in.CarbonPricePerTonne < 0:
 		return fmt.Errorf("tco: negative carbon price %v $/tCO2e", in.CarbonPricePerTonne)
+	}
+	return nil
+}
+
+// CheckPUE reports a facility PUE that is neither 0 (unmodeled) nor at
+// least 1.
+func CheckPUE(pue float64) error {
+	if math.IsNaN(pue) || pue < 0 || pue > 0 && pue < 1 {
+		return fmt.Errorf("PUE %v must be 0 (unmodeled) or >= 1", pue)
 	}
 	return nil
 }

@@ -25,7 +25,7 @@ func waiting(l *sim.Lane) int { return max(l.Len()-1, 0) }
 
 // probeHeap runs cfg on d and samples the engine's pending set. The heap
 // length is Pending less the events waiting in the run's lanes and in the
-// fabric's link arrival lanes.
+// fabric's link delivery lanes.
 func probeHeap(d *Deployment, cfg RunConfig) heapShape {
 	var s heapShape
 	var tick func()
@@ -60,7 +60,7 @@ func probeHeap(d *Deployment, cfg RunConfig) heapShape {
 // armed (0.5 s request timeouts, a retry budget, deadline shedding, an SLO,
 // and on the diurnal cycle target-util autoscaling) on both baseline
 // fleets, and samples the pending set. The queued accepts, queued worker
-// starts, request timeouts, SYN retransmit timers and message hop arrivals
+// starts, request timeouts, SYN retransmit timers and message deliveries
 // must wait in their lanes: at 2× connection capacity they are most of the
 // pending set, and the heap holds only the lane heads beside the other
 // events. -v logs the mean and max of both per run.

@@ -28,8 +28,8 @@ func TierOn(p *hw.Platform, nWeb, nCache int) Tier {
 // need a platform and at least one node, each node group stays within
 // cluster.MaxGroupNodes (web and cache share one group when their
 // platforms match), the infra tier needs a database server and a client,
-// and two distinct platforms must not share network names
-// (cluster.CheckNames).
+// and no platform may take the testbed's or the other platform's network
+// names (cluster.CheckNames).
 func (t Tier) Validate() error {
 	if t.Web == nil || t.Cache == nil {
 		return errors.New("web and cache tiers need a platform")
@@ -47,10 +47,11 @@ func (t Tier) Validate() error {
 	if t.DBNodes <= 0 || t.Clients <= 0 {
 		return fmt.Errorf("DBNodes and Clients must be positive (got %d, %d)", t.DBNodes, t.Clients)
 	}
-	if t.Web != t.Cache {
-		return cluster.CheckNames([]*hw.Platform{t.Web, t.Cache})
+	plats := []*hw.Platform{t.Web}
+	if t.Cache != t.Web {
+		plats = append(plats, t.Cache)
 	}
-	return nil
+	return cluster.CheckNames(plats)
 }
 
 // Build builds the tier on a fresh testbed and returns its deployment. The

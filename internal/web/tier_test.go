@@ -85,6 +85,16 @@ func TestTierValidate(t *testing.T) {
 			`groups Edison and edison-clone share the root switch "edison-root"`},
 		{"cache on a copy sharing host names", with(ok, func(t *Tier) { t.Cache = clone(micro, "clone") }),
 			`share the host name format "edison%02d"`},
+		{"cache hosts named like the DB servers", with(ok, func(t *Tier) {
+			c := clone(micro, "clone")
+			c.Net.HostFormat = "db%d"
+			t.Cache = c
+		}), `group edison-clone names a vertex "db0"`},
+		{"one platform with hosts named like the clients", func() Tier {
+			c := clone(micro, "clone")
+			c.Net.HostFormat = "client%d"
+			return TierOn(c, 6, 3)
+		}(), `group edison-clone names a vertex "client0"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

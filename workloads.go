@@ -605,6 +605,9 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 	if math.IsNaN(ts.CarbonPricePerTonne) || ts.CarbonPricePerTonne < 0 {
 		return nil, fmt.Errorf("edisim: %s: negative carbon price %v $/tCO2e", id, ts.CarbonPricePerTonne)
 	}
+	if err := tco.CheckPUE(ts.PUE); err != nil {
+		return nil, fmt.Errorf("edisim: %s: %w", id, err)
+	}
 	// Carbon accounting is on when a region or a carbon price is set; a bare
 	// carbon price attributes to the world-average grid.
 	region := ts.Region
@@ -663,7 +666,7 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 				}
 			}
 			if ts.PUE != 0 {
-				in.PUE = ts.PUE // validated by Compute (must be >= 1)
+				in.PUE = ts.PUE
 			}
 			r, err := tco.Compute(in)
 			if err != nil {
