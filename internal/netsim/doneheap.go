@@ -127,6 +127,5 @@ func (f *Fabric) armCompletion() {
 	if f.nextDone.Active() && f.nextDone.Time() == at {
 		return
 	}
-	f.nextDone.Cancel()
-	f.nextDone = f.eng.At(at, f.completeFn)
+	f.nextDone = f.eng.Rearm(f.nextDone, at, f.completeFn)
 }

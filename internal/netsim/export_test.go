@@ -10,3 +10,7 @@ func (f *Fabric) RouteTrees() int { return f.nTrees }
 
 // TreeBudget is treeBudget, for the external route tests.
 const TreeBudget = treeBudget
+
+// Path is the route table's path by vertex index, for the external route
+// tests.
+func (f *Fabric) Path(src, dst Vertex) []*Link { return f.path(src, dst) }

@@ -60,7 +60,7 @@ func TestMessagesAndFlowsCoexist(t *testing.T) {
 	f := lineFabric(eng, units.Mbps(100), 0)
 	var msgDone, flowDone bool
 	f.StartFlow("a", "b", units.Bytes(12.5e6/2), func() { flowDone = true })
-	f.Send("a", "b", 1000, func() { msgDone = true })
+	f.Send(f.Vertex("a"), f.Vertex("b"), 1000, func() { msgDone = true })
 	eng.Run()
 	if !msgDone || !flowDone {
 		t.Fatalf("msg=%v flow=%v", msgDone, flowDone)

@@ -15,6 +15,13 @@
 //   - StartFlow: max-min fair bandwidth sharing with progressive filling,
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
 //
+// Every host and switch is a Vertex, the dense index AddVertex interns its
+// name to. Send and RoundTrip take vertices, which their callers resolve
+// once with Fabric.Vertex; StartFlow, Route and Latency take names and
+// resolve them on each call. All of them read one route table indexed by
+// source and destination vertex, whose rows are cut from per-source
+// breadth-first trees and bounded with them (treeBudget).
+//
 // Link capacities and propagation delays are set by internal/cluster to the
 // paper's measured values (§4.4: 100 Mbps Edison NICs, 1 Gbps Dell NICs and
 // inter-switch links; RTTs of 1.3 ms E–E, 0.8 ms D–E, 0.24 ms D–D).
@@ -27,6 +34,10 @@ import (
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
+
+// Vertex is a host's or switch's dense index in its fabric, in AddVertex
+// order (see Fabric.Vertex).
+type Vertex int32
 
 // Link is one direction of a cable: src -> dst with a capacity and a
 // propagation delay. Duplex cables are two Links.
@@ -103,18 +114,21 @@ func (f *Fabric) newLink(src, dst string, capacity units.BytesPerSec, delay floa
 type Fabric struct {
 	eng      *sim.Engine
 	vertices map[string]int32 // name -> dense vertex index, in AddVertex order
+	names    []string         // vertex index -> name
 	adj      [][]*Link        // outgoing links by vertex index, in Connect order
 	links    []*Link
-	routes   map[[2]string][]*Link
 
 	// trees[s] is the breadth-first parent tree from source vertex s, built
 	// on the first route miss from s (nil until then): trees[s][v] is the
 	// Fabric.links index of the link that first reached v, or unreached.
-	// Every later route from s walks up the tree instead of searching
-	// again. nTrees counts the built trees, so building a topology (one
-	// ConnectAsym per link, before any route) never clears an empty table,
-	// and bounds the table's size (treeBudget).
+	// routes[s] is s's row of the route table, built and dropped with the
+	// tree: routes[s][d] is the path to d, walked up the tree on the first
+	// route from s to d (nil until then). nTrees counts the built trees,
+	// so building a topology (one ConnectAsym per link, before any route)
+	// never clears an empty table, and bounds the table's size
+	// (treeBudget).
 	trees    [][]int32
+	routes   [][][]*Link
 	nTrees   int
 	bfsQueue []int32
 	// pathSlab is the unused tail of the chunk new routes are carved from,
@@ -167,11 +181,7 @@ type Fabric struct {
 
 // NewFabric returns an empty network on the engine.
 func NewFabric(eng *sim.Engine) *Fabric {
-	f := &Fabric{
-		eng:      eng,
-		vertices: make(map[string]int32),
-		routes:   make(map[[2]string][]*Link),
-	}
+	f := &Fabric{eng: eng, vertices: make(map[string]int32)}
 	f.completeFn = f.completeFlows
 	return f
 }
@@ -186,8 +196,21 @@ func (f *Fabric) AddVertex(name string) {
 		return
 	}
 	f.vertices[name] = int32(len(f.adj))
+	f.names = append(f.names, name)
 	f.adj = append(f.adj, nil)
 	f.trees = append(f.trees, nil)
+	f.routes = append(f.routes, nil)
+}
+
+// Vertex returns the dense index of the named host or switch. An unknown
+// name panics: vertices are added when the topology is built, so a
+// missing one is a configuration bug.
+func (f *Fabric) Vertex(name string) Vertex {
+	v, ok := f.vertices[name]
+	if !ok {
+		panic(fmt.Sprintf("netsim: unknown vertex %q", name))
+	}
+	return Vertex(v)
 }
 
 // Connect joins a and b with a duplex cable of the given per-direction
@@ -209,38 +232,49 @@ func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay floa
 		panic("netsim: non-positive link capacity")
 	}
 	f.newLink(a, b, capacity, delay)
-	clear(f.routes)
 	if f.nTrees > 0 {
-		clear(f.trees)
-		f.nTrees = 0
+		f.dropTrees()
 	}
 }
 
+// dropTrees clears every route tree and route table row.
+func (f *Fabric) dropTrees() {
+	clear(f.trees)
+	clear(f.routes)
+	f.nTrees = 0
+}
+
 // Route returns the shortest path (in hops) from src to dst as directed
-// links, memoized. It panics when no route exists: topologies are static and
-// a missing route is a configuration bug.
-//
-// A miss walks up src's breadth-first tree (see tree). Its parents are the
-// first-discovery links, so the path equals that of a search from src that
-// stops as soon as dst is reached: both visit vertices in the same order.
+// links, memoized. It panics when a name is unknown or no route exists:
+// topologies are static and a missing route is a configuration bug.
 func (f *Fabric) Route(src, dst string) []*Link {
 	if src == dst {
 		return nil
 	}
-	key := [2]string{src, dst}
-	if p, ok := f.routes[key]; ok {
-		return p
+	return f.path(f.Vertex(src), f.Vertex(dst))
+}
+
+// path returns the route table's path from s to d (s != d), cutting it
+// from s's tree on a miss.
+func (f *Fabric) path(s, d Vertex) []*Link {
+	if row := f.routes[s]; int(d) < len(row) {
+		if p := row[d]; p != nil {
+			return p
+		}
 	}
-	s, okS := f.vertices[src]
-	d, okD := f.vertices[dst]
-	var t []int32
-	if okS && okD {
-		t = f.tree(s)
-	}
+	return f.cut(int32(s), int32(d))
+}
+
+// cut builds the path from s to d by walking up s's breadth-first tree (see
+// tree) and stores it in the route table. The tree's parents are the
+// first-discovery links, so the path equals that of a search from s that
+// stops as soon as d is reached: both visit vertices in the same order.
+func (f *Fabric) cut(s, d int32) []*Link {
+	t := f.tree(s)
 	// A vertex added after the tree was built has no entry yet; it is
 	// unreachable until a Connect rebuilds the tree.
 	if int(d) >= len(t) || t[d] < 0 {
-		panic(fmt.Sprintf("netsim: no route %s -> %s", src, dst))
+		panic(fmt.Sprintf("netsim: no route %s -> %s", f.names[s], f.names[d]))
 	}
 	n := 0
 	for v := d; v != s; v = f.links[t[v]].src {
@@ -257,7 +291,7 @@ func (f *Fabric) Route(src, dst string) []*Link {
 		path[n] = l
 		v = l.src
 	}
-	f.routes[key] = path
+	f.routes[s][d] = path
 	return path
 }
 
@@ -270,23 +304,24 @@ const (
 // pathChunk is how many links a route slab holds.
 const pathChunk = 256
 
-// treeBudget caps the entries of all route trees together (4 bytes each).
-// A fabric with thousands of sending hosts drops every tree when the next
-// one would pass it and rebuilds them on demand, so its table stays
-// bounded rather than growing to one tree per source.
-const treeBudget = 1 << 22
+// treeBudget caps the entries of all route trees together. Each tree
+// entry comes with an entry of its source's route table row, 28 bytes for
+// the pair, so the trees and the table stay within 14 MiB. A fabric with
+// thousands of sending hosts drops every tree and row when the next tree
+// would pass the cap and rebuilds them on demand, so its table stays
+// bounded rather than growing to one tree and row per source.
+const treeBudget = 1 << 19
 
 // tree returns source s's breadth-first parent tree over the whole graph,
-// building it on first use. Vertices are dequeued in discovery order and
-// each one's links are scanned in Connect order, so every vertex's parent
-// is the first link that reaches it.
+// building it and an empty route table row on first use. Vertices are
+// dequeued in discovery order and each one's links are scanned in Connect
+// order, so every vertex's parent is the first link that reaches it.
 func (f *Fabric) tree(s int32) []int32 {
 	if t := f.trees[s]; t != nil {
 		return t
 	}
 	if (f.nTrees+1)*len(f.adj) > treeBudget {
-		clear(f.trees)
-		f.nTrees = 0
+		f.dropTrees()
 	}
 	t := make([]int32, len(f.adj))
 	for i := range t {
@@ -304,6 +339,7 @@ func (f *Fabric) tree(s int32) []int32 {
 	}
 	f.bfsQueue = queue[:0]
 	f.trees[s] = t
+	f.routes[s] = make([][]*Link, len(t))
 	f.nTrees++
 	return t
 }

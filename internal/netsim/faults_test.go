@@ -131,7 +131,7 @@ func TestMessageDroppedAtDownLink(t *testing.T) {
 	f := lineFabric(eng, 10*units.MBps, 0)
 	f.SetVertexLinks("b", 0)
 	delivered := false
-	f.Send("a", "b", 1000, func() { delivered = true })
+	f.Send(f.Vertex("a"), f.Vertex("b"), 1000, func() { delivered = true })
 	eng.Run()
 	if delivered {
 		t.Fatal("message crossed a down link")
@@ -146,8 +146,8 @@ func queuedPair(faults func(eng *sim.Engine, f *Fabric)) (a, b, sentA sim.Time, 
 	eng := sim.NewEngine()
 	f = lineFabric(eng, 10*units.MBps, 1e-3)
 	a, b = -1, -1
-	f.Send("a", "sw", units.MB, func() { a = eng.Now() })
-	f.Send("a", "sw", units.MB, func() { b = eng.Now() })
+	f.Send(f.Vertex("a"), f.Vertex("sw"), units.MB, func() { a = eng.Now() })
+	f.Send(f.Vertex("a"), f.Vertex("sw"), units.MB, func() { b = eng.Now() })
 	faults(eng, f)
 	eng.Run()
 	return a, b, sim.Time(float64(units.MB) / float64(10*units.MBps)), f
@@ -245,7 +245,7 @@ func BenchmarkSendDegraded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Send("a", "b", 1000, nil)
+		f.Send(f.Vertex("a"), f.Vertex("b"), 1000, nil)
 		eng.Run()
 	}
 }

@@ -44,7 +44,7 @@ type message struct {
 	// the record as the reply leg (dst back to src) instead of recycling it.
 	hasReply  bool
 	replySize units.Bytes
-	src, dst  string
+	src, dst  Vertex
 
 	// deliverFn is the pre-bound delivery continuation, created once per
 	// record (amortized to zero by the pool).
@@ -80,11 +80,14 @@ const (
 // planOp is a pending change to one leg's plan on m.path[hop]. Changes
 // found while a link's plans are refitted queue up on the fabric and are
 // applied in order by settle, so no link is refitted inside another's
-// refit.
+// refit. A plan's arrival on a link is always its previous hop's sent
+// plus that link's Delay, so the op that moves or removes it knows its
+// current arrival too, and the link finds it by search, not by a walk.
 type planOp struct {
 	m    *message
 	leg  uint64
-	at   sim.Time // arrival at the link (place, move)
+	at   sim.Time // new arrival at the link (place, move)
+	from sim.Time // current arrival at the link (move, remove)
 	hop  int32
 	kind planKind
 }
@@ -183,11 +186,11 @@ func (l *Link) apply(op planOp) {
 	}
 	old, at := -1, -1
 	if op.kind != planPlace {
-		old = l.find(op.leg)
+		old = l.find(op.from, op.leg)
 		f.planStats.Replans++
 	}
 	if op.kind != planRemove {
-		at = l.slot(op.at, op.leg, old)
+		at = l.search(op.at, op.leg)
 		if op.kind == planPlace && l.Down() && l.startOf(at, op.at) <= now {
 			f.recycleMsg(op.m)
 			return
@@ -216,7 +219,7 @@ func (l *Link) apply(op planOp) {
 		if op.kind == planRemove {
 			through = old - 1
 			if !p.held && !p.last {
-				f.ops = append(f.ops, planOp{m: p.m, leg: p.leg, hop: p.hop + 1, kind: planRemove})
+				f.ops = append(f.ops, planOp{m: p.m, leg: p.leg, from: p.sent + sim.Time(l.Delay), hop: p.hop + 1, kind: planRemove})
 			}
 		}
 	}
@@ -236,27 +239,46 @@ func (l *Link) apply(op planOp) {
 	}
 }
 
-// find returns the index of the leg's plan on the link. Leg stamps are
-// unique per fabric.
-func (l *Link) find(leg uint64) int {
-	for i := len(l.plans) - 1; i >= l.first; i-- {
-		if l.plans[i].leg == leg {
-			return i
-		}
+// find returns the index of the leg's plan that arrives at at on the link.
+// Leg stamps are unique per fabric.
+func (l *Link) find(at sim.Time, leg uint64) int {
+	if i := l.search(at, leg); i < len(l.plans) && l.plans[i].leg == leg {
+		return i
 	}
 	panic("netsim: leg has no plan on its link")
 }
 
-// slot returns where a plan arriving at at for leg goes in the link's
-// order, ignoring the plan at skip.
-func (l *Link) slot(at sim.Time, leg uint64, skip int) int {
-	i := len(l.plans)
-	for ; i > l.first; i-- {
-		if q := &l.plans[i-1]; i-1 != skip && (q.arrive < at || q.arrive == at && q.leg < leg) {
+// search returns the index of the first plan not before (at, leg) in the
+// link's order: where a plan arriving at at for leg goes. (apply takes
+// the leg's old plan out afterwards, and steps the index back when the old
+// plan was ahead of it.) Most plans land at or near the tail, so it
+// gallops back from the tail in doubling steps, then bisects the last
+// step: one comparison at the tail, logarithmic anywhere else.
+func (l *Link) search(at sim.Time, leg uint64) int {
+	lo, hi := l.first, len(l.plans) // plans before lo precede the key, from hi on do not
+	for step := 1; hi-step >= lo; step *= 2 {
+		if l.precedes(hi-step, at, leg) {
+			lo = hi - step + 1
 			break
 		}
+		hi -= step
 	}
-	return i
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if l.precedes(h, at, leg) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// precedes reports whether plan i comes before a plan arriving at at for
+// leg in the link's order.
+func (l *Link) precedes(i int, at sim.Time, leg uint64) bool {
+	q := &l.plans[i]
+	return q.arrive < at || q.arrive == at && q.leg < leg
 }
 
 // startOf is when a plan at index i that arrives at at starts: the later
@@ -291,7 +313,7 @@ func (l *Link) refit(k, through int) {
 		if p.last {
 			continue
 		}
-		next := planOp{m: p.m, leg: p.leg, at: sent + sim.Time(l.Delay), hop: p.hop + 1}
+		next := planOp{m: p.m, leg: p.leg, at: sent + sim.Time(l.Delay), from: wasSent + sim.Time(l.Delay), hop: p.hop + 1}
 		switch {
 		case down && !wasHeld:
 			next.kind = planRemove
@@ -405,8 +427,7 @@ func (l *Link) rearmHold() {
 	for i := l.first; i < len(l.plans); i++ {
 		if p := &l.plans[i]; p.held {
 			if !l.holdEv.Active() || l.holdEv.Time() != p.sent {
-				l.holdEv.Cancel()
-				l.holdEv = l.fab.eng.At(p.sent, l.dropHeld)
+				l.holdEv = l.fab.eng.Rearm(l.holdEv, p.sent, l.dropHeld)
 			}
 			return
 		}
@@ -433,7 +454,7 @@ func (m *message) deliver() {
 			f.eng.After(0, m.deliverFn)
 			return
 		}
-		m.path = f.Route(m.dst, m.src)
+		m.path = f.path(m.dst, m.src)
 		f.launch(m)
 		return
 	}
@@ -444,7 +465,7 @@ func (m *message) deliver() {
 	}
 }
 
-// Send transmits a small message of size bytes from src to dst using
+// Send transmits a small message of size bytes from vertex src to dst using
 // store-and-forward FIFO links: at each hop the message waits for the link,
 // occupies it for size/capacity seconds, then propagates. done runs when the
 // last byte arrives at dst. Sending to self completes after a zero-cost
@@ -452,7 +473,7 @@ func (m *message) deliver() {
 //
 // This is the right model for RPC-sized messages; use StartFlow for bulk
 // data so that one big transfer does not head-of-line-block a link.
-func (f *Fabric) Send(src, dst string, size units.Bytes, done func()) {
+func (f *Fabric) Send(src, dst Vertex, size units.Bytes, done func()) {
 	if size < 0 {
 		panic("netsim: negative message size")
 	}
@@ -464,14 +485,14 @@ func (f *Fabric) Send(src, dst string, size units.Bytes, done func()) {
 	m.size = size
 	m.done = done
 	m.hasReply = false
-	m.path = f.Route(src, dst)
+	m.path = f.path(src, dst)
 	f.launch(m)
 }
 
-// RoundTrip sends a request of reqSize from src to dst, then a reply of
+// RoundTrip sends a request of reqSize from vertex src to dst, then a reply of
 // respSize back; done runs when the reply fully arrives at src. The whole
 // round trip rides one pooled record, so it does not allocate either.
-func (f *Fabric) RoundTrip(src, dst string, reqSize, respSize units.Bytes, done func()) {
+func (f *Fabric) RoundTrip(src, dst Vertex, reqSize, respSize units.Bytes, done func()) {
 	if reqSize < 0 || respSize < 0 {
 		panic("netsim: negative message size")
 	}
@@ -488,6 +509,6 @@ func (f *Fabric) RoundTrip(src, dst string, reqSize, respSize units.Bytes, done 
 		f.eng.After(0, m.deliverFn)
 		return
 	}
-	m.path = f.Route(src, dst)
+	m.path = f.path(src, dst)
 	f.launch(m)
 }

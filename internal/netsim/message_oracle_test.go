@@ -167,10 +167,10 @@ func checkAgainstOracle(t *testing.T, name string, build oracleNet, seed int64) 
 		wantFn := func() { want[i] = float64(oeng.Now()) }
 		if rnd.Intn(4) == 0 {
 			resp := units.Bytes(rnd.Intn(4000))
-			eng.At(at, func() { f.RoundTrip(src, dst, size, resp, gotFn) })
+			eng.At(at, func() { f.RoundTrip(f.Vertex(src), f.Vertex(dst), size, resp, gotFn) })
 			oeng.At(at, func() { o.roundTrip(src, dst, size, resp, wantFn) })
 		} else {
-			eng.At(at, func() { f.Send(src, dst, size, gotFn) })
+			eng.At(at, func() { f.Send(f.Vertex(src), f.Vertex(dst), size, gotFn) })
 			oeng.At(at, func() { o.send(src, dst, size, wantFn) })
 		}
 	}
@@ -291,11 +291,11 @@ func checkOvertaking(t *testing.T, name string, build oracleNet, pickHot func([]
 		gotFn := func() { got[i] = float64(eng.Now()) }
 		wantFn := func() { want[i] = float64(oeng.Now()) }
 		if roundTrip {
-			eng.At(at, func() { f.RoundTrip(src, hot, size, 1500, gotFn) })
+			eng.At(at, func() { f.RoundTrip(f.Vertex(src), f.Vertex(hot), size, 1500, gotFn) })
 			oeng.At(at, func() { o.roundTrip(src, hot, size, 1500, wantFn) })
 			return
 		}
-		eng.At(at, func() { f.Send(src, hot, size, gotFn) })
+		eng.At(at, func() { f.Send(f.Vertex(src), f.Vertex(hot), size, gotFn) })
 		oeng.At(at, func() { o.send(src, hot, size, wantFn) })
 	}
 	for b := 0; b < 400; b++ {

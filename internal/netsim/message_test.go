@@ -13,13 +13,13 @@ import (
 func TestMessageRecordsRecycled(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
-	f.Send("a", "b", 1000, nil)
+	f.Send(f.Vertex("a"), f.Vertex("b"), 1000, nil)
 	eng.Run()
 	if got := len(f.freeMsgs); got != msgChunk {
 		t.Fatalf("free list has %d records after delivery, want %d", got, msgChunk)
 	}
 	m1 := f.freeMsgs[len(f.freeMsgs)-1]
-	f.Send("a", "b", 1000, nil)
+	f.Send(f.Vertex("a"), f.Vertex("b"), 1000, nil)
 	if len(f.freeMsgs) != msgChunk-1 {
 		t.Fatal("record not taken from the pool")
 	}
@@ -38,7 +38,7 @@ func TestRoundTripSameHost(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
 	done := false
-	f.RoundTrip("a", "a", 100, 100, func() { done = true })
+	f.RoundTrip(f.Vertex("a"), f.Vertex("a"), 100, 100, func() { done = true })
 	if done {
 		t.Fatal("self round trip completed synchronously")
 	}
@@ -59,11 +59,12 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 	f := lineFabric(eng, units.Mbps(100), 0)
 	cpu := sim.NewProcShare(eng, 2, 1000)
 	mf := mergeFabric(eng)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	fn := func() {}
 	// Warm the pools, the route cache and the waiter ring.
 	for i := 0; i < 10; i++ {
-		f.Send("a", "b", 1000, fn)
-		f.RoundTrip("a", "b", 100, 100, fn)
+		f.Send(a, b, 1000, fn)
+		f.RoundTrip(a, b, 100, 100, fn)
 		cpu.Submit(1, fn)
 		sendMerge(mf, fn)
 		eng.Run()
@@ -72,12 +73,12 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 		name string
 		op   func()
 	}{
-		{"Send", func() { f.Send("a", "b", 1000, fn) }},
-		{"RoundTrip", func() { f.RoundTrip("a", "b", 100, 100, fn) }},
+		{"Send", func() { f.Send(a, b, 1000, fn) }},
+		{"RoundTrip", func() { f.RoundTrip(a, b, 100, 100, fn) }},
 		{"ProcShare.Submit", func() { cpu.Submit(1, fn) }},
 		{"Send burst (queued)", func() {
 			for j := 0; j < 8; j++ {
-				f.Send("a", "b", 1000, fn)
+				f.Send(a, b, 1000, fn)
 			}
 		}},
 		{"Send merge (overtaking)", func() { sendMerge(mf, fn) }},
@@ -98,10 +99,11 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 func BenchmarkSend(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Send("a", "b", 1000, nil)
+		f.Send(src, dst, 1000, nil)
 		eng.Run()
 	}
 }
@@ -111,11 +113,12 @@ func BenchmarkSend(b *testing.B) {
 func BenchmarkSendQueued(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			f.Send("a", "b", 1000, nil)
+			f.Send(src, dst, 1000, nil)
 		}
 		eng.Run()
 	}
@@ -126,17 +129,25 @@ func BenchmarkSendQueued(b *testing.B) {
 func BenchmarkRoundTrip(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.RoundTrip("a", "b", 100, 100, nil)
+		f.RoundTrip(src, dst, 100, 100, nil)
 		eng.Run()
 	}
 }
 
-// mergeFabric is two leaves under one spine, every link 1 Gbps: near
-// hosts n0..n3 and the hot host h on leaf la, far hosts f0..f3 on leaf lb.
-func mergeFabric(eng *sim.Engine) *Fabric {
+// mergeNet is two leaves under one spine, every link 1 Gbps: near hosts
+// n0..n3 and the hot host h on leaf la, far hosts f0..f3 on leaf lb.
+type mergeNet struct {
+	*Fabric
+	near, far [4]Vertex
+	h         Vertex
+}
+
+// mergeFabric builds a mergeNet on eng.
+func mergeFabric(eng *sim.Engine) *mergeNet {
 	f := NewFabric(eng)
 	for _, v := range []string{"spine", "la", "lb", "h", "n0", "n1", "n2", "n3", "f0", "f1", "f2", "f3"} {
 		f.AddVertex(v)
@@ -148,7 +159,11 @@ func mergeFabric(eng *sim.Engine) *Fabric {
 		f.Connect(fmt.Sprintf("n%d", i), "la", units.Gbps(1), 1e-6)
 		f.Connect(fmt.Sprintf("f%d", i), "lb", units.Gbps(1), 1e-6)
 	}
-	return f
+	m := &mergeNet{Fabric: f, h: f.Vertex("h")}
+	for i := range 4 {
+		m.near[i], m.far[i] = f.Vertex(fmt.Sprintf("n%d", i)), f.Vertex(fmt.Sprintf("f%d", i))
+	}
+	return m
 }
 
 // sendMerge sends one round of legs that merge on their way to h: four
@@ -156,12 +171,12 @@ func mergeFabric(eng *sim.Engine) *Fabric {
 // ahead of the larger ones sent before it and pushes them back down the
 // rest of their paths; then four near legs (2 hops) that reach la→h
 // ahead of every far leg.
-func sendMerge(f *Fabric, done func()) {
-	for i, src := range []string{"f0", "f1", "f2", "f3"} {
-		f.Send(src, "h", units.Bytes(4000-900*i), done)
+func sendMerge(m *mergeNet, done func()) {
+	for i, src := range m.far {
+		m.Send(src, m.h, units.Bytes(4000-900*i), done)
 	}
-	for _, src := range []string{"n0", "n1", "n2", "n3"} {
-		f.Send(src, "h", 600, done)
+	for _, src := range m.near {
+		m.Send(src, m.h, 600, done)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestSendTransferTime(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0) // 12.5e6 B/s decimal
 	var doneAt sim.Time
-	f.Send("a", "b", units.Bytes(12.5e6), func() { doneAt = eng.Now() })
+	f.Send(f.Vertex("a"), f.Vertex("b"), units.Bytes(12.5e6), func() { doneAt = eng.Now() })
 	eng.Run()
 	// Store-and-forward over two hops: 1 s per hop.
 	if !almost(float64(doneAt), 2.0, 1e-9) {
@@ -76,8 +76,8 @@ func TestSendQueueingDelay(t *testing.T) {
 	f := lineFabric(eng, units.Mbps(100), 0)
 	var first, second sim.Time
 	size := units.Bytes(12.5e6) // 1s per hop
-	f.Send("a", "b", size, func() { first = eng.Now() })
-	f.Send("a", "b", size, func() { second = eng.Now() })
+	f.Send(f.Vertex("a"), f.Vertex("b"), size, func() { first = eng.Now() })
+	f.Send(f.Vertex("a"), f.Vertex("b"), size, func() { second = eng.Now() })
 	eng.Run()
 	if !almost(float64(first), 2.0, 1e-9) {
 		t.Fatalf("first at %v", first)
@@ -92,7 +92,7 @@ func TestSendToSelf(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
 	done := false
-	f.Send("a", "a", units.MB, func() { done = true })
+	f.Send(f.Vertex("a"), f.Vertex("a"), units.MB, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("self-send never completed")
@@ -103,7 +103,7 @@ func TestRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(800), 0.5e-3)
 	var doneAt sim.Time
-	f.RoundTrip("a", "b", 100, 100, func() { doneAt = eng.Now() })
+	f.RoundTrip(f.Vertex("a"), f.Vertex("b"), 100, 100, func() { doneAt = eng.Now() })
 	eng.Run()
 	// Four propagation delays dominate: 4 × 0.5ms = 2ms (+tiny tx).
 	if float64(doneAt) < 2e-3 || float64(doneAt) > 2.1e-3 {
@@ -187,7 +187,7 @@ func TestFlowZeroSize(t *testing.T) {
 func TestLinkByteAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
-	f.Send("a", "b", units.MB, nil)
+	f.Send(f.Vertex("a"), f.Vertex("b"), units.MB, nil)
 	eng.Run()
 	// Message crosses 2 links.
 	if got := f.TotalBytes(); got != 2*units.MB {

@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"strings"
 	"testing"
 
 	"edisim/internal/cluster"
@@ -201,5 +202,102 @@ func BenchmarkRouteCold(b *testing.B) {
 				f.Route(src, dst)
 			}
 		}
+	}
+}
+
+// checkIndexMatchesName checks that the path by vertex index is the path by
+// name, the very same slice, for every ordered pair of vertices. Half the
+// pairs are asked by index first, so either way of asking fills the one
+// table.
+func checkIndexMatchesName(t *testing.T, name string, f *netsim.Fabric, vertices []string) {
+	t.Helper()
+	for i, src := range vertices {
+		for j, dst := range vertices {
+			if src == dst {
+				continue
+			}
+			var byIndex, byName []*netsim.Link
+			if (i+j)%2 == 0 {
+				byIndex = f.Path(f.Vertex(src), f.Vertex(dst))
+				byName = f.Route(src, dst)
+			} else {
+				byName = f.Route(src, dst)
+				byIndex = f.Path(f.Vertex(src), f.Vertex(dst))
+			}
+			if len(byIndex) == 0 || len(byIndex) != len(byName) || &byIndex[0] != &byName[0] {
+				t.Fatalf("%s: %s -> %s: the path by index is not the path by name", name, src, dst)
+			}
+		}
+	}
+}
+
+// TestRouteByVertexMatchesByName checks on the Table 6 web testbed and a
+// leaf-spine fabric that Send's route by vertex index is the route Route
+// returns by name, and that a Connect after the table is full still
+// invalidates it: the shortcut's routes are seen by index too.
+func TestRouteByVertexMatchesByName(t *testing.T) {
+	for _, n := range []struct {
+		name  string
+		build oracleNet
+	}{
+		{"web-table6", table6Net},
+		{"leaf-spine", leafSpineNet},
+	} {
+		f, _ := n.build(sim.NewEngine())
+		vs := vertexNames(f)
+		checkIndexMatchesName(t, n.name, f, vs)
+
+		a, b := vs[len(vs)-1], vs[0]
+		if len(f.Path(f.Vertex(a), f.Vertex(b))) == 1 {
+			t.Fatalf("%s: %s and %s are already neighbours", n.name, a, b)
+		}
+		f.ConnectAsym(a, b, units.Gbps(1), 1e-6)
+		if p := f.Path(f.Vertex(a), f.Vertex(b)); len(p) != 1 || p[0].Src != a || p[0].Dst != b {
+			t.Fatalf("%s: %s -> %s by index ignores the new link", n.name, a, b)
+		}
+		checkIndexMatchesName(t, n.name+"+shortcut", f, vs)
+		checkRoutesMatchOracle(t, n.name+"+shortcut", f, vs)
+	}
+}
+
+// TestVertexUnknownNamePanics checks that resolving a name the fabric does
+// not have panics with the name in the message.
+func TestVertexUnknownNamePanics(t *testing.T) {
+	f, _ := table6Net(sim.NewEngine())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"nosuchhost"`) {
+			t.Fatalf("Vertex of an unknown name panicked with %q, want the name", msg)
+		}
+	}()
+	f.Vertex("nosuchhost")
+}
+
+// BenchmarkRoute measures a warm route lookup by vertex index, the one
+// every Send makes: the 35-Edison Hadoop testbed's table is filled first,
+// then 1024 host pairs are looked up in turn.
+func BenchmarkRoute(b *testing.B) {
+	f, hosts := hadoopNet(sim.NewEngine())
+	vs := make([]netsim.Vertex, len(hosts))
+	for i, h := range hosts {
+		vs[i] = f.Vertex(h)
+	}
+	for _, s := range vs {
+		for _, d := range vs {
+			if s != d {
+				f.Path(s, d)
+			}
+		}
+	}
+	var pairs [1024][2]netsim.Vertex
+	for i := range pairs {
+		s := i % len(vs)
+		pairs[i] = [2]netsim.Vertex{vs[s], vs[(s+1+i/len(vs))%len(vs)]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &pairs[i&(len(pairs)-1)]
+		f.Path(p[0], p[1])
 	}
 }

@@ -42,6 +42,22 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkRearm measures re-keying a live event in place, as ProcShare
+// re-arms its completion on every submit, with 4096 other events pending.
+func BenchmarkRearm(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 4096; i++ {
+		e.After(float64(i)+1e6, func() {})
+	}
+	fn := func() {}
+	ref := e.After(1, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ref = e.Rearm(ref, Time(1+i%64), fn)
+	}
+}
+
 // BenchmarkEngineDrain measures bulk scheduling followed by a full drain,
 // in batches so the heap repeatedly grows and empties.
 func BenchmarkEngineDrain(b *testing.B) {

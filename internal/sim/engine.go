@@ -31,6 +31,20 @@
 // event leaves a tombstone in the ring, skipped at promotion. A lane whose
 // newest events were cancelled can Withdraw them, rolling its latest time
 // back to its newest live event so that earlier times are accepted again.
+//
+// Firing the heap's head leaves its root slot open while the callback runs,
+// unless the head is a lane event (its lane's next event takes the slot).
+// Most callbacks schedule a follow-up, and the first push fills the open
+// slot with one siftDown, as a heap "replace" does, instead of a siftDown
+// to close the hole and a siftUp to place the new event. Any other heap
+// operation, and the return from the callback, first closes the slot from
+// the last entry. Pending never counts the open slot.
+//
+// Rearm moves a scheduled event to a new time and callback in place: the
+// event takes the next sequence number, so it fires exactly where Cancel
+// followed by At would put it, at the cost of one sift instead of two.
+// Processor sharing, the fabric's flow completions and a link's held-leg
+// drop re-arm their one pending event this way.
 package sim
 
 import (
@@ -114,6 +128,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	heap    []slot   // 4-ary min-heap on (at, seq)
+	open    bool     // heap[0] is the fired head's slot, not yet refilled
 	waiting int      // live lane events behind their lane's head
 	free    []*Event // recycled event records
 	stopped bool
@@ -154,7 +169,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled events, lane events included.
-func (e *Engine) Pending() int { return len(e.heap) + e.waiting }
+func (e *Engine) Pending() int {
+	if e.open {
+		return len(e.heap) - 1 + e.waiting
+	}
+	return len(e.heap) + e.waiting
+}
 
 // alloc takes an event record from the freelist, growing it when empty.
 func (e *Engine) alloc() *Event {
@@ -221,10 +241,29 @@ func (e *Engine) siftDown(i int, x slot) {
 	x.ev.pos = i
 }
 
-// push adds a scheduled event to the heap.
+// push adds a scheduled event to the heap, into the open root slot when
+// there is one.
 func (e *Engine) push(ev *Event) {
+	x := slot{key: keyOf(ev.at), seq: ev.seq, ev: ev}
+	if e.open {
+		e.open = false
+		e.siftDown(0, x)
+		return
+	}
 	e.heap = append(e.heap, slot{})
-	e.siftUp(len(e.heap)-1, slot{key: keyOf(ev.at), seq: ev.seq, ev: ev})
+	e.siftUp(len(e.heap)-1, x)
+}
+
+// close fills the open root slot from the last entry.
+func (e *Engine) close() {
+	e.open = false
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = slot{}
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(0, last)
+	}
 }
 
 // fill refills the hole at position i with x.
@@ -257,6 +296,9 @@ func (e *Engine) unlink(i int, ev *Event) {
 // behind its head is left in the ring as a tombstone: its record is
 // recycled, so the seq stamp the ring kept no longer matches.
 func (e *Engine) cancel(ev *Event) {
+	if e.open {
+		e.close()
+	}
 	if ev.pos < 0 {
 		ev.lane.live--
 		e.waiting--
@@ -266,14 +308,25 @@ func (e *Engine) cancel(ev *Event) {
 	e.recycle(ev)
 }
 
-// schedule checks t and stamps a fresh record with it and fn.
-func (e *Engine) schedule(t Time, fn func()) *Event {
+// check panics unless t is a finite time no earlier than now. NaN fails
+// both comparisons.
+func (e *Engine) check(t Time) {
+	if !(t >= e.now && t <= math.MaxFloat64) {
+		e.badTime(t)
+	}
+}
+
+// badTime panics with the reason check rejected t.
+func (e *Engine) badTime(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %g < %g", t, e.now))
 	}
-	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
-		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
-	}
+	panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
+}
+
+// schedule checks t and stamps a fresh record with it and fn.
+func (e *Engine) schedule(t Time, fn func()) *Event {
+	e.check(t)
 	e.seq++
 	ev := e.alloc()
 	ev.at = t
@@ -296,6 +349,27 @@ func (e *Engine) After(d float64, fn func()) EventRef {
 		panic(fmt.Sprintf("sim: negative delay %g", d))
 	}
 	return e.At(e.now+Time(d), fn)
+}
+
+// Rearm reschedules the event r names to run fn at t and returns its new
+// handle; r goes stale. The event takes the next sequence number, so it
+// fires exactly where r.Cancel() followed by At(t, fn) would put it. A
+// heap event is re-keyed in place; a dead ref or a lane event is cancelled
+// and fn scheduled afresh with At.
+func (e *Engine) Rearm(r EventRef, t Time, fn func()) EventRef {
+	e.check(t)
+	if !r.live() || r.ev.lane != nil {
+		r.Cancel()
+		return e.At(t, fn)
+	}
+	if e.open {
+		e.close()
+	}
+	ev := r.ev
+	e.seq++
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	e.fill(ev.pos, slot{key: keyOf(t), seq: ev.seq, ev: ev})
+	return EventRef{ev: ev, seq: ev.seq}
 }
 
 // Lane is a FIFO stream of events on one engine whose times never
@@ -432,12 +506,18 @@ func (e *Engine) Run() {
 
 // popHead removes the earliest event, advances the clock to it and returns
 // its callback. The record is recycled before the callback runs, so the
-// callback is free to schedule (and reuse) events.
+// callback is free to schedule (and reuse) events. A lane head's slot goes
+// to its lane's next event; any other head's slot is left open for the
+// callback's first push (the caller closes it when the callback returns).
 func (e *Engine) popHead() func() {
 	ev := e.heap[0].ev
 	e.now = ev.at
 	fn := ev.fn
-	e.unlink(0, ev)
+	if ev.lane != nil {
+		e.unlink(0, ev)
+	} else {
+		e.open = true
+	}
 	e.recycle(ev)
 	e.fired++
 	return fn
@@ -450,6 +530,9 @@ func (e *Engine) popHead() func() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	e.interrupted = false
+	if e.open {
+		e.close() // left open by a callback that panicked
+	}
 	for len(e.heap) > 0 && !e.stopped {
 		if e.heap[0].ev.at > deadline {
 			break
@@ -459,6 +542,9 @@ func (e *Engine) RunUntil(deadline Time) {
 			return
 		}
 		e.popHead()()
+		if e.open {
+			e.close()
+		}
 	}
 	if !e.stopped && !math.IsInf(float64(deadline), 1) && deadline > e.now {
 		e.now = deadline
@@ -467,9 +553,15 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // Step executes exactly one event, reporting false when none remain.
 func (e *Engine) Step() bool {
+	if e.open {
+		e.close()
+	}
 	if len(e.heap) == 0 {
 		return false
 	}
 	e.popHead()()
+	if e.open {
+		e.close()
+	}
 	return true
 }

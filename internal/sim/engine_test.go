@@ -104,6 +104,17 @@ func TestEngineSteadyStateNoAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("schedule/fire allocates %.1f objects per event, want 0", allocs)
 	}
+	// Re-keying a live event in place, and re-arming one that fired,
+	// allocates nothing either.
+	armed := e.After(1, fn)
+	allocs = testing.AllocsPerRun(1000, func() {
+		armed = e.Rearm(armed, e.Now()+2, fn)
+		e.After(1, fn)
+		e.Step()
+	})
+	if allocs > 0 {
+		t.Fatalf("Rearm allocates %.1f objects per event, want 0", allocs)
+	}
 }
 
 func TestEngineSchedulingFromEvent(t *testing.T) {

@@ -285,11 +285,12 @@ func (p *ProcShare) veps() float64 {
 	return 1e-9 * (v + 1)
 }
 
-// reschedule re-arms the next-completion event for the current head task.
+// reschedule re-arms the next-completion event for the current head task,
+// in place when one is pending (Engine.Rearm).
 func (p *ProcShare) reschedule() {
-	p.nextDone.Cancel()
-	p.nextDone = EventRef{}
 	if len(p.tasks) == 0 {
+		p.nextDone.Cancel()
+		p.nextDone = EventRef{}
 		return
 	}
 	head := p.tasks[0]
@@ -299,7 +300,7 @@ func (p *ProcShare) reschedule() {
 	}
 	r := p.rate()
 	dt := remaining / r
-	p.nextDone = p.eng.After(dt, p.completeFn)
+	p.nextDone = p.eng.Rearm(p.nextDone, p.eng.Now()+Time(dt), p.completeFn)
 }
 
 // complete pops every task whose virtual finish time has been reached.

@@ -1,6 +1,9 @@
 package web
 
-import "edisim/internal/sim"
+import (
+	"edisim/internal/netsim"
+	"edisim/internal/sim"
+)
 
 // webConn is a pooled client connection driven as a state machine, the
 // connection-level counterpart of webReq: a SYN handshake with kernel
@@ -21,7 +24,7 @@ import "edisim/internal/sim"
 // connection itself.
 type webConn struct {
 	rs     *runState
-	client string
+	client netsim.Vertex
 	srv    *WebServer // SYN target, then the established server
 	target *WebServer // server the current request attempt went to
 
@@ -42,7 +45,7 @@ type webConn struct {
 type synTry struct {
 	c                             *webConn
 	target                        *WebServer
-	client                        string
+	client                        netsim.Vertex
 	stamp                         uint64
 	arrivedFn, acceptFn, synAckFn func()
 }
@@ -74,7 +77,7 @@ func bindConn(c *webConn) {
 func bindTry(t *synTry) { t.arrivedFn, t.acceptFn, t.synAckFn = t.arrived, t.accepted, t.synAcked }
 
 // launch opens one connection from client to w.
-func (rs *runState) launch(client string, w *WebServer) {
+func (rs *runState) launch(client netsim.Vertex, w *WebServer) {
 	c := rs.d.conns.get(bindConn)
 	c.rs, c.client, c.srv = rs, client, w
 	c.connStart = rs.d.Eng.Now()
@@ -106,7 +109,7 @@ func (c *webConn) sendSyn() {
 	c.gen++
 	t := d.tries.get(bindTry)
 	t.c, t.target, t.client, t.stamp = c, c.srv, c.client, c.gen
-	d.Fab.Send(c.client, c.srv.Node.ID, rpcHeaderBytes, t.arrivedFn)
+	d.Fab.Send(c.client, c.srv.vertex, rpcHeaderBytes, t.arrivedFn)
 	if rs.recover {
 		step := min(c.synAttempt, len(rs.synTimers)-1)
 		c.timer = rs.synTimers[step].After(d.Params.RetryBackoff[step], c.droppedFn)
@@ -135,7 +138,7 @@ func (t *synTry) arrived() {
 // accepted runs when the server gets to the queued SYN: SYN-ACK back.
 func (t *synTry) accepted() {
 	t.target.acceptConn()
-	t.target.dep.Fab.Send(t.target.Node.ID, t.client, rpcHeaderBytes, t.synAckFn)
+	t.target.dep.Fab.Send(t.target.vertex, t.client, rpcHeaderBytes, t.synAckFn)
 }
 
 // synAcked runs at the client; the connection is usable unless this
@@ -157,7 +160,7 @@ func (c *webConn) refused(w *WebServer) {
 	c.gen++
 	c.timer.Cancel()
 	c.rs.d.noteShed()
-	c.rs.d.Fab.Send(w.Node.ID, c.client, rpcHeaderBytes, c.failFn)
+	c.rs.d.Fab.Send(w.vertex, c.client, rpcHeaderBytes, c.failFn)
 }
 
 // dropped handles a SYN lost to a full backlog or a down host, or a

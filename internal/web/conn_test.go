@@ -37,7 +37,7 @@ func TestWebConnSteadyStateNoAlloc(t *testing.T) {
 			rs := d.begin(tc.cfg.withDefaults())
 			eng.RunUntil(rs.winStart)
 			launch := func(i int) {
-				rs.launch(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)])
+				rs.launch(d.clients[i%len(d.clients)], d.Web[i%len(d.Web)])
 				eng.RunUntil(eng.Now() + sim.Time(tc.span))
 			}
 			for i := 0; i < 100; i++ {
@@ -95,12 +95,12 @@ func TestWebConnStaleSafety(t *testing.T) {
 		}
 	}
 
-	rs.launch(d.Clients[0], d.Web[0])
+	rs.launch(d.clients[0], d.Web[0])
 	for settled() == 0 {
 		step()
 	}
 	rec := d.conns.free[len(d.conns.free)-1] // the first connection's record, recycled
-	rs.launch(d.Clients[1], d.Web[0])
+	rs.launch(d.clients[1], d.Web[0])
 	if rec.rs != rs {
 		t.Fatal("second connection did not reuse the recycled record")
 	}

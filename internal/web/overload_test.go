@@ -375,11 +375,11 @@ func TestShedSteadyStateNoAlloc(t *testing.T) {
 	cfg := RunConfig{Concurrency: 1}.withDefaults()
 	done := func(uint64, bool) {}
 	for i := 0; i < 100; i++ {
-		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
+		d.request(d.clients[i%len(d.clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		d.request(d.Clients[0], d.Web[1], cfg.ImageFrac, 0, done)
+		d.request(d.clients[0], d.Web[1], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	})
 	if avg != 0 {

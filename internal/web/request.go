@@ -1,6 +1,7 @@
 package web
 
 import (
+	"edisim/internal/netsim"
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
@@ -22,7 +23,7 @@ type webReq struct {
 	w         *WebServer
 	cache     *CacheServer
 	db        *DBServer
-	client    string
+	client    netsim.Vertex
 	imageFrac float64
 	stamp     uint64
 	done      func(stamp uint64, ok bool)
@@ -52,7 +53,7 @@ func bindReq(r *webReq) {
 // arrives; the stamp is handed back unchanged so the caller can recognise a
 // reply to an attempt it has since abandoned. The web-server-side interval
 // and the cache/DB sub-intervals feed the Table 7 decomposition.
-func (d *Deployment) request(client string, w *WebServer, imageFrac float64, stamp uint64, done func(uint64, bool)) {
+func (d *Deployment) request(client netsim.Vertex, w *WebServer, imageFrac float64, stamp uint64, done func(uint64, bool)) {
 	r := d.reqs.get(bindReq)
 	r.d = d
 	r.w = w
@@ -60,7 +61,7 @@ func (d *Deployment) request(client string, w *WebServer, imageFrac float64, sta
 	r.imageFrac = imageFrac
 	r.stamp = stamp
 	r.done = done
-	d.Fab.Send(client, w.Node.ID, requestBytes, r.arrivedFn)
+	d.Fab.Send(client, w.vertex, requestBytes, r.arrivedFn)
 }
 
 // arrivedAtWeb runs when the request bytes reach the web server: admission
@@ -74,13 +75,13 @@ func (r *webReq) arrivedAtWeb() {
 		return
 	}
 	if !r.w.admitRequest(r.startFn) {
-		r.d.Fab.Send(r.w.Node.ID, r.client, 512, r.errFn)
+		r.d.Fab.Send(r.w.vertex, r.client, 512, r.errFn)
 	}
 }
 
 // shedComputed pushes the 503 rejection page after its fast-fail CPU burn.
 func (r *webReq) shedComputed() {
-	r.d.Fab.Send(r.w.Node.ID, r.client, 512, r.errFn)
+	r.d.Fab.Send(r.w.vertex, r.client, 512, r.errFn)
 }
 
 // start runs when a worker thread picks the request up: choose the table
@@ -107,7 +108,7 @@ func (r *webReq) prologueDone() {
 	d := r.d
 	r.cache = d.cacheFor(r.k)
 	r.cacheStart = d.Eng.Now()
-	d.Fab.Send(r.w.Node.ID, r.cache.Node.ID, rpcHeaderBytes, r.atCacheFn)
+	d.Fab.Send(r.w.vertex, r.cache.vertex, rpcHeaderBytes, r.atCacheFn)
 }
 
 // arrivedAtCache burns the server-side GET cost on the cache node.
@@ -121,10 +122,10 @@ func (r *webReq) cacheLooked() {
 	size, hit := r.cache.lookup(r.k)
 	if hit {
 		r.replySize = size
-		r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, size, r.valueReturnFn)
+		r.d.Fab.Send(r.cache.vertex, r.w.vertex, size, r.valueReturnFn)
 		return
 	}
-	r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, rpcHeaderBytes, r.missReturnFn)
+	r.d.Fab.Send(r.cache.vertex, r.w.vertex, rpcHeaderBytes, r.missReturnFn)
 }
 
 // valueReturned runs when the cached value, or on a miss the DB row,
@@ -166,7 +167,7 @@ func (r *webReq) missReturned() {
 	}
 	r.db = d.DBs[d.rnd.db.Intn(len(d.DBs))]
 	r.dbStart = d.Eng.Now()
-	d.Fab.Send(r.w.Node.ID, r.db.Node.ID, requestBytes, r.atDBFn)
+	d.Fab.Send(r.w.vertex, r.db.vertex, requestBytes, r.atDBFn)
 }
 
 // arrivedAtDB..dbRead execute one MySQL lookup on the record: query CPU,
@@ -180,7 +181,7 @@ func (r *webReq) dbComputed() {
 }
 
 func (r *webReq) dbRead() {
-	r.d.Fab.Send(r.db.Node.ID, r.w.Node.ID, r.rowSize, r.valueReturnFn)
+	r.d.Fab.Send(r.db.vertex, r.w.vertex, r.rowSize, r.valueReturnFn)
 }
 
 // finish assembles the page (reply CPU scales with size) and pushes the
@@ -196,7 +197,7 @@ func (r *webReq) assembled() {
 	d := r.d
 	d.run.res.WebTotal.Add(float64(d.Eng.Now() - r.arrived))
 	r.w.finishRequest()
-	d.Fab.Send(r.w.Node.ID, r.client, r.replySize+256, r.okFn)
+	d.Fab.Send(r.w.vertex, r.client, r.replySize+256, r.okFn)
 }
 
 // deliverOK/deliverErr run at the client on full arrival of the reply/500:

@@ -41,10 +41,11 @@ type Deployment struct {
 	// homogeneous middle tiers; tiered deployments may split them).
 	CachePlat *hw.Platform
 
-	Web     []*WebServer
-	Cache   []*CacheServer
-	DBs     []*DBServer
-	Clients []string
+	Web   []*WebServer
+	Cache []*CacheServer
+	DBs   []*DBServer
+
+	clients []netsim.Vertex // the testbed's client machines
 
 	webNodes, cacheNodes []*hw.Node
 	meter                *power.Meter
@@ -96,14 +97,18 @@ func (t Tier) deploy(tb *cluster.Testbed, seed int64) *Deployment {
 	if len(tb.DB) == 0 || len(tb.Clients) == 0 {
 		panic("web: testbed needs DB servers and clients")
 	}
-	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: t.Web, CachePlat: t.Cache, Clients: tb.Clients,
+	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: t.Web, CachePlat: t.Cache,
 		webNodes: webNodes, cacheNodes: cacheNodes}
 	d.run = &runState{d: d, loadFactor: 1}
 	for _, n := range webNodes {
 		d.Web = append(d.Web, newWebServer(d, n))
 	}
+	for _, c := range tb.Clients {
+		d.clients = append(d.clients, d.Fab.Vertex(c))
+	}
+	items := new(store)
 	for _, n := range cacheNodes {
-		d.Cache = append(d.Cache, newCacheServer(d, n))
+		d.Cache = append(d.Cache, newCacheServer(d, n, items))
 	}
 	for _, n := range tb.DB {
 		d.DBs = append(d.DBs, newDBServer(d, n, tb.Infra.Web.DBQueryCPU))
@@ -597,7 +602,7 @@ func (rs *runState) arrive() {
 // the next live one in the rotation's ring order.
 func (rs *runState) fire() {
 	d := rs.d
-	client := d.Clients[rs.next%len(d.Clients)]
+	client := d.clients[rs.next%len(d.clients)]
 	rs.ovl.winArr++
 	w := rs.rotation[rs.next%len(rs.rotation)]
 	rs.next++

@@ -2,6 +2,7 @@ package web
 
 import (
 	"edisim/internal/hw"
+	"edisim/internal/netsim"
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
@@ -10,7 +11,8 @@ import (
 type WebServer struct {
 	Node *hw.Node
 
-	dep *Deployment
+	dep    *Deployment
+	vertex netsim.Vertex // Node's fabric vertex
 
 	// Connection admission (ports/threads for accept).
 	lastAccept  sim.Time
@@ -35,7 +37,8 @@ type WebServer struct {
 }
 
 func newWebServer(dep *Deployment, node *hw.Node) *WebServer {
-	return &WebServer{Node: node, dep: dep, acceptQ: dep.Eng.NewLane(), startQ: dep.Eng.NewLane()}
+	return &WebServer{Node: node, dep: dep, vertex: dep.Fab.Vertex(node.ID),
+		acceptQ: dep.Eng.NewLane(), startQ: dep.Eng.NewLane()}
 }
 
 // costs resolves the middle-tier platform's web calibration.
@@ -126,39 +129,47 @@ func (w *WebServer) admitRequest(start func()) bool {
 
 func (w *WebServer) finishRequest() { w.inflight-- }
 
-// CacheServer is one memcached node holding a real key→size store.
+// CacheServer is one memcached node holding a real key→size store. The
+// store is the server's share of the deployment's dense table (store), one
+// slot per row of the dataset: cacheFor gives each key exactly one server,
+// so the servers never share a slot, and a lookup is an index instead of a
+// hash.
 type CacheServer struct {
 	Node *hw.Node
 
-	dep   *Deployment
-	items map[rowKey]units.Bytes
-	used  units.Bytes
+	dep    *Deployment
+	vertex netsim.Vertex // Node's fabric vertex
+	items  *store
+	used   units.Bytes
 
 	gets, hits int64
 }
 
-func newCacheServer(dep *Deployment, node *hw.Node) *CacheServer {
-	return &CacheServer{Node: node, dep: dep, items: make(map[rowKey]units.Bytes)}
+func newCacheServer(dep *Deployment, node *hw.Node, items *store) *CacheServer {
+	return &CacheServer{Node: node, dep: dep, vertex: dep.Fab.Vertex(node.ID), items: items}
 }
+
+// store is a deployment's cache contents: the stored value size of every
+// row of the dataset, indexed by rowKey; 0 is absent, since a stored value
+// has a positive size.
+type store [(numPlainTables + numImageTables) * rowsPerTable]units.Bytes
 
 // Set stores a value size under key (warm-up path).
 func (c *CacheServer) Set(key rowKey, size units.Bytes) {
-	if old, ok := c.items[key]; ok {
-		c.used -= old
-	}
+	c.used += size - c.items[key]
 	c.items[key] = size
-	c.used += size
 }
 
 // lookup performs the in-memory hit check (the actual data structure, not a
 // coin flip) and returns the stored size.
 func (c *CacheServer) lookup(key rowKey) (units.Bytes, bool) {
 	c.gets++
-	size, ok := c.items[key]
-	if ok {
-		c.hits++
+	size := c.items[key]
+	if size == 0 {
+		return 0, false
 	}
-	return size, ok
+	c.hits++
+	return size, true
 }
 
 // HitRatio reports the measured hit ratio so far.
@@ -175,11 +186,12 @@ type DBServer struct {
 	Node *hw.Node
 
 	dep      *Deployment
-	queryCPU float64 // per-query single-core seconds on this platform
+	vertex   netsim.Vertex // Node's fabric vertex
+	queryCPU float64       // per-query single-core seconds on this platform
 }
 
 func newDBServer(dep *Deployment, node *hw.Node, queryCPU float64) *DBServer {
-	return &DBServer{Node: node, dep: dep, queryCPU: queryCPU}
+	return &DBServer{Node: node, dep: dep, vertex: dep.Fab.Vertex(node.ID), queryCPU: queryCPU}
 }
 
 // rowKey identifies a row in the synthetic wikipedia+images dataset: a

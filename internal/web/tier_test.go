@@ -36,9 +36,9 @@ func TestTable6Configuration(t *testing.T) {
 				t.Errorf("scale %s %s: %v", r.Name, tier.Web.Name, err)
 			}
 			d := tier.Build(hw.PowerLinear, nil, 1)
-			if len(d.Web) != tier.NWeb || len(d.Cache) != tier.NCache || len(d.DBs) != 2 || len(d.Clients) != 8 {
+			if len(d.Web) != tier.NWeb || len(d.Cache) != tier.NCache || len(d.DBs) != 2 || len(d.clients) != 8 {
 				t.Errorf("scale %s %s: built %d web, %d cache, %d DB, %d clients",
-					r.Name, tier.Web.Name, len(d.Web), len(d.Cache), len(d.DBs), len(d.Clients))
+					r.Name, tier.Web.Name, len(d.Web), len(d.Cache), len(d.DBs), len(d.clients))
 			}
 			for _, w := range d.Web {
 				if w.Node.Spec != tier.Web.Spec {

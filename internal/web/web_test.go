@@ -5,6 +5,7 @@ import (
 
 	"edisim/internal/cluster"
 	"edisim/internal/hw"
+	"edisim/internal/units"
 )
 
 // microP and brawnyP are the baseline pair used across the web tests.
@@ -182,6 +183,42 @@ func TestCacheServerStore(t *testing.T) {
 	if c.HitRatio() != 0.5 {
 		t.Fatalf("hit ratio %v, want 0.5", c.HitRatio())
 	}
+
+	// A second server keeps its own byte account over the shared store:
+	// overwriting one of its keys moves its total only.
+	c2 := d.Cache[1]
+	k2 := key(2, 0)
+	for d.cacheFor(k2) != c2 {
+		k2++
+	}
+	c2.Set(k2, 300)
+	c2.Set(k2, 50)
+	if c2.used != 50 || c.used != 200 {
+		t.Fatalf("used %d and %d after overwrites, want 200 and 50", c.used, c2.used)
+	}
+	if size, ok := c2.lookup(k2); !ok || size != 50 {
+		t.Fatalf("second server's key reads %d (hit %v), want 50", size, ok)
+	}
+
+	// Warming stores the first rows of every table on their owners; the
+	// rows beyond them are absent, up to the last row of the last table.
+	d.Warm(0.5)
+	for table := 0; table < numPlainTables+numImageTables; table++ {
+		want := units.Bytes(plainReplyBytes)
+		if table >= numPlainTables {
+			want = imageReplyBytes
+		}
+		k := key(table, rowsPerTable/2-1)
+		if size, ok := d.cacheFor(k).lookup(k); !ok || size != want {
+			t.Fatalf("warmed row %d reads %d (hit %v), want %d", k, size, ok, want)
+		}
+		for _, row := range []int{rowsPerTable / 2, rowsPerTable - 1} {
+			k := key(table, row)
+			if _, ok := d.cacheFor(k).lookup(k); ok {
+				t.Fatalf("row %d beyond the warmed rows is present", k)
+			}
+		}
+	}
 }
 
 func TestCacheForIsConsistent(t *testing.T) {
@@ -213,11 +250,11 @@ func TestWebRequestSteadyStateNoAlloc(t *testing.T) {
 	done := func(uint64, bool) {}
 	// Warm every pool and the route cache.
 	for i := 0; i < 100; i++ {
-		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
+		d.request(d.clients[i%len(d.clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		d.request(d.Clients[0], d.Web[1], cfg.ImageFrac, 0, done)
+		d.request(d.clients[0], d.Web[1], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	})
 	if avg != 0 {
