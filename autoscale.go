@@ -157,11 +157,6 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 		if as.Autoscale == nil {
 			meanActive = float64(ts.NWeb)
 		}
-		perW := 0.0
-		if res.MeanPower > 0 {
-			perW = res.Throughput / float64(res.MeanPower)
-		}
-
 		o := &core.Outcome{}
 		t := report.NewTable(title,
 			"offered conn/s", "goodput req/s", "SLO met", "mean active", "scale events", "boots", "boot J", "power W", "req/s/W", "shed /s", "err rate").
@@ -175,20 +170,13 @@ func (as *AutoscaleStudy) expand(cfg core.Config) ([]unit, error) {
 			report.Count(res.Boots, ""),
 			report.Num(float64(res.BootEnergy), "J"),
 			report.Num(float64(res.MeanPower), "W"),
-			report.Num(perW, "req/s/W"),
+			report.Num(res.PerWatt(), "req/s/W"),
 			report.Num(float64(res.Shed)/res.WindowSecs, "/s"),
 			report.Num(res.ErrorRate, ""),
 		)
 		o.Tables = append(o.Tables, t)
-		if wins := res.Windows; len(wins) > 0 {
-			x := make([]float64, len(wins))
-			served := make([]float64, len(wins))
-			active := make([]float64, len(wins))
-			for i, w := range wins {
-				x[i] = w.T
-				served[i] = float64(w.Served) / res.Config.SLO.Window
-				active[i] = float64(w.Active)
-			}
+		if len(res.Windows) > 0 {
+			x, served, _, active := core.SLOSeries(res)
 			f := report.NewFigure(title+" — fleet vs load", "t (s)", "per second / servers", x)
 			f.Add("served ops/s", served)
 			f.Add("servers in rotation", active)

@@ -40,7 +40,7 @@ func main() {
 				tier.Web.Label, conc, r.Throughput,
 				fmt.Sprintf("%.1fms", r.MeanDelay*1e3),
 				fmt.Sprintf("%.1fW", float64(r.MeanPower)),
-				r.Throughput/float64(r.MeanPower))
+				r.PerWatt())
 		}
 	}
 	fmt.Println("\nreq/joule at peak is the paper's 3.5x energy-efficiency result")

@@ -4,13 +4,8 @@ import (
 	"fmt"
 
 	"edisim/internal/autoscale"
-	"edisim/internal/carbon"
-	"edisim/internal/hw"
 	"edisim/internal/load"
-	"edisim/internal/power"
 	"edisim/internal/report"
-	"edisim/internal/sim"
-	"edisim/internal/tco"
 	"edisim/internal/web"
 )
 
@@ -68,14 +63,6 @@ func autoscalePolicies() []asPolicy {
 	}
 }
 
-type asPoint struct {
-	res     web.Result
-	sloMet  float64   // fraction of controller windows that met the SLO
-	ep      float64   // energy-proportionality score of the web tier
-	perW    float64   // goodput per cluster watt (boot + idle priced in)
-	actives []float64 // rotation size per controller window
-}
-
 // runAutoscale asks the elasticity question the paper's fixed testbeds
 // cannot: when traffic has a shape, which fleet tracks it cheapest? Every
 // platform runs a diurnal cycle and a flash-crowd spike under each sizing
@@ -96,7 +83,7 @@ func runAutoscale(cfg Config) *Outcome {
 	slo := overloadSLO()
 
 	points := RunSweep(cfg, "autoscale/matrix", len(plats)*len(profiles)*len(policies),
-		func(i int, seed int64) asPoint {
+		func(i int, seed int64) web.Result {
 			p := plats[i/(len(profiles)*len(policies))]
 			rest := i % (len(profiles) * len(policies))
 			prof := profiles[rest/len(policies)].mk(connCapacity(p), dur)
@@ -107,85 +94,36 @@ func runAutoscale(cfg Config) *Outcome {
 			s := slo
 			rc.SLO = &s
 			rc.Autoscale = ac
-			dep := fleetTier(p).Build(cfg.Energy, cfg.Interrupt, seed)
-			dep.WarmFor(rc)
-
-			// Meter the web tier alone over the measurement window: the
-			// energy-proportionality score compares what the offered work
-			// would cost on always-busy servers against what the tier
-			// actually burned (idle floors, parked zeros, boot burn).
-			webNodes := make([]*hw.Node, len(dep.Web))
-			for wi, w := range dep.Web {
-				webNodes[wi] = w.Node
-			}
-			meter := power.NewMeter("web-tier", webNodes)
-			origin := dep.Eng.Now()
-			var webEnergy float64
-			dep.Eng.At(origin+sim.Time(rc.Duration*rc.WarmupFrac), func() { meter.Reset() })
-			dep.Eng.At(origin+sim.Time(rc.Duration), func() { webEnergy = float64(meter.Energy()) })
-
-			res := dep.Run(rc)
-			actives := make([]float64, len(res.Windows))
-			for wi, w := range res.Windows {
-				actives[wi] = float64(w.Active)
-			}
-
-			// Ideal joules price offered work at the armed model's busy draw,
-			// so the EP score stays consistent with what the nodes meter.
-			ideal := float64(res.Offered) / p.Web.ConnRate * float64(p.PowerModelFor(cfg.Energy).BusyDraw())
-			ep := safeDiv(ideal, webEnergy, 0)
-			if ep > 1 {
-				ep = 1
-			}
-			return asPoint{
-				res:     res,
-				sloMet:  res.SLOMet(),
-				ep:      ep,
-				perW:    safeDiv(res.Throughput, float64(res.MeanPower), 0),
-				actives: actives,
-			}
+			return RunWebPoint(cfg, fleetTier(p), rc, nil, seed)
 		})
-	at := func(pi, fi, ci int) asPoint {
+	at := func(pi, fi, ci int) web.Result {
 		return points[pi*len(profiles)*len(policies)+fi*len(policies)+ci]
 	}
 
-	armed := cfg.CarbonArmed()
-	asCols := []string{"platform", "profile", "policy", "SLO met", "goodput req/s", "power W", "req/s/W", "mean active", "scale events", "boots", "boot J", "EP score"}
-	asUnits := []string{"", "", "", "", "req/s", "W", "req/s/W", "servers", "", "", "J", ""}
-	if armed {
-		asCols = append(asCols, "gCO2e/h", "req per gCO2e", fmt.Sprintf("energy $/h (%s)", cfg.Grid().Region))
-		asUnits = append(asUnits, "g/h", "req/g", "$/h")
-	}
-	regionPrice, _ := tco.RegionPrice(cfg.Grid().Region)
+	asCols, asUnits := lensHeaders(
+		[]string{"platform", "profile", "policy", "SLO met", "goodput req/s", "power W", "req/s/W", "mean active", "scale events", "boots", "boot J", "EP score"},
+		[]string{"", "", "", "", "req/s", "W", "req/s/W", "servers", "", "", "J", ""},
+		servingLens(cfg, web.Result{}))
 	tab := report.NewTable("Autoscaling ladder — fleet elasticity per platform, boot and idle energy priced in (SLO: p99 <= 0.5 s, availability >= 99%)",
 		asCols...).WithUnits(asUnits...)
 	for pi, p := range plats {
 		for fi, prof := range profiles {
 			for ci, pol := range policies {
-				pt := at(pi, fi, ci)
-				r := pt.res
+				r := at(pi, fi, ci)
 				meanActive := r.MeanActive
 				if pol.key == "static" {
 					meanActive = float64(p.Fleet.Web)
 				}
-				row := []any{p.Label, prof.key, pol.key,
-					report.Num(pt.sloMet, ""),
+				tab.AddRow(lensCells([]any{p.Label, prof.key, pol.key,
+					report.Num(r.SLOMet(), ""),
 					report.Num(r.Throughput, "req/s"),
 					report.Num(float64(r.MeanPower), "W"),
-					report.Num(pt.perW, "req/s/W"),
+					report.Num(r.PerWatt(), "req/s/W"),
 					report.Num(meanActive, "servers"),
 					report.Count(r.ScaleUps+r.ScaleDowns, ""),
 					report.Count(r.Boots, ""),
 					report.Num(float64(r.BootEnergy), "J"),
-					report.Num(pt.ep, "")}
-				if armed {
-					gph := gramsPerHourAt(cfg, float64(r.MeanPower))
-					perG := safeDiv(r.Throughput*3600, gph, 0)
-					dollarsPerHour := float64(r.MeanPower) / 1000 * carbon.DefaultPUE * regionPrice
-					row = append(row, report.Num(gph, "g/h"), report.Num(perG, "req/g"),
-						report.Num(dollarsPerHour, "$/h"))
-				}
-				tab.AddRow(row...)
+					report.Num(r.EP, "")}, servingLens(cfg, r))...)
 			}
 		}
 	}
@@ -201,8 +139,7 @@ func runAutoscale(cfg Config) *Outcome {
 			break
 		}
 	}
-	trace := at(figPi, 0, 0).actives
-	xs := make([]float64, len(trace))
+	xs := make([]float64, len(at(figPi, 0, 0).Windows))
 	for i := range xs {
 		xs[i] = float64(i + 1) // controller windows are 1 s wide
 	}
@@ -210,7 +147,7 @@ func runAutoscale(cfg Config) *Outcome {
 		fmt.Sprintf("Autoscale — serving fleet vs time, %s diurnal cycle", plats[figPi].Label),
 		"time (s)", "servers in rotation", xs)
 	for ci, pol := range policies {
-		ys := at(figPi, 0, ci).actives
+		_, _, _, ys := SLOSeries(at(figPi, 0, ci))
 		if len(ys) > len(xs) {
 			ys = ys[:len(xs)]
 		}
@@ -224,8 +161,6 @@ func runAutoscale(cfg Config) *Outcome {
 		"scale-down always drains before parking: a server leaves the rotation, finishes its in-flight work, then powers off — the drain pin in internal/web proves no request is ever killed by elasticity",
 		"the predictive policy reads the declared load profile one boot delay ahead, so it pre-boots for the diurnal crest but is blind to anything the profile does not model",
 	)
-	if armed {
-		o.Notes = append(o.Notes, carbonLensNote(cfg))
-	}
+	o.Notes = append(o.Notes, carbonLensNote(cfg)...)
 	return o
 }

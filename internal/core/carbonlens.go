@@ -5,53 +5,126 @@ import (
 
 	"edisim/internal/carbon"
 	"edisim/internal/hw"
+	"edisim/internal/report"
 	"edisim/internal/tco"
 	"edisim/internal/units"
+	"edisim/internal/web"
 )
 
 // The carbon lens: when Config arms the energy/carbon layers (a non-default
 // power model or a region), the matrix experiments attribute metered joules
 // and steady wall draws to the configured grid at the default facility PUE,
-// and price fleets at the region's electricity tariff. Helpers here are the
-// shared arithmetic; each experiment decides which columns it grows.
+// and price fleets at the region's electricity tariff. Each helper here owns
+// a group of armed columns and returns them (none when the lens is not
+// armed); an experiment appends them to its headers and rows. Calling a
+// helper on a zero run names its columns, and gives the zero cells of a row
+// with nothing measured.
 
-// gramsFromJoules converts metered IT energy to operational gCO2e under the
-// configured grid and the default facility PUE.
-func gramsFromJoules(cfg Config, e units.Joules) float64 {
-	return carbon.Operational(e, carbon.DefaultPUE, cfg.Grid())
+// lensCol is one armed column of a table: its header and a row's cell, whose
+// unit tags the column.
+type lensCol struct {
+	header string
+	cell   report.Value
 }
 
-// gramsPerHourAt converts a steady wall draw to an hourly emission rate.
-func gramsPerHourAt(cfg Config, watts float64) float64 {
-	return watts / 1000 * carbon.DefaultPUE * cfg.Grid().Grams
+// lensHeaders appends the columns' headers and units to a table's.
+func lensHeaders(cols, colUnits []string, lens []lensCol) ([]string, []string) {
+	for _, l := range lens {
+		cols = append(cols, l.header)
+		colUnits = append(colUnits, l.cell.Unit)
+	}
+	return cols, colUnits
 }
 
-// regionalFleetCost prices n nodes of p at utilization u in the configured
-// region with the armed power model — the per-region TCO column. Zero nodes
+// lensCells appends the columns' cells to a row.
+func lensCells(row []any, lens []lensCol) []any {
+	for _, l := range lens {
+		row = append(row, l.cell)
+	}
+	return row
+}
+
+// drawLens attributes a web run's steady wall draw to the grid: gCO2e/h and
+// requests served per gram. at names the operating point the draw was read
+// at in the first header (" at peak"), "" for the run itself.
+func drawLens(cfg Config, r web.Result, at string) []lensCol {
+	if !cfg.CarbonArmed() {
+		return nil
+	}
+	gph := float64(r.MeanPower) / 1000 * carbon.DefaultPUE * cfg.Grid().Grams
+	return []lensCol{
+		{"gCO2e/h" + at, report.Num(gph, "g/h")},
+		{"req per gCO2e", report.Num(safeDiv(r.Throughput*3600, gph, 0), "req/g")},
+	}
+}
+
+// energyPriceLens prices a web run's wall draw, facility overhead included,
+// at the region's electricity tariff.
+func energyPriceLens(cfg Config, r web.Result) []lensCol {
+	if !cfg.CarbonArmed() {
+		return nil
+	}
+	region := cfg.Grid().Region
+	price, _ := tco.RegionPrice(region)
+	return []lensCol{{fmt.Sprintf("energy $/h (%s)", region),
+		report.Num(float64(r.MeanPower)/1000*carbon.DefaultPUE*price, "$/h")}}
+}
+
+// servingLens is a web run's armed columns: its draw's emissions and price.
+func servingLens(cfg Config, r web.Result) []lensCol {
+	return append(drawLens(cfg, r, ""), energyPriceLens(cfg, r)...)
+}
+
+// peakLens is the armed columns of a sweep's peak run r on a fleet of n
+// nodes of p: the draw's emissions at peak and the fleet's regional TCO at
+// the web utilization point.
+func peakLens(cfg Config, r web.Result, p *hw.Platform, n int) []lensCol {
+	return append(drawLens(cfg, r, " at peak"), fleetCostLens(cfg, p, n, webUtil)...)
+}
+
+// jobLens attributes a job run's metered joules to the grid: grams per run
+// and MB of input per gram.
+func jobLens(cfg Config, e units.Joules, input units.Bytes) []lensCol {
+	if !cfg.CarbonArmed() {
+		return nil
+	}
+	grams := carbon.Operational(e, carbon.DefaultPUE, cfg.Grid())
+	return []lensCol{
+		{"gCO2e per run", report.Num(grams, "g")},
+		{"MB per gCO2e", report.Num(safeDiv(float64(input)/float64(units.MB), grams, 0), "MB/g")},
+	}
+}
+
+// fleetCostLens prices n nodes of p at utilization u in the configured
+// region with the armed power model: the per-region TCO column. Zero nodes
 // price to zero (budget-sized fleets can be empty).
-func regionalFleetCost(cfg Config, p *hw.Platform, n int, u float64) float64 {
-	if n <= 0 {
-		return 0
+func fleetCostLens(cfg Config, p *hw.Platform, n int, u float64) []lensCol {
+	if !cfg.CarbonArmed() {
+		return nil
 	}
-	in, err := tco.ForPlatformInRegion(p, n, u, cfg.Energy, cfg.Grid().Region, 0)
-	if err != nil {
-		panic(fmt.Sprintf("core: regional TCO: %v", err)) // Config.Region is pre-validated
+	region := cfg.Grid().Region
+	cost := 0.0
+	if n > 0 {
+		in, err := tco.ForPlatformInRegion(p, n, u, cfg.Energy, region, 0)
+		if err != nil {
+			panic(fmt.Sprintf("core: regional TCO: %v", err)) // Config.Region is pre-validated
+		}
+		cost = tco.MustCompute(in).Total()
 	}
-	return tco.MustCompute(in).Total()
+	return []lensCol{{fmt.Sprintf("3y TCO $ (%s)", region), report.Num(cost, "$")}}
 }
 
-// regionCostHeader labels the per-region TCO column.
-func regionCostHeader(cfg Config) string {
-	return fmt.Sprintf("3y TCO $ (%s)", cfg.Grid().Region)
-}
-
-// carbonLensNote documents the armed lens at the bottom of an experiment.
-func carbonLensNote(cfg Config) string {
+// carbonLensNote documents the armed lens at the bottom of an experiment
+// (no note when the lens is not armed).
+func carbonLensNote(cfg Config) []string {
+	if !cfg.CarbonArmed() {
+		return nil
+	}
 	g := cfg.Grid()
 	model := "calibrated linear power model"
 	if cfg.Energy == hw.PowerTDPCurve {
 		model = "component TDP-curve power model"
 	}
-	return fmt.Sprintf("carbon lens armed: %s; grid %s (%s, %.0f gCO2e/kWh) at PUE %.2f; per-region TCO uses that grid's electricity tariff",
-		model, g.Region, g.Label, float64(g.Grams), carbon.DefaultPUE)
+	return []string{fmt.Sprintf("carbon lens armed: %s; grid %s (%s, %.0f gCO2e/kWh) at PUE %.2f; per-region TCO uses that grid's electricity tariff",
+		model, g.Region, g.Label, float64(g.Grams), carbon.DefaultPUE)}
 }

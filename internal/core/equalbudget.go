@@ -10,7 +10,6 @@ import (
 	"edisim/internal/mapred"
 	"edisim/internal/report"
 	"edisim/internal/tco"
-	"edisim/internal/units"
 	"edisim/internal/web"
 )
 
@@ -85,10 +84,11 @@ func (s EqualBudgetSpec) Resolve(cfg Config) (EqualBudgetSpec, error) {
 	return s, nil
 }
 
-// Equal-budget utilization points follow Table 10: web fleets at the
-// paper's high-utilization point; big-data micro fleets pinned at 100%
-// (their jobs run 1.35–4× longer), brawny fleets at 74%.
-const equalBudgetWebUtil = 0.75
+// The fleet utilization points every 3-year TCO is priced at follow Table
+// 10: web fleets at the paper's high-utilization point; big-data micro
+// fleets pinned at 100% (their jobs run 1.35–4× longer), brawny fleets at
+// 74%.
+const webUtil = 0.75
 
 func hadoopUtil(p *hw.Platform) float64 {
 	if p.Micro {
@@ -169,7 +169,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	webBudget, hadoopBudget := spec.Budget, spec.Budget
 	if spec.Budget == 0 {
 		f := baseline.Fleet
-		wb, err := tco.Compute(tco.ForPlatform(baseline, f.Web+f.Cache, equalBudgetWebUtil))
+		wb, err := tco.Compute(tco.ForPlatform(baseline, f.Web+f.Cache, webUtil))
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	o := &Outcome{}
 	sizings := make([]fleetSizing, len(plats))
 	for i, p := range plats {
-		total, err := tco.SizeForBudget(p, webBudget, equalBudgetWebUtil)
+		total, err := tco.SizeForBudget(p, webBudget, webUtil)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +205,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		s := fleetSizing{p: p, slaves: slaves}
 		s.web, s.cache = sizeWebTier(p, total)
 		if s.web > 0 {
-			s.webCost = tco.MustCompute(tco.ForPlatform(p, s.web+s.cache, equalBudgetWebUtil)).Total()
+			s.webCost = tco.MustCompute(tco.ForPlatform(p, s.web+s.cache, webUtil)).Total()
 		}
 		if s.slaves > 0 {
 			s.hadoopCost = tco.MustCompute(tco.ForPlatform(p, s.slaves, hadoopUtil(p))).Total()
@@ -225,7 +225,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		"platform", "$ per server (3y)", "web", "cache", "slaves", "web fleet $", "slave fleet $").
 		WithUnits("", "$", "nodes", "nodes", "nodes", "$", "$")
 	for _, s := range sizings {
-		per := tco.MustCompute(tco.ForPlatform(s.p, 1, equalBudgetWebUtil)).Total()
+		per := tco.MustCompute(tco.ForPlatform(s.p, 1, webUtil)).Total()
 		sizeTab.AddRow(s.p.Label, report.Num(per, "$"),
 			report.Count(int64(s.web), "nodes"), report.Count(int64(s.cache), "nodes"),
 			report.Count(int64(s.slaves), "nodes"),
@@ -264,61 +264,31 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	}
 	webResults := s.Run(cfg)
 
-	// Regroup the flat results: peak throughput and its power per rung.
-	type rungPeak struct{ peak, power float64 }
-	peaks := make([][]rungPeak, len(sizings))
+	// Regroup the flat results: each rung's concurrency cells are
+	// contiguous, so its peak is the best run of its slice. An unfielded
+	// fleet keeps a zero peak.
+	peaks := make([][]web.Result, len(sizings))
+	next := 0
 	for i := range sizings {
-		peaks[i] = make([]rungPeak, len(ladders[i]))
-	}
-	for pi, c := range s.Points {
-		r := webResults[pi]
-		if r.Throughput > peaks[c.sizing][c.rung].peak {
-			peaks[c.sizing][c.rung] = rungPeak{peak: r.Throughput, power: float64(r.MeanPower)}
+		peaks[i] = make([]web.Result, max(1, len(ladders[i])))
+		for r := range ladders[i] {
+			peaks[i][r] = peakOf(webResults[next : next+len(concs)])
+			next += len(concs)
 		}
 	}
 
-	armed := cfg.CarbonArmed()
-	webCols := []string{"platform", "web", "cache", "fleet 3y $", "peak req/s", "W at peak", "req/s per W", "req/s per TCO-k$"}
-	webColUnits := []string{"", "nodes", "nodes", "$", "req/s", "W", "req/s/W", "req/s/k$"}
-	if armed {
-		webCols = append(webCols, "gCO2e/h at peak", "req per gCO2e", regionCostHeader(cfg))
-		webColUnits = append(webColUnits, "g/h", "req/g", "$")
-	}
+	webCols, webColUnits := lensHeaders(
+		[]string{"platform", "web", "cache", "fleet 3y $", "peak req/s", "W at peak", "req/s per W", "req/s per TCO-k$"},
+		[]string{"", "nodes", "nodes", "$", "req/s", "W", "req/s/W", "req/s/k$"},
+		peakLens(cfg, web.Result{}, nil, 0))
 	webTab := report.NewTable("Equal-budget web serving — what the same spend buys",
 		webCols...).WithUnits(webColUnits...)
 	for i, sz := range sizings {
-		row := []any{sz.p.Label, report.Count(int64(sz.web), "nodes"), report.Count(int64(sz.cache), "nodes"),
-			report.Num(sz.webCost, "$"), report.Num(0, "req/s"), report.Num(0, "W"),
-			report.Num(0, "req/s/W"), report.Num(0, "req/s/k$")}
-		if sz.web == 0 {
-			if armed {
-				row = append(row, report.Num(0, "g/h"), report.Num(0, "req/g"), report.Num(0, "$"))
-			}
-			webTab.AddRow(row...)
-			continue
-		}
 		pk := peaks[i][0]
-		perWatt, perK := 0.0, 0.0
-		if pk.power > 0 {
-			perWatt = pk.peak / pk.power
-		}
-		if sz.webCost > 0 {
-			perK = pk.peak / (sz.webCost / 1000)
-		}
-		row[4] = report.Num(pk.peak, "req/s")
-		row[5] = report.Num(pk.power, "W")
-		row[6] = report.Num(perWatt, "req/s/W")
-		row[7] = report.Num(perK, "req/s/k$")
-		if armed {
-			gph := gramsPerHourAt(cfg, pk.power)
-			reqPerG := 0.0
-			if gph > 0 {
-				reqPerG = pk.peak * 3600 / gph
-			}
-			row = append(row, report.Num(gph, "g/h"), report.Num(reqPerG, "req/g"),
-				report.Num(regionalFleetCost(cfg, sz.p, sz.web+sz.cache, equalBudgetWebUtil), "$"))
-		}
-		webTab.AddRow(row...)
+		webTab.AddRow(lensCells([]any{sz.p.Label, report.Count(int64(sz.web), "nodes"), report.Count(int64(sz.cache), "nodes"),
+			report.Num(sz.webCost, "$"), report.Num(pk.Throughput, "req/s"), report.Num(float64(pk.MeanPower), "W"),
+			report.Num(pk.PerWatt(), "req/s/W"), report.Num(safeDiv(pk.Throughput, sz.webCost/1000, 0), "req/s/k$")},
+			peakLens(cfg, pk, sz.p, sz.web+sz.cache))...)
 	}
 	o.Tables = append(o.Tables, webTab)
 
@@ -328,13 +298,9 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	for i, sz := range sizings {
 		for r, rung := range ladders[i] {
 			pk := peaks[i][r]
-			perWatt := 0.0
-			if pk.power > 0 {
-				perWatt = pk.peak / pk.power
-			}
 			ladderTab.AddRow(sz.p.Label, ladderScales[r],
 				report.Count(int64(rung[0]), "nodes"), report.Count(int64(rung[1]), "nodes"),
-				report.Num(pk.peak, "req/s"), report.Num(perWatt, "req/s/W"))
+				report.Num(pk.Throughput, "req/s"), report.Num(pk.PerWatt(), "req/s/W"))
 		}
 	}
 	o.Tables = append(o.Tables, ladderTab)
@@ -358,64 +324,31 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 			return r
 		})
 
-	jobBytes := float64(jobs.TerasortBytes)
-	switch job {
-	case "wordcount", "wordcount2":
-		jobBytes = float64(jobs.WordcountBytes)
-	case "logcount", "logcount2":
-		jobBytes = float64(jobs.LogcountBytes)
-	case "pi":
-		jobBytes = 0 // compute-bound: per-byte ratios are meaningless
-	}
-	hCols := []string{"platform", "slaves", "fleet 3y $", "time s", "energy J", "MB per J", "GB per TCO-$"}
-	hColUnits := []string{"", "nodes", "$", "s", "J", "MB/J", "GB/$"}
-	if armed {
-		hCols = append(hCols, "gCO2e per run", "MB per gCO2e", regionCostHeader(cfg))
-		hColUnits = append(hColUnits, "g", "MB/g", "$")
-	}
+	hCols, hColUnits := lensHeaders(
+		[]string{"platform", "slaves", "fleet 3y $", "time s", "energy J", "MB per J", "GB per TCO-$"},
+		[]string{"", "nodes", "$", "s", "J", "MB/J", "GB/$"},
+		jobRun{}.lens(cfg))
 	hTab := report.NewTable(fmt.Sprintf("Equal-budget %s — what the same spend buys", job),
 		hCols...).WithUnits(hColUnits...)
 	hi := 0
 	for _, sz := range sizings {
-		if sz.slaves == 0 {
-			row := []any{sz.p.Label, report.Count(0, "nodes"), report.Num(0, "$"),
-				report.Num(0, "s"), report.Num(0, "J"), report.Num(0, "MB/J"), report.Num(0, "GB/$")}
-			if armed {
-				row = append(row, report.Num(0, "g"), report.Num(0, "MB/g"), report.Num(0, "$"))
-			}
-			hTab.AddRow(row...)
-			continue
+		// A fleet the budget cannot buy reads as a zero run.
+		r := &mapred.JobResult{}
+		if sz.slaves > 0 {
+			r = hResults[hi]
+			hi++
 		}
-		r := hResults[hi]
-		hi++
-		mbPerJ, perDollar := 0.0, 0.0
-		if r.Energy > 0 && jobBytes > 0 {
-			mbPerJ = jobBytes / float64(units.MB) / float64(r.Energy)
-		}
-		if sz.hadoopCost > 0 && jobBytes > 0 {
-			perDollar = jobBytes / float64(units.GB) / sz.hadoopCost
-		}
-		row := []any{sz.p.Label, report.Count(int64(sz.slaves), "nodes"), report.Num(sz.hadoopCost, "$"),
-			report.Num(r.Duration, "s"), report.Num(float64(r.Energy), "J"),
-			report.Num(mbPerJ, "MB/J"), report.Num(perDollar, "GB/$")}
-		if armed {
-			grams := gramsFromJoules(cfg, r.Energy)
-			mbPerG := 0.0
-			if grams > 0 && jobBytes > 0 {
-				mbPerG = jobBytes / float64(units.MB) / grams
-			}
-			row = append(row, report.Num(grams, "g"), report.Num(mbPerG, "MB/g"),
-				report.Num(regionalFleetCost(cfg, sz.p, sz.slaves, hadoopUtil(sz.p)), "$"))
-		}
-		hTab.AddRow(row...)
+		run := jobRun{input: jobs.InputBytes(job), energy: r.Energy, p: sz.p, n: sz.slaves, util: hadoopUtil(sz.p), cost: sz.hadoopCost}
+		mbPerJ, gbPerDollar := run.efficiency()
+		hTab.AddRow(lensCells([]any{sz.p.Label, report.Count(int64(sz.slaves), "nodes"), report.Num(sz.hadoopCost, "$"),
+			report.Num(r.Duration, "s"), report.Num(float64(r.Energy), "J"), mbPerJ, gbPerDollar},
+			run.lens(cfg))...)
 	}
 	o.Tables = append(o.Tables, hTab)
 
 	o.Notes = append(o.Notes,
 		fmt.Sprintf("fleets sized by tco.SizeForBudget to the %s baseline's 3-year TCO (web at %.0f%% utilization; big data pinned at 100%% on micro platforms, 74%% on brawny, as in Table 10)",
-			baseline.Label, equalBudgetWebUtil*100))
-	if armed {
-		o.Notes = append(o.Notes, carbonLensNote(cfg))
-	}
+			baseline.Label, webUtil*100))
+	o.Notes = append(o.Notes, carbonLensNote(cfg)...)
 	return o, nil
 }

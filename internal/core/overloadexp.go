@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 
-	"edisim/internal/carbon"
 	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/load"
 	"edisim/internal/report"
-	"edisim/internal/tco"
 	"edisim/internal/web"
 )
 
@@ -108,28 +106,21 @@ func runOverload(cfg Config) *Outcome {
 			}
 		})
 
-	armed := cfg.CarbonArmed()
-	ladderCols := []string{"platform", "offered conn/s", "×capacity", "goodput req/s", "shed/s", "p99 s", "p999 s", "power W", "req/s/W", "SLO"}
-	ladderUnits := []string{"", "conn/s", "x", "req/s", "/s", "s", "s", "W", "req/s/W", ""}
-	if armed {
-		ladderCols = append(ladderCols, "gCO2e/h", "req per gCO2e", fmt.Sprintf("energy $/h (%s)", cfg.Grid().Region))
-		ladderUnits = append(ladderUnits, "g/h", "req/g", "$/h")
-	}
-	regionPrice, _ := tco.RegionPrice(cfg.Grid().Region)
+	ladderCols, ladderUnits := lensHeaders(
+		[]string{"platform", "offered conn/s", "×capacity", "goodput req/s", "shed/s", "p99 s", "p999 s", "power W", "req/s/W", "SLO"},
+		[]string{"", "conn/s", "x", "req/s", "/s", "s", "s", "W", "req/s/W", ""},
+		servingLens(cfg, web.Result{}))
 	tab := report.NewTable("Overload ladder — open-loop goodput, shedding and tails at the SLO (p99 ≤ 0.5 s, availability ≥ 99%)",
 		ladderCols...).WithUnits(ladderUnits...)
 	for pi, p := range plats {
 		for mi, m := range mults {
 			lp := ladder[pi*len(mults)+mi]
 			r := lp.res
-			perW := safeDiv(r.Throughput, float64(r.MeanPower), 0)
 			verdict := "ok"
 			if !lp.ok {
 				verdict = "burned"
 			}
-			gph := gramsPerHourAt(cfg, float64(r.MeanPower))
-			perG := safeDiv(r.Throughput*3600, gph, 0)
-			row := []any{p.Label,
+			tab.AddRow(lensCells([]any{p.Label,
 				report.Num(connCapacity(p)*m, "conn/s"),
 				report.Num(m, "x"),
 				report.Num(r.Throughput, "req/s"),
@@ -137,15 +128,8 @@ func runOverload(cfg Config) *Outcome {
 				report.Num(lp.p99, "s"),
 				report.Num(lp.p999, "s"),
 				report.Num(float64(r.MeanPower), "W"),
-				report.Num(perW, "req/s/W"),
-				verdict}
-			if armed {
-				// Wall draw at the regional tariff, facility overhead included.
-				dollarsPerHour := float64(r.MeanPower) / 1000 * carbon.DefaultPUE * regionPrice
-				row = append(row, report.Num(gph, "g/h"), report.Num(perG, "req/g"),
-					report.Num(dollarsPerHour, "$/h"))
-			}
-			tab.AddRow(row...)
+				report.Num(r.PerWatt(), "req/s/W"),
+				verdict}, servingLens(cfg, r))...)
 		}
 	}
 	o.Tables = append(o.Tables, tab)
@@ -250,8 +234,6 @@ func runOverload(cfg Config) *Outcome {
 		"every point runs with deadline shedding (0.5 s), a 10% retry budget and 0.5 s client timeouts; the drill adds brownout (stale cache-only answers while the SLO burns)",
 		"the ladder's SLO column reads ok when p99 <= 0.5 s and availability >= 99%; read req/s/W on ok rows, the energy-proportionality lens of Subramaniam & Feng, rather than as peak throughput per watt",
 	)
-	if armed {
-		o.Notes = append(o.Notes, carbonLensNote(cfg))
-	}
+	o.Notes = append(o.Notes, carbonLensNote(cfg)...)
 	return o
 }

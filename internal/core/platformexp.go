@@ -61,46 +61,21 @@ func runPlatformMatrix(cfg Config) *Outcome {
 	}
 	webResults := s.Run(cfg)
 
-	armed := cfg.CarbonArmed()
-	webCols := []string{"platform", "web", "cache", "peak req/s", "W at peak", "req/s per W", "3y TCO $", "req/s per TCO-k$"}
-	webUnits := []string{"", "nodes", "nodes", "req/s", "W", "req/s/W", "$", "req/s/k$"}
-	if armed {
-		webCols = append(webCols, "gCO2e/h at peak", "req per gCO2e", regionCostHeader(cfg))
-		webUnits = append(webUnits, "g/h", "req/g", "$")
-	}
+	webCols, webUnits := lensHeaders(
+		[]string{"platform", "web", "cache", "peak req/s", "W at peak", "req/s per W", "3y TCO $", "req/s per TCO-k$"},
+		[]string{"", "nodes", "nodes", "req/s", "W", "req/s/W", "$", "req/s/k$"},
+		peakLens(cfg, web.Result{}, nil, 0))
 	webTab := report.NewTable("Platform matrix — web serving (catalog fleets, 93% cache hit)",
 		webCols...).WithUnits(webUnits...)
 	for pi, p := range plats {
-		var peak, peakPower float64
-		for _, r := range webResults[pi*len(concs) : (pi+1)*len(concs)] {
-			if r.Throughput > peak {
-				peak = r.Throughput
-				peakPower = float64(r.MeanPower)
-			}
-		}
-		perWatt := 0.0
-		if peakPower > 0 {
-			perWatt = peak / peakPower
-		}
-		// Web-service TCO at the paper's high-utilization point (75%),
-		// priced with the armed power model's endpoints.
-		cost := tco.MustCompute(tco.ForPlatformModel(p, p.Fleet.Web+p.Fleet.Cache, 0.75, cfg.Energy)).Total()
-		perK := 0.0
-		if cost > 0 {
-			perK = peak / (cost / 1000)
-		}
-		row := []any{p.Label, p.Fleet.Web, p.Fleet.Cache, report.Num(peak, "req/s"),
-			report.Num(peakPower, "W"), report.Num(perWatt, "req/s/W"), report.Num(cost, "$"), report.Num(perK, "req/s/k$")}
-		if armed {
-			gph := gramsPerHourAt(cfg, peakPower)
-			reqPerG := 0.0
-			if gph > 0 {
-				reqPerG = peak * 3600 / gph
-			}
-			row = append(row, report.Num(gph, "g/h"), report.Num(reqPerG, "req/g"),
-				report.Num(regionalFleetCost(cfg, p, p.Fleet.Web+p.Fleet.Cache, 0.75), "$"))
-		}
-		webTab.AddRow(row...)
+		pk := peakOf(webResults[pi*len(concs) : (pi+1)*len(concs)])
+		// Web-service TCO at the paper's high-utilization point, priced
+		// with the armed power model's endpoints.
+		n := p.Fleet.Web + p.Fleet.Cache
+		cost := tco.MustCompute(tco.ForPlatformModel(p, n, webUtil, cfg.Energy)).Total()
+		webTab.AddRow(lensCells([]any{p.Label, p.Fleet.Web, p.Fleet.Cache, report.Num(pk.Throughput, "req/s"),
+			report.Num(float64(pk.MeanPower), "W"), report.Num(pk.PerWatt(), "req/s/W"), report.Num(cost, "$"),
+			report.Num(safeDiv(pk.Throughput, cost/1000, 0), "req/s/k$")}, peakLens(cfg, pk, p, n))...)
 	}
 	o.Tables = append(o.Tables, webTab)
 
@@ -115,50 +90,65 @@ func runPlatformMatrix(cfg Config) *Outcome {
 			return r
 		})
 
-	teraCols := []string{"platform", "slaves", "time s", "energy J", "MB per J", "3y TCO $", "GB per TCO-$"}
-	teraUnits := []string{"", "nodes", "s", "J", "MB/J", "$", "GB/$"}
-	if armed {
-		teraCols = append(teraCols, "gCO2e per run", "MB per gCO2e", regionCostHeader(cfg))
-		teraUnits = append(teraUnits, "g", "MB/g", "$")
-	}
+	teraCols, teraUnits := lensHeaders(
+		[]string{"platform", "slaves", "time s", "energy J", "MB per J", "3y TCO $", "GB per TCO-$"},
+		[]string{"", "nodes", "s", "J", "MB/J", "$", "GB/$"},
+		jobRun{}.lens(cfg))
 	teraTab := report.NewTable("Platform matrix — TeraSort (10 GB, catalog fleets)",
 		teraCols...).WithUnits(teraUnits...)
 	for pi, p := range plats {
+		// Big-data TCO at Table 10's utilization, priced with the armed
+		// power model's endpoints.
 		r := teraResults[pi]
-		mbPerJ := 0.0
-		if r.Energy > 0 {
-			mbPerJ = float64(jobs.TerasortBytes) / float64(units.MB) / float64(r.Energy)
-		}
-		// Big-data TCO: micro fleets run pinned near 100% as in Table 10;
-		// brawny fleets at the paper's high-utilization point.
-		util := 0.74
-		if p.Micro {
-			util = 1.0
-		}
-		cost := tco.MustCompute(tco.ForPlatformModel(p, p.Fleet.Slaves, util, cfg.Energy)).Total()
-		perDollar := 0.0
-		if cost > 0 {
-			perDollar = float64(jobs.TerasortBytes) / float64(units.GB) / cost
-		}
-		row := []any{p.Label, p.Fleet.Slaves, report.Num(r.Duration, "s"), report.Num(float64(r.Energy), "J"),
-			report.Num(mbPerJ, "MB/J"), report.Num(cost, "$"), report.Num(perDollar, "GB/$")}
-		if armed {
-			grams := gramsFromJoules(cfg, r.Energy)
-			mbPerG := 0.0
-			if grams > 0 {
-				mbPerG = float64(jobs.TerasortBytes) / float64(units.MB) / grams
-			}
-			row = append(row, report.Num(grams, "g"), report.Num(mbPerG, "MB/g"),
-				report.Num(regionalFleetCost(cfg, p, p.Fleet.Slaves, util), "$"))
-		}
-		teraTab.AddRow(row...)
+		run := jobRun{input: jobs.TerasortBytes, energy: r.Energy, p: p, n: p.Fleet.Slaves, util: hadoopUtil(p)}
+		run.cost = tco.MustCompute(tco.ForPlatformModel(p, run.n, run.util, cfg.Energy)).Total()
+		mbPerJ, gbPerDollar := run.efficiency()
+		teraTab.AddRow(lensCells([]any{p.Label, p.Fleet.Slaves, report.Num(r.Duration, "s"),
+			report.Num(float64(r.Energy), "J"), mbPerJ, report.Num(run.cost, "$"), gbPerDollar},
+			run.lens(cfg))...)
 	}
 	o.Tables = append(o.Tables, teraTab)
 
 	o.Notes = append(o.Notes,
 		"fleets and calibration are catalog data (internal/hw, PLATFORMS.md); peak is the best point of the swept concurrency axis")
-	if armed {
-		o.Notes = append(o.Notes, carbonLensNote(cfg))
-	}
+	o.Notes = append(o.Notes, carbonLensNote(cfg)...)
 	return o
+}
+
+// peakOf returns the run of a concurrency sweep that served the most (the
+// first on a tie, a zero Result when none served anything).
+func peakOf(rs []web.Result) web.Result {
+	var pk web.Result
+	for _, r := range rs {
+		if r.Throughput > pk.Throughput {
+			pk = r
+		}
+	}
+	return pk
+}
+
+// jobRun is one Hadoop run read through the efficiency lens: the metered
+// joules of a job over input bytes, on n slaves of p whose fleet costs
+// cost over 3 years at utilization util. The zero jobRun names the columns
+// and reads as an empty row.
+type jobRun struct {
+	input      units.Bytes
+	energy     units.Joules
+	p          *hw.Platform
+	n          int
+	util, cost float64
+}
+
+// efficiency reads MB of input per metered joule and GB per TCO dollar (0
+// where nothing was metered or priced).
+func (j jobRun) efficiency() (mbPerJ, gbPerDollar report.Value) {
+	in := float64(j.input)
+	return report.Num(safeDiv(in/float64(units.MB), float64(j.energy), 0), "MB/J"),
+		report.Num(safeDiv(in/float64(units.GB), j.cost, 0), "GB/$")
+}
+
+// lens is the run's armed columns: grams per run, MB per gram and the
+// fleet's regional TCO.
+func (j jobRun) lens(cfg Config) []lensCol {
+	return append(jobLens(cfg, j.energy, j.input), fleetCostLens(cfg, j.p, j.n, j.util)...)
 }

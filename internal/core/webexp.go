@@ -39,13 +39,28 @@ func fleetTier(p *hw.Platform) web.Tier { return web.TierOn(p, p.Fleet.Web, p.Fl
 
 // RunWebPoint runs rc on a fresh testbed of tier t, under the config's
 // power model and interrupt, with plan's "web" and "cache" faults scheduled
-// (nil: a healthy run). Every web measurement but the autoscale matrix,
-// which meters its tier between build and run, goes through here.
+// (nil: a healthy run). Every web measurement of the experiments and the
+// root package's studies goes through here.
 func RunWebPoint(cfg Config, t web.Tier, rc web.RunConfig, plan *faults.Plan, seed int64) web.Result {
 	dep := t.Build(cfg.Energy, cfg.Interrupt, seed)
 	dep.WarmFor(rc)
 	faults.Schedule(dep.Eng, plan.Filter("web", "cache"), seed, dep.Roster())
 	return dep.Run(rc)
+}
+
+// SLOSeries splits a web run's SLO controller windows into plot series:
+// each window's end time, served and shed operations per second, and the
+// web servers in the routing rotation. They are empty when no SLO was set.
+func SLOSeries(r web.Result) (t, served, shed, active []float64) {
+	n := len(r.Windows)
+	t, served, shed, active = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, w := range r.Windows {
+		t[i] = w.T
+		served[i] = float64(w.Served) / r.Config.SLO.Window
+		shed[i] = float64(w.Shed) / r.Config.SLO.Window
+		active[i] = float64(w.Active)
+	}
+	return t, served, shed, active
 }
 
 // webCurve is one line of a web figure: a tier swept across the

@@ -22,6 +22,23 @@ const (
 	PiSamples      = 10e9
 )
 
+// InputBytes is the input a job's per-byte efficiency (MB per joule, GB
+// per dollar) is read over: the dataset it stages, or 0 for the
+// compute-bound pi, whose per-byte ratios mean nothing.
+func InputBytes(job string) units.Bytes {
+	switch job {
+	case "wordcount", "wordcount2":
+		return WordcountBytes
+	case "logcount", "logcount2":
+		return LogcountBytes
+	case "terasort":
+		return TerasortBytes
+	case "pi":
+		return 0
+	}
+	panic(fmt.Sprintf("jobs: unknown job %q", job))
+}
+
 // InputFiles names the HDFS input files for a job with the given count.
 func InputFiles(job string, n int) []string {
 	out := make([]string, n)

@@ -51,11 +51,22 @@ func (m *Meter) Power() units.Watts {
 
 // Energy reports the summed joules consumed since creation or last Reset.
 func (m *Meter) Energy() units.Joules {
-	var j units.Joules
-	for _, n := range m.nodes {
-		j += n.Energy() - m.baseline[n]
-	}
+	_, j := m.EnergySplit(0)
 	return j
+}
+
+// EnergySplit reports, in one pass, the joules of the first k metered
+// nodes and of all of them since creation or last Reset. The running sum
+// is kept in node order, so first is bit-identical to Energy on a meter
+// over those k nodes alone, and total to Energy on this one.
+func (m *Meter) EnergySplit(k int) (first, total units.Joules) {
+	for i, n := range m.nodes {
+		total += n.Energy() - m.baseline[n]
+		if i == k-1 {
+			first = total
+		}
+	}
+	return first, total
 }
 
 // Nodes reports the metered node set.

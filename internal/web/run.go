@@ -359,8 +359,13 @@ type Result struct {
 	Retries  int64
 	Attempts int64
 
-	MeanPower units.Watts // cluster draw averaged over the window
-	Energy    units.Joules
+	MeanPower units.Watts  // cluster draw averaged over the window
+	Energy    units.Joules // cluster (web + cache) joules over the window
+	WebEnergy units.Joules // the web tier's share of Energy
+	// EP is the web tier's energy-proportionality score: ideal joules (the
+	// offered connections at the platform's ConnRate, at the web nodes'
+	// busy draw) over WebEnergy, capped at 1. It is 0 in a closed-loop run.
+	EP float64
 
 	// Table 7 decomposition, measured on the web servers.
 	DBDelay, CacheDelay, WebTotal stats.Summary
@@ -412,6 +417,15 @@ func (r Result) SLOMet() float64 {
 		return 1
 	}
 	return 1 - float64(burned)/float64(wins)
+}
+
+// PerWatt is the run's goodput per cluster watt (req/s/W), or 0 when no
+// power was drawn.
+func (r Result) PerWatt() float64 {
+	if r.MeanPower <= 0 {
+		return 0
+	}
+	return r.Throughput / float64(r.MeanPower)
 }
 
 // runState is one Run's state: the resolved config, the measurement
@@ -534,10 +548,10 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 		eng.At(rs.winEnd, func() { rs.asIntegWinEnd = rs.scaler.ServingIntegral(rs.winEnd) })
 	}
 
-	// Window power accounting.
-	var winEnergy float64
+	// Window power accounting: the meter lists the web nodes first, so one
+	// pass reads the web tier's joules on the way to the cluster's.
 	eng.At(rs.winStart, func() { d.meter.Reset() })
-	eng.At(rs.winEnd, func() { winEnergy = float64(d.meter.Energy()) })
+	eng.At(rs.winEnd, func() { rs.res.WebEnergy, rs.res.Energy = d.meter.EnergySplit(len(d.webNodes)) })
 	// Integrate tier utilizations over the window for the §5.1.2 CPU
 	// numbers. Tracking is change-driven (hw.Node.SubscribeUtil), so heavy
 	// runs do not pay for a polling timer and the means are exact.
@@ -563,7 +577,7 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 
 	// Run to completion: generation stops at Duration, stragglers drain.
 	eng.RunUntil(rs.winEnd + sim.Time(20))
-	return rs.finish(winEnergy, webUtil, cacheUtil)
+	return rs.finish(webUtil, cacheUtil)
 }
 
 // gen is the closed-loop generator: one connection now, the next after an
@@ -709,7 +723,7 @@ func (rs *runState) tick() {
 
 // finish derives the Result's window figures once the run has drained and
 // resets the deployment's per-run state.
-func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) Result {
+func (rs *runState) finish(webUtil, cacheUtil *utilTracker) Result {
 	d, res := rs.d, &rs.res
 	window := float64(rs.winEnd - rs.winStart)
 	res.WindowSecs = window
@@ -719,8 +733,17 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 	if total := rs.served + rs.errored + res.ConnFailures; total > 0 {
 		res.ErrorRate = float64(rs.errored+res.ConnFailures) / float64(total)
 	}
-	res.MeanPower = units.Watts(winEnergy / window)
-	res.Energy = units.Joules(winEnergy)
+	res.MeanPower = units.Watts(float64(res.Energy) / window)
+	// Boot burn and the EP score's ideal joules are priced at the busy draw
+	// of whatever power model the web nodes actually run (the cluster
+	// builder may have armed a non-default one).
+	busy := d.Plat.Spec.Power.BusyDraw()
+	if len(d.Web) > 0 {
+		busy = d.Web[0].Node.PowerModel().BusyDraw()
+	}
+	if res.Offered > 0 && res.WebEnergy > 0 {
+		res.EP = min(1, float64(res.Offered)/d.Plat.Web.ConnRate*float64(busy)/float64(res.WebEnergy))
+	}
 	res.WebCPU = webUtil.mean()
 	res.CacheCPU = cacheUtil.mean()
 	var gets, hits int64
@@ -737,12 +760,6 @@ func (rs *runState) finish(winEnergy float64, webUtil, cacheUtil *utilTracker) R
 		res.ScaleDowns = st.ScaleDowns
 		res.Boots = st.Boots
 		res.DrainCancels = st.DrainCancels
-		// Boot burn at the busy draw of whatever power model the web nodes
-		// actually run (the cluster builder may have armed a non-default one).
-		busy := d.Plat.Spec.Power.BusyDraw()
-		if len(d.Web) > 0 {
-			busy = d.Web[0].Node.PowerModel().BusyDraw()
-		}
 		res.BootEnergy = units.Joules(st.BootSecs * float64(busy))
 		res.MeanActive = (rs.asIntegWinEnd - rs.asIntegWinStart) / window
 		rs.teardownAutoscale()

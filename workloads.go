@@ -315,18 +315,9 @@ func (ov *OverloadStudy) expand(cfg core.Config) ([]unit, error) {
 		)
 		o.Tables = append(o.Tables, t)
 		// The controller time series backs the figure.
-		if wins := res.Windows; len(wins) > 0 {
+		if len(res.Windows) > 0 {
 			slo := res.Config.SLO
-			x := make([]float64, len(wins))
-			served := make([]float64, len(wins))
-			shed := make([]float64, len(wins))
-			active := make([]float64, len(wins))
-			for i, w := range wins {
-				x[i] = w.T
-				served[i] = float64(w.Served) / slo.Window
-				shed[i] = float64(w.Shed) / slo.Window
-				active[i] = float64(w.Active)
-			}
+			x, served, shed, active := core.SLOSeries(res)
 			f := report.NewFigure(title+" — SLO controller windows", "t (s)", "per second / servers", x)
 			f.Add("served ops/s", served)
 			f.Add("shed/s", shed)
