@@ -157,7 +157,8 @@ func ladderFor(cfg Config, nWeb, nCache int) [][2]int {
 // throughput across a Table-6-style scale ladder and one Hadoop job —
 // reporting throughput-per-watt and throughput-per-dollar matrices. This is
 // the paper's §6 economic question asked of the whole catalog: not "what
-// does a fixed fleet cost" but "what does a fixed spend buy".
+// does a fixed fleet cost" but "what does a fixed spend buy". Every fleet
+// is priced with the power model that meters its runs (cfg.Energy).
 func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	spec, err := spec.Resolve(cfg)
 	if err != nil {
@@ -169,11 +170,11 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	webBudget, hadoopBudget := spec.Budget, spec.Budget
 	if spec.Budget == 0 {
 		f := baseline.Fleet
-		wb, err := tco.Compute(tco.ForPlatform(baseline, f.Web+f.Cache, webUtil))
+		wb, err := tco.Compute(tco.ForPlatformModel(baseline, f.Web+f.Cache, webUtil, cfg.Energy))
 		if err != nil {
 			return nil, err
 		}
-		hb, err := tco.Compute(tco.ForPlatform(baseline, f.Slaves, hadoopUtil(baseline)))
+		hb, err := tco.Compute(tco.ForPlatformModel(baseline, f.Slaves, hadoopUtil(baseline), cfg.Energy))
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	o := &Outcome{}
 	sizings := make([]fleetSizing, len(plats))
 	for i, p := range plats {
-		total, err := tco.SizeForBudget(p, webBudget, webUtil)
+		total, err := tco.SizeForBudget(p, webBudget, webUtil, cfg.Energy)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +194,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 				p.Label, cluster.MaxGroupNodes, total))
 			total = cluster.MaxGroupNodes
 		}
-		slaves, err := tco.SizeForBudget(p, hadoopBudget, hadoopUtil(p))
+		slaves, err := tco.SizeForBudget(p, hadoopBudget, hadoopUtil(p), cfg.Energy)
 		if err != nil {
 			return nil, err
 		}
@@ -205,10 +206,10 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		s := fleetSizing{p: p, slaves: slaves}
 		s.web, s.cache = sizeWebTier(p, total)
 		if s.web > 0 {
-			s.webCost = tco.MustCompute(tco.ForPlatform(p, s.web+s.cache, webUtil)).Total()
+			s.webCost = tco.MustCompute(tco.ForPlatformModel(p, s.web+s.cache, webUtil, cfg.Energy)).Total()
 		}
 		if s.slaves > 0 {
-			s.hadoopCost = tco.MustCompute(tco.ForPlatform(p, s.slaves, hadoopUtil(p))).Total()
+			s.hadoopCost = tco.MustCompute(tco.ForPlatformModel(p, s.slaves, hadoopUtil(p), cfg.Energy)).Total()
 		}
 		sizings[i] = s
 		if s.web == 0 {
@@ -225,7 +226,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		"platform", "$ per server (3y)", "web", "cache", "slaves", "web fleet $", "slave fleet $").
 		WithUnits("", "$", "nodes", "nodes", "nodes", "$", "$")
 	for _, s := range sizings {
-		per := tco.MustCompute(tco.ForPlatform(s.p, 1, webUtil)).Total()
+		per := tco.MustCompute(tco.ForPlatformModel(s.p, 1, webUtil, cfg.Energy)).Total()
 		sizeTab.AddRow(s.p.Label, report.Num(per, "$"),
 			report.Count(int64(s.web), "nodes"), report.Count(int64(s.cache), "nodes"),
 			report.Count(int64(s.slaves), "nodes"),

@@ -22,6 +22,22 @@ type Disk struct {
 
 	readBytes, writeBytes units.Bytes
 	ops                   int64
+
+	// free is the operation record pool (see diskOp).
+	free []*diskOp
+}
+
+// diskOp is one read or write on a pooled record whose continuations are
+// bound once, so an operation allocates nothing in steady state: start
+// runs when the FIFO hands the operation the device and schedules finish
+// after the service time.
+type diskOp struct {
+	d       *Disk
+	service float64
+	gen     uint64 // the disk's generation at submission
+	done    func()
+
+	startFn, finishFn func()
 }
 
 // NewDisk returns an idle disk with the given measured characteristics.
@@ -63,23 +79,49 @@ func (d *Disk) submit(service float64, done func()) {
 		service /= d.rate
 	}
 	d.ops++
-	gen := d.gen
-	d.q.Acquire(func() {
-		d.eng.After(service, func() {
-			if gen != d.gen {
-				return // killed while in service
-			}
-			d.q.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
+	op := d.allocOp()
+	op.service = service
+	op.gen = d.gen
+	op.done = done
+	d.q.Acquire(op.startFn)
+}
+
+// allocOp takes an operation record from the pool, making one when empty.
+func (d *Disk) allocOp() *diskOp {
+	if len(d.free) == 0 {
+		op := &diskOp{d: d}
+		op.startFn, op.finishFn = op.start, op.finish
+		return op
+	}
+	op := d.free[len(d.free)-1]
+	d.free = d.free[:len(d.free)-1]
+	return op
+}
+
+// start holds the device for the operation's service time.
+func (op *diskOp) start() { op.d.eng.After(op.service, op.finishFn) }
+
+// finish releases the device and runs done, unless the operation was
+// killed while in service. The record is recycled first, so done can
+// reuse it at once.
+func (op *diskOp) finish() {
+	d, done := op.d, op.done
+	killed := op.gen != d.gen
+	op.done = nil // release the closure for GC
+	d.free = append(d.free, op)
+	if killed {
+		return
+	}
+	d.q.Release()
+	if done != nil {
+		done()
+	}
 }
 
 // killAll drops every queued and in-service operation without running its
 // done callback — the disk side of a node crash. The FIFO is replaced
-// wholesale; stale completion events detect the generation bump and expire.
+// wholesale, taking the queued operations' records with it; stale
+// completion events detect the generation bump and expire.
 func (d *Disk) killAll() {
 	d.down = true
 	d.gen++

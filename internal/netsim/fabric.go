@@ -14,6 +14,9 @@
 //     their paths (see message).
 //   - StartFlow: max-min fair bandwidth sharing with progressive filling,
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
+//     Each admission or completion re-allocates only the flows and links
+//     of the component it touches, in one pass whose rates do not depend
+//     on the order of the flows (see waterfill.go).
 //
 // Every host and switch is a Vertex, the dense index AddVertex interns its
 // name to. Send and RoundTrip take vertices, which their callers resolve
@@ -67,11 +70,12 @@ type Link struct {
 	flows []linkSlot // active max-min flows crossing this link
 	dirty bool       // on the fabric's dirty list for the next reallocate
 	mark  uint64     // epoch stamp for the dirty-component sweep
-	// Water-filling working state, validity-stamped by wfPass so passes
-	// need no per-pass map or clearing (see waterFill).
-	wfPass uint64
-	wfRem  float64
-	wfCnt  int
+	// Water-filling working state, set for the component's links at the
+	// start of each pass (see waterFill): remaining capacity, unfrozen
+	// flows, and the fair share at the start of the current round.
+	wfRem   float64
+	wfCnt   int
+	wfShare float64
 	// scale rescales the effective capacity for fault injection: 1 is the
 	// healthy default, (0,1) a degraded link, 0 a cut. It multiplies the
 	// nameplate capacity exactly, so at 1 every float downstream — water
@@ -135,16 +139,14 @@ type Fabric struct {
 	// so a cold route table allocates per chunk, not per pair.
 	pathSlab []*Link
 
-	// The live max-min flow set is a doubly linked list in admission (seq)
-	// order, from flowHead to flowTail: admit inserts by seq, removeFlow
-	// unlinks in O(1). Every pass whose arithmetic depends on order —
-	// water-filling, completion callbacks — follows seq (affectedFlows
-	// reads the list or sorts, the completion heap ties on seq), keeping
-	// reruns bit-identical.
-	flowHead, flowTail *Flow
-	nFlows             int
-	epoch              uint64
-	nextDone           sim.EventRef
+	// The live max-min flow set is held only by the links' flow lists
+	// (Link.flows) and the completion heap; nFlows counts it. Water-filling
+	// is order-free (see waterfill.go), and simultaneous completions run
+	// their callbacks in admission (seq) order because the completion heap
+	// ties on seq, keeping reruns bit-identical.
+	nFlows   int
+	epoch    uint64
+	nextDone sim.EventRef
 
 	// doneHeap is the indexed 4-ary min-heap of projected completion times
 	// (see doneheap.go); one engine event is armed at its minimum.
@@ -163,14 +165,14 @@ type Fabric struct {
 	planStats PlanStats
 
 	// Reusable scratch so steady-state flow churn does not allocate: the
-	// links touched by the current water-filling pass, the pending done
-	// callbacks of one completion round, the affected-flow list of the
-	// dirty-component sweep, the abort set of a link-cut storm, and the
-	// bound completeFlows closure (allocated once instead of per re-arm).
-	wfPass     uint64
+	// links and flows of the dirty-component sweep, the near-bottleneck
+	// links of one water-filling round, the pending done callbacks of one
+	// completion round, the abort set of a link-cut storm, and the bound
+	// completeFlows closure (allocated once instead of per re-arm).
 	wfLinks    []*Link
-	doneQueue  []func()
 	affScratch []*Flow
+	wfNear     []*Link
+	doneQueue  []func()
 	abortFlows []*Flow
 	completeFn func()
 
@@ -428,7 +430,7 @@ func (f *Fabric) abortCrossing() {
 	for _, fl := range victims {
 		f.credit(fl)
 		f.unlink(fl)
-		f.removeFlow(fl)
+		f.nFlows--
 		f.heapRemove(fl)
 		f.recycleFlow(fl)
 	}

@@ -8,7 +8,10 @@ import (
 )
 
 // Flow is a bulk transfer receiving a max-min fair share of every link on
-// its path. Rates are recomputed whenever any flow starts or finishes.
+// its path. When a flow starts or finishes, the rates of the flows that
+// share links with it, directly or through other flows, are recomputed.
+// An admitted flow is listed on each of its path links (Link.flows), the
+// only index of the live flows besides the completion heap.
 //
 // Flow records are pooled on the fabric like sim.Event records: StartFlow
 // takes one from a freelist (grown in chunks) and completion returns it, so
@@ -35,8 +38,6 @@ type Flow struct {
 	done      func()
 	frozen    bool // scratch flag for the water-filling pass
 
-	prev    *Flow // neighbours in the fabric's seq-ordered live list
-	next    *Flow
 	heapPos int32    // position in the completion heap, -1 when absent
 	doneAt  sim.Time // projected completion (heap key), valid while heapPos >= 0
 	mark    uint64   // epoch stamp for the dirty-component sweep
@@ -154,7 +155,7 @@ func (fl *Flow) admit() {
 	// at its post-admission rate (the pre-lazy code had exactly that
 	// double-count; the golden refresh covers the fix).
 	fl.lastT = f.eng.Now()
-	f.insertFlow(fl)
+	f.nFlows++
 	fl.linkPos = fl.linkPos[:0]
 	for i, l := range fl.path {
 		fl.linkPos = append(fl.linkPos, int32(len(l.flows)))
@@ -188,13 +189,17 @@ func (f *Fabric) credit(fl *Flow) {
 // credits every message whose last byte has left its link, so Link.Bytes
 // and TotalBytes reflect all progress. Reports and assertions should call
 // it (TotalBytes does so itself); the hot path never needs it, and this
-// O(flows) pass is the only place every live flow is credited at once.
+// pass over the links' flow lists is the only place every live flow is
+// credited at once. A flow is reached once per link on its path, which is
+// harmless: credit is idempotent at one instant, and the link byte
+// counters it adds to are integers, so the visiting order cannot change
+// them.
 func (f *Fabric) FlushProgress() {
-	for fl := f.flowHead; fl != nil; fl = fl.next {
-		f.credit(fl)
-	}
 	now := f.eng.Now()
 	for _, l := range f.links {
+		for _, s := range l.flows {
+			f.credit(s.fl)
+		}
 		l.creditSent(now)
 	}
 }
@@ -215,48 +220,6 @@ func (f *Fabric) unlink(fl *Flow) {
 		l.flows = l.flows[:last]
 		f.markDirty(l)
 	}
-}
-
-// insertFlow links an admitted flow into the live list at its seq
-// position. Flows are admitted after their path latency, so a flow started
-// later on a shorter path can be admitted first; the walk back from the
-// newest flow is short because admissions are nearly in seq order.
-func (f *Fabric) insertFlow(fl *Flow) {
-	after := f.flowTail
-	for after != nil && after.seq > fl.seq {
-		after = after.prev
-	}
-	fl.prev = after
-	if after == nil {
-		fl.next = f.flowHead
-		f.flowHead = fl
-	} else {
-		fl.next = after.next
-		after.next = fl
-	}
-	if fl.next == nil {
-		f.flowTail = fl
-	} else {
-		fl.next.prev = fl
-	}
-	f.nFlows++
-}
-
-// removeFlow unlinks the flow from the live list in O(1); the list stays
-// in seq order.
-func (f *Fabric) removeFlow(fl *Flow) {
-	if fl.prev == nil {
-		f.flowHead = fl.next
-	} else {
-		fl.prev.next = fl.next
-	}
-	if fl.next == nil {
-		f.flowTail = fl.prev
-	} else {
-		fl.next.prev = fl.prev
-	}
-	fl.prev, fl.next = nil, nil
-	f.nFlows--
 }
 
 // completeFlows is the single pending-completion event: it finishes every
@@ -283,7 +246,7 @@ func (f *Fabric) completeFlows() {
 			fl.remaining = 0
 		}
 		f.unlink(fl)
-		f.removeFlow(fl)
+		f.nFlows--
 		if fl.done != nil {
 			finished = append(finished, fl.done)
 		}
@@ -300,13 +263,17 @@ func (f *Fabric) completeFlows() {
 }
 
 // rekey recomputes the flow's projected completion after a credit +
-// possible rate change and fixes its heap position. Rate-0 flows (and the
+// possible rate change and fixes its heap position, which a flow already in
+// the heap at a bit-equal projection keeps as it is. Rate-0 flows (and the
 // pathological non-finite projection) leave the heap: they cannot complete
 // until a later reallocation re-rates them.
 func (f *Fabric) rekey(fl *Flow, now sim.Time) {
 	if fl.rate > 0 {
 		at := now + sim.Time(fl.remaining/fl.rate)
 		if !math.IsInf(float64(at), 0) {
+			if fl.heapPos >= 0 && math.Float64bits(float64(at)) == math.Float64bits(float64(fl.doneAt)) {
+				return
+			}
 			fl.doneAt = at
 			f.heapFix(fl)
 			return

@@ -18,7 +18,7 @@ import (
 //   - a flow joins the sharing set after its path latency;
 //   - every fabric event credits every live flow at its current rate;
 //   - every pass water-fills all live flows, not only the perturbed
-//     component;
+//     component, with the round-scan water-fill (scanWaterFill);
 //   - the next completion is found by a linear scan;
 //   - a completion sweep finishes, in admission order, every flow within
 //     one byte of drained;
@@ -26,11 +26,12 @@ import (
 //     a flow parked at rate 0 on an earlier cut keeps waiting.
 //
 // It reads topology, routes and link scales from its own fabric, which
-// carries no flows, and shares only waterFill with the code under test.
+// carries no flows, and shares no flow code with the code under test.
 type eagerOracle struct {
 	eng   *sim.Engine
 	fab   *Fabric
 	flows []*Flow  // live set, admission order
+	links []*Link  // scanWaterFill scratch
 	lastT sim.Time // when every live flow was last credited
 	next  sim.EventRef
 	seq   uint64
@@ -127,7 +128,7 @@ func (o *eagerOracle) reallocate() {
 	if len(o.flows) == 0 {
 		return
 	}
-	o.fab.waterFill(o.flows)
+	o.links = scanWaterFill(o.flows, o.links)
 	next := math.Inf(1)
 	for _, fl := range o.flows {
 		if fl.rate > 0 {
@@ -158,6 +159,82 @@ func (o *eagerOracle) complete() {
 	for _, done := range finished {
 		done()
 	}
+}
+
+// scanWaterFill is the round-scan water-fill the fabric ran before its
+// order-free pass: flows in admission order, and each round re-checks the
+// path of every unfrozen flow against the links' shares as they stand at
+// that point of the round. It is the eager oracle's water-fill and the
+// reference of TestWaterFillMatchesScan. The flows must be closed under
+// link sharing, as for waterFill; their links' water-filling fields are
+// overwritten. It collects the links in the given scratch slice and
+// returns it for reuse.
+func scanWaterFill(flows []*Flow, links []*Link) []*Link {
+	links = links[:0]
+	for _, fl := range flows {
+		for _, l := range fl.path {
+			l.wfCnt = 0
+		}
+	}
+	for _, fl := range flows {
+		for _, l := range fl.path {
+			if l.wfCnt == 0 {
+				l.wfRem = l.effCap()
+				links = append(links, l)
+			}
+			l.wfCnt++
+		}
+	}
+	unfrozen := len(flows)
+	for _, fl := range flows {
+		fl.frozen = false
+	}
+	for unfrozen > 0 {
+		// Find the tightest link among links carrying unfrozen flows.
+		minShare := math.Inf(1)
+		for _, l := range links {
+			if l.wfCnt > 0 {
+				if share := l.wfRem / float64(l.wfCnt); share < minShare {
+					minShare = share
+				}
+			}
+		}
+		if math.IsInf(minShare, 1) {
+			break
+		}
+		// Freeze every unfrozen flow crossing a link at the bottleneck share.
+		progressed := false
+		for _, fl := range flows {
+			if fl.frozen {
+				continue
+			}
+			bottlenecked := false
+			for _, l := range fl.path {
+				if l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+					bottlenecked = true
+					break
+				}
+			}
+			if !bottlenecked {
+				continue
+			}
+			fl.rate = minShare
+			fl.frozen = true
+			unfrozen--
+			for _, l := range fl.path {
+				l.wfRem -= minShare
+				if l.wfRem < 0 {
+					l.wfRem = 0
+				}
+				l.wfCnt--
+			}
+			progressed = true
+		}
+		if !progressed {
+			break // numerical safety: should not happen
+		}
+	}
+	return links
 }
 
 // flowModel is what driveTrace, faultStorm and the churn benchmarks drive:

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"math/bits"
-	"slices"
-)
+import "math"
 
 // Incremental max-min reallocation with lazy progress crediting.
 //
@@ -13,8 +9,8 @@ import (
 // shares a link — transitively — with a link whose flow set or capacity
 // changed. Every admission, completion and capacity change therefore marks
 // the links it touches dirty (markDirty), and reallocate recomputes the
-// water-filling pass only for the flows in components carrying a dirty
-// link, keeping the frozen shares of every untouched flow. A clean
+// water-filling pass only for the flows and links of components carrying a
+// dirty link, keeping the frozen shares of every untouched flow. A clean
 // component's flow and link sets are unchanged since its rates were last
 // computed, and the water-filling pass is a deterministic function of
 // exactly those sets, so the kept rates equal what a full recompute would
@@ -23,14 +19,32 @@ import (
 // Component discovery is a breadth-first sweep over the per-link flow lists
 // (Link.flows, maintained by admit/unlink with O(1) swap-removal), starting
 // from the dirty links: it touches only the flows and links of the
-// perturbed components, never the full live set. The component is then put
-// in admission order: the live flows form a doubly linked list kept in seq
-// order (insertFlow, removeFlow), so a component of A flows with
-// A·log₂A ≥ live flows is read off that list, and a smaller one is sorted.
-// Combined with the completion heap (doneheap.go) this makes the whole
-// per-event flow path — crediting, component discovery, ordering,
-// water-filling, rescheduling — cost O(A·log A + log flows) for an
-// arrival or departure, where the last log is the heap re-key.
+// perturbed components, never the full live set, and hands both to
+// waterFill in whatever order the sweep found them.
+//
+// The water-filling pass runs in rounds. A round computes every active
+// link's fair share once and takes the smallest as the round's bottleneck
+// share. Every link whose share is within a 1e-12 relative tolerance of it
+// is a bottleneck link, and the unfrozen flows on its own flow list are
+// frozen at the bottleneck share; a frozen flow subtracts that share from
+// each link on its path. A round over a component of L links and A flows
+// costs O(L) for the shares, at most the links still carrying unfrozen
+// flows, plus the flow lists of its bottleneck links; a link is a
+// bottleneck at most once, and each flow is frozen once at O(path), so a
+// pass of R rounds costs O(R·L + A·path). With the completion heap
+// (doneheap.go) re-keying each flow whose projected completion moved in
+// O(log flows), that is the whole per-event cost of an arrival or
+// departure: crediting, component discovery, water-filling and
+// rescheduling.
+//
+// The rates do not depend on the order of the flows or the links. The
+// bottleneck share is a minimum, and which links are bottlenecks is read
+// from the shares at the start of the round, before any flow is frozen.
+// Every subtraction in a round subtracts the same bottleneck share, so each
+// link sees the same sequence of float operations however its flows are
+// visited, and every frozen flow gets that same share. The pass is thus
+// bit-identical for any admission order and any traversal of the
+// component, which is why neither is sorted.
 //
 // THE LAZY-CREDITING INVARIANT. For every live flow, `remaining` and the
 // per-link byte counters are exact as of `lastT`, and the flow has been
@@ -64,20 +78,22 @@ func (f *Fabric) markDirty(l *Link) {
 	}
 }
 
-// affectedFlows computes the set of flows whose rate may have changed since
-// the last pass: the union of the flow/link connected components containing
-// a dirty link, found by BFS over the per-link flow lists. It consumes
-// (clears) the dirty-link list and returns the affected flows in admission
-// order, in reusable scratch storage. A component of A flows costs
-// O(A·log A): it is sorted, or, when that would cost as much as reading
-// the live set, read off the seq-ordered live list.
-func (f *Fabric) affectedFlows() []*Flow {
+// affectedFlows computes the flows whose rate may have changed since the
+// last pass and the links they cross: the union of the flow/link connected
+// components containing a dirty link, found by BFS over the per-link flow
+// lists. It consumes (clears) the dirty-link list and returns both sets,
+// in discovery order, in reusable scratch storage. The sets are closed
+// under link sharing: every flow of a returned link is returned, and every
+// link of a returned flow's path.
+func (f *Fabric) affectedFlows() ([]*Flow, []*Link) {
 	f.epoch++
 	epoch := f.epoch
 	aff := f.affScratch[:0]
+	links := f.wfLinks[:0]
 	for _, l := range f.dirtyLinks {
 		l.dirty = false
 		l.mark = epoch
+		links = append(links, l)
 		for _, s := range l.flows {
 			if s.fl.mark != epoch {
 				s.fl.mark = epoch
@@ -94,6 +110,7 @@ func (f *Fabric) affectedFlows() []*Flow {
 				continue
 			}
 			l.mark = epoch
+			links = append(links, l)
 			for _, s := range l.flows {
 				if s.fl.mark != epoch {
 					s.fl.mark = epoch
@@ -102,27 +119,9 @@ func (f *Fabric) affectedFlows() []*Flow {
 			}
 		}
 	}
-	// Water-filling iterates (and subtracts shares) in admission order so
-	// the arithmetic is independent of traversal order. A component that
-	// spans most of the live set (a shuffle's all-to-all flows) is read off
-	// the live list; a small one is sorted.
-	if n := len(aff); n*bits.Len(uint(n)) >= f.nFlows {
-		aff = aff[:0]
-		for fl := f.flowHead; fl != nil; fl = fl.next {
-			if fl.mark == epoch {
-				aff = append(aff, fl)
-			}
-		}
-	} else {
-		slices.SortFunc(aff, func(a, b *Flow) int {
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		})
-	}
 	f.affScratch = aff
-	return aff
+	f.wfLinks = links
+	return aff, links
 }
 
 // reallocate brings the max-min fair allocation up to date after flow
@@ -132,13 +131,13 @@ func (f *Fabric) affectedFlows() []*Flow {
 // and re-arm the single next-completion event.
 func (f *Fabric) reallocate() {
 	if len(f.dirtyLinks) > 0 {
-		affected := f.affectedFlows()
+		flows, links := f.affectedFlows()
 		now := f.eng.Now()
-		for _, fl := range affected {
+		for _, fl := range flows {
 			f.credit(fl) // invariant: credit before the rate may change
 		}
-		f.waterFill(affected)
-		for _, fl := range affected {
+		f.waterFill(flows, links)
+		for _, fl := range flows {
 			f.rekey(fl, now)
 		}
 	}
@@ -146,75 +145,79 @@ func (f *Fabric) reallocate() {
 }
 
 // waterFill runs progressive filling (water-filling) to a max-min fair
-// allocation over the given flows, which must be closed under link sharing
-// (no flow outside the set may cross any link used by a flow inside it) and
-// in admission order. Link working state lives inline on the Link records
-// (validity-stamped by wfPass), so the pass allocates nothing and touches
-// only the given flows' links.
-func (f *Fabric) waterFill(flows []*Flow) {
-	f.wfPass++
-	pass := f.wfPass
-	links := f.wfLinks[:0]
-	for _, fl := range flows {
-		for _, l := range fl.path {
-			if l.wfPass != pass {
-				l.wfPass = pass
-				l.wfRem = l.effCap()
-				l.wfCnt = 1
-				links = append(links, l)
-			} else {
-				l.wfCnt++
-			}
-		}
+// allocation over the given flows and links, in any order. Together they
+// must be closed under link sharing, as affectedFlows returns them: each
+// link's flow list holds only given flows, and each given flow's path only
+// given links. Link working state lives inline on the Link records, so the
+// pass allocates nothing and touches only the given links and flows; it
+// uses the links slice as scratch.
+func (f *Fabric) waterFill(flows []*Flow, links []*Link) {
+	for _, l := range links {
+		l.wfRem = l.effCap()
+		l.wfCnt = len(l.flows)
 	}
-	f.wfLinks = links
-	unfrozen := len(flows)
 	for _, fl := range flows {
 		fl.frozen = false
 	}
+	// active holds the links that still carry unfrozen flows: each round
+	// drops the ones it finds empty. near collects, in the same scan, every
+	// link whose share was within the tolerance of the minimum so far; the
+	// minimum only falls, so near holds every bottleneck link of the round.
+	active := links
+	near := f.wfNear[:0]
+	unfrozen := len(flows)
 	for unfrozen > 0 {
-		// Find the tightest link among links carrying unfrozen flows.
 		minShare := math.Inf(1)
-		for _, l := range links {
-			if l.wfCnt > 0 {
-				if share := l.wfRem / float64(l.wfCnt); share < minShare {
-					minShare = share
+		near = near[:0]
+		n := 0
+		for _, l := range active {
+			if l.wfCnt == 0 {
+				continue
+			}
+			active[n] = l
+			n++
+			l.wfShare = l.wfRem / float64(l.wfCnt)
+			if l.wfShare <= minShare*(1+1e-12) {
+				near = append(near, l)
+				if l.wfShare < minShare {
+					minShare = l.wfShare
 				}
 			}
 		}
+		active = active[:n]
 		if math.IsInf(minShare, 1) {
 			break
 		}
-		// Freeze every unfrozen flow crossing a link at the bottleneck share.
+		// Freeze the unfrozen flows of every link whose round-start share
+		// is at the bottleneck share. A link whose flows are all frozen
+		// this round has wfCnt 0 and is skipped.
+		bound := minShare * (1 + 1e-12)
 		progressed := false
-		for _, fl := range flows {
-			if fl.frozen {
+		for _, l := range near {
+			if l.wfCnt == 0 || l.wfShare > bound {
 				continue
 			}
-			bottlenecked := false
-			for _, l := range fl.path {
-				if l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
-					bottlenecked = true
-					break
+			for _, s := range l.flows {
+				fl := s.fl
+				if fl.frozen {
+					continue
 				}
-			}
-			if !bottlenecked {
-				continue
-			}
-			fl.rate = minShare
-			fl.frozen = true
-			unfrozen--
-			for _, l := range fl.path {
-				l.wfRem -= minShare
-				if l.wfRem < 0 {
-					l.wfRem = 0
+				fl.rate = minShare
+				fl.frozen = true
+				unfrozen--
+				for _, pl := range fl.path {
+					pl.wfRem -= minShare
+					if pl.wfRem < 0 {
+						pl.wfRem = 0
+					}
+					pl.wfCnt--
 				}
-				l.wfCnt--
+				progressed = true
 			}
-			progressed = true
 		}
 		if !progressed {
 			break // numerical safety: should not happen
 		}
 	}
+	f.wfNear = near[:0]
 }

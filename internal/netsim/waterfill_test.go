@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"edisim/internal/sim"
@@ -179,53 +181,177 @@ func BenchmarkFlowChurnManyComponents(b *testing.B) {
 	})
 }
 
-// TestAffectedFlowsSeqOrder starts flow A on a long-latency path and then
-// flow B on a shorter one, so B is admitted first although A has the
-// lower seq. The live list and affectedFlows must still put A before B,
-// both when the component is read off the live list (A and B alone) and
-// when it is sorted (A and B beside unrelated flows on disjoint links).
-func TestAffectedFlowsSeqOrder(t *testing.T) {
-	for _, others := range []int{0, 3} {
-		eng := sim.NewEngine()
+// startedRates starts the given flows in the given order, runs until every
+// one is admitted, and returns their rates indexed like flows.
+func startedRates(build func(*sim.Engine) (*Fabric, []string), flows [][2]string, order []int) []float64 {
+	eng := sim.NewEngine()
+	f, _ := build(eng)
+	refs := make([]FlowRef, len(flows))
+	for _, i := range order {
+		refs[i] = f.StartFlow(flows[i][0], flows[i][1], units.GB, nil)
+	}
+	eng.RunUntil(50e-3)
+	rates := make([]float64, len(flows))
+	for i, r := range refs {
+		rates[i] = float64(r.Rate())
+	}
+	return rates
+}
+
+// TestShuffledAdmissionSameRates admits the same flows in shuffled orders
+// and requires bit-identical rates: water-filling does not depend on the
+// admission order. The first case starts flow A on a long-latency path
+// and then flow B on a shorter one, so B, the later seq, is admitted
+// first; the second is an all-to-all mix on the Table 6 fabric.
+func TestShuffledAdmissionSameRates(t *testing.T) {
+	latency := func(eng *sim.Engine) (*Fabric, []string) {
 		f := NewFabric(eng)
 		for _, v := range []string{"a", "b", "sw", "c", "x", "y"} {
 			f.AddVertex(v)
 		}
 		f.Connect("a", "sw", units.Mbps(100), 10e-3)
 		f.Connect("b", "sw", units.Mbps(100), 1e-3)
-		f.Connect("sw", "c", units.Mbps(100), 1e-3)
+		f.Connect("sw", "c", units.Mbps(30), 1e-3)
 		f.Connect("x", "y", units.Mbps(100), 1e-3)
-		for i := 0; i < others; i++ {
-			f.StartFlow("x", "y", units.GB, nil)
-		}
-		a := f.StartFlow("a", "c", units.GB, nil)
-		eng.RunUntil(1e-3)
-		b := f.StartFlow("b", "c", units.GB, nil)
-		eng.RunUntil(5e-3)
-		if b.Rate() == 0 || a.Rate() != 0 {
-			t.Fatalf("others=%d: want B admitted before A (rates A %g, B %g)", others, a.Rate(), b.Rate())
-		}
-		eng.RunUntil(20e-3)
+		return f, nil
+	}
+	eng := sim.NewEngine()
+	f, _ := latency(eng)
+	a := f.StartFlow("a", "c", units.GB, nil)
+	b := f.StartFlow("b", "c", units.GB, nil)
+	eng.RunUntil(5e-3)
+	if b.Rate() == 0 || a.Rate() != 0 {
+		t.Fatalf("want B admitted before A (rates A %g, B %g)", a.Rate(), b.Rate())
+	}
 
-		var live []*Flow
-		for fl := f.flowHead; fl != nil; fl = fl.next {
-			live = append(live, fl)
+	rng := rand.New(rand.NewSource(1))
+	_, hosts := table6Fabric(sim.NewEngine())
+	var mix [][2]string
+	for range 60 {
+		src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+		if dst >= src {
+			dst++
 		}
-		for i := 1; i < len(live); i++ {
-			if live[i-1].seq >= live[i].seq {
-				t.Fatalf("others=%d: live list out of seq order at %d", others, i)
+		mix = append(mix, [2]string{hosts[src], hosts[dst]})
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(*sim.Engine) (*Fabric, []string)
+		flows [][2]string
+	}{
+		{"later-seq-admitted-first", latency, [][2]string{{"a", "c"}, {"b", "c"}, {"x", "y"}, {"b", "c"}}},
+		{"table6", table6Fabric, mix},
+	} {
+		order := make([]int, len(tc.flows))
+		for i := range order {
+			order[i] = i
+		}
+		want := startedRates(tc.build, tc.flows, order)
+		for trial := range 20 {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			got := startedRates(tc.build, tc.flows, order)
+			for i := range want {
+				if want[i] == 0 {
+					t.Fatalf("%s: flow %d not admitted", tc.name, i)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s trial %d: flow %d rate %v, want %v (admission order %v)",
+						tc.name, trial, i, got[i], want[i], order)
+				}
 			}
 		}
+	}
+}
 
-		f.markDirty(f.Route("sw", "c")[0])
-		aff := f.affectedFlows()
-		if len(aff) != 2 || aff[0] != a.fl || aff[1] != b.fl {
-			t.Fatalf("others=%d: affectedFlows gave %d flows, want [A B] in seq order", others, len(aff))
+// randomLeafSpine builds a leaf-spine fabric of random shape and link
+// speeds.
+func randomLeafSpine(rng *rand.Rand) func(*sim.Engine) (*Fabric, []string) {
+	speeds := []units.BytesPerSec{units.Mbps(100), units.Gbps(1), units.Gbps(10)}
+	shape := leafSpineShape{
+		spines: 1 + rng.Intn(3), leaves: 2 + rng.Intn(3), perLeaf: 2 + rng.Intn(5),
+		hostLink: speeds[rng.Intn(2)], uplink: speeds[1+rng.Intn(2)],
+		hostDelay: 0.2e-3, uplinkDelay: 0.1e-3,
+	}
+	return func(eng *sim.Engine) (*Fabric, []string) { return buildLeafSpine(eng, shape) }
+}
+
+// TestWaterFillMatchesScan water-fills random components on the Table 6
+// fabric and on random leaf-spines, some vertices' links degraded or cut,
+// and requires bit-identical rates from the order-free pass, fed its flows
+// and links shuffled, and from the round-scan water-fill of the eager
+// oracle, fed the flows in admission order.
+func TestWaterFillMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for c := range 400 {
+		build := table6Fabric
+		if c%2 == 1 {
+			build = randomLeafSpine(rng)
 		}
-		// others=0 reads the component off the live list; others=3 sorts.
-		walked := len(aff)*bits.Len(uint(len(aff))) >= f.ActiveFlows()
-		if walked != (others == 0) {
-			t.Fatalf("others=%d: list walk %v with %d live flows", others, walked, f.ActiveFlows())
+		eng := sim.NewEngine()
+		f, hosts := build(eng)
+		for range rng.Intn(4) {
+			scale := 0.05 + 0.9*rng.Float64()
+			if rng.Intn(8) == 0 {
+				scale = 0
+			}
+			f.SetVertexLinks(f.names[rng.Intn(len(f.names))], scale)
 		}
+		for range 1 + rng.Intn(80) {
+			src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+			if dst >= src {
+				dst++
+			}
+			f.StartFlow(hosts[src], hosts[dst], units.GB, nil)
+		}
+		eng.RunUntil(50e-3)
+
+		for _, l := range f.links {
+			f.markDirty(l)
+		}
+		flows, links := f.affectedFlows()
+		if len(flows) != f.ActiveFlows() {
+			t.Fatalf("case %d: sweep found %d flows of %d live", c, len(flows), f.ActiveFlows())
+		}
+		rng.Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
+		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+		f.waterFill(flows, links)
+
+		bySeq := slices.Clone(flows)
+		slices.SortFunc(bySeq, func(a, b *Flow) int { return int(a.seq) - int(b.seq) })
+		got := make([]float64, len(bySeq))
+		for i, fl := range bySeq {
+			got[i] = fl.rate
+		}
+		scanWaterFill(bySeq, nil)
+		for i, fl := range bySeq {
+			if math.Float64bits(got[i]) != math.Float64bits(fl.rate) {
+				t.Fatalf("case %d: flow %s->%s (seq %d) rate %v, scan %v",
+					c, fl.Src, fl.Dst, fl.seq, got[i], fl.rate)
+			}
+		}
+	}
+}
+
+// BenchmarkShuffleReallocate measures one admission plus one completion
+// inside a shuffle: all-to-all flows among the Table 6 fabric's hosts,
+// whose one component takes several water-filling rounds (Edison NICs,
+// the Dell NIC and the loaded switch uplinks bottleneck in turn). Each op
+// re-allocates that whole component twice.
+func BenchmarkShuffleReallocate(b *testing.B) {
+	eng := sim.NewEngine()
+	f, hosts := table6Fabric(eng)
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src != dst {
+				f.StartFlow(src, dst, units.Bytes(1e18), nil)
+			}
+		}
+	}
+	eng.RunUntil(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.StartFlow(hosts[0], hosts[13], units.Bytes(1e4), nil)
+		eng.RunUntil(eng.Now() + 1)
 	}
 }

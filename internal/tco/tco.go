@@ -220,16 +220,17 @@ const sizeSlack = 1 + 1e-9
 const MaxFleet = math.MaxInt32
 
 // SizeForBudget reports the largest fleet of platform p whose 3-year TCO at
-// utilization u fits within budgetUSD — the equal-spend sizing behind the
-// paper's 35-Edisons-vs-3-Dells framing (§6). The TCO is linear in the
-// server count, so the answer is budget divided by one server's lifetime
-// cost, rounded down (capped at MaxFleet); 0 means a single server already
+// utilization u, priced with the named power model (see ForPlatformModel),
+// fits within budgetUSD — the equal-spend sizing behind the paper's
+// 35-Edisons-vs-3-Dells framing (§6). The TCO is linear in the server
+// count, so the answer is budget divided by one server's lifetime cost,
+// rounded down (capped at MaxFleet); 0 means a single server already
 // exceeds the budget.
-func SizeForBudget(p *hw.Platform, budgetUSD, u float64) (int, error) {
+func SizeForBudget(p *hw.Platform, budgetUSD, u float64, kind hw.PowerModelKind) (int, error) {
 	if math.IsNaN(budgetUSD) || math.IsInf(budgetUSD, 0) || budgetUSD <= 0 {
 		return 0, fmt.Errorf("tco: budget $%v must be positive and finite", budgetUSD)
 	}
-	one, err := Compute(ForPlatform(p, 1, u))
+	one, err := Compute(ForPlatformModel(p, 1, u, kind))
 	if err != nil {
 		return 0, err
 	}

@@ -130,7 +130,7 @@ func TestSizeForBudget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := SizeForBudget(tc.p, tc.budget, tc.util)
+			n, err := SizeForBudget(tc.p, tc.budget, tc.util, hw.PowerLinear)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("want error containing %q, got n=%d err=%v", tc.wantErr, n, err)
@@ -160,7 +160,7 @@ func TestSizeForBudget(t *testing.T) {
 // to MaxFleet, never wrap the int conversion into a negative fleet.
 func TestSizeForBudgetOverflowClamped(t *testing.T) {
 	micro, _ := basePair()
-	n, err := SizeForBudget(micro, 1e30, 0.5)
+	n, err := SizeForBudget(micro, 1e30, 0.5, hw.PowerLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSizeForBudgetOverflowClamped(t *testing.T) {
 func TestSizeForBudgetMatchesPaperScale(t *testing.T) {
 	micro, brawny := basePair()
 	budget := MustCompute(ForPlatform(brawny, 3, 0.75)).Total()
-	n, err := SizeForBudget(micro, budget, 0.75)
+	n, err := SizeForBudget(micro, budget, 0.75, hw.PowerLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +192,10 @@ func TestSizingStaysAllocationFree(t *testing.T) {
 	micro, brawny := basePair()
 	budget := MustCompute(ForPlatform(brawny, 3, 0.75)).Total()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := SizeForBudget(micro, budget, 0.75); err != nil {
-			t.Fatal(err)
+		for _, kind := range []hw.PowerModelKind{hw.PowerLinear, hw.PowerTDPCurve} {
+			if _, err := SizeForBudget(micro, budget, 0.75, kind); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {
@@ -201,14 +203,46 @@ func TestSizingStaysAllocationFree(t *testing.T) {
 	}
 }
 
+// TestSizeForBudgetPricesTheNamedModel: under the TDP-curve power model
+// the sizing divides by the curve-priced server, so the sized fleet's
+// curve-priced TCO fits the budget and one more server's does not.
+func TestSizeForBudgetPricesTheNamedModel(t *testing.T) {
+	micro, brawny := basePair()
+	budget := MustCompute(ForPlatformModel(brawny, 3, 0.75, hw.PowerTDPCurve)).Total()
+	n, err := SizeForBudget(micro, budget, 0.75, hw.PowerTDPCurve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := MustCompute(ForPlatformModel(micro, n, 0.75, hw.PowerTDPCurve)).Total(); got > budget*(1+1e-9) {
+		t.Fatalf("%d-node fleet costs $%.2f under the curve, over the $%.2f budget", n, got, budget)
+	}
+	if over := MustCompute(ForPlatformModel(micro, n+1, 0.75, hw.PowerTDPCurve)).Total(); over <= budget {
+		t.Fatalf("%d nodes at $%.2f still fit the $%.2f budget — not maximal", n+1, over, budget)
+	}
+	linear, err := SizeForBudget(micro, budget, 0.75, hw.PowerLinear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if linear == n {
+		t.Fatalf("both power models size %d nodes; the budget does not tell them apart", n)
+	}
+}
+
 func BenchmarkSizeForBudget(b *testing.B) {
 	micro, brawny := basePair()
 	budget := MustCompute(ForPlatform(brawny, 3, 0.75)).Total()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SizeForBudget(micro, budget, 0.75); err != nil {
-			b.Fatal(err)
-		}
+	for _, m := range []struct {
+		name string
+		kind hw.PowerModelKind
+	}{{"linear", hw.PowerLinear}, {"tdp-curve", hw.PowerTDPCurve}} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := SizeForBudget(micro, budget, 0.75, m.kind); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -173,7 +173,7 @@ func ComputeTCO(in TCOInputs) (TCOResult, error) { return tco.Compute(in) }
 // sizing behind the paper's 35-Edisons-vs-3-Dells comparison (§6). Zero
 // means one server already exceeds the budget.
 func SizeFleetForBudget(p *Platform, budgetUSD, utilization float64) (int, error) {
-	return tco.SizeForBudget(p, budgetUSD, utilization)
+	return tco.SizeForBudget(p, budgetUSD, utilization, hw.PowerLinear)
 }
 
 // TCOTable10 returns the paper's four published TCO scenarios.

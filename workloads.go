@@ -634,7 +634,7 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 				n = sizes[i]
 			} else {
 				var err error
-				if n, err = tco.SizeForBudget(p, ts.Budget, util); err != nil {
+				if n, err = tco.SizeForBudget(p, ts.Budget, util, hw.PowerLinear); err != nil {
 					return nil, err
 				}
 				if n == 0 {
