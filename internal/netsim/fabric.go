@@ -16,10 +16,13 @@
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
 //     Each admission or completion re-allocates only the flows and links
 //     of the component it touches, in one pass whose rates do not depend
-//     on the order of the flows (see waterfill.go).
+//     on the order of the flows or on the other components. A slack link,
+//     one whose feeding links can never fill it, stays out of the sharing
+//     graph, so flows joined only through such links (the paper testbed's
+//     box uplinks) share no component (see waterfill.go).
 //
 // Every host and switch is a Vertex, the dense index AddVertex interns its
-// name to. Send and RoundTrip take vertices, which their callers resolve
+// name to. Send takes vertices, which its callers resolve
 // once with Fabric.Vertex; StartFlow, Route and Latency take names and
 // resolve them on each call. All of them read one route table indexed by
 // source and destination vertex, whose rows are cut from per-source
@@ -67,9 +70,16 @@ type Link struct {
 	bytes units.Bytes // cumulative bytes carried (messages + flows); may
 	// lag behind live flow progress and sent messages until
 	// Fabric.FlushProgress credits them
-	flows []linkSlot // active max-min flows crossing this link
-	dirty bool       // on the fabric's dirty list for the next reallocate
-	mark  uint64     // epoch stamp for the dirty-component sweep
+
+	// flows lists the active max-min flows crossing this link while it is
+	// binding. A slack link (see isSlack) lists none of the flows admitted
+	// while it is slack: its feeding links can never fill it, so it never
+	// limits a rate and stays out of the sharing graph. It may keep flows
+	// listed while it was binding; those lists stay exact constraints.
+	flows []linkSlot
+	slack bool   // the feeding links can never fill the link (isSlack)
+	dirty bool   // on the fabric's dirty list for the next reallocate
+	mark  uint64 // epoch stamp for the dirty-component sweep
 	// Water-filling working state, set for the component's links at the
 	// start of each pass (see waterFill): remaining capacity, unfrozen
 	// flows, and the fair share at the start of the current round.
@@ -85,11 +95,11 @@ type Link struct {
 }
 
 // linkSlot is one entry of a link's flow list: the crossing flow plus the
-// index of this link in that flow's path, so swap-removal can repair the
-// moved entry's back-pointer (Flow.linkPos) in O(1).
+// index of this link in that flow's own list of links (Flow.links), so
+// swap-removal can repair the moved entry's back-pointer in O(1).
 type linkSlot struct {
-	fl      *Flow
-	pathIdx int32
+	fl   *Flow
+	slot int32
 }
 
 // Bytes reports the cumulative bytes carried over this link.
@@ -104,12 +114,17 @@ func (l *Link) Down() bool { return l.scale == 0 }
 // effCap is the scaled capacity in bytes/sec used by both transfer models.
 func (l *Link) effCap() float64 { return float64(l.Capacity) * l.scale }
 
+// ceiling is the most the link can carry as a feeder of another link: its
+// nameplate capacity, or its effective capacity when scaled above it.
+func (l *Link) ceiling() float64 { return float64(l.Capacity) * max(1, l.scale) }
+
 // newLink adds one direction of a cable to the fabric.
 func (f *Fabric) newLink(src, dst string, capacity units.BytesPerSec, delay float64) *Link {
 	l := &Link{Src: src, Dst: dst, src: f.vertices[src], dst: f.vertices[dst],
 		idx: int32(len(f.links)), Capacity: capacity, Delay: delay,
 		fab: f, deliveries: f.eng.NewLane(), scale: 1}
 	f.adj[l.src] = append(f.adj[l.src], l)
+	f.into[l.dst] = append(f.into[l.dst], l)
 	f.links = append(f.links, l)
 	return l
 }
@@ -120,7 +135,18 @@ type Fabric struct {
 	vertices map[string]int32 // name -> dense vertex index, in AddVertex order
 	names    []string         // vertex index -> name
 	adj      [][]*Link        // outgoing links by vertex index, in Connect order
+	into     [][]*Link        // incoming links by vertex index, in Connect order
 	links    []*Link
+
+	// endpoint[v] records that a flow was admitted from or to vertex v;
+	// the slack rule treats every other vertex as a relay (see isSlack).
+	// slackStale says the topology changed since the links' slack flags
+	// were computed; the next admission or capacity change recomputes
+	// them. turned collects the links that became binding since their
+	// crossing flows were last listed (see relist).
+	endpoint   []bool
+	slackStale bool
+	turned     []*Link
 
 	// trees[s] is the breadth-first parent tree from source vertex s, built
 	// on the first route miss from s (nil until then): trees[s][v] is the
@@ -200,6 +226,8 @@ func (f *Fabric) AddVertex(name string) {
 	f.vertices[name] = int32(len(f.adj))
 	f.names = append(f.names, name)
 	f.adj = append(f.adj, nil)
+	f.into = append(f.into, nil)
+	f.endpoint = append(f.endpoint, false)
 	f.trees = append(f.trees, nil)
 	f.routes = append(f.routes, nil)
 }
@@ -234,6 +262,7 @@ func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay floa
 		panic("netsim: non-positive link capacity")
 	}
 	f.newLink(a, b, capacity, delay)
+	f.slackStale = true
 	if f.nTrees > 0 {
 		f.dropTrees()
 	}
@@ -376,7 +405,9 @@ func (f *Fabric) RTT(a, b string) float64 {
 // transmitting, so every leg planned on a changed link that has not
 // started there yet is re-planned at the new capacity, or held to that
 // instant while the link is cut, and the change is carried down the rest
-// of its path; one already transmitting finishes.
+// of its path; one already transmitting finishes. A slack link that the
+// change makes binding (a cut one always is) lists its crossing flows
+// first, so the cut finds them and the re-allocation counts them.
 func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !(scale >= 0) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("netsim: link scale %g must be finite and non-negative", scale))
@@ -397,6 +428,8 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 		return
 	}
 	f.settle()
+	f.refreshSlack()
+	f.relist()
 	if scale == 0 {
 		f.abortCrossing()
 	}
@@ -407,10 +440,11 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 // link (flows parked at rate 0 on an earlier, unrelated cut keep waiting).
 // Aborted flows never run their done callbacks — the transfer is simply
 // lost, like a TCP connection through a yanked cable. The cut links must
-// already be marked dirty by the caller; the victims are found through the
-// cut links' own flow lists (cost proportional to the crossing flows, not
-// the live set) and credited just before recycling, per the lazy-crediting
-// invariant.
+// already be marked dirty, and list every crossing flow (a cut link is
+// binding, and relist has listed the flows of one that was slack); the
+// victims are found through the cut links' own flow lists (cost
+// proportional to the crossing flows, not the live set) and credited just
+// before recycling, per the lazy-crediting invariant.
 func (f *Fabric) abortCrossing() {
 	// The just-cut links sit on the dirty list; collect their crossing
 	// flows once (epoch-deduplicated), then retire each.

@@ -9,9 +9,11 @@ import (
 
 // Flow is a bulk transfer receiving a max-min fair share of every link on
 // its path. When a flow starts or finishes, the rates of the flows that
-// share links with it, directly or through other flows, are recomputed.
-// An admitted flow is listed on each of its path links (Link.flows), the
-// only index of the live flows besides the completion heap.
+// share binding links with it, directly or through other flows, are
+// recomputed. An admitted flow is listed on each binding link of its path
+// (Link.flows; a slack link can never limit it, see waterfill.go), the
+// only index of the live flows besides the completion heap. Every path
+// has a binding link, so every live flow is listed somewhere.
 //
 // Flow records are pooled on the fabric like sim.Event records: StartFlow
 // takes one from a freelist (grown in chunks) and completion returns it, so
@@ -36,12 +38,18 @@ type Flow struct {
 	rate      float64 // bytes/sec, current allocation (frozen between passes)
 	lastT     sim.Time
 	done      func()
-	frozen    bool // scratch flag for the water-filling pass
+	// fill is the water-filling pass's working rate: negative while the
+	// flow is unfrozen, then the share it froze at (see waterFill).
+	fill float64
 
 	heapPos int32    // position in the completion heap, -1 when absent
 	doneAt  sim.Time // projected completion (heap key), valid while heapPos >= 0
 	mark    uint64   // epoch stamp for the dirty-component sweep
-	linkPos []int32  // position in each path link's flow list, parallel to path
+	// links are the path links the flow is listed on, each with the
+	// flow's position in that link's flow list: the binding ones at
+	// admission, and any that turned binding later (relist). The slice
+	// keeps its capacity across recycling.
+	links []flowLink
 
 	// Pre-bound continuations, created once per record (amortized to zero
 	// by the pool) so StartFlow never allocates a closure: admission into
@@ -49,6 +57,13 @@ type Flow struct {
 	// zero-cost completion of empty or same-host transfers.
 	admitFn func()
 	zeroFn  func()
+}
+
+// flowLink is one entry of Flow.links: a link the flow is listed on and
+// the flow's index in that link's flow list.
+type flowLink struct {
+	l   *Link
+	pos int32
 }
 
 // FlowRef is a cheap, copyable handle to a started flow. The zero value is
@@ -99,12 +114,12 @@ func (f *Fabric) allocFlow() *Flow {
 
 // recycleFlow invalidates outstanding refs and returns the record to the
 // pool. The path slice belongs to the route cache, so dropping the
-// reference costs nothing; linkPos keeps its capacity for the next use.
+// reference costs nothing; links keeps its capacity for the next use.
 func (f *Fabric) recycleFlow(fl *Flow) {
 	fl.seq = 0
 	fl.done = nil // release the closure for GC
 	fl.path = nil
-	fl.linkPos = fl.linkPos[:0]
+	fl.links = fl.links[:0]
 	f.freeFlows = append(f.freeFlows, fl)
 }
 
@@ -144,10 +159,10 @@ func (fl *Flow) finishZero() {
 }
 
 // admit adds the flow to the bandwidth-sharing set once its first byte has
-// crossed the path, dirtying the path links for the incremental
-// water-filling pass. Only the flow's connected component is touched: the
-// lazy-crediting sweep in reallocate credits exactly the flows whose rate
-// may change.
+// crossed the path, listing it on the path's binding links and dirtying
+// them for the incremental water-filling pass. Its endpoints stop being
+// relays for the slack rule first. Only the flow's connected component is
+// touched, and reallocate credits only the flows whose rate changes.
 func (fl *Flow) admit() {
 	f := fl.fab
 	// The propagation window transferred nothing: advance lastT so the first
@@ -155,20 +170,33 @@ func (fl *Flow) admit() {
 	// at its post-admission rate (the pre-lazy code had exactly that
 	// double-count; the golden refresh covers the fix).
 	fl.lastT = f.eng.Now()
+	if f.slackStale {
+		f.refreshSlack()
+	}
+	f.markEndpoint(fl.path[0].src)
+	f.markEndpoint(fl.path[len(fl.path)-1].dst)
+	f.relist()
 	f.nFlows++
-	fl.linkPos = fl.linkPos[:0]
-	for i, l := range fl.path {
-		fl.linkPos = append(fl.linkPos, int32(len(l.flows)))
-		l.flows = append(l.flows, linkSlot{fl: fl, pathIdx: int32(i)})
-		f.markDirty(l)
+	for _, l := range fl.path {
+		if !l.slack {
+			f.list(fl, l)
+		}
 	}
 	f.reallocate()
 }
 
+// list adds the flow to the link's flow list and dirties the link.
+func (f *Fabric) list(fl *Flow, l *Link) {
+	fl.links = append(fl.links, flowLink{l: l, pos: int32(len(l.flows))})
+	l.flows = append(l.flows, linkSlot{fl: fl, slot: int32(len(fl.links) - 1)})
+	f.markDirty(l)
+}
+
 // credit brings one flow's lazy progress accounting up to now: remaining,
-// lastT and the per-link byte counters. It MUST run before the flow's rate
-// changes or the flow leaves the fabric (the lazy-crediting invariant, see
-// waterfill.go). Idempotent at a fixed time.
+// lastT and the byte counters of every link of its path, slack or
+// binding. It MUST run before the flow's rate changes or the flow leaves
+// the fabric (the lazy-crediting invariant, see waterfill.go). Idempotent
+// at a fixed time.
 func (f *Fabric) credit(fl *Flow) {
 	now := f.eng.Now()
 	dt := float64(now - fl.lastT)
@@ -190,10 +218,10 @@ func (f *Fabric) credit(fl *Flow) {
 // and TotalBytes reflect all progress. Reports and assertions should call
 // it (TotalBytes does so itself); the hot path never needs it, and this
 // pass over the links' flow lists is the only place every live flow is
-// credited at once. A flow is reached once per link on its path, which is
-// harmless: credit is idempotent at one instant, and the link byte
-// counters it adds to are integers, so the visiting order cannot change
-// them.
+// credited at once. Every live flow is listed on a binding link, and one
+// listed on several is reached once per link, which is harmless: credit
+// is idempotent at one instant, and the link byte counters it adds to are
+// integers, so the visiting order cannot change them.
 func (f *Fabric) FlushProgress() {
 	now := f.eng.Now()
 	for _, l := range f.links {
@@ -204,17 +232,17 @@ func (f *Fabric) FlushProgress() {
 	}
 }
 
-// unlink removes the flow from its path links' flow lists (swap-remove via
-// the linkPos back-pointers, O(path)) and marks the links dirty for the next
-// reallocation pass.
+// unlink removes the flow from the flow lists it is on (swap-remove via
+// the Flow.links back-pointers, O(path)) and marks those links dirty for
+// the next reallocation pass.
 func (f *Fabric) unlink(fl *Flow) {
-	for i, l := range fl.path {
-		pos := fl.linkPos[i]
+	for _, fk := range fl.links {
+		l, pos := fk.l, fk.pos
 		last := len(l.flows) - 1
 		if int(pos) != last {
 			moved := l.flows[last]
 			l.flows[pos] = moved
-			moved.fl.linkPos[moved.pathIdx] = pos
+			moved.fl.links[moved.slot].pos = pos
 		}
 		l.flows[last] = linkSlot{}
 		l.flows = l.flows[:last]
@@ -262,18 +290,14 @@ func (f *Fabric) completeFlows() {
 	f.doneQueue = finished[:0]
 }
 
-// rekey recomputes the flow's projected completion after a credit +
-// possible rate change and fixes its heap position, which a flow already in
-// the heap at a bit-equal projection keeps as it is. Rate-0 flows (and the
+// rekey recomputes the flow's projected completion after a credit and a
+// rate change and fixes its heap position. Rate-0 flows (and the
 // pathological non-finite projection) leave the heap: they cannot complete
 // until a later reallocation re-rates them.
 func (f *Fabric) rekey(fl *Flow, now sim.Time) {
 	if fl.rate > 0 {
 		at := now + sim.Time(fl.remaining/fl.rate)
 		if !math.IsInf(float64(at), 0) {
-			if fl.heapPos >= 0 && math.Float64bits(float64(at)) == math.Float64bits(float64(fl.doneAt)) {
-				return
-			}
 			fl.doneAt = at
 			f.heapFix(fl)
 			return

@@ -131,6 +131,9 @@ func (o *eagerOracle) reallocate() {
 	o.links = scanWaterFill(o.flows, o.links)
 	next := math.Inf(1)
 	for _, fl := range o.flows {
+		if fl.fill >= 0 {
+			fl.rate = fl.fill
+		}
 		if fl.rate > 0 {
 			next = min(next, fl.remaining/fl.rate)
 		}
@@ -161,12 +164,14 @@ func (o *eagerOracle) complete() {
 	}
 }
 
-// scanWaterFill is the round-scan water-fill the fabric ran before its
-// order-free pass: flows in admission order, and each round re-checks the
-// path of every unfrozen flow against the links' shares as they stand at
-// that point of the round. It is the eager oracle's water-fill and the
-// reference of TestWaterFillMatchesScan. The flows must be closed under
-// link sharing, as for waterFill; their links' water-filling fields are
+// scanWaterFill is the round-scan water-fill: flows in admission order,
+// and each round checks the whole path of every unfrozen flow against the
+// links' shares at the start of the round, freezing the flows that cross
+// a link whose share equals the round's smallest exactly. It is the eager
+// oracle's water-fill and the reference of TestWaterFillMatchesScan. It
+// reads every link of each path, slack or binding, and no flow list. The
+// flows must be closed under link sharing, as for waterFill; each flow's
+// share is left in its fill field, and its links' water-filling fields are
 // overwritten. It collects the links in the given scratch slice and
 // returns it for reuse.
 func scanWaterFill(flows []*Flow, links []*Link) []*Link {
@@ -187,16 +192,17 @@ func scanWaterFill(flows []*Flow, links []*Link) []*Link {
 	}
 	unfrozen := len(flows)
 	for _, fl := range flows {
-		fl.frozen = false
+		fl.fill = -1
 	}
 	for unfrozen > 0 {
-		// Find the tightest link among links carrying unfrozen flows.
+		// Every link's share at the start of the round, and the smallest
+		// among links carrying unfrozen flows.
 		minShare := math.Inf(1)
 		for _, l := range links {
+			l.wfShare = math.Inf(1)
 			if l.wfCnt > 0 {
-				if share := l.wfRem / float64(l.wfCnt); share < minShare {
-					minShare = share
-				}
+				l.wfShare = l.wfRem / float64(l.wfCnt)
+				minShare = min(minShare, l.wfShare)
 			}
 		}
 		if math.IsInf(minShare, 1) {
@@ -205,12 +211,12 @@ func scanWaterFill(flows []*Flow, links []*Link) []*Link {
 		// Freeze every unfrozen flow crossing a link at the bottleneck share.
 		progressed := false
 		for _, fl := range flows {
-			if fl.frozen {
+			if fl.fill >= 0 {
 				continue
 			}
 			bottlenecked := false
 			for _, l := range fl.path {
-				if l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+				if l.wfShare == minShare {
 					bottlenecked = true
 					break
 				}
@@ -218,8 +224,7 @@ func scanWaterFill(flows []*Flow, links []*Link) []*Link {
 			if !bottlenecked {
 				continue
 			}
-			fl.rate = minShare
-			fl.frozen = true
+			fl.fill = minShare
 			unfrozen--
 			for _, l := range fl.path {
 				l.wfRem -= minShare

@@ -5,11 +5,12 @@ import (
 	"edisim/internal/units"
 )
 
-// message is a pooled in-flight Send/RoundTrip record. Records come from a
-// fabric freelist (grown in chunks, like Flow and sim.Event records) and
-// are recycled on final delivery or drop, so steady-state messaging does
-// not allocate. A RoundTrip rides one record for both legs. No handle type
-// is exposed: a message is never cancellable or observable from user code.
+// message is a pooled in-flight Send record. Records come from a fabric
+// freelist (grown in chunks, like Flow and sim.Event records) and are
+// recycled on delivery or drop, so steady-state messaging does not
+// allocate. No handle type is exposed: a message is never cancellable or
+// observable from user code. A request/reply exchange is two Sends, the
+// reply sent from the request's done callback.
 //
 // A leg costs one engine event, its delivery. A link is a capacity-1 FIFO
 // with a constant delay that serves legs in order of arrival at the link,
@@ -39,12 +40,6 @@ type message struct {
 	// delivery is the leg's one event, on its last link's delivery lane;
 	// inactive while the leg is held or dropped short of its destination.
 	delivery sim.EventRef
-
-	// RoundTrip support: when hasReply, delivery of the request re-launches
-	// the record as the reply leg (dst back to src) instead of recycling it.
-	hasReply  bool
-	replySize units.Bytes
-	src, dst  Vertex
 
 	// deliverFn is the pre-bound delivery continuation, created once per
 	// record (amortized to zero by the pool).
@@ -442,22 +437,10 @@ func (l *Link) dropHeld() {
 	l.rearmHold()
 }
 
-// deliver runs when the leg fully arrives at its destination: either
-// turn the record around as the reply leg of a round trip, or finish.
+// deliver runs when the leg fully arrives at its destination: recycle the
+// record, then run done, which may send again on it.
 func (m *message) deliver() {
 	f := m.fab
-	if m.hasReply {
-		m.hasReply = false
-		m.size = m.replySize
-		if m.src == m.dst {
-			// Same-host reply: zero-cost but still asynchronous.
-			f.eng.After(0, m.deliverFn)
-			return
-		}
-		m.path = f.path(m.dst, m.src)
-		f.launch(m)
-		return
-	}
 	done := m.done
 	f.recycleMsg(m)
 	if done != nil {
@@ -484,31 +467,6 @@ func (f *Fabric) Send(src, dst Vertex, size units.Bytes, done func()) {
 	m := f.allocMsg()
 	m.size = size
 	m.done = done
-	m.hasReply = false
-	m.path = f.path(src, dst)
-	f.launch(m)
-}
-
-// RoundTrip sends a request of reqSize from vertex src to dst, then a reply of
-// respSize back; done runs when the reply fully arrives at src. The whole
-// round trip rides one pooled record, so it does not allocate either.
-func (f *Fabric) RoundTrip(src, dst Vertex, reqSize, respSize units.Bytes, done func()) {
-	if reqSize < 0 || respSize < 0 {
-		panic("netsim: negative message size")
-	}
-	m := f.allocMsg()
-	m.size = reqSize
-	m.done = done
-	m.hasReply = true
-	m.replySize = respSize
-	m.src, m.dst = src, dst
-	if src == dst {
-		// Same-host request leg: one zero-delay event, then deliver turns
-		// the record around for the (also zero-delay) reply leg, matching
-		// the two-event timeline of a self Send followed by a self Send.
-		f.eng.After(0, m.deliverFn)
-		return
-	}
 	m.path = f.path(src, dst)
 	f.launch(m)
 }

@@ -103,8 +103,16 @@ func leafSpineNet(eng *sim.Engine) (*netsim.Fabric, []string) {
 		HostLink: units.Mbps(100), Uplink: units.Gbps(1)})
 }
 
+// roundTrip sends a request from src to dst and, when it arrives, the
+// reply back; done runs when the reply arrives.
+func roundTrip(f *netsim.Fabric, src, dst string, req, resp units.Bytes, done func()) {
+	s, d := f.Vertex(src), f.Vertex(dst)
+	f.Send(s, d, req, func() { f.Send(d, s, resp, done) })
+}
+
 // TestClosedFormHopsMatchOracle drives the fabric and the two-event oracle
-// with the same random traffic: Sends and RoundTrips of random sizes at
+// with the same random traffic: Sends and round trips (a request Send
+// whose delivery sends the reply) of random sizes at
 // random times, a few hot destinations so that links queue, and random
 // cuts, heals and degrades of hosts and switches. Random times make exact
 // ties vanishingly unlikely, so every message must be delivered at exactly
@@ -167,7 +175,7 @@ func checkAgainstOracle(t *testing.T, name string, build oracleNet, seed int64) 
 		wantFn := func() { want[i] = float64(oeng.Now()) }
 		if rnd.Intn(4) == 0 {
 			resp := units.Bytes(rnd.Intn(4000))
-			eng.At(at, func() { f.RoundTrip(f.Vertex(src), f.Vertex(dst), size, resp, gotFn) })
+			eng.At(at, func() { roundTrip(f, src, dst, size, resp, gotFn) })
 			oeng.At(at, func() { o.roundTrip(src, dst, size, resp, wantFn) })
 		} else {
 			eng.At(at, func() { f.Send(f.Vertex(src), f.Vertex(dst), size, gotFn) })
@@ -285,13 +293,13 @@ func checkOvertaking(t *testing.T, name string, build oracleNet, pickHot func([]
 	rnd := rand.New(rand.NewSource(seed))
 	const horizon = 0.5
 	var got, want []float64
-	send := func(at sim.Time, src string, size units.Bytes, roundTrip bool) {
+	send := func(at sim.Time, src string, size units.Bytes, reply bool) {
 		i := len(got)
 		got, want = append(got, -1), append(want, -1)
 		gotFn := func() { got[i] = float64(eng.Now()) }
 		wantFn := func() { want[i] = float64(oeng.Now()) }
-		if roundTrip {
-			eng.At(at, func() { f.RoundTrip(f.Vertex(src), f.Vertex(hot), size, 1500, gotFn) })
+		if reply {
+			eng.At(at, func() { roundTrip(f, src, hot, size, 1500, gotFn) })
 			oeng.At(at, func() { o.roundTrip(src, hot, size, 1500, wantFn) })
 			return
 		}

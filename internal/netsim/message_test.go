@@ -32,13 +32,15 @@ func TestMessageRecordsRecycled(t *testing.T) {
 	}
 }
 
-// TestRoundTripSameHost: a self round trip still completes asynchronously,
-// after two zero-delay events (request leg, reply leg).
+// TestRoundTripSameHost: a self request/reply, two self Sends, still
+// completes asynchronously, after two zero-delay events (request leg,
+// reply leg).
 func TestRoundTripSameHost(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a := f.Vertex("a")
 	done := false
-	f.RoundTrip(f.Vertex("a"), f.Vertex("a"), 100, 100, func() { done = true })
+	f.Send(a, a, 100, func() { f.Send(a, a, 100, func() { done = true }) })
 	if done {
 		t.Fatal("self round trip completed synchronously")
 	}
@@ -52,8 +54,9 @@ func TestRoundTripSameHost(t *testing.T) {
 }
 
 // TestSendSteadyStateNoAlloc: after warm-up, the per-request hot path —
-// Send, RoundTrip and ProcShare.Submit — must not allocate, including when
-// messages queue behind a busy link (the saturated-sweep regime).
+// Send, a request Send whose delivery sends the reply, and
+// ProcShare.Submit — must not allocate, including when messages queue
+// behind a busy link (the saturated-sweep regime).
 func TestSendSteadyStateNoAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
@@ -61,10 +64,11 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 	mf := mergeFabric(eng)
 	a, b := f.Vertex("a"), f.Vertex("b")
 	fn := func() {}
+	reply := func() { f.Send(b, a, 100, fn) }
 	// Warm the pools, the route cache and the waiter ring.
 	for i := 0; i < 10; i++ {
 		f.Send(a, b, 1000, fn)
-		f.RoundTrip(a, b, 100, 100, fn)
+		f.Send(a, b, 100, reply)
 		cpu.Submit(1, fn)
 		sendMerge(mf, fn)
 		eng.Run()
@@ -74,7 +78,7 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 		op   func()
 	}{
 		{"Send", func() { f.Send(a, b, 1000, fn) }},
-		{"RoundTrip", func() { f.RoundTrip(a, b, 100, 100, fn) }},
+		{"Send + reply", func() { f.Send(a, b, 100, reply) }},
 		{"ProcShare.Submit", func() { cpu.Submit(1, fn) }},
 		{"Send burst (queued)", func() {
 			for j := 0; j < 8; j++ {
@@ -124,16 +128,18 @@ func BenchmarkSendQueued(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTrip measures a full request/reply exchange on one pooled
+// BenchmarkSendReply measures a full request/reply exchange: a request
+// Send whose delivery sends the reply, which reuses the request's pooled
 // record.
-func BenchmarkRoundTrip(b *testing.B) {
+func BenchmarkSendReply(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
 	src, dst := f.Vertex("a"), f.Vertex("b")
+	reply := func() { f.Send(dst, src, 100, nil) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.RoundTrip(src, dst, 100, 100, nil)
+		f.Send(src, dst, 100, reply)
 		eng.Run()
 	}
 }

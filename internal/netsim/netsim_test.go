@@ -99,11 +99,14 @@ func TestSendToSelf(t *testing.T) {
 	}
 }
 
+// TestRoundTrip: a request/reply exchange is two Sends, the reply sent
+// when the request arrives.
 func TestRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(800), 0.5e-3)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var doneAt sim.Time
-	f.RoundTrip(f.Vertex("a"), f.Vertex("b"), 100, 100, func() { doneAt = eng.Now() })
+	f.Send(a, b, 100, func() { f.Send(b, a, 100, func() { doneAt = eng.Now() }) })
 	eng.Run()
 	// Four propagation delays dominate: 4 × 0.5ms = 2ms (+tiny tx).
 	if float64(doneAt) < 2e-3 || float64(doneAt) > 2.1e-3 {

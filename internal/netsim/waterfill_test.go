@@ -320,13 +320,13 @@ func TestWaterFillMatchesScan(t *testing.T) {
 		slices.SortFunc(bySeq, func(a, b *Flow) int { return int(a.seq) - int(b.seq) })
 		got := make([]float64, len(bySeq))
 		for i, fl := range bySeq {
-			got[i] = fl.rate
+			got[i] = fl.fill
 		}
 		scanWaterFill(bySeq, nil)
 		for i, fl := range bySeq {
-			if math.Float64bits(got[i]) != math.Float64bits(fl.rate) {
+			if math.Float64bits(got[i]) != math.Float64bits(fl.fill) {
 				t.Fatalf("case %d: flow %s->%s (seq %d) rate %v, scan %v",
-					c, fl.Src, fl.Dst, fl.seq, got[i], fl.rate)
+					c, fl.Src, fl.Dst, fl.seq, got[i], fl.fill)
 			}
 		}
 	}
@@ -340,6 +340,13 @@ func TestWaterFillMatchesScan(t *testing.T) {
 func BenchmarkShuffleReallocate(b *testing.B) {
 	eng := sim.NewEngine()
 	f, hosts := table6Fabric(eng)
+	benchShuffle(b, eng, f, hosts)
+}
+
+// benchShuffle starts effectively endless flows between every ordered
+// pair of hosts, then times one short flow's admission and completion per
+// op.
+func benchShuffle(b *testing.B, eng *sim.Engine, f *Fabric, hosts []string) {
 	for _, src := range hosts {
 		for _, dst := range hosts {
 			if src != dst {

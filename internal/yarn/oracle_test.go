@@ -3,6 +3,7 @@ package yarn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -214,16 +215,27 @@ func rmCluster(t *testing.T) (*sim.Engine, *ResourceManager) {
 	return eng, rm
 }
 
+// waitedRounds is the request's waited count caught up to now: a request
+// still pending has also waited every idle round since it was last
+// visited, which tick counts only in ResourceManager.idle.
+func (rm *ResourceManager) waitedRounds(p *pendingReq) int {
+	if slices.Contains(rm.pending, p) {
+		return p.waited + rm.idle - p.seen
+	}
+	return p.waited
+}
+
 // TestTickMatchesSortingOracle drives ResourceManager and the sorting
 // oracle through the same random traces of requests (mixed sizes,
 // priorities 0–2, 0–3 preferred nodes), releases and usability toggles.
-// The incremental queue, the no-fit memo and the free-room bound must
-// leave every grant (request, node, time) and every request's waited
-// count exactly as the full per-round search has them.
+// The incremental queue, the no-fit memo, the free-room bound and the
+// idle rounds must leave every grant (request, node, time) and every
+// request's waited count, caught up through waitedRounds, exactly as the
+// full per-round search has them, at every GrantsPerHeartbeat including 0.
 func TestTickMatchesSortingOracle(t *testing.T) {
-	fellBack := 0
+	fellBack, idle := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
-		grantsPerHB := []int{24, 3, 1}[seed%3]
+		grantsPerHB := []int{24, 3, 1, 0}[seed%4]
 		ops := randomRMTrace(rand.New(rand.NewSource(seed)), 7, 300)
 
 		eng, rm := rmCluster(t)
@@ -248,19 +260,23 @@ func TestTickMatchesSortingOracle(t *testing.T) {
 			t.Fatalf("seed %d: %d requests, oracle %d", seed, len(got.reqs), len(want.reqs))
 		}
 		for i := range want.reqs {
-			if g, w := got.reqs[i].waited, want.reqs[i].waited; g != w {
+			if g, w := rm.waitedRounds(got.reqs[i]), want.reqs[i].waited; g != w {
 				t.Fatalf("seed %d: request %d waited %d rounds, oracle %d", seed, i, g, w)
 			}
 			if want.reqs[i].waited > delayRounds {
 				fellBack++
 			}
 		}
-		if len(want.grants) == 0 || len(rm.pending) == 0 {
-			t.Fatalf("seed %d: trace granted %d and left %d pending; want both nonzero",
-				seed, len(want.grants), len(rm.pending))
+		if (len(want.grants) == 0) != (grantsPerHB == 0) || len(rm.pending) == 0 {
+			t.Fatalf("seed %d: trace granted %d at %d per heartbeat and left %d pending",
+				seed, len(want.grants), grantsPerHB, len(rm.pending))
 		}
+		idle += rm.idle
 	}
 	if fellBack == 0 {
 		t.Fatal("no request waited past its delay-scheduling rounds; the traces miss the any-node path")
+	}
+	if idle == 0 {
+		t.Fatal("no round was idle; the traces miss the O(1) heartbeat")
 	}
 }

@@ -93,6 +93,14 @@ type ResourceManager struct {
 	// most free vcores on any usable node, each maximum taken on its own.
 	noFit []NodeResources
 	room  NodeResources
+	// least is the smallest pending demand in memory and in vcores, each
+	// minimum taken on its own, kept by Request and by every round that
+	// visits the queue. idle counts the rounds in which the room could
+	// not fit it, so no request was placed and every request waited;
+	// such a round visits no request, and each request's waited count
+	// catches up from idle when it is next visited (see catchUp).
+	least NodeResources
+	idle  int
 
 	// HeartbeatInterval is the NM→RM heartbeat period gating allocation
 	// (Hadoop default 1 s).
@@ -110,6 +118,8 @@ type pendingReq struct {
 	req    ContainerRequest
 	done   func(*Container)
 	waited int // heartbeat rounds spent waiting for a data-local node
+	// seen is ResourceManager.idle when waited was last caught up.
+	seen int
 }
 
 // delayRounds is how many heartbeat rounds a request with locality
@@ -159,11 +169,17 @@ func (rm *ResourceManager) Granted() int64 { return rm.granted }
 // Hadoop.ContainerStartup) with the granted container. The request
 // goes after every pending request of equal or higher priority.
 func (rm *ResourceManager) Request(req ContainerRequest, done func(*Container)) {
+	if len(rm.pending) == 0 {
+		rm.least = NodeResources{MemoryMB: req.MemoryMB, VCores: req.VCores}
+	} else {
+		rm.least.MemoryMB = min(rm.least.MemoryMB, req.MemoryMB)
+		rm.least.VCores = min(rm.least.VCores, req.VCores)
+	}
 	i := len(rm.pending)
 	for i > 0 && rm.pending[i-1].req.Priority < req.Priority {
 		i--
 	}
-	rm.pending = slices.Insert(rm.pending, i, &pendingReq{req: req, done: done})
+	rm.pending = slices.Insert(rm.pending, i, &pendingReq{req: req, done: done, seen: rm.idle})
 	rm.ensureTicking()
 }
 
@@ -187,10 +203,24 @@ func (rm *ResourceManager) ensureTicking() {
 // refreshed after each grant) in either dimension fits no node, so it
 // skips its preferred-node checks too. A request that is not placed counts
 // one more waited round, exactly as with a full search.
+//
+// When the room cannot fit the smallest pending demand (least) in memory
+// or in vcores, every visited request fails the room check, so the round
+// places nothing and, if it may grant at all, every request waits one
+// more round. Such an idle round only counts itself (idle) and re-arms;
+// the requests catch up when next visited. On a full cluster that makes a
+// heartbeat O(nodes) instead of O(pending).
 func (rm *ResourceManager) tick() {
 	rm.ticking = false
 	rm.noFit = rm.noFit[:0]
 	rm.measureRoom()
+	if rm.room.MemoryMB < rm.least.MemoryMB || rm.room.VCores < rm.least.VCores {
+		if rm.GrantsPerHeartbeat > 0 {
+			rm.idle++
+		}
+		rm.ensureTicking()
+		return
+	}
 	grants := 0
 	kept := rm.pending[:0]
 	for i := range rm.pending {
@@ -199,6 +229,7 @@ func (rm *ResourceManager) tick() {
 			break
 		}
 		p := rm.pending[i]
+		rm.catchUp(p)
 		nm := rm.place(p.req, p.waited >= delayRounds)
 		if nm == nil {
 			p.waited++
@@ -217,8 +248,20 @@ func (rm *ResourceManager) tick() {
 	clear(rm.pending[len(kept):])
 	rm.pending = kept
 	if len(rm.pending) > 0 {
+		rm.least = NodeResources{MemoryMB: kept[0].req.MemoryMB, VCores: kept[0].req.VCores}
+		for _, p := range kept[1:] {
+			rm.least.MemoryMB = min(rm.least.MemoryMB, p.req.MemoryMB)
+			rm.least.VCores = min(rm.least.VCores, p.req.VCores)
+		}
 		rm.ensureTicking()
 	}
+}
+
+// catchUp adds to the request's waited count the idle rounds since it was
+// last visited.
+func (rm *ResourceManager) catchUp(p *pendingReq) {
+	p.waited += rm.idle - p.seen
+	p.seen = rm.idle
 }
 
 // measureRoom sets room to the most free memory and the most free vcores
