@@ -7,7 +7,7 @@ import "edisim/internal/sim"
 // Lazy accounting makes a flow's completion closed-form — doneAt =
 // lastT + remaining/rate while the rate is frozen — so the fabric keeps the
 // live flows in a 4-ary min-heap keyed (doneAt, seq) and arms a single
-// engine event at the heap minimum. Only re-water-filled flows are re-keyed
+// engine event at the heap minimum. Only re-rated flows are re-keyed
 // (heapFix) and only completed/aborted flows are removed, so rescheduling
 // after an arrival or departure costs O(component × log flows) instead of
 // the old O(flows) next-completion scan. The heap mirrors the pooled 4-ary

@@ -177,6 +177,9 @@ func (fl *Flow) admit() {
 	f.markEndpoint(fl.path[len(fl.path)-1].dst)
 	f.relist()
 	f.nFlows++
+	if cap(fl.links) < len(fl.path) {
+		fl.links = make([]flowLink, 0, len(fl.path))
+	}
 	for _, l := range fl.path {
 		if !l.slack {
 			f.list(fl, l)
