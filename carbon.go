@@ -2,7 +2,6 @@ package edisim
 
 import (
 	"fmt"
-	"math"
 
 	"edisim/internal/carbon"
 	"edisim/internal/core"
@@ -17,8 +16,9 @@ import (
 // "Energy, carbon and price" section).
 
 // Grid is one electricity-grid region: a region key (the grammar Scenario.
-// Region and CarbonStudy.Regions accept), a human label and an average
-// carbon intensity in gCO2e per kWh.
+// Region and CarbonStudy.Regions accept), a human label, an average
+// carbon intensity in gCO2e per kWh and an industrial electricity tariff
+// in USD per kWh.
 type Grid = carbon.Grid
 
 // EnergyProfile is a platform's component-level energy catalog data (CPU
@@ -54,8 +54,11 @@ func RegionNames() []string { return carbon.RegionNames() }
 func LookupRegion(name string) (Grid, bool) { return carbon.Lookup(name) }
 
 // RegionElectricityPrice reports a region's industrial electricity price in
-// USD/kWh.
-func RegionElectricityPrice(region string) (float64, bool) { return tco.RegionPrice(region) }
+// USD/kWh (its Grid's Price).
+func RegionElectricityPrice(region string) (float64, bool) {
+	g, ok := carbon.Lookup(region)
+	return g.Price, ok
+}
 
 // EnergyModelNames lists the valid Scenario.EnergyModel spellings.
 func EnergyModelNames() []string { return []string{"linear", "tdp-curve"} }
@@ -98,7 +101,7 @@ type CarbonStudy struct {
 	CarbonPricePerTonne float64
 }
 
-func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
+func (cs *CarbonStudy) expand(cfg core.Config) ([]unit, error) {
 	id := cs.ID
 	if id == "" {
 		id = "carbon_study"
@@ -111,24 +114,21 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	grids := carbon.Regions()
-	if len(cs.Regions) > 0 {
-		grids = grids[:0:0]
-		seen := map[string]bool{}
-		for _, name := range cs.Regions {
-			g, ok := carbon.Lookup(name)
-			if !ok {
-				return nil, unknownNameError("region", name, carbon.RegionNames())
-			}
-			if seen[g.Region] {
-				continue
-			}
-			seen[g.Region] = true
-			grids = append(grids, g)
-		}
+	names := cs.Regions
+	if len(names) == 0 {
+		names = carbon.RegionNames()
 	}
-	if math.IsNaN(cs.CarbonPricePerTonne) || cs.CarbonPricePerTonne < 0 {
-		return nil, fmt.Errorf("edisim: %s: negative carbon price %v $/tCO2e", id, cs.CarbonPricePerTonne)
+	var pricings []tco.Pricing
+	seen := map[string]bool{}
+	for _, name := range names {
+		pr, err := tco.NewPricing(cfg.Energy, name, 0, cs.CarbonPricePerTonne)
+		if err != nil {
+			return nil, fmt.Errorf("edisim: %s: %w", id, err)
+		}
+		if !seen[pr.Grid.Region] {
+			seen[pr.Grid.Region] = true
+			pricings = append(pricings, pr)
+		}
 	}
 	util, err := resolveUtilization(id, cs.Utilization)
 	if err != nil {
@@ -136,7 +136,7 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 	}
 	title := fmt.Sprintf("3-year energy, carbon and cost by region at %.0f%% utilization", util*100)
 
-	run := func(cfg core.Config) (*core.Outcome, error) {
+	run := func(core.Config) (*core.Outcome, error) {
 		o := &core.Outcome{}
 		t := report.NewTable(title,
 			"platform", "region", "nodes", "MWh (3y)", "op tCO2e", "embodied tCO2e", "total tCO2e",
@@ -145,17 +145,13 @@ func (cs *CarbonStudy) expand(core.Config) ([]unit, error) {
 		lifeSeconds := tco.LifeYears * 365 * 24 * 3600
 		for pi, p := range plats {
 			n := sizes[pi]
-			for _, g := range grids {
-				in, err := tco.ForPlatformInRegion(p, n, util, cfg.Energy, g.Region, cs.CarbonPricePerTonne)
-				if err != nil {
-					return nil, err
-				}
-				r, err := tco.Compute(in)
+			for _, pr := range pricings {
+				r, err := tco.Compute(pr.Inputs(p, n, util))
 				if err != nil {
 					return nil, err
 				}
 				embodied := carbon.Embodied(p.Energy.EmbodiedKgCO2e, p.Energy.ServiceLifeYears, n, lifeSeconds)
-				t.AddRow(p.Label, g.Region,
+				t.AddRow(p.Label, pr.Grid.Region,
 					report.Count(int64(n), "nodes"),
 					report.Num(r.KWh/1000, "MWh"),
 					report.Num(r.CarbonGrams/1e6, "t"),

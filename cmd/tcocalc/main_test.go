@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -126,5 +128,45 @@ func TestCustomRejectsNegativeOutput(t *testing.T) {
 	}
 	if out := stdout.String(); strings.Contains(out, "$-") || strings.Contains(out, "Savings") {
 		t.Fatalf("negative fleet still priced:\n%s", out)
+	}
+}
+
+// TestBudgetSizingUnderArmedPricing: a budget-sized fleet under the
+// curve power model in eu-central is sized with the pricing it is priced
+// with, so each fleet's total fits the $10000 budget and one more node,
+// priced the same way, does not.
+func TestBudgetSizingUnderArmedPricing(t *testing.T) {
+	armed := []string{"-platforms", "edison,dell", "-util", "0.75", "-energy", "tdp-curve", "-region", "eu-central", "-format", "json"}
+	price := func(extra ...string) (nodes []int64, totals []float64) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(append(append([]string{}, armed...), extra...), &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		var doc struct {
+			Artifacts []struct {
+				Tables []struct {
+					Rows [][]struct {
+						Int int64   `json:"int"`
+						Num float64 `json:"num"`
+					} `json:"rows"`
+				} `json:"tables"`
+			} `json:"artifacts"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+			t.Fatalf("decode: %v\n%s", err, stdout.String())
+		}
+		for _, row := range doc.Artifacts[0].Tables[0].Rows {
+			nodes, totals = append(nodes, row[1].Int), append(totals, row[4].Num)
+		}
+		return nodes, totals
+	}
+	nodes, totals := price("-budget", "10000")
+	_, over := price("-nodes", fmt.Sprintf("%d,%d", nodes[0]+1, nodes[1]+1))
+	for i := range nodes {
+		if totals[i] > 10000 || over[i] <= 10000 {
+			t.Errorf("row %d: %d nodes cost $%v and %d cost $%v; want the $10000 budget between them",
+				i, nodes[i], totals[i], nodes[i]+1, over[i])
+		}
 	}
 }

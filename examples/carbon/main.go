@@ -37,11 +37,11 @@ func main() {
 			float64(curve.IdleDraw()), float64(curve.BusyDraw()))
 	}
 
-	// Layer 2 — grid regions: carbon intensity and electricity price.
+	// Layer 2 — grid regions: one row holds each region's carbon
+	// intensity and electricity price.
 	fmt.Println("\nGrid regions (gCO2e/kWh, USD/kWh):")
 	for _, g := range edisim.Regions() {
-		price, _ := edisim.RegionElectricityPrice(g.Region)
-		fmt.Printf("  %-14s %5.0f g/kWh   $%.3f/kWh   %s\n", g.Region, float64(g.Grams), price, g.Label)
+		fmt.Printf("  %-14s %5.0f g/kWh   $%.3f/kWh   %s\n", g.Region, float64(g.Grams), g.Price, g.Label)
 	}
 
 	// Layer 3 — the studies. CarbonStudy prices the baseline pair's fleets

@@ -3,6 +3,7 @@ package edisim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -379,6 +380,62 @@ func TestTCOStudyBudgetSizing(t *testing.T) {
 		t.Fatalf("zero-node row not explained in notes: %v", col.Artifacts[0].Notes)
 	}
 
+	// Every pricing sizes and prices with the same power model, tariff,
+	// PUE and carbon price: the sized fleet's total fits the budget, and a
+	// fleet of one more node, priced the same way, does not. Besides $10000
+	// the budgets include exactly 100 Edisons at Table 9 prices, which
+	// every armed pricing (each dearer per node) must size below 100.
+	edison, _ := LookupPlatform("edison")
+	table9, err := ComputeTCO(TCOForPlatform(edison, 100, 0.75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := func(t *testing.T, energy string, ts *TCOStudy) (nodes, dollars []float64) {
+		t.Helper()
+		var col Collector
+		if err := Run(context.Background(), Scenario{EnergyModel: energy, Workloads: []Workload{ts}}, &col); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for _, row := range col.Artifacts[0].Tables[0].Rows {
+			n, _ := row[1].Float()
+			d, _ := row[4].Float()
+			nodes, dollars = append(nodes, n), append(dollars, d)
+		}
+		return nodes, dollars
+	}
+	for _, energy := range []string{"linear", "tdp-curve"} {
+		for _, region := range []string{"", "eu-north", "eu-central"} {
+			for _, pue := range []float64{0, 1.3} {
+				for _, carbonPrice := range []float64{0, 80} {
+					name := fmt.Sprintf("%s,region=%s,pue=%g,carbon=%g", energy, region, pue, carbonPrice)
+					t.Run(name, func(t *testing.T) {
+						plats := []PlatformRef{Ref("edison"), Ref("dell")}
+						study := func() *TCOStudy {
+							return &TCOStudy{Platforms: plats, Utilization: 0.75,
+								Region: region, PUE: pue, CarbonPricePerTonne: carbonPrice}
+						}
+						for _, budget := range []float64{10000, table9.Total()} {
+							sized := study()
+							sized.Budget = budget
+							nodes, dollars := total(t, energy, sized)
+							more := study()
+							for _, n := range nodes {
+								more.Nodes = append(more.Nodes, int(n)+1)
+							}
+							_, over := total(t, energy, more)
+							for i := range nodes {
+								if dollars[i] > budget || over[i] <= budget {
+									t.Errorf("%s: %v nodes cost $%v and %v cost $%v; want the budget $%v between them",
+										plats[i].Name, nodes[i], dollars[i], nodes[i]+1, over[i], budget)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+
 	for name, study := range map[string]*TCOStudy{
 		"negative budget":  {Budget: -10},
 		"NaN budget":       {Budget: math.NaN()},
@@ -392,5 +449,17 @@ func TestTCOStudyBudgetSizing(t *testing.T) {
 				t.Fatalf("%s accepted", name)
 			}
 		})
+	}
+}
+
+// TestRegionElectricityPriceReadsGrid: a region's tariff is its grid row's
+// Price, looked up with the region grammar's tolerance.
+func TestRegionElectricityPriceReadsGrid(t *testing.T) {
+	g, _ := LookupRegion("eu-central")
+	if p, ok := RegionElectricityPrice(" EU-Central "); !ok || p != g.Price || p <= 0 {
+		t.Fatalf("RegionElectricityPrice = %v, %v; want the grid row's $%v", p, ok, g.Price)
+	}
+	if _, ok := RegionElectricityPrice("atlantis"); ok {
+		t.Fatal("bogus region priced")
 	}
 }

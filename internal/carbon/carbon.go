@@ -1,7 +1,7 @@
 // Package carbon is the facility-and-carbon layer between the node power
 // models (internal/hw) and the price layer (internal/tco): PUE multipliers
-// turn IT joules into wall joules, a regional grid-intensity map turns wall
-// kWh into operational gCO2e, and embodied-carbon amortization spreads a
+// turn IT joules into wall joules, a regional grid map turns wall kWh into
+// operational gCO2e and gives the tariff they are bought at, and embodied-carbon amortization spreads a
 // server's manufacturing footprint over its service life. The shape follows
 // the cloud-carbon-exporter / Cloud Carbon Footprint methodology (SNIPPETS
 // Snippet 1); intensity figures are Ember-style annual grid averages,
@@ -24,27 +24,31 @@ const DefaultPUE = 1.15
 type GramsPerKWh = float64
 
 // Grid is one region's electricity profile: its lookup key (the region
-// grammar accepted by configs and CLIs), a display label, and the annual
-// average carbon intensity of its grid mix.
+// grammar accepted by configs and CLIs), a display label, the annual
+// average carbon intensity of its grid mix and its industrial electricity
+// tariff.
 type Grid struct {
 	Region string
 	Label  string
 	Grams  GramsPerKWh // gCO2e per kWh drawn from the wall
+	Price  float64     // USD per kWh drawn from the wall
 }
 
 // regions is the ordered regional grid map. Keys follow the familiar
 // cloud-region grammar; intensities are rounded annual grid averages —
 // hydro/nuclear-heavy eu-north at one extreme, coal-heavy ap-south at the
-// other, with "global" as the world average.
+// other, with "global" as the world average. Tariffs are rounded recent
+// industrial averages (PLATFORMS.md cites the sources); "global" prices
+// at the paper's Table 9 US average.
 var regions = []Grid{
-	{"us-east", "US East (Virginia)", 379},
-	{"us-west", "US West (Oregon)", 230},
-	{"eu-west", "EU West (Ireland)", 316},
-	{"eu-north", "EU North (Stockholm)", 29},
-	{"eu-central", "EU Central (Frankfurt)", 381},
-	{"ap-south", "AP South (Mumbai)", 713},
-	{"ap-southeast", "AP Southeast (Singapore)", 408},
-	{"global", "World average", 480},
+	{"us-east", "US East (Virginia)", 379, 0.083},
+	{"us-west", "US West (Oregon)", 230, 0.095},
+	{"eu-west", "EU West (Ireland)", 316, 0.17},
+	{"eu-north", "EU North (Stockholm)", 29, 0.09},
+	{"eu-central", "EU Central (Frankfurt)", 381, 0.20},
+	{"ap-south", "AP South (Mumbai)", 713, 0.10},
+	{"ap-southeast", "AP Southeast (Singapore)", 408, 0.13},
+	{"global", "World average", 480, 0.10},
 }
 
 // Regions returns the grid map in registration order.

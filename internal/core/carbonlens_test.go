@@ -7,6 +7,7 @@ import (
 
 	"edisim/internal/hw"
 	"edisim/internal/report"
+	"edisim/internal/tco"
 	"edisim/internal/units"
 	"edisim/internal/web"
 )
@@ -63,9 +64,9 @@ func TestJobLens(t *testing.T) {
 
 func TestFleetCostLens(t *testing.T) {
 	micro, _ := hw.BaselinePair()
-	checkLens(t, fleetCostLens(euNorth, nil, 0, webUtil), lensCol{"3y TCO $ (eu-north)", report.Num(0, "$")})
-	cheap := fleetCostLens(euNorth, micro, 35, webUtil)[0].cell.Num
-	dear := fleetCostLens(Config{Region: "ap-south", Energy: hw.PowerTDPCurve}, micro, 35, webUtil)[0].cell.Num
+	checkLens(t, fleetCostLens(euNorth, nil, 0, tco.WebUtil), lensCol{"3y TCO $ (eu-north)", report.Num(0, "$")})
+	cheap := fleetCostLens(euNorth, micro, 35, tco.WebUtil)[0].cell.Num
+	dear := fleetCostLens(Config{Region: "ap-south", Energy: hw.PowerTDPCurve}, micro, 35, tco.WebUtil)[0].cell.Num
 	if cheap <= 0 || cheap >= dear {
 		t.Fatalf("35 nodes cost $%v at eu-north's tariff and $%v at ap-south's; want 0 < eu-north < ap-south", cheap, dear)
 	}

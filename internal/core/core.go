@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 
-	"edisim/internal/carbon"
 	"edisim/internal/faults"
 	"edisim/internal/hw"
 	"edisim/internal/report"
@@ -59,15 +58,6 @@ type Config struct {
 // a non-default power model or a region was selected — and therefore whether
 // matrix experiments add their gCO2e and per-region columns.
 func (c Config) CarbonArmed() bool { return c.Energy != hw.PowerLinear || c.Region != "" }
-
-// Grid resolves the carbon-accounting grid: the configured region, or the
-// world average when only the power model was armed.
-func (c Config) Grid() carbon.Grid {
-	if c.Region == "" {
-		return carbon.MustLookup("global")
-	}
-	return carbon.MustLookup(c.Region)
-}
 
 // Interrupted reports whether the run has been cancelled (nil-safe).
 func (c Config) Interrupted() bool { return c.Interrupt != nil && c.Interrupt() }

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"edisim/internal/hw"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -122,6 +124,34 @@ func TestQuickDeterminism(t *testing.T) {
 	for i := range a.Comparisons {
 		if a.Comparisons[i].Measured != b.Comparisons[i].Measured {
 			t.Fatalf("seeded rerun diverged: %v vs %v", a.Comparisons[i], b.Comparisons[i])
+		}
+	}
+}
+
+// TestTable10PricesConfiguredPair: Table 10 prices the configured pair at
+// the paper's fleet sizes (35 vs 3 web, 35 vs 2 big data), so a Pi 3 /
+// modern Xeon pair's cells hold Pi 3 and Xeon fleets, not Edison and Dell.
+func TestTable10PricesConfiguredPair(t *testing.T) {
+	pi3, _ := hw.LookupPlatform("pi3")
+	xeon, _ := hw.LookupPlatform("xeon-modern")
+	o := runTCO(Config{Seed: 1, Quick: true, Micro: pi3, Brawny: xeon})
+	tab := o.Tables[0]
+	if tab.Headers[1] != xeon.Label || tab.Headers[2] != pi3.Label {
+		t.Fatalf("headers %v, want the pair's labels", tab.Headers)
+	}
+	for i, row := range tab.Rows {
+		brawnyN := 3.0
+		if i >= 2 {
+			brawnyN = 2
+		}
+		// Equipment alone bounds each cell: electricity adds under 25% on
+		// these fleets.
+		brawny, micro := row[1].Num, row[2].Num
+		if lo := brawnyN * xeon.UnitCost; brawny < lo || brawny > 1.25*lo {
+			t.Errorf("%s: brawny $%v, want %g Xeons' $%v plus electricity", row[0].Str, brawny, brawnyN, lo)
+		}
+		if lo := 35 * pi3.UnitCost; micro < lo || micro > 1.25*lo {
+			t.Errorf("%s: micro $%v, want 35 Pi 3s' $%v plus electricity", row[0].Str, micro, lo)
 		}
 	}
 }

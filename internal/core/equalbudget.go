@@ -84,19 +84,6 @@ func (s EqualBudgetSpec) Resolve(cfg Config) (EqualBudgetSpec, error) {
 	return s, nil
 }
 
-// The fleet utilization points every 3-year TCO is priced at follow Table
-// 10: web fleets at the paper's high-utilization point; big-data micro
-// fleets pinned at 100% (their jobs run 1.35–4× longer), brawny fleets at
-// 74%.
-const webUtil = 0.75
-
-func hadoopUtil(p *hw.Platform) float64 {
-	if p.Micro {
-		return 1.0
-	}
-	return 0.74
-}
-
 // fleetSizing is one platform's budget-normalized deployment.
 type fleetSizing struct {
 	p          *hw.Platform
@@ -128,37 +115,17 @@ func sizeWebTier(p *hw.Platform, total int) (nWeb, nCache int) {
 	return nWeb, total - nWeb
 }
 
-// ladderScales labels the Table-6-style rungs.
-var ladderScales = []string{"full", "1/2", "1/4", "1/8"}
-
-// ladderFor builds a platform's scale ladder by successively halving the
-// sized fleet (ceil, as the paper's Table 6 does: 24/11 → 12/6 → 6/3 →
-// 3/2), stopping once both tiers hit one node. Quick runs keep two rungs.
-func ladderFor(cfg Config, nWeb, nCache int) [][2]int {
-	rungs := [][2]int{{nWeb, nCache}}
-	maxRungs := len(ladderScales)
-	if cfg.Quick {
-		maxRungs = 2
-	}
-	for len(rungs) < maxRungs {
-		prev := rungs[len(rungs)-1]
-		if prev[0] == 1 && prev[1] == 1 {
-			break
-		}
-		rungs = append(rungs, [2]int{(prev[0] + 1) / 2, (prev[1] + 1) / 2})
-	}
-	return rungs
-}
-
 // EqualBudget runs the equal-budget fleet comparison: it prices the
 // baseline's catalog web and Hadoop fleets with the 3-year TCO model, sizes
-// every compared platform's fleets to those budgets (tco.SizeForBudget),
+// every compared platform's fleets to those budgets (tco.Pricing.Size),
 // then measures what each equal-spend fleet actually delivers — peak web
 // throughput across a Table-6-style scale ladder and one Hadoop job —
 // reporting throughput-per-watt and throughput-per-dollar matrices. This is
 // the paper's §6 economic question asked of the whole catalog: not "what
-// does a fixed fleet cost" but "what does a fixed spend buy". Every fleet
-// is priced with the power model that meters its runs (cfg.Energy).
+// does a fixed fleet cost" but "what does a fixed spend buy". Budgets and
+// fleets share one pricing: Table 9's tariff with the power model that
+// meters the runs (cfg.Energy). The armed lens columns price the same
+// fleets at the configured region (lensPricing).
 func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	spec, err := spec.Resolve(cfg)
 	if err != nil {
@@ -167,14 +134,15 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	name, baseline, job, plats := spec.SweepName, spec.Baseline, spec.Job, spec.Platforms
 
 	// --- Budgets: what the baseline fleets cost over the model lifetime.
+	pr := tco.Pricing{Model: cfg.Energy}
 	webBudget, hadoopBudget := spec.Budget, spec.Budget
 	if spec.Budget == 0 {
 		f := baseline.Fleet
-		wb, err := tco.Compute(tco.ForPlatformModel(baseline, f.Web+f.Cache, webUtil, cfg.Energy))
+		wb, err := tco.Compute(pr.Inputs(baseline, f.Web+f.Cache, tco.WebUtil))
 		if err != nil {
 			return nil, err
 		}
-		hb, err := tco.Compute(tco.ForPlatformModel(baseline, f.Slaves, hadoopUtil(baseline), cfg.Energy))
+		hb, err := tco.Compute(pr.Inputs(baseline, f.Slaves, tco.HadoopUtil(baseline)))
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +153,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	o := &Outcome{}
 	sizings := make([]fleetSizing, len(plats))
 	for i, p := range plats {
-		total, err := tco.SizeForBudget(p, webBudget, webUtil, cfg.Energy)
+		total, err := pr.Size(p, webBudget, tco.WebUtil)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +162,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 				p.Label, cluster.MaxGroupNodes, total))
 			total = cluster.MaxGroupNodes
 		}
-		slaves, err := tco.SizeForBudget(p, hadoopBudget, hadoopUtil(p), cfg.Energy)
+		slaves, err := pr.Size(p, hadoopBudget, tco.HadoopUtil(p))
 		if err != nil {
 			return nil, err
 		}
@@ -206,10 +174,10 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		s := fleetSizing{p: p, slaves: slaves}
 		s.web, s.cache = sizeWebTier(p, total)
 		if s.web > 0 {
-			s.webCost = tco.MustCompute(tco.ForPlatformModel(p, s.web+s.cache, webUtil, cfg.Energy)).Total()
+			s.webCost = tco.MustCompute(pr.Inputs(p, s.web+s.cache, tco.WebUtil)).Total()
 		}
 		if s.slaves > 0 {
-			s.hadoopCost = tco.MustCompute(tco.ForPlatformModel(p, s.slaves, hadoopUtil(p), cfg.Energy)).Total()
+			s.hadoopCost = tco.MustCompute(pr.Inputs(p, s.slaves, tco.HadoopUtil(p))).Total()
 		}
 		sizings[i] = s
 		if s.web == 0 {
@@ -226,7 +194,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 		"platform", "$ per server (3y)", "web", "cache", "slaves", "web fleet $", "slave fleet $").
 		WithUnits("", "$", "nodes", "nodes", "nodes", "$", "$")
 	for _, s := range sizings {
-		per := tco.MustCompute(tco.ForPlatformModel(s.p, 1, webUtil, cfg.Energy)).Total()
+		per := tco.MustCompute(pr.Inputs(s.p, 1, tco.WebUtil)).Total()
 		sizeTab.AddRow(s.p.Label, report.Num(per, "$"),
 			report.Count(int64(s.web), "nodes"), report.Count(int64(s.cache), "nodes"),
 			report.Count(int64(s.slaves), "nodes"),
@@ -245,12 +213,16 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	}
 	concs := matrixConcurrencies(cfg)
 	ladders := make([][][2]int, len(sizings))
+	rungs := len(web.ScaleNames) // Table 6's four rungs, two in quick runs
+	if cfg.Quick {
+		rungs = 2
+	}
 	s := Sweep[webCell, web.Result]{Name: name + "/web"}
 	for i, sz := range sizings {
 		if sz.web == 0 {
 			continue
 		}
-		ladders[i] = ladderFor(cfg, sz.web, sz.cache)
+		ladders[i] = web.Ladder(sz.web, sz.cache, rungs)
 		for r, rung := range ladders[i] {
 			for _, conc := range concs {
 				s.Points = append(s.Points, webCell{sizing: i, rung: r, web: rung[0], cache: rung[1], conc: conc})
@@ -299,7 +271,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 	for i, sz := range sizings {
 		for r, rung := range ladders[i] {
 			pk := peaks[i][r]
-			ladderTab.AddRow(sz.p.Label, ladderScales[r],
+			ladderTab.AddRow(sz.p.Label, web.ScaleNames[r],
 				report.Count(int64(rung[0]), "nodes"), report.Count(int64(rung[1]), "nodes"),
 				report.Num(pk.Throughput, "req/s"), report.Num(pk.PerWatt(), "req/s/W"))
 		}
@@ -339,7 +311,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 			r = hResults[hi]
 			hi++
 		}
-		run := jobRun{input: jobs.InputBytes(job), energy: r.Energy, p: sz.p, n: sz.slaves, util: hadoopUtil(sz.p), cost: sz.hadoopCost}
+		run := jobRun{input: jobs.InputBytes(job), energy: r.Energy, p: sz.p, n: sz.slaves, util: tco.HadoopUtil(sz.p), cost: sz.hadoopCost}
 		mbPerJ, gbPerDollar := run.efficiency()
 		hTab.AddRow(lensCells([]any{sz.p.Label, report.Count(int64(sz.slaves), "nodes"), report.Num(sz.hadoopCost, "$"),
 			report.Num(r.Duration, "s"), report.Num(float64(r.Energy), "J"), mbPerJ, gbPerDollar},
@@ -349,7 +321,7 @@ func EqualBudget(cfg Config, spec EqualBudgetSpec) (*Outcome, error) {
 
 	o.Notes = append(o.Notes,
 		fmt.Sprintf("fleets sized by tco.SizeForBudget to the %s baseline's 3-year TCO (web at %.0f%% utilization; big data pinned at 100%% on micro platforms, 74%% on brawny, as in Table 10)",
-			baseline.Label, webUtil*100))
+			baseline.Label, tco.WebUtil*100))
 	o.Notes = append(o.Notes, carbonLensNote(cfg)...)
 	return o, nil
 }

@@ -23,18 +23,18 @@ func TestEqualBudgetPricesArmedPowerModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	price := func(p *hw.Platform, n int, u float64) float64 {
-		return tco.MustCompute(tco.ForPlatformModel(p, n, u, hw.PowerTDPCurve)).Total()
+		return tco.MustCompute(tco.Pricing{Model: hw.PowerTDPCurve}.Inputs(p, n, u)).Total()
 	}
 	f := brawny.Fleet
-	webBudget := price(brawny, f.Web+f.Cache, webUtil)
+	webBudget := price(brawny, f.Web+f.Cache, tco.WebUtil)
 	for _, tc := range []struct {
 		title  string
 		nodes  []string
 		util   float64
 		budget float64
 	}{
-		{"Equal-budget web serving", []string{"web", "cache"}, webUtil, webBudget},
-		{"Equal-budget terasort", []string{"slaves"}, hadoopUtil(micro), price(brawny, f.Slaves, hadoopUtil(brawny))},
+		{"Equal-budget web serving", []string{"web", "cache"}, tco.WebUtil, webBudget},
+		{"Equal-budget terasort", []string{"slaves"}, tco.HadoopUtil(micro), price(brawny, f.Slaves, tco.HadoopUtil(brawny))},
 	} {
 		var tab *report.Table
 		for _, tb := range o.Tables {

@@ -218,7 +218,7 @@ func runTCO(cfg Config) *Outcome {
 		"Big data, low utilization":     {5348.2, 4352.4},
 		"Big data, high utilization":    {5495.0, 4352.4},
 	}
-	for _, s := range tco.Table10() {
+	for _, s := range tco.Table10(micro, brawny) {
 		t.AddRow(s.Name, report.Num(s.Brawny.Total(), "$"), report.Num(s.Micro.Total(), "$"), report.Num(100*s.Savings(), "%"))
 		p := paper[s.Name]
 		o.AddComparison("Table 10 / "+s.Name, brawny.Label+" TCO $", p[0], s.Brawny.Total())

@@ -41,6 +41,9 @@ func runPlatformMatrix(cfg Config) *Outcome {
 	o := &Outcome{}
 	plats := cfg.MatrixPlatforms()
 	concs := matrixConcurrencies(cfg)
+	// Fleets are priced at Table 9's tariff with the armed power model's
+	// endpoints; the lens columns add the regional price.
+	pr := tco.Pricing{Model: cfg.Energy}
 
 	// --- Web serving: one sweep cell per (platform, concurrency).
 	type webCell struct {
@@ -69,10 +72,9 @@ func runPlatformMatrix(cfg Config) *Outcome {
 		webCols...).WithUnits(webUnits...)
 	for pi, p := range plats {
 		pk := peakOf(webResults[pi*len(concs) : (pi+1)*len(concs)])
-		// Web-service TCO at the paper's high-utilization point, priced
-		// with the armed power model's endpoints.
+		// Web-service TCO at the paper's high-utilization point.
 		n := p.Fleet.Web + p.Fleet.Cache
-		cost := tco.MustCompute(tco.ForPlatformModel(p, n, webUtil, cfg.Energy)).Total()
+		cost := tco.MustCompute(pr.Inputs(p, n, tco.WebUtil)).Total()
 		webTab.AddRow(lensCells([]any{p.Label, p.Fleet.Web, p.Fleet.Cache, report.Num(pk.Throughput, "req/s"),
 			report.Num(float64(pk.MeanPower), "W"), report.Num(pk.PerWatt(), "req/s/W"), report.Num(cost, "$"),
 			report.Num(safeDiv(pk.Throughput, cost/1000, 0), "req/s/k$")}, peakLens(cfg, pk, p, n))...)
@@ -97,11 +99,10 @@ func runPlatformMatrix(cfg Config) *Outcome {
 	teraTab := report.NewTable("Platform matrix — TeraSort (10 GB, catalog fleets)",
 		teraCols...).WithUnits(teraUnits...)
 	for pi, p := range plats {
-		// Big-data TCO at Table 10's utilization, priced with the armed
-		// power model's endpoints.
+		// Big-data TCO at Table 10's utilization.
 		r := teraResults[pi]
-		run := jobRun{input: jobs.TerasortBytes, energy: r.Energy, p: p, n: p.Fleet.Slaves, util: hadoopUtil(p)}
-		run.cost = tco.MustCompute(tco.ForPlatformModel(p, run.n, run.util, cfg.Energy)).Total()
+		run := jobRun{input: jobs.TerasortBytes, energy: r.Energy, p: p, n: p.Fleet.Slaves, util: tco.HadoopUtil(p)}
+		run.cost = tco.MustCompute(pr.Inputs(p, run.n, run.util)).Total()
 		mbPerJ, gbPerDollar := run.efficiency()
 		teraTab.AddRow(lensCells([]any{p.Label, p.Fleet.Slaves, report.Num(r.Duration, "s"),
 			report.Num(float64(r.Energy), "J"), mbPerJ, report.Num(run.cost, "$"), gbPerDollar},

@@ -2,16 +2,18 @@
 // (Section 6): equipment cost plus electricity over a server lifetime,
 // C = Cs + Ts·Ceph·(U·Pp + (1−U)·Pi), with the Table 9 constants and the
 // Table 10 scenarios. Per-platform unit costs and power endpoints come from
-// the hw platform catalog, so any catalog entry can be priced — either at a
-// fixed fleet size (Compute) or sized to a spending cap (SizeForBudget),
-// which is how the paper's "35 Edisons vs 3 Dells at comparable cost"
-// comparison generalizes to arbitrary platforms.
+// the hw platform catalog, so any catalog entry can be priced. One Pricing
+// value (power model, grid region, PUE, carbon price; the zero value is
+// Table 9) prices a fleet at a fixed size (Pricing.Inputs, then Compute)
+// or sizes it to a spending cap (Pricing.Size), which is how the paper's
+// "35 Edisons vs 3 Dells at comparable cost" comparison generalizes to
+// arbitrary platforms. A region's tariff and carbon intensity are one row
+// of the carbon package's grid table.
 package tco
 
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"edisim/internal/carbon"
 	"edisim/internal/hw"
@@ -44,7 +46,7 @@ type Inputs struct {
 // user-reachable through cmd/tcocalc and the public edisim package, so
 // out-of-range values must surface as errors, not panics or negative costs.
 func (in Inputs) Validate() error {
-	pueErr := CheckPUE(in.PUE)
+	pueErr := checkPUE(in.PUE)
 	switch {
 	case in.Servers <= 0:
 		return fmt.Errorf("tco: server count %d must be positive", in.Servers)
@@ -66,9 +68,9 @@ func (in Inputs) Validate() error {
 	return nil
 }
 
-// CheckPUE reports a facility PUE that is neither 0 (unmodeled) nor at
+// checkPUE reports a facility PUE that is neither 0 (unmodeled) nor at
 // least 1.
-func CheckPUE(pue float64) error {
+func checkPUE(pue float64) error {
 	if math.IsNaN(pue) || pue < 0 || pue > 0 && pue < 1 {
 		return fmt.Errorf("PUE %v must be 0 (unmodeled) or >= 1", pue)
 	}
@@ -133,79 +135,97 @@ func MustCompute(in Inputs) Result {
 	return r
 }
 
-// ForPlatform builds Inputs for n nodes of a catalog platform at
-// utilization u, using the platform's unit cost and measured per-node
-// power endpoints (with Ethernet adapter where applicable, Table 3).
-func ForPlatform(p *hw.Platform, n int, u float64) Inputs {
-	return ForPlatformModel(p, n, u, hw.PowerLinear)
+// Pricing is how a fleet is priced: the power model whose idle and busy
+// draw it pays for, the grid region whose tariff and carbon intensity
+// apply, a facility PUE override and a carbon price in USD per tCO2e. The
+// zero value is the paper's Table 9: linear endpoints at $0.10/kWh, no
+// facility overhead and no carbon. A fleet sized by Size costs at most its
+// budget when priced by Inputs of the same Pricing.
+type Pricing struct {
+	Model hw.PowerModelKind
+	// Grid is the region priced at (see NewPricing); zero keeps Table 9.
+	Grid carbon.Grid
+	// PUE overrides the facility overhead; 0 keeps the default:
+	// carbon.DefaultPUE in a region, none at Table 9.
+	PUE         float64
+	CarbonPrice float64
 }
 
-// ForPlatformModel is ForPlatform with the power endpoints taken from the
-// named power model — armed with hw.PowerTDPCurve, the TCO prices the
-// component-level curve's idle/busy wall draw instead of the calibrated
-// linear endpoints.
-func ForPlatformModel(p *hw.Platform, n int, u float64, kind hw.PowerModelKind) Inputs {
+// NewPricing resolves a pricing's region and checks its knobs. A carbon
+// price without a region attributes to the world-average ("global") grid;
+// an empty region with no carbon price keeps Table 9's tariff. The errors
+// name the bad knob without a package prefix, for callers to wrap.
+func NewPricing(model hw.PowerModelKind, region string, pue, carbonPrice float64) (Pricing, error) {
+	pr := Pricing{Model: model, PUE: pue, CarbonPrice: carbonPrice}
+	if math.IsNaN(carbonPrice) || carbonPrice < 0 {
+		return pr, fmt.Errorf("negative carbon price %v $/tCO2e", carbonPrice)
+	}
+	if err := checkPUE(pue); err != nil {
+		return pr, err
+	}
+	if region == "" && carbonPrice > 0 {
+		region = "global"
+	}
+	if region != "" {
+		g, ok := carbon.Lookup(region)
+		if !ok {
+			return pr, fmt.Errorf("unknown region %q (valid: %v)", region, carbon.RegionNames())
+		}
+		pr.Grid = g
+	}
+	return pr, nil
+}
+
+// FacilityPUE is the facility overhead the pricing applies: the override,
+// else carbon.DefaultPUE in a region; 0 means none.
+func (pr Pricing) FacilityPUE() float64 {
+	if pr.PUE == 0 && pr.Grid.Region != "" {
+		return carbon.DefaultPUE
+	}
+	return pr.PUE
+}
+
+// Inputs builds the Equation (1) inputs for n nodes of platform p at
+// utilization u: its unit cost and power endpoints (with Ethernet adapter
+// where applicable, Table 3) under the pricing.
+func (pr Pricing) Inputs(p *hw.Platform, n int, u float64) Inputs {
 	// Concrete model types, not the PowerModel interface: boxing would
 	// allocate, and budget sizing runs this per sweep point under the
 	// allocation-free pin.
 	var peak, idle units.Watts
-	if kind == hw.PowerTDPCurve && p.Energy.Modeled() {
+	if pr.Model == hw.PowerTDPCurve && p.Energy.Modeled() {
 		c := hw.NewTDPCurve(p.Energy, p.Spec.Mem.Capacity)
 		peak, idle = c.BusyDraw(), c.IdleDraw()
 	} else {
 		peak, idle = p.Spec.Power.BusyDraw(), p.Spec.Power.IdleDraw()
 	}
 	return Inputs{
-		Servers:     n,
-		CostPerUnit: p.UnitCost,
-		Peak:        peak,
-		Idle:        idle,
-		Utilization: u,
-		LifeYears:   LifeYears,
-		PricePerKWh: PricePerKWh,
+		Servers:             n,
+		CostPerUnit:         p.UnitCost,
+		Peak:                peak,
+		Idle:                idle,
+		Utilization:         u,
+		LifeYears:           LifeYears,
+		PricePerKWh:         pr.tariff(),
+		PUE:                 pr.FacilityPUE(),
+		GramsPerKWh:         pr.Grid.Grams,
+		CarbonPricePerTonne: pr.CarbonPrice,
 	}
 }
 
-// regionPrices maps the carbon package's region grammar to industrial
-// electricity prices in USD/kWh (rounded recent annual averages; PLATFORMS.md
-// cites the sources alongside the grid intensities). Cheap hydro in eu-north
-// and the US Northwest, expensive post-2022 grids in Central Europe.
-var regionPrices = map[string]float64{
-	"us-east":      0.083,
-	"us-west":      0.095,
-	"eu-west":      0.17,
-	"eu-north":     0.09,
-	"eu-central":   0.20,
-	"ap-south":     0.10,
-	"ap-southeast": 0.13,
-	"global":       PricePerKWh,
-}
-
-// RegionPrice reports the region's electricity price in USD/kWh. The region
-// grammar is the carbon package's (case/whitespace tolerant).
-func RegionPrice(region string) (float64, bool) {
-	p, ok := regionPrices[strings.ToLower(strings.TrimSpace(region))]
-	return p, ok
-}
-
-// ForPlatformInRegion builds regional Inputs: the region's electricity
-// price and grid intensity, the default facility PUE, and power endpoints
-// from the named model. carbonPricePerTonne prices the resulting
-// operational carbon (0 = no carbon price).
-func ForPlatformInRegion(p *hw.Platform, n int, u float64, kind hw.PowerModelKind,
-	region string, carbonPricePerTonne float64) (Inputs, error) {
-	price, ok := RegionPrice(region)
-	grid, gok := carbon.Lookup(region)
-	if !ok || !gok {
-		return Inputs{}, fmt.Errorf("tco: unknown region %q (want one of %s)",
-			region, strings.Join(carbon.RegionNames(), ", "))
+// tariff is the electricity price in USD/kWh: the region's, else Table 9's.
+func (pr Pricing) tariff() float64 {
+	if pr.Grid.Region != "" {
+		return pr.Grid.Price
 	}
-	in := ForPlatformModel(p, n, u, kind)
-	in.PricePerKWh = price
-	in.PUE = carbon.DefaultPUE
-	in.GramsPerKWh = grid.Grams
-	in.CarbonPricePerTonne = carbonPricePerTonne
-	return in, nil
+	return PricePerKWh
+}
+
+// Hourly prices one hour of a steady IT draw w, facility overhead
+// included: its cost at the tariff and its gCO2e on the grid.
+func (pr Pricing) Hourly(w units.Watts) (usd, grams float64) {
+	kw := float64(w) / 1000 * max(pr.FacilityPUE(), 1)
+	return kw * pr.tariff(), kw * pr.Grid.Grams
 }
 
 // sizeSlack absorbs float rounding when a budget is an exact multiple of
@@ -213,24 +233,23 @@ func ForPlatformInRegion(p *hw.Platform, n int, u float64, kind hw.PowerModelKin
 // a genuinely unaffordable server.
 const sizeSlack = 1 + 1e-9
 
-// MaxFleet caps SizeForBudget's answer: absurd budgets size to this bound
+// MaxFleet caps Size's answer: absurd budgets size to this bound
 // instead of overflowing the int conversion. It sits far beyond anything
 // the simulator (or the planet) deploys; callers with tighter bounds
 // (cluster.MaxGroupNodes) clamp further.
 const MaxFleet = math.MaxInt32
 
-// SizeForBudget reports the largest fleet of platform p whose 3-year TCO at
-// utilization u, priced with the named power model (see ForPlatformModel),
-// fits within budgetUSD — the equal-spend sizing behind the paper's
-// 35-Edisons-vs-3-Dells framing (§6). The TCO is linear in the server
-// count, so the answer is budget divided by one server's lifetime cost,
-// rounded down (capped at MaxFleet); 0 means a single server already
-// exceeds the budget.
-func SizeForBudget(p *hw.Platform, budgetUSD, u float64, kind hw.PowerModelKind) (int, error) {
+// Size reports the largest fleet of platform p whose 3-year TCO at
+// utilization u, under this pricing, fits within budgetUSD — the
+// equal-spend sizing behind the paper's 35-Edisons-vs-3-Dells framing
+// (§6). The TCO is linear in the server count, so the answer is budget
+// divided by one server's lifetime cost, rounded down (capped at
+// MaxFleet); 0 means a single server already exceeds the budget.
+func (pr Pricing) Size(p *hw.Platform, budgetUSD, u float64) (int, error) {
 	if math.IsNaN(budgetUSD) || math.IsInf(budgetUSD, 0) || budgetUSD <= 0 {
 		return 0, fmt.Errorf("tco: budget $%v must be positive and finite", budgetUSD)
 	}
-	one, err := Compute(ForPlatformModel(p, 1, u, kind))
+	one, err := Compute(pr.Inputs(p, 1, u))
 	if err != nil {
 		return 0, err
 	}
@@ -259,32 +278,38 @@ func (s Scenario) Savings() float64 {
 	return 1 - s.Micro.Total()/s.Brawny.Total()
 }
 
-// Table10 reproduces the paper's four scenarios over the baseline pair:
-// web service compares 35 Edisons to 3 Dells at U ∈ {10%, 75%}; big data
-// compares 35 Edisons (pinned at 100% utilization, since jobs run 1.35–4×
-// longer) to 2 Dells at U ∈ {25%, 74%}.
-func Table10() []Scenario {
-	micro, brawny := hw.BaselinePair()
+// Table 10's high-utilization points, which every fleet priced beside a
+// measured run uses too: web fleets at 75%; big-data micro fleets pinned at
+// 100% (their jobs run 1.35–4× longer), brawny fleets at 74%.
+const WebUtil = 0.75
+
+// HadoopUtil is the big-data utilization point of platform p.
+func HadoopUtil(p *hw.Platform) float64 {
+	if p.Micro {
+		return 1.0
+	}
+	return 0.74
+}
+
+// Table10 reproduces the paper's four scenarios over a compared pair at
+// Table 9's pricing: web service compares the micro fleet to the brawny
+// one at U ∈ {10%, WebUtil}; big data compares the micro fleet at
+// HadoopUtil to the brawny one at U ∈ {25%, HadoopUtil}. The fleet sizes
+// are the paper's, read from the baseline pair's catalog fleets (35 vs 3
+// web and cache servers, 35 vs 2 slaves) whatever pair is priced.
+func Table10(micro, brawny *hw.Platform) []Scenario {
+	bm, bb := hw.BaselinePair()
+	mWeb, bWeb := bm.Fleet.Web+bm.Fleet.Cache, bb.Fleet.Web+bb.Fleet.Cache
+	mData, bData := bm.Fleet.Slaves, bb.Fleet.Slaves
+	row := func(name string, nb, nm int, ub, um float64) Scenario {
+		return Scenario{Name: name,
+			Brawny: MustCompute(Pricing{}.Inputs(brawny, nb, ub)),
+			Micro:  MustCompute(Pricing{}.Inputs(micro, nm, um))}
+	}
 	return []Scenario{
-		{
-			Name:   "Web service, low utilization",
-			Brawny: MustCompute(ForPlatform(brawny, 3, 0.10)),
-			Micro:  MustCompute(ForPlatform(micro, 35, 0.10)),
-		},
-		{
-			Name:   "Web service, high utilization",
-			Brawny: MustCompute(ForPlatform(brawny, 3, 0.75)),
-			Micro:  MustCompute(ForPlatform(micro, 35, 0.75)),
-		},
-		{
-			Name:   "Big data, low utilization",
-			Brawny: MustCompute(ForPlatform(brawny, 2, 0.25)),
-			Micro:  MustCompute(ForPlatform(micro, 35, 1.0)),
-		},
-		{
-			Name:   "Big data, high utilization",
-			Brawny: MustCompute(ForPlatform(brawny, 2, 0.74)),
-			Micro:  MustCompute(ForPlatform(micro, 35, 1.0)),
-		},
+		row("Web service, low utilization", bWeb, mWeb, 0.10, 0.10),
+		row("Web service, high utilization", bWeb, mWeb, WebUtil, WebUtil),
+		row("Big data, low utilization", bData, mData, 0.25, HadoopUtil(micro)),
+		row("Big data, high utilization", bData, mData, HadoopUtil(brawny), HadoopUtil(micro)),
 	}
 }

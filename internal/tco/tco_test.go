@@ -22,7 +22,7 @@ func TestTable10MatchesPaper(t *testing.T) {
 		"Big data, low utilization":     {5348.2, 4352.4},
 		"Big data, high utilization":    {5495.0, 4352.4},
 	}
-	for _, s := range Table10() {
+	for _, s := range Table10(basePair()) {
 		p := paper[s.Name]
 		if !almost(s.Brawny.Total(), p[0], p[0]*0.01) {
 			t.Errorf("%s: brawny %.1f, paper %.1f", s.Name, s.Brawny.Total(), p[0])
@@ -35,7 +35,7 @@ func TestTable10MatchesPaper(t *testing.T) {
 
 func TestSavingsUpTo47Percent(t *testing.T) {
 	best := 0.0
-	for _, s := range Table10() {
+	for _, s := range Table10(basePair()) {
 		if s.Savings() > best {
 			best = s.Savings()
 		}
@@ -47,7 +47,7 @@ func TestSavingsUpTo47Percent(t *testing.T) {
 
 func TestEquipmentDominatesMicroCost(t *testing.T) {
 	micro, _ := basePair()
-	r := MustCompute(ForPlatform(micro, 35, 1.0))
+	r := MustCompute(Pricing{}.Inputs(micro, 35, 1.0))
 	if r.Equipment != 35*micro.UnitCost {
 		t.Fatalf("equipment %.0f", r.Equipment)
 	}
@@ -67,11 +67,11 @@ func TestInvalidInputsRejected(t *testing.T) {
 		in   Inputs
 		want string // substring of the error
 	}{
-		{"utilization above 1", ForPlatform(brawny, 1, 1.5), "outside [0,1]"},
-		{"negative utilization", ForPlatform(brawny, 3, -0.25), "outside [0,1]"},
-		{"NaN utilization", ForPlatform(brawny, 3, math.NaN()), "outside [0,1]"},
-		{"negative servers", ForPlatform(micro, -5, 0.5), "must be positive"},
-		{"zero servers", ForPlatform(micro, 0, 0.5), "must be positive"},
+		{"utilization above 1", Pricing{}.Inputs(brawny, 1, 1.5), "outside [0,1]"},
+		{"negative utilization", Pricing{}.Inputs(brawny, 3, -0.25), "outside [0,1]"},
+		{"NaN utilization", Pricing{}.Inputs(brawny, 3, math.NaN()), "outside [0,1]"},
+		{"negative servers", Pricing{}.Inputs(micro, -5, 0.5), "must be positive"},
+		{"zero servers", Pricing{}.Inputs(micro, 0, 0.5), "must be positive"},
 		{"negative unit cost", Inputs{Servers: 1, CostPerUnit: -120, Utilization: 0.5, LifeYears: 3, PricePerKWh: 0.1}, "unit cost"},
 		{"negative lifetime", Inputs{Servers: 1, CostPerUnit: 120, Utilization: 0.5, LifeYears: -3, PricePerKWh: 0.1}, "lifetime"},
 		{"negative price", Inputs{Servers: 1, CostPerUnit: 120, Utilization: 0.5, LifeYears: 3, PricePerKWh: -0.1}, "electricity price"},
@@ -99,7 +99,7 @@ func TestMustComputePanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	_, brawny := basePair()
-	MustCompute(ForPlatform(brawny, 1, 1.5))
+	MustCompute(Pricing{}.Inputs(brawny, 1, 1.5))
 }
 
 // TestSizeForBudget pins the equal-spend sizing math: floor(budget / one
@@ -107,8 +107,8 @@ func TestMustComputePanicsOnInvalid(t *testing.T) {
 // non-positive budgets and invalid utilization.
 func TestSizeForBudget(t *testing.T) {
 	micro, brawny := basePair()
-	perMicro := MustCompute(ForPlatform(micro, 1, 0.75)).Total()
-	perBrawny := MustCompute(ForPlatform(brawny, 1, 0.75)).Total()
+	perMicro := MustCompute(Pricing{}.Inputs(micro, 1, 0.75)).Total()
+	perBrawny := MustCompute(Pricing{}.Inputs(brawny, 1, 0.75)).Total()
 	cases := []struct {
 		name    string
 		p       *hw.Platform
@@ -121,7 +121,7 @@ func TestSizeForBudget(t *testing.T) {
 		{name: "exactly one server", p: brawny, budget: perBrawny, util: 0.75, want: 1},
 		{name: "exact multiple", p: micro, budget: 7 * perMicro, util: 0.75, want: 7},
 		{name: "just under a multiple", p: micro, budget: 7*perMicro - 1, util: 0.75, want: 6},
-		{name: "paper web budget", p: micro, budget: MustCompute(ForPlatform(brawny, 3, 0.75)).Total(), util: 0.75},
+		{name: "paper web budget", p: micro, budget: MustCompute(Pricing{}.Inputs(brawny, 3, 0.75)).Total(), util: 0.75},
 		{name: "zero budget", p: micro, budget: 0, util: 0.5, wantErr: "must be positive"},
 		{name: "negative budget", p: micro, budget: -100, util: 0.5, wantErr: "must be positive"},
 		{name: "NaN budget", p: micro, budget: math.NaN(), util: 0.5, wantErr: "must be positive"},
@@ -130,7 +130,7 @@ func TestSizeForBudget(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := SizeForBudget(tc.p, tc.budget, tc.util, hw.PowerLinear)
+			n, err := Pricing{}.Size(tc.p, tc.budget, tc.util)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("want error containing %q, got n=%d err=%v", tc.wantErr, n, err)
@@ -138,18 +138,18 @@ func TestSizeForBudget(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("SizeForBudget: %v", err)
+				t.Fatalf("Size: %v", err)
 			}
 			if tc.want > 0 && n != tc.want {
 				t.Fatalf("got %d servers, want %d", n, tc.want)
 			}
 			// The sized fleet must fit the budget, and one more must not.
 			if n > 0 {
-				if got := MustCompute(ForPlatform(tc.p, n, tc.util)).Total(); got > tc.budget*1.000001 {
+				if got := MustCompute(Pricing{}.Inputs(tc.p, n, tc.util)).Total(); got > tc.budget*1.000001 {
 					t.Fatalf("sized fleet $%.2f exceeds budget $%.2f", got, tc.budget)
 				}
 			}
-			if over := MustCompute(ForPlatform(tc.p, n+1, tc.util)).Total(); over <= tc.budget*0.999999 {
+			if over := MustCompute(Pricing{}.Inputs(tc.p, n+1, tc.util)).Total(); over <= tc.budget*0.999999 {
 				t.Fatalf("fleet of %d (+1) at $%.2f still fits budget $%.2f — not maximal", n+1, over, tc.budget)
 			}
 		})
@@ -160,7 +160,7 @@ func TestSizeForBudget(t *testing.T) {
 // to MaxFleet, never wrap the int conversion into a negative fleet.
 func TestSizeForBudgetOverflowClamped(t *testing.T) {
 	micro, _ := basePair()
-	n, err := SizeForBudget(micro, 1e30, 0.5, hw.PowerLinear)
+	n, err := Pricing{}.Size(micro, 1e30, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestSizeForBudgetOverflowClamped(t *testing.T) {
 // nodes — the §6 "comparable cost" framing (the paper deploys 35).
 func TestSizeForBudgetMatchesPaperScale(t *testing.T) {
 	micro, brawny := basePair()
-	budget := MustCompute(ForPlatform(brawny, 3, 0.75)).Total()
-	n, err := SizeForBudget(micro, budget, 0.75, hw.PowerLinear)
+	budget := MustCompute(Pricing{}.Inputs(brawny, 3, 0.75)).Total()
+	n, err := Pricing{}.Size(micro, budget, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,16 +190,20 @@ func TestSizeForBudgetMatchesPaperScale(t *testing.T) {
 // alloc-regression step runs this).
 func TestSizingStaysAllocationFree(t *testing.T) {
 	micro, brawny := basePair()
-	budget := MustCompute(ForPlatform(brawny, 3, 0.75)).Total()
+	budget := MustCompute(Pricing{}.Inputs(brawny, 3, 0.75)).Total()
+	regional, err := NewPricing(hw.PowerTDPCurve, "eu-central", 0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for _, kind := range []hw.PowerModelKind{hw.PowerLinear, hw.PowerTDPCurve} {
-			if _, err := SizeForBudget(micro, budget, 0.75, kind); err != nil {
+		for _, pr := range []Pricing{{}, {Model: hw.PowerTDPCurve}, regional} {
+			if _, err := pr.Size(micro, budget, 0.75); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("SizeForBudget allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("Pricing.Size allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -208,18 +212,18 @@ func TestSizingStaysAllocationFree(t *testing.T) {
 // curve-priced TCO fits the budget and one more server's does not.
 func TestSizeForBudgetPricesTheNamedModel(t *testing.T) {
 	micro, brawny := basePair()
-	budget := MustCompute(ForPlatformModel(brawny, 3, 0.75, hw.PowerTDPCurve)).Total()
-	n, err := SizeForBudget(micro, budget, 0.75, hw.PowerTDPCurve)
+	budget := MustCompute(Pricing{Model: hw.PowerTDPCurve}.Inputs(brawny, 3, 0.75)).Total()
+	n, err := Pricing{Model: hw.PowerTDPCurve}.Size(micro, budget, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MustCompute(ForPlatformModel(micro, n, 0.75, hw.PowerTDPCurve)).Total(); got > budget*(1+1e-9) {
+	if got := MustCompute(Pricing{Model: hw.PowerTDPCurve}.Inputs(micro, n, 0.75)).Total(); got > budget*(1+1e-9) {
 		t.Fatalf("%d-node fleet costs $%.2f under the curve, over the $%.2f budget", n, got, budget)
 	}
-	if over := MustCompute(ForPlatformModel(micro, n+1, 0.75, hw.PowerTDPCurve)).Total(); over <= budget {
+	if over := MustCompute(Pricing{Model: hw.PowerTDPCurve}.Inputs(micro, n+1, 0.75)).Total(); over <= budget {
 		t.Fatalf("%d nodes at $%.2f still fit the $%.2f budget — not maximal", n+1, over, budget)
 	}
-	linear, err := SizeForBudget(micro, budget, 0.75, hw.PowerLinear)
+	linear, err := Pricing{}.Size(micro, budget, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,15 +234,19 @@ func TestSizeForBudgetPricesTheNamedModel(t *testing.T) {
 
 func BenchmarkSizeForBudget(b *testing.B) {
 	micro, brawny := basePair()
-	budget := MustCompute(ForPlatform(brawny, 3, 0.75)).Total()
+	budget := MustCompute(Pricing{}.Inputs(brawny, 3, 0.75)).Total()
+	regional, err := NewPricing(hw.PowerTDPCurve, "eu-central", 0, 80)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, m := range []struct {
 		name string
-		kind hw.PowerModelKind
-	}{{"linear", hw.PowerLinear}, {"tdp-curve", hw.PowerTDPCurve}} {
+		pr   Pricing
+	}{{"linear", Pricing{}}, {"tdp-curve", Pricing{Model: hw.PowerTDPCurve}}, {"regional", regional}} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SizeForBudget(micro, budget, 0.75, m.kind); err != nil {
+				if _, err := m.pr.Size(micro, budget, 0.75); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,7 +264,7 @@ func TestTCOMonotoneInUtilization(t *testing.T) {
 		}
 		lo, hi := math.Min(u1, u2), math.Max(u1, u2)
 		_, brawny := basePair()
-		return MustCompute(ForPlatform(brawny, 2, lo)).Total() <= MustCompute(ForPlatform(brawny, 2, hi)).Total()+1e-9
+		return MustCompute(Pricing{}.Inputs(brawny, 2, lo)).Total() <= MustCompute(Pricing{}.Inputs(brawny, 2, hi)).Total()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(10))}); err != nil {
 		t.Fatal(err)
@@ -268,8 +276,8 @@ func TestTCOLinearInServers(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%20) + 1
 		micro, _ := basePair()
-		one := MustCompute(ForPlatform(micro, 1, 0.5)).Total()
-		many := MustCompute(ForPlatform(micro, n, 0.5)).Total()
+		one := MustCompute(Pricing{}.Inputs(micro, 1, 0.5)).Total()
+		many := MustCompute(Pricing{}.Inputs(micro, n, 0.5)).Total()
 		return almost(many, float64(n)*one, 1e-6*many+1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(11))}); err != nil {
@@ -283,7 +291,7 @@ func TestTCOLinearInServers(t *testing.T) {
 // the last bit, zero carbon cost.
 func TestZeroKnobsMatchEquationOne(t *testing.T) {
 	micro, _ := basePair()
-	in := ForPlatform(micro, 35, 0.75)
+	in := Pricing{}.Inputs(micro, 35, 0.75)
 	r := MustCompute(in)
 	hours := in.LifeYears * 365 * 24
 	meanWatts := in.Utilization*float64(in.Peak) + (1-in.Utilization)*float64(in.Idle)
@@ -303,9 +311,9 @@ func TestZeroKnobsMatchEquationOne(t *testing.T) {
 // the carbon price adds a cost term.
 func TestFacilityAndCarbonKnobs(t *testing.T) {
 	micro, _ := basePair()
-	base := MustCompute(ForPlatform(micro, 10, 0.5))
+	base := MustCompute(Pricing{}.Inputs(micro, 10, 0.5))
 
-	in := ForPlatform(micro, 10, 0.5)
+	in := Pricing{}.Inputs(micro, 10, 0.5)
 	in.PUE = 1.5
 	r := MustCompute(in)
 	if !almost(r.KWh, 1.5*base.KWh, 1e-9*r.KWh) || !almost(r.Electricity, 1.5*base.Electricity, 1e-9) {
@@ -327,10 +335,10 @@ func TestFacilityAndCarbonKnobs(t *testing.T) {
 
 	// Invalid knobs are rejected like every other input.
 	for _, bad := range []Inputs{
-		func() Inputs { i := ForPlatform(micro, 1, 0.5); i.PUE = 0.8; return i }(),
-		func() Inputs { i := ForPlatform(micro, 1, 0.5); i.PUE = math.NaN(); return i }(),
-		func() Inputs { i := ForPlatform(micro, 1, 0.5); i.GramsPerKWh = -1; return i }(),
-		func() Inputs { i := ForPlatform(micro, 1, 0.5); i.CarbonPricePerTonne = -5; return i }(),
+		func() Inputs { i := Pricing{}.Inputs(micro, 1, 0.5); i.PUE = 0.8; return i }(),
+		func() Inputs { i := Pricing{}.Inputs(micro, 1, 0.5); i.PUE = math.NaN(); return i }(),
+		func() Inputs { i := Pricing{}.Inputs(micro, 1, 0.5); i.GramsPerKWh = -1; return i }(),
+		func() Inputs { i := Pricing{}.Inputs(micro, 1, 0.5); i.CarbonPricePerTonne = -5; return i }(),
 	} {
 		if _, err := Compute(bad); err == nil {
 			t.Fatalf("invalid knob accepted: %+v", bad)
@@ -338,52 +346,72 @@ func TestFacilityAndCarbonKnobs(t *testing.T) {
 	}
 }
 
-// TestRegionPricesCoverCarbonRegions: the price table and the carbon
-// package's grid map share one region grammar — every region priced, every
-// price positive.
-func TestRegionPricesCoverCarbonRegions(t *testing.T) {
-	for _, g := range carbon.Regions() {
-		p, ok := RegionPrice(g.Region)
-		if !ok || p <= 0 {
-			t.Errorf("region %q has no positive price (got %v, %v)", g.Region, p, ok)
-		}
-	}
+// TestRegionTariffs: the carbon package's grid table is the one region
+// table, each row holding its tariff and its intensity: every tariff is
+// positive, and the world average prices at Table 9's US average.
+func TestRegionTariffs(t *testing.T) {
 	if len(carbon.Regions()) == 0 {
 		t.Fatal("no regions")
 	}
-	if _, ok := RegionPrice(" EU-NORTH "); !ok {
-		t.Error("region price lookup not tolerant")
+	for _, g := range carbon.Regions() {
+		if g.Price <= 0 {
+			t.Errorf("region %q has no positive tariff (got %v)", g.Region, g.Price)
+		}
 	}
-	if _, ok := RegionPrice("atlantis"); ok {
-		t.Error("bogus region priced")
+	if g := carbon.MustLookup("global"); g.Price != PricePerKWh {
+		t.Errorf("global tariff $%v/kWh, want Table 9's $%v", g.Price, PricePerKWh)
 	}
 }
 
-// TestForPlatformInRegion: regional inputs carry the region's price and
-// intensity plus the default PUE, and the TDP-curve kind swaps the power
-// endpoints.
-func TestForPlatformInRegion(t *testing.T) {
+// TestNewPricing: a region resolves to its grid row and defaults the PUE,
+// an override replaces it, a bare carbon price attributes to the global
+// grid, and the zero pricing is Table 9. Bad knobs are errors.
+func TestNewPricing(t *testing.T) {
 	micro, _ := basePair()
-	in, err := ForPlatformInRegion(micro, 5, 0.5, hw.PowerLinear, "eu-north", 80)
+	pr, err := NewPricing(hw.PowerLinear, " EU-North ", 0, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := pr.Inputs(micro, 5, 0.5)
 	grid := carbon.MustLookup("eu-north")
-	price, _ := RegionPrice("eu-north")
-	if in.PricePerKWh != price || in.GramsPerKWh != grid.Grams ||
+	if pr.Grid != grid || in.PricePerKWh != grid.Price || in.GramsPerKWh != grid.Grams ||
 		in.PUE != carbon.DefaultPUE || in.CarbonPricePerTonne != 80 {
 		t.Fatalf("regional inputs wrong: %+v", in)
 	}
-	if _, err := ForPlatformInRegion(micro, 5, 0.5, hw.PowerLinear, "atlantis", 0); err == nil {
-		t.Fatal("unknown region accepted")
+	if pr, _ := NewPricing(hw.PowerLinear, "eu-north", 1.3, 0); pr.Inputs(micro, 5, 0.5).PUE != 1.3 {
+		t.Fatal("PUE override ignored in a region")
+	}
+	if pr, _ := NewPricing(hw.PowerLinear, "", 0, 80); pr.Grid.Region != "global" {
+		t.Fatalf("bare carbon price priced on %q, want the global grid", pr.Grid.Region)
+	}
+	table9, err := NewPricing(hw.PowerLinear, "", 0, 0)
+	if err != nil || table9 != (Pricing{}) {
+		t.Fatalf("no knobs resolved to %+v, %v; want the zero pricing", table9, err)
+	}
+	if in := table9.Inputs(micro, 5, 0.5); in.PricePerKWh != PricePerKWh || in.PUE != 0 || in.GramsPerKWh != 0 {
+		t.Fatalf("zero pricing is not Table 9: %+v", in)
+	}
+	for _, bad := range []struct {
+		region           string
+		pue, carbonPrice float64
+		want             string
+	}{
+		{"atlantis", 0, 0, `unknown region "atlantis"`},
+		{"", 0.8, 0, "PUE 0.8"},
+		{"", 0, -5, "negative carbon price -5"},
+		{"", 0, math.NaN(), "negative carbon price NaN"},
+	} {
+		if _, err := NewPricing(hw.PowerLinear, bad.region, bad.pue, bad.carbonPrice); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("NewPricing(%q, %v, %v) = %v, want an error containing %q", bad.region, bad.pue, bad.carbonPrice, err, bad.want)
+		}
 	}
 
-	curved := ForPlatformModel(micro, 5, 0.5, hw.PowerTDPCurve)
+	curved := Pricing{Model: hw.PowerTDPCurve}.Inputs(micro, 5, 0.5)
 	pm := micro.PowerModelFor(hw.PowerTDPCurve)
 	if curved.Peak != pm.BusyDraw() || curved.Idle != pm.IdleDraw() {
 		t.Fatalf("curve endpoints not used: %+v", curved)
 	}
-	if curved.Peak == ForPlatform(micro, 5, 0.5).Peak {
-		t.Fatal("curve endpoints identical to linear — kind not threaded")
+	if curved.Peak == table9.Inputs(micro, 5, 0.5).Peak {
+		t.Fatal("curve endpoints identical to linear — model not threaded")
 	}
 }

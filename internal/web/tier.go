@@ -78,13 +78,40 @@ type Scale struct {
 	Tiers []Tier
 }
 
-// Table6 returns the paper's cluster scale ladder over a compared pair:
-// the tier sizes are the paper's, the platforms the caller's.
-func Table6(micro, brawny *hw.Platform) []Scale {
-	return []Scale{
-		{Name: "full", Tiers: []Tier{TierOn(micro, 24, 11), TierOn(brawny, 2, 1)}},
-		{Name: "1/2", Tiers: []Tier{TierOn(micro, 12, 6), TierOn(brawny, 1, 1)}},
-		{Name: "1/4", Tiers: []Tier{TierOn(micro, 6, 3)}},
-		{Name: "1/8", Tiers: []Tier{TierOn(micro, 3, 2)}},
+// ScaleNames labels the rungs of a scale ladder: the full fleet, then each
+// halving.
+var ScaleNames = []string{"full", "1/2", "1/4", "1/8"}
+
+// Ladder builds a fleet's scale ladder by successively halving its nWeb
+// web and nCache cache servers (ceil, as the paper's Table 6 does: 24/11 →
+// 12/6 → 6/3 → 3/2), stopping once both tiers are down to one node or at
+// maxRungs rungs (at most len(ScaleNames)).
+func Ladder(nWeb, nCache, maxRungs int) [][2]int {
+	rungs := [][2]int{{nWeb, nCache}}
+	for len(rungs) < maxRungs {
+		prev := rungs[len(rungs)-1]
+		if prev[0] == 1 && prev[1] == 1 {
+			break
+		}
+		rungs = append(rungs, [2]int{(prev[0] + 1) / 2, (prev[1] + 1) / 2})
 	}
+	return rungs
+}
+
+// Table6 returns the paper's cluster scale ladder over a compared pair:
+// the platforms are the caller's, the tier sizes the paper's, which a
+// custom pair keeps too. The full row is the baseline pair's catalog
+// fleets (24/11 Edisons, 2/1 Dells); each lower row halves them by Ladder.
+func Table6(micro, brawny *hw.Platform) []Scale {
+	bm, bb := hw.BaselinePair()
+	mRungs := Ladder(bm.Fleet.Web, bm.Fleet.Cache, len(ScaleNames))
+	bRungs := Ladder(bb.Fleet.Web, bb.Fleet.Cache, len(ScaleNames))
+	rows := make([]Scale, len(mRungs))
+	for i, r := range mRungs {
+		rows[i] = Scale{Name: ScaleNames[i], Tiers: []Tier{TierOn(micro, r[0], r[1])}}
+		if i < len(bRungs) {
+			rows[i].Tiers = append(rows[i].Tiers, TierOn(brawny, bRungs[i][0], bRungs[i][1]))
+		}
+	}
+	return rows
 }

@@ -49,6 +49,41 @@ func TestTable6Configuration(t *testing.T) {
 	}
 }
 
+// TestLadderHalvesByCeil pins the one ladder rule: ceil-halving both
+// tiers, stopping at 1/1 or at the rung cap, and Table 6 as that rule
+// applied to the baseline pair's catalog fleets — the paper's 24/11 →
+// 12/6 → 6/3 → 3/2 Edison rows beside 2/1 → 1/1 Dells.
+func TestLadderHalvesByCeil(t *testing.T) {
+	for _, tc := range []struct {
+		web, cache, max int
+		want            [][2]int
+	}{
+		{24, 11, 4, [][2]int{{24, 11}, {12, 6}, {6, 3}, {3, 2}}},
+		{2, 1, 4, [][2]int{{2, 1}, {1, 1}}},
+		{24, 11, 2, [][2]int{{24, 11}, {12, 6}}},
+		{1, 1, 4, [][2]int{{1, 1}}},
+	} {
+		if got := Ladder(tc.web, tc.cache, tc.max); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Ladder(%d, %d, %d) = %v, want %v", tc.web, tc.cache, tc.max, got, tc.want)
+		}
+	}
+	micro, brawny := hw.BaselinePair()
+	want := [][][2]int{{{24, 11}, {2, 1}}, {{12, 6}, {1, 1}}, {{6, 3}}, {{3, 2}}}
+	rows := Table6(micro, brawny)
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		var got [][2]int
+		for _, tier := range r.Tiers {
+			got = append(got, [2]int{tier.NWeb, tier.NCache})
+		}
+		if r.Name != ScaleNames[i] || !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("row %d: %s %v, want %s %v", i, r.Name, got, ScaleNames[i], want[i])
+		}
+	}
+}
+
 // clone copies p as "edison-clone"; a non-empty prefix renames its root
 // and leaf switches but keeps its host names.
 func clone(p *hw.Platform, prefix string) *hw.Platform {

@@ -158,9 +158,10 @@ type (
 type TCOScenario = tco.Scenario
 
 // TCOForPlatform builds cost-model inputs for n nodes of platform p at the
-// given utilization.
+// given utilization, at the paper's Table 9 pricing (linear power
+// endpoints, $0.10/kWh, no facility overhead or carbon).
 func TCOForPlatform(p *Platform, n int, utilization float64) TCOInputs {
-	return tco.ForPlatform(p, n, utilization)
+	return tco.Pricing{}.Inputs(p, n, utilization)
 }
 
 // ComputeTCO evaluates the cost model. Invalid inputs — a non-positive
@@ -170,11 +171,13 @@ func ComputeTCO(in TCOInputs) (TCOResult, error) { return tco.Compute(in) }
 
 // SizeFleetForBudget reports the largest fleet of platform p whose 3-year
 // TCO at the given utilization fits within budgetUSD — the equal-spend
-// sizing behind the paper's 35-Edisons-vs-3-Dells comparison (§6). Zero
-// means one server already exceeds the budget.
+// sizing behind the paper's 35-Edisons-vs-3-Dells comparison (§6), priced
+// as TCOForPlatform prices. Zero means one server already exceeds the
+// budget.
 func SizeFleetForBudget(p *Platform, budgetUSD, utilization float64) (int, error) {
-	return tco.SizeForBudget(p, budgetUSD, utilization, hw.PowerLinear)
+	return tco.Pricing{}.Size(p, budgetUSD, utilization)
 }
 
-// TCOTable10 returns the paper's four published TCO scenarios.
-func TCOTable10() []TCOScenario { return tco.Table10() }
+// TCOTable10 returns the paper's four published TCO scenarios over the
+// baseline pair.
+func TCOTable10() []TCOScenario { return tco.Table10(hw.BaselinePair()) }

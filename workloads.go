@@ -483,9 +483,11 @@ type TCOStudy struct {
 	// Every count must be positive. Mutually exclusive with Budget.
 	Nodes []int
 	// Budget, when positive, sizes every platform's fleet to the largest
-	// node count whose 3-year TCO fits the budget (tco.SizeForBudget)
-	// instead of using Nodes or the catalog fleets. A platform whose
-	// single server exceeds the budget prices as a zero-node row.
+	// node count whose 3-year TCO fits the budget instead of using Nodes
+	// or the catalog fleets. The fleet is sized with the same power model,
+	// tariff, PUE and carbon price it is priced with, so its total never
+	// exceeds the budget. A platform whose single server exceeds the
+	// budget prices as a zero-node row.
 	Budget float64
 	// Utilization in [0,1] (default 0.5). The zero value means "use the
 	// default"; pass ZeroUtilization for a genuinely idle fleet.
@@ -568,7 +570,7 @@ func resolveUtilization(id string, u float64) (float64, error) {
 	return u, nil
 }
 
-func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
+func (ts *TCOStudy) expand(cfg core.Config) ([]unit, error) {
 	id := ts.ID
 	if id == "" {
 		id = "tco_study"
@@ -593,24 +595,13 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if math.IsNaN(ts.CarbonPricePerTonne) || ts.CarbonPricePerTonne < 0 {
-		return nil, fmt.Errorf("edisim: %s: negative carbon price %v $/tCO2e", id, ts.CarbonPricePerTonne)
-	}
-	if err := tco.CheckPUE(ts.PUE); err != nil {
+	pr, err := tco.NewPricing(cfg.Energy, ts.Region, ts.PUE, ts.CarbonPricePerTonne)
+	if err != nil {
 		return nil, fmt.Errorf("edisim: %s: %w", id, err)
 	}
-	// Carbon accounting is on when a region or a carbon price is set; a bare
-	// carbon price attributes to the world-average grid.
-	region := ts.Region
-	carbonOn := region != "" || ts.CarbonPricePerTonne > 0
-	if carbonOn && region == "" {
-		region = "global"
-	}
-	if region != "" {
-		if _, ok := carbon.Lookup(region); !ok {
-			return nil, unknownNameError("region", region, carbon.RegionNames())
-		}
-	}
+	// Carbon accounting is on when a region or a carbon price is set.
+	region := pr.Grid.Region
+	carbonOn := region != ""
 	title := fmt.Sprintf("3-year TCO at %.0f%% utilization", util*100)
 	if ts.Budget > 0 {
 		title = fmt.Sprintf("3-year TCO at %.0f%% utilization, fleets sized to $%.0f", util*100, ts.Budget)
@@ -619,7 +610,7 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 		title += fmt.Sprintf(" (%s grid)", region)
 	}
 
-	run := func(cfg core.Config) (*core.Outcome, error) {
+	run := func(core.Config) (*core.Outcome, error) {
 		o := &core.Outcome{}
 		cols := []string{"platform", "nodes", "equipment $", "electricity $", "total $", "$ per node"}
 		colUnits := []string{"", "nodes", "$", "$", "$", "$"}
@@ -630,38 +621,22 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 		t := report.NewTable(title, cols...).WithUnits(colUnits...)
 		for i, p := range plats {
 			var n int
+			var err error
 			if ts.Budget == 0 {
 				n = sizes[i]
-			} else {
-				var err error
-				if n, err = tco.SizeForBudget(p, ts.Budget, util, hw.PowerLinear); err != nil {
-					return nil, err
-				}
-				if n == 0 {
-					row := []any{p.Label, report.Count(0, "nodes"),
-						report.Num(0, "$"), report.Num(0, "$"), report.Num(0, "$"), report.Num(0, "$")}
-					if carbonOn {
-						row = append(row, report.Num(0, "t"), report.Num(0, "$"))
-					}
-					t.AddRow(row...)
-					o.Notes = append(o.Notes, fmt.Sprintf(
-						"%s: one server already exceeds the $%.0f budget", p.Label, ts.Budget))
-					continue
-				}
-			}
-			in := tco.ForPlatformModel(p, n, util, cfg.Energy)
-			if carbonOn {
-				var err error
-				if in, err = tco.ForPlatformInRegion(p, n, util, cfg.Energy, region, ts.CarbonPricePerTonne); err != nil {
-					return nil, err
-				}
-			}
-			if ts.PUE != 0 {
-				in.PUE = ts.PUE
-			}
-			r, err := tco.Compute(in)
-			if err != nil {
+			} else if n, err = pr.Size(p, ts.Budget, util); err != nil {
 				return nil, err
+			}
+			var r tco.Result // a fleet the budget cannot buy prices as zeros
+			perNode := 0.0
+			if n > 0 {
+				if r, err = tco.Compute(pr.Inputs(p, n, util)); err != nil {
+					return nil, err
+				}
+				perNode = r.Total() / float64(n)
+			} else {
+				o.Notes = append(o.Notes, fmt.Sprintf(
+					"%s: one server already exceeds the $%.0f budget", p.Label, ts.Budget))
 			}
 			row := []any{
 				p.Label,
@@ -669,7 +644,7 @@ func (ts *TCOStudy) expand(core.Config) ([]unit, error) {
 				report.Num(r.Equipment, "$"),
 				report.Num(r.Electricity, "$"),
 				report.Num(r.Total(), "$"),
-				report.Num(r.Total()/float64(n), "$"),
+				report.Num(perNode, "$"),
 			}
 			if carbonOn {
 				row = append(row, report.Num(r.CarbonGrams/1e6, "t"), report.Num(r.Carbon, "$"))
